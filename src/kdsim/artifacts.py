@@ -11,21 +11,28 @@ Model files use a small self-describing binary format (magic ``KDSM``)
 holding the fingerprint, the init seed and the raw float64 parameters in
 little-endian order. Writing the same model twice produces identical
 bytes; no timestamps or environment data are embedded anywhere.
+
+Every file is written whole or not at all (`atomic_write`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import RunConfig
 from .errors import ConfigError, ParseError
 from .nn import ArchSpec, Model
+
+if TYPE_CHECKING:  # config -> orchestrate -> metrics imports this module
+    from .config import RunConfig
 
 MODEL_MAGIC = b"KDSM"
 MODEL_FORMAT_VERSION = 1
@@ -75,13 +82,29 @@ def config_fingerprint(cfg: RunConfig, stage: str) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-# -- JSON helpers -----------------------------------------------------------
+# -- file writing -----------------------------------------------------------
+
+
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w"):
+    """Open a temporary file beside path; once written it replaces path,
+    so readers see the old file or the new one, never a partial write."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path: str | Path, obj) -> None:
     """Write canonical JSON: sorted keys, indent 1, trailing newline."""
-    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
-    Path(path).write_text(text)
+    with atomic_write(path) as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def read_json(path: str | Path):
@@ -112,7 +135,8 @@ def save_model(path: str | Path, model: Model, fingerprint: str) -> None:
     for w, b in zip(model.weights, model.biases):
         parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
         parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    with atomic_write(path, "wb") as fh:
+        fh.write(b"".join(parts))
 
 
 class _Reader:

@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .artifacts import (
     config_fingerprint,
+    load_manifest,
     load_model,
     read_json,
     record_stage,
@@ -39,18 +40,24 @@ from .artifacts import (
 from .config import RunConfig, parse_config
 from .data import (
     PartitionPlan,
-    build_transfer_set,
     load_dataset,
     make_partition,
     validate_plan,
 )
 from .errors import ConfigError, KdsimError
 from .fed import FedTrajectory, preconsolidated_fedavg, rounds_to_target
-from .metrics import cumulative_gain, emit_report, parse_results_json
+from .metrics import (
+    cumulative_gain,
+    emit_report,
+    parse_results_json,
+    parse_trajectories_json,
+    trajectories_payload,
+)
 from .nn import EvalReport, init_model
 from .orchestrate import (
     Scenario,
-    _run_cell,
+    _shared_transfer_sets,
+    _transfer_for,
     best_teacher_frequency,
     carve_public_pool,
     consolidate_models,
@@ -220,17 +227,6 @@ def _check_pair(args, k: int) -> tuple[int, int]:
     return teacher, student
 
 
-def _pair_transfer(cfg: RunConfig, scenario: Scenario, option: str, student_id: int):
-    sizes = cfg.transfer_sizes()
-    if option == "student_data":
-        return build_transfer_set(
-            "student_data", None, scenario.participants[student_id].train, sizes, 0
-        )
-    return build_transfer_set(
-        option, scenario.public_pool, None, sizes, stable_seed(cfg.seed, "transfer-sample")
-    )
-
-
 # -- subcommands ------------------------------------------------------------
 
 
@@ -295,25 +291,17 @@ def cmd_distill(cfg: RunConfig, args) -> int:
     pretrained = _load_pretrained(cfg, out, args.force)
     teacher, student = _check_pair(args, scenario.k)
     option = args.transfer_option
-    transfer = _pair_transfer(cfg, scenario, option, student)
-    result = _run_cell(
-        (
-            scenario.label,
-            args.method,
-            option,
-            teacher,
-            student,
-            pretrained[teacher][0],
-            pretrained[teacher][1],
-            pretrained[student][0],
-            pretrained[student][1],
-            scenario.participants[student].val,
-            transfer,
-            scenario.test,
-            cfg.distill_config(),
-            cfg.grid_spec(),
-            cfg.seed,
-        )
+    (result,) = run_pairwise_matrix(
+        pretrained,
+        scenario,
+        [args.method],
+        [option],
+        cfg.distill_config(),
+        cfg.grid_spec(),
+        cfg.transfer_sizes(),
+        cfg.seed,
+        sequential=cfg.grid.sequential,
+        pairs=[(teacher, student)],
     )
     rel = f"distill_t{teacher}_s{student}_{args.method}_{option}.json"
     write_json(out / rel, result.to_json_dict())
@@ -333,7 +321,9 @@ def cmd_grid(cfg: RunConfig, args) -> int:
     pretrained = _load_pretrained(cfg, out, args.force)
     teacher, student = _check_pair(args, scenario.k)
     option = args.transfer_option
-    transfer = _pair_transfer(cfg, scenario, option, student)
+    sizes = cfg.transfer_sizes()
+    shared = _shared_transfer_sets(scenario, [option], sizes, cfg.seed)
+    transfer = _transfer_for(scenario, shared, option, student, sizes)
     search = grid_search_tuned(
         pretrained[student][0],
         pretrained[teacher][0],
@@ -382,6 +372,7 @@ def cmd_matrix(cfg: RunConfig, args) -> int:
         cfg.transfer_sizes(),
         cfg.seed,
         jobs=cfg.jobs,
+        sequential=cfg.grid.sequential,
     )
     emit_report(results, [], "json", out)
     record_stage(out, cfg, "matrix", {"results": RESULTS_FILE})
@@ -453,7 +444,7 @@ def cmd_fedavg(cfg: RunConfig, args) -> int:
         cfg.fed_config(),
         stable_seed(cfg.seed, "fed"),
     )
-    write_json(out / TRAJECTORIES_FILE, _trajectories_payload([random_arm, consolidated_arm]))
+    write_json(out / TRAJECTORIES_FILE, trajectories_payload([random_arm, consolidated_arm]))
     record_stage(out, cfg, "fedavg", {"trajectories": TRAJECTORIES_FILE})
     for traj in (random_arm, consolidated_arm):
         final = traj.accuracies[-1]
@@ -471,44 +462,14 @@ def cmd_fedavg(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _trajectories_payload(trajectories: list[FedTrajectory]) -> dict:
-    return {
-        "schema_version": 1,
-        "trajectories": [
-            {
-                "accuracies": [float(a) for a in t.accuracies],
-                "init_accuracy": t.init_accuracy,
-                "init_tag": t.init_tag,
-                "participants_per_round": t.participants_per_round,
-            }
-            for t in trajectories
-        ],
-    }
-
-
-def _load_trajectories(path: Path) -> list[FedTrajectory]:
-    payload = read_json(path)
-    return [
-        FedTrajectory(
-            init_tag=item["init_tag"],
-            init_accuracy=float(item["init_accuracy"]),
-            accuracies=[float(a) for a in item["accuracies"]],
-            participants_per_round=[
-                [int(c) for c in row] for row in item["participants_per_round"]
-            ],
-        )
-        for item in payload["trajectories"]
-    ]
-
-
 def cmd_report(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
     arts = require_stage(out, cfg, "matrix", args.force)
     results = parse_results_json(out / arts["results"])
     trajectories: list[FedTrajectory] = []
-    traj_path = out / TRAJECTORIES_FILE
-    if traj_path.exists():
-        trajectories = _load_trajectories(traj_path)
+    if "fedavg" in load_manifest(out)["stages"]:
+        fed_arts = require_stage(out, cfg, "fedavg", args.force)
+        trajectories = parse_trajectories_json(out / fed_arts["trajectories"])
     written = emit_report(results, trajectories, cfg.report.format, out)
     totals = cumulative_gain(results)
     frequency = best_teacher_frequency(results)

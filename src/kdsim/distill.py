@@ -1,21 +1,24 @@
 """Knowledge transfer between trained classifiers.
 
-Four mechanisms share one minibatch loop skeleton:
+Every mechanism trains on the soft-target objective (1 - alpha) * CE +
+alpha * T^2 * KL of Hinton et al. (2015); three of them only build
+per-sample targets for the one minibatch loop, `nn.train_epoch`:
 
 * fixed-parameter distillation against one or more frozen teachers
-  (`distill_vanilla`), the (temperature=1, alpha=0.5) configuration
-  being the canonical baseline;
-* mutual learning between two live peers with alternating updates
-  (`distill_dml`);
+  (`distill_vanilla`): the mean teacher distribution, the (temperature=1,
+  alpha=0.5) configuration being the canonical baseline;
 * mask-routed distillation where each transfer sample is answered either
   by the teacher or by a frozen snapshot of the student's starting
   point, whichever was more confident up front (`distill_dpkd`);
 * many-to-one consolidation with per-class accuracy weights
-  (`distill_multi_teacher`).
+  (`distill_multi_teacher`): the weighted teacher mean, with the total
+  weight scaling each sample's KL term.
 
-Teacher models are never mutated: each loop reads their probabilities
-once up front and only ever steps the student copy. Every loop is
-deterministic per (models, transfer set, config, seed).
+Mutual learning between two live peers (`distill_dml`) keeps its own
+loop, because its target is the partner's current prediction. Teacher
+models are never mutated: targets are read from them once up front and
+only the student copy is ever stepped. Every run is deterministic per
+(models, transfer set, config, seed).
 
 Temperatures above 1 shrink softened-softmax gradients by roughly T^2,
 so the KL objectives here carry an explicit T^2 factor to keep gradient
@@ -43,6 +46,7 @@ from .nn import (
     make_optimizer,
     onehot,
     softmax,
+    train_epoch,
 )
 from .seeding import rng_for
 
@@ -104,6 +108,27 @@ def _check_transfer(model: Model, transfer: TransferSet) -> None:
         )
 
 
+def _hard_target(model: Model, transfer: TransferSet) -> np.ndarray | None:
+    if not transfer.labeled:
+        return None
+    return onehot(transfer.labels, model.arch.num_classes)
+
+
+def _distill(
+    student: Model, transfer: TransferSet, cfg: DistillConfig, seed: int, **targets
+) -> Model:
+    """Train a copy of the student on the fixed targets `nn.train_epoch` takes."""
+    work = student.copy()
+    opt, params = _student_optimizer(cfg, work)
+    for epoch in range(1, cfg.epochs + 1):
+        train_epoch(
+            work, opt, params, transfer.features, cfg.batch_size,
+            rng_for(seed, "epoch", epoch),
+            alpha=cfg.alpha, temperature=cfg.temperature, **targets,
+        )
+    return work
+
+
 # --------------------------------------------------------------------------
 # Vanilla KD
 # --------------------------------------------------------------------------
@@ -140,33 +165,13 @@ def distill_vanilla(
         raise ConfigError("vanilla distillation needs at least one teacher")
     _check_transfer(student, transfer)
     bench = effective_teachers(student, teachers, transfer.origin)
-    features = transfer.features
-    temp = cfg.temperature
-    soft_target = np.mean(
-        [softmax(forward_logits(t, features), temp) for t in bench], axis=0
+    soft = np.mean(
+        [softmax(forward_logits(t, transfer.features), cfg.temperature) for t in bench],
+        axis=0,
     )
-    labeled = transfer.labeled
-    hard_target = onehot(transfer.labels, student.arch.num_classes) if labeled else None
-
-    work = student.copy()
-    opt, params = _student_optimizer(cfg, work)
-    for epoch in range(1, cfg.epochs + 1):
-        rng = rng_for(seed, "epoch", epoch)
-        for idx in batch_indices(len(features), cfg.batch_size, rng):
-            logits, acts = _forward_cached(work, features[idx])
-            nb = len(idx)
-            dlogits = np.zeros_like(logits)
-            if labeled and cfg.alpha < 1.0:
-                probs = softmax(logits, 1.0)
-                dlogits += (1.0 - cfg.alpha) * (probs - hard_target[idx]) / nb
-            if not labeled or cfg.alpha > 0.0:
-                soft = softmax(logits, temp)
-                # d/dlogits of T^2 * mean KL = T * (student - target) / n
-                kd = temp * (soft - soft_target[idx]) / nb
-                dlogits += kd if not labeled else cfg.alpha * kd
-            gw, gb = backprop_params(work, acts, dlogits)
-            opt.step(params, gw + gb)
-    return work
+    return _distill(
+        student, transfer, cfg, seed, hard=_hard_target(student, transfer), soft=soft
+    )
 
 
 # --------------------------------------------------------------------------
@@ -222,12 +227,8 @@ def distill_dml(
             "tends to degrade both peers",
             stacklevel=2,
         )
-    target_a = (
-        onehot(transfer_a.labels, peer_a.arch.num_classes) if transfer_a.labeled else None
-    )
-    target_b = (
-        onehot(transfer_b.labels, peer_b.arch.num_classes) if transfer_b.labeled else None
-    )
+    target_a = _hard_target(peer_a, transfer_a)
+    target_b = _hard_target(peer_b, transfer_b)
     work_a = peer_a.copy()
     work_b = peer_b.copy()
     opt_a, params_a = _student_optimizer(cfg, work_a)
@@ -336,17 +337,7 @@ def distill_dpkd(
         softmax(forward_logits(snapshot, transfer.features), temp),
         masks,
     )
-    features = transfer.features
-    work = student.copy()
-    opt, params = _student_optimizer(cfg, work)
-    for epoch in range(1, cfg.epochs + 1):
-        rng = rng_for(seed, "epoch", epoch)
-        for idx in batch_indices(len(features), cfg.batch_size, rng):
-            logits, acts = _forward_cached(work, features[idx])
-            dlogits = masked_distillation_grad_logits(logits, target[idx], temp)
-            gw, gb = backprop_params(work, acts, dlogits)
-            opt.step(params, gw + gb)
-    return work
+    return _distill(student, transfer, cfg, seed, soft=target)
 
 
 # --------------------------------------------------------------------------
@@ -416,16 +407,6 @@ def equal_teacher_weights(num_teachers: int, num_classes: int) -> TeacherWeights
     )
 
 
-def _sample_weights(
-    weights: TeacherWeights, teacher_probs: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Per-sample weight: the teacher's class weight at its argmax class."""
-    out = []
-    for w, probs in zip(weights.per_teacher, teacher_probs):
-        out.append(w[np.argmax(probs, axis=1)])
-    return out
-
-
 def weighted_ensemble_kl(
     student_logits: np.ndarray,
     teacher_probs: list[np.ndarray],
@@ -454,6 +435,23 @@ def weighted_ensemble_kl_grad_logits(
     return temperature * acc / len(probs)
 
 
+def merged_teacher_target(
+    teacher_probs: list[np.ndarray], sample_weights: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One target q and weight W per sample for the weighted ensemble KL.
+
+    sum_j w_j * (s - t_j) equals W * (s - q) with W = sum_j w_j and
+    q = sum_j w_j * t_j / W, so T * W * (s - q) / n is the gradient of
+    `weighted_ensemble_kl`. Where W = 0 no teacher speaks and q is 0.
+    """
+    total = np.sum(sample_weights, axis=0)
+    mixed = sum(w[:, None] * t for t, w in zip(teacher_probs, sample_weights))
+    target = np.divide(
+        mixed, total[:, None], out=np.zeros_like(mixed), where=total[:, None] > 0
+    )
+    return target, total
+
+
 def distill_multi_teacher(
     student: Model,
     teachers: list[Model],
@@ -476,31 +474,15 @@ def distill_multi_teacher(
             f"{len(teachers)} teachers but {len(weights.per_teacher)} weight vectors"
         )
     _check_transfer(student, transfer)
-    features = transfer.features
-    temp = cfg.temperature
-    teacher_probs = [softmax(forward_logits(t, features), temp) for t in teachers]
-    sample_w = _sample_weights(weights, teacher_probs)
-    labeled = transfer.labeled
-    hard_target = onehot(transfer.labels, student.arch.num_classes) if labeled else None
-
-    work = student.copy()
-    opt, params = _student_optimizer(cfg, work)
-    for epoch in range(1, cfg.epochs + 1):
-        rng = rng_for(seed, "epoch", epoch)
-        for idx in batch_indices(len(features), cfg.batch_size, rng):
-            logits, acts = _forward_cached(work, features[idx])
-            nb = len(idx)
-            dlogits = np.zeros_like(logits)
-            if labeled and cfg.alpha < 1.0:
-                probs = softmax(logits, 1.0)
-                dlogits += (1.0 - cfg.alpha) * (probs - hard_target[idx]) / nb
-            if not labeled or cfg.alpha > 0.0:
-                soft = softmax(logits, temp)
-                acc = np.zeros_like(soft)
-                for target, w in zip(teacher_probs, sample_w):
-                    acc += w[idx][:, None] * (soft - target[idx])
-                kd = temp * acc / nb
-                dlogits += kd if not labeled else cfg.alpha * kd
-            gw, gb = backprop_params(work, acts, dlogits)
-            opt.step(params, gw + gb)
-    return work
+    teacher_probs = [
+        softmax(forward_logits(t, transfer.features), cfg.temperature) for t in teachers
+    ]
+    # per-sample weight: the teacher's class weight at its argmax class
+    sample_w = [
+        w[np.argmax(probs, axis=1)] for w, probs in zip(weights.per_teacher, teacher_probs)
+    ]
+    soft, total = merged_teacher_target(teacher_probs, sample_w)
+    return _distill(
+        student, transfer, cfg, seed,
+        hard=_hard_target(student, transfer), soft=soft, weight=total,
+    )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ConfigError, DataError, ShapeError
-from .nn import Model, _Optimizer, evaluate, _ce_epoch, onehot
+from .nn import Model, evaluate, make_optimizer, onehot, train_epoch
 from .seeding import rng_for
 
 FED_OPTIMIZERS = ("sgd", "adam")
@@ -130,17 +130,13 @@ def local_update(
     if len(shard) == 0:
         raise DataError(f"client {client_id} has an empty shard")
     work = global_model.copy()
-    params = list(work.weights) + list(work.biases)
-    decay_mask = [True] * len(work.weights) + [False] * len(work.biases)
-    opt = _Optimizer(
-        cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, params, decay_mask
+    opt, params = make_optimizer(
+        cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work
     )
     targets = onehot(shard.labels, work.arch.num_classes)
     for epoch in range(1, cfg.local_epochs + 1):
         rng = rng_for(fed_seed, "local", round_index, client_id, epoch)
-        _ce_epoch(
-            work, shard.features, shard.labels, targets, opt, params, cfg.batch_size, rng
-        )
+        train_epoch(work, opt, params, shard.features, cfg.batch_size, rng, hard=targets)
     return work
 
 

@@ -10,18 +10,20 @@ evaluation set.
 `emit_report` writes the canonical result files. CSV output rounds
 percentage values to 2 decimal places for reading; the JSON mirror keeps
 full float precision and round-trips records losslessly, so it is the
-file of record.
+file of record. FedAvg trajectories have one JSON serializer
+(`trajectories_payload`) and one parser (`parse_trajectories_json`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_write, read_json, write_json
 from .errors import ConfigError, DataError
+from .fed import FedTrajectory
 from .nn import EvalReport
 
 RESULTS_SCHEMA_VERSION = 1
@@ -235,9 +237,25 @@ def _result_csv_row(r: PairResult) -> str:
     return ",".join(cells)
 
 
+def trajectories_payload(trajectories: list[FedTrajectory]) -> dict:
+    """JSON form of FedAvg trajectories; wall times and models stay out."""
+    return {
+        "schema_version": RESULTS_SCHEMA_VERSION,
+        "trajectories": [
+            {
+                "init_tag": t.init_tag,
+                "init_accuracy": t.init_accuracy,
+                "accuracies": [float(a) for a in t.accuracies],
+                "participants_per_round": t.participants_per_round,
+            }
+            for t in trajectories
+        ],
+    }
+
+
 def emit_report(
     results: list[PairResult],
-    trajectories: list,
+    trajectories: list[FedTrajectory],
     fmt: str,
     out_dir: str | Path,
 ) -> list[Path]:
@@ -253,70 +271,60 @@ def emit_report(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ordered = canonical_order(results)
-    written: list[Path] = []
     if fmt == "csv":
-        results_path = out / "results.csv"
-        with open(results_path, "w", newline="") as fh:
-            fh.write(",".join(RESULT_COLUMNS) + "\n")
-            for r in ordered:
-                fh.write(_result_csv_row(r) + "\n")
-        written.append(results_path)
-        scatter_path = out / "gain_scatter.csv"
-        with open(scatter_path, "w", newline="") as fh:
-            fh.write("strength_delta,gain_points,method,transfer_option,scenario\n")
-            for r in ordered:
-                fh.write(
-                    f"{r.strength_delta:.2f},{r.gain_points:.2f},"
-                    f"{r.method},{r.transfer_option},{r.scenario}\n"
-                )
-        written.append(scatter_path)
-        if trajectories:
-            traj_path = out / "trajectories.csv"
-            with open(traj_path, "w", newline="") as fh:
-                fh.write("init_tag,round,accuracy\n")
-                for traj in trajectories:
-                    for rnd, acc in enumerate(traj.accuracies, start=1):
-                        fh.write(f"{traj.init_tag},{rnd},{acc!r}\n")
-            written.append(traj_path)
-    else:
-        results_path = out / "results.json"
-        payload = {
-            "schema_version": RESULTS_SCHEMA_VERSION,
-            "results": [r.to_json_dict() for r in ordered],
+        files = {
+            "results.csv": [",".join(RESULT_COLUMNS)] + [_result_csv_row(r) for r in ordered],
+            "gain_scatter.csv": ["strength_delta,gain_points,method,transfer_option,scenario"]
+            + [
+                f"{r.strength_delta:.2f},{r.gain_points:.2f},"
+                f"{r.method},{r.transfer_option},{r.scenario}"
+                for r in ordered
+            ],
         }
-        with open(results_path, "w", newline="") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        written.append(results_path)
         if trajectories:
-            traj_path = out / "trajectories.json"
-            traj_payload = {
+            files["trajectories.csv"] = ["init_tag,round,accuracy"] + [
+                f"{traj.init_tag},{rnd},{acc!r}"
+                for traj in trajectories
+                for rnd, acc in enumerate(traj.accuracies, start=1)
+            ]
+        for name, lines in files.items():
+            with atomic_write(out / name) as fh:
+                fh.writelines(line + "\n" for line in lines)
+    else:
+        files = {
+            "results.json": {
                 "schema_version": RESULTS_SCHEMA_VERSION,
-                "trajectories": [
-                    {
-                        "init_tag": t.init_tag,
-                        "init_accuracy": t.init_accuracy,
-                        "accuracies": [float(a) for a in t.accuracies],
-                        "participants_per_round": t.participants_per_round,
-                    }
-                    for t in trajectories
-                ],
+                "results": [r.to_json_dict() for r in ordered],
             }
-            with open(traj_path, "w", newline="") as fh:
-                json.dump(traj_payload, fh, sort_keys=True, indent=1)
-                fh.write("\n")
-            written.append(traj_path)
-    return written
+        }
+        if trajectories:
+            files["trajectories.json"] = trajectories_payload(trajectories)
+        for name, payload in files.items():
+            write_json(out / name, payload)
+    return [out / name for name in files]
 
 
 def parse_results_json(path: str | Path) -> list[PairResult]:
-    with open(path, "r") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if payload.get("schema_version") != RESULTS_SCHEMA_VERSION:
         raise DataError(
             f"unsupported results schema {payload.get('schema_version')!r}"
         )
     return [PairResult.from_json_dict(item) for item in payload["results"]]
+
+
+def parse_trajectories_json(path: str | Path) -> list[FedTrajectory]:
+    return [
+        FedTrajectory(
+            init_tag=item["init_tag"],
+            init_accuracy=float(item["init_accuracy"]),
+            accuracies=[float(a) for a in item["accuracies"]],
+            participants_per_round=[
+                [int(c) for c in row] for row in item["participants_per_round"]
+            ],
+        )
+        for item in read_json(path)["trajectories"]
+    ]
 
 
 def reconciliation_residual(result: PairResult) -> float:

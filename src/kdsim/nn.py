@@ -7,9 +7,9 @@ the package leans on: repeated runs are bit-identical per (architecture,
 seed), frozen models can never be touched by a training step, and every
 gradient can be checked against central finite differences.
 
-Training covers two regimes: supervised pre-training with early stopping
-on validation accuracy, and bare epoch loops (`train_epochs`) reused by
-the transfer and federated trainers.
+All training runs through one minibatch loop, `train_epoch`: supervised
+pre-training (early-stopped on validation accuracy) and FedAvg local
+updates pass hard targets, distillation passes the targets it builds.
 """
 
 from __future__ import annotations
@@ -352,53 +352,50 @@ def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def _ce_epoch(
+def train_epoch(
     model: Model,
-    features: np.ndarray,
-    labels: np.ndarray,
-    targets: np.ndarray,
     opt: _Optimizer,
     params: list[np.ndarray],
+    features: np.ndarray,
     batch_size: int,
     rng: np.random.Generator,
-) -> float:
+    *,
+    hard: np.ndarray | None = None,
+    soft: np.ndarray | None = None,
+    alpha: float = 0.0,
+    temperature: float = 1.0,
+    weight: np.ndarray | None = None,
+    labels: np.ndarray | None = None,
+) -> float | None:
+    """One shuffled minibatch pass, one optimizer step per minibatch.
+
+    Trains in place on (1 - alpha) * CE(hard) + alpha * T^2 * weight *
+    KL(soft || student at T) per sample (Hinton et al. 2015); without
+    hard targets on the KL term alone, without soft targets on the CE
+    term alone. Returns the mean CE against labels when they are given.
+    """
     total = 0.0
     for idx in batch_indices(len(features), batch_size, rng):
         logits, acts = _forward_cached(model, features[idx])
-        probs = softmax(logits, 1.0)
-        total += ce_loss(probs, labels[idx]) * len(idx)
-        dlogits = (probs - targets[idx]) / len(idx)
+        nb = len(idx)
+        dlogits = None
+        if hard is not None and alpha < 1.0:
+            probs = softmax(logits, 1.0)
+            if labels is not None:
+                total += ce_loss(probs, labels[idx]) * nb
+            dlogits = (1.0 - alpha) * (probs - hard[idx]) / nb
+        if soft is not None and (hard is None or alpha > 0.0):
+            gap = softmax(logits, temperature) - soft[idx]
+            if weight is not None:
+                gap = weight[idx][:, None] * gap
+            # d/dlogits of T^2 * mean KL = T * (student - target) / n
+            kd = temperature * gap / nb
+            if hard is not None:
+                kd = alpha * kd
+            dlogits = kd if dlogits is None else dlogits + kd
         gw, gb = backprop_params(model, acts, dlogits)
         opt.step(params, gw + gb)
-    return total / len(features)
-
-
-def train_epochs(
-    model: Model,
-    data: LabeledDataset,
-    cfg: TrainConfig,
-    epochs: int,
-    seed: int | None = None,
-) -> Model:
-    """Bare cross-entropy training loop without validation or stopping.
-
-    Shuffle order for epoch e derives from (seed, "epoch", e); the
-    default seed is the model's own.
-    """
-    if len(data) == 0:
-        raise DataError("cannot train on an empty dataset")
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
-    base = model.seed if seed is None else seed
-    work = model.copy()
-    opt, params = make_optimizer(
-        cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work
-    )
-    targets = onehot(data.labels, work.arch.num_classes)
-    for epoch in range(1, epochs + 1):
-        rng = rng_for(base, "epoch", epoch)
-        _ce_epoch(work, data.features, data.labels, targets, opt, params, cfg.batch_size, rng)
-    return work
+    return None if labels is None else total / len(features)
 
 
 def train_supervised(
@@ -429,8 +426,9 @@ def train_supervised(
     stale = 0
     for epoch in range(1, cfg.max_epochs + 1):
         rng = rng_for(model.seed, "epoch", epoch)
-        loss = _ce_epoch(
-            work, train.features, train.labels, targets, opt, params, cfg.batch_size, rng
+        loss = train_epoch(
+            work, opt, params, train.features, cfg.batch_size, rng,
+            hard=targets, labels=train.labels,
         )
         acc = evaluate(work, val).overall_accuracy
         history.append({"epoch": epoch, "train_loss": loss, "val_accuracy": acc})
@@ -500,8 +498,10 @@ def evaluate(model: Model, data: LabeledDataset) -> EvalReport:
             f"model predicts {model.arch.num_classes} classes but data has "
             f"{data.class_count}"
         )
-    preds = predict(model, data.features)
-    hits = preds == data.labels
+    logits = forward_logits(model, data.features)
+    if not np.isfinite(logits).all():
+        raise DomainError("model outputs are not finite; its parameters have diverged")
+    hits = np.argmax(logits, axis=1) == data.labels
     classes = model.arch.num_classes
     support = np.bincount(data.labels, minlength=classes).astype(np.int64)
     correct = np.bincount(data.labels[hits], minlength=classes).astype(np.int64)

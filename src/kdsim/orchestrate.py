@@ -245,6 +245,10 @@ def _shared_transfer_sets(
 ) -> dict[str, TransferSet]:
     shared = {}
     for option in options:
+        if option not in TRANSFER_OPTIONS:
+            raise ConfigError(
+                f"unknown transfer option {option!r}; choose one of {TRANSFER_OPTIONS}"
+            )
         if option in PUBLIC_TRANSFER_OPTIONS:
             shared[option] = build_transfer_set(
                 option,
@@ -270,72 +274,79 @@ def _transfer_for(
     return shared[option]
 
 
-def _run_cell(args: tuple) -> PairResult:
-    (
-        scenario_label,
-        method,
-        option,
-        teacher_id,
-        student_id,
-        teacher_model,
-        teacher_eval,
-        student_model,
-        student_eval,
-        student_val,
-        transfer,
-        test,
-        cfg,
-        grid,
-        master_seed,
-    ) = args
-    if method == "vanilla":
-        temperature, alpha = cfg.temperature, cfg.alpha
-        seed = pair_seed(master_seed, teacher_id, student_id, "vanilla", temperature, alpha)
-        distilled = distill_vanilla(student_model, [teacher_model], transfer, cfg, seed)
-    elif method == "dml":
+@dataclass(eq=False)
+class PairCell:
+    """One teacher -> student transfer of the matrix, sent whole to a worker."""
+
+    scenario: str
+    method: str
+    option: str
+    teacher_id: int
+    student_id: int
+    teacher: Model
+    teacher_eval: EvalReport
+    student: Model
+    student_eval: EvalReport
+    student_val: LabeledDataset
+    transfer: TransferSet
+    test: LabeledDataset
+    cfg: DistillConfig
+    grid: GridSpec | None
+    master_seed: int
+    sequential: bool
+
+    def seed(self, method: str, temperature: float, alpha: float) -> int:
+        return pair_seed(
+            self.master_seed, self.teacher_id, self.student_id, method, temperature, alpha
+        )
+
+
+def _run_cell(cell: PairCell) -> PairResult:
+    cfg = cell.cfg
+    temperature, alpha = cfg.temperature, cfg.alpha
+    if cell.method == "vanilla":
+        seed = cell.seed("vanilla", temperature, alpha)
+        distilled = distill_vanilla(cell.student, [cell.teacher], cell.transfer, cfg, seed)
+    elif cell.method == "dml":
         # mutual learning has no temperature/alpha knobs; record the
         # canonical baseline values
         temperature, alpha = 1.0, 0.5
-        seed = pair_seed(master_seed, teacher_id, student_id, "dml", temperature, alpha)
+        seed = cell.seed("dml", temperature, alpha)
         distilled, _ = distill_dml(
-            student_model, teacher_model, transfer, transfer, cfg, seed
+            cell.student, cell.teacher, cell.transfer, cell.transfer, cfg, seed
         )
-    elif method == "dpkd":
-        temperature, alpha = cfg.temperature, cfg.alpha
-        supervised = option == "public_labeled"
-        run_cfg = replace(cfg, method="dpkd", supervised_dpkd=supervised)
-        seed = pair_seed(master_seed, teacher_id, student_id, "dpkd", temperature, alpha)
-        distilled = distill_dpkd(student_model, teacher_model, transfer, run_cfg, seed)
-    elif method == "tuned":
-        if grid is None or grid.empty:
+    elif cell.method == "dpkd":
+        run_cfg = replace(cfg, supervised_dpkd=cell.option == "public_labeled")
+        seed = cell.seed("dpkd", temperature, alpha)
+        distilled = distill_dpkd(cell.student, cell.teacher, cell.transfer, run_cfg, seed)
+    else:
+        if cell.grid is None or cell.grid.empty:
             raise ConfigError("tuned method needs a non-empty search grid")
         search = grid_search_tuned(
-            student_model,
-            teacher_model,
-            transfer,
-            grid,
+            cell.student,
+            cell.teacher,
+            cell.transfer,
+            cell.grid,
             cfg,
-            student_val,
-            seed_fn=lambda t, a: pair_seed(master_seed, teacher_id, student_id, "vanilla", t, a),
+            cell.student_val,
+            seed_fn=lambda t, a: cell.seed("vanilla", t, a),
+            sequential=cell.sequential,
         )
         temperature, alpha = search.best_temperature, search.best_alpha
         best_cfg = replace(cfg, temperature=temperature, alpha=alpha)
-        seed = pair_seed(master_seed, teacher_id, student_id, "vanilla", temperature, alpha)
-        distilled = distill_vanilla(student_model, [teacher_model], transfer, best_cfg, seed)
-    else:
-        raise ConfigError(f"unknown method {method!r}; choose one of {MATRIX_METHODS}")
-    post_eval = evaluate(distilled, test)
+        seed = cell.seed("vanilla", temperature, alpha)
+        distilled = distill_vanilla(cell.student, [cell.teacher], cell.transfer, best_cfg, seed)
     return build_pair_result(
-        scenario_label,
-        method,
-        option,
-        teacher_id,
-        student_id,
+        cell.scenario,
+        cell.method,
+        cell.option,
+        cell.teacher_id,
+        cell.student_id,
         temperature,
         alpha,
-        student_eval,
-        post_eval,
-        teacher_eval,
+        cell.student_eval,
+        evaluate(distilled, cell.test),
+        cell.teacher_eval,
     )
 
 
@@ -349,14 +360,18 @@ def run_pairwise_matrix(
     sizes: TransferSizes,
     master_seed: int,
     jobs: int = 1,
+    sequential: bool = False,
+    pairs: list[tuple[int, int]] | None = None,
 ) -> list[PairResult]:
     """Every ordered teacher -> student pair for every method and option.
 
     With K participants each (method, option) block holds exactly
-    K * (K - 1) records; self-transfers are excluded. Each record's
+    K * (K - 1) records; self-transfers are excluded. `pairs` restricts
+    the run to the given (teacher, student) pairs. Each record's
     pre-distillation evaluation is the stored pre-training report, not a
     recomputation. Cells are independent, so `jobs` > 1 fans them out
-    over processes without changing any result.
+    over processes without changing any result. `sequential` selects the
+    linear grid search for the tuned method.
     """
     if len(pretrained) != scenario.k:
         raise ConfigError(
@@ -365,39 +380,32 @@ def run_pairwise_matrix(
     for m in methods:
         if m not in MATRIX_METHODS:
             raise ConfigError(f"unknown method {m!r}; choose one of {MATRIX_METHODS}")
-    for option in transfer_options:
-        if option not in TRANSFER_OPTIONS:
-            raise ConfigError(
-                f"unknown transfer option {option!r}; choose one of {TRANSFER_OPTIONS}"
-            )
     shared = _shared_transfer_sets(scenario, transfer_options, sizes, master_seed)
-    cells = []
-    for method in methods:
-        for option in transfer_options:
-            for teacher_id in range(scenario.k):
-                for student_id in range(scenario.k):
-                    if teacher_id == student_id:
-                        continue
-                    transfer = _transfer_for(scenario, shared, option, student_id, sizes)
-                    cells.append(
-                        (
-                            scenario.label,
-                            method,
-                            option,
-                            teacher_id,
-                            student_id,
-                            pretrained[teacher_id][0],
-                            pretrained[teacher_id][1],
-                            pretrained[student_id][0],
-                            pretrained[student_id][1],
-                            scenario.participants[student_id].val,
-                            transfer,
-                            scenario.test,
-                            cfg,
-                            grid,
-                            master_seed,
-                        )
-                    )
+    if pairs is None:
+        pairs = [(t, s) for t in range(scenario.k) for s in range(scenario.k) if t != s]
+    cells = [
+        PairCell(
+            scenario=scenario.label,
+            method=method,
+            option=option,
+            teacher_id=teacher_id,
+            student_id=student_id,
+            teacher=pretrained[teacher_id][0],
+            teacher_eval=pretrained[teacher_id][1],
+            student=pretrained[student_id][0],
+            student_eval=pretrained[student_id][1],
+            student_val=scenario.participants[student_id].val,
+            transfer=_transfer_for(scenario, shared, option, student_id, sizes),
+            test=scenario.test,
+            cfg=cfg,
+            grid=grid,
+            master_seed=master_seed,
+            sequential=sequential,
+        )
+        for method in methods
+        for option in transfer_options
+        for teacher_id, student_id in pairs
+    ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_cell, cells))
@@ -645,14 +653,8 @@ def consolidate_models(
     else:
         weights = equal_teacher_weights(len(teachers), scenario.test.class_count)
 
-    student_data = scenario.participants[chosen].train if chosen is not None else None
-    transfer = build_transfer_set(
-        ts_option,
-        scenario.public_pool,
-        student_data,
-        sizes,
-        stable_seed(master_seed, "transfer-sample"),
-    )
+    shared = _shared_transfer_sets(scenario, [ts_option], sizes, master_seed)
+    transfer = _transfer_for(scenario, shared, ts_option, chosen, sizes)
     run_cfg = replace(cfg, epochs=epochs)
     seed = stable_seed(master_seed, "consolidate", start_policy, weighting, ts_option)
     merged = distill_multi_teacher(student, teachers, weights, transfer, run_cfg, seed)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from kdsim.artifacts import (
     config_fingerprint,
@@ -393,3 +394,104 @@ def test_cli_rerun_in_place_rewrites_identical_bytes(tiny_config, tmp_path, caps
     assert _run("matrix", *base) == 0
     for path, blob in before.items():
         assert path.read_bytes() == blob
+
+
+# -- regressions ------------------------------------------------------------
+
+
+def _config_with(tmp_path, name, **sections):
+    """TINY_YAML with some sections' keys replaced, written to tmp_path/name."""
+    raw = yaml.safe_load(TINY_YAML)
+    for section, values in sections.items():
+        raw[section].update(values)
+    path = tmp_path / name
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+def test_write_failures_leave_the_previous_file(tmp_path, monkeypatch):
+    json_path, model_path = tmp_path / "x.json", tmp_path / "m.kdsm"
+    write_json(json_path, {"a": 1})
+    save_model(model_path, init_model(ArchSpec(input_dim=2, num_classes=2), 0), "ab")
+    before = {p: p.read_bytes() for p in (json_path, model_path)}
+    with pytest.raises(TypeError):
+        write_json(json_path, {"a": object()})
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("kdsim.artifacts.os.replace", fail)
+    with pytest.raises(OSError):
+        write_json(json_path, {"a": 2})
+    with pytest.raises(OSError):
+        save_model(model_path, init_model(ArchSpec(input_dim=2, num_classes=2), 1), "ab")
+    assert {p: p.read_bytes() for p in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.kdsm", "x.json"]
+
+
+def test_cli_matrix_honours_sequential_grid(tmp_path, monkeypatch, capsys):
+    import kdsim.orchestrate as orchestrate
+
+    config = _config_with(
+        tmp_path,
+        "seq.yaml",
+        distill={"methods": ["tuned"]},
+        grid={"temperatures": [1.0, 2.0, 3.0], "alphas": [0.25, 0.5, 0.75], "sequential": True},
+    )
+    surfaces = []
+    search = orchestrate.grid_search_tuned
+
+    def counting_search(*args, **kwargs):
+        result = search(*args, **kwargs)
+        surfaces.append(len(result.surface))
+        return result
+
+    monkeypatch.setattr(orchestrate, "grid_search_tuned", counting_search)
+    base = ("--config", str(config), "--out-dir", str(tmp_path / "run"))
+    for cmd in ("partition", "pretrain", "matrix"):
+        assert _run(cmd, *base) == 0
+    # |alphas| + |temperatures| - 1 cells per pair, not the 9-cell product
+    assert surfaces == [3 + 3 - 1] * 6
+
+
+def test_cli_matrix_in_two_processes_writes_identical_results(tmp_path, capsys):
+    config = _config_with(
+        tmp_path,
+        "all.yaml",
+        distill={
+            "methods": ["vanilla", "dml", "dpkd", "tuned"],
+            "transfer_options": ["student_data", "public_labeled"],
+        },
+    )
+    base = ("--config", str(config), "--out-dir", str(tmp_path / "run"))
+    assert _run("partition", *base) == 0
+    assert _run("pretrain", *base) == 0
+    blobs = []
+    for jobs in ("1", "2"):
+        assert _run("matrix", *base, "--jobs", jobs) == 0
+        blobs.append((tmp_path / "run" / "results.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert len(read_json(tmp_path / "run" / "results.json")["results"]) == 4 * 2 * 6
+
+
+def test_cli_report_refuses_stale_trajectories(tiny_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    base = ("--out-dir", str(out))
+    for cmd in ("partition", "pretrain", "matrix", "consolidate", "fedavg"):
+        assert _run(cmd, "--config", str(tiny_config), *base) == 0
+    capsys.readouterr()
+    longer = _config_with(tmp_path, "longer.yaml", fed={"rounds": 3})
+    assert _run("report", "--config", str(longer), *base) == 1
+    assert "'fedavg'" in capsys.readouterr().err
+    assert _run("report", "--config", str(longer), *base, "--force") == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_diverged_federation_fails_instead_of_reporting_accuracy(tmp_path, capsys):
+    config = _config_with(tmp_path, "diverge.yaml", fed={"learning_rate": 1e150})
+    base = ("--config", str(config), "--out-dir", str(tmp_path / "run"))
+    for cmd in ("partition", "pretrain", "consolidate"):
+        assert _run(cmd, *base) == 0
+    assert _run("fedavg", *base) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "trajectories.json").exists()

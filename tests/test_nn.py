@@ -458,6 +458,16 @@ def test_evaluate_rejects_empty_and_mismatched():
         forward_logits(model, wrong_dim.features)
 
 
+def test_evaluate_refuses_non_finite_outputs():
+    # argmax over NaN rows would report class 0 as a prediction
+    data = LabeledDataset(
+        features=np.zeros((2, 1)), labels=np.array([0, 1], dtype=np.int64), class_count=2
+    )
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="not finite"):
+            evaluate(_bias_model(np.array([bad, 0.0])), data)
+
+
 def test_eval_report_round_trip(rng):
     rep = EvalReport(
         overall_accuracy=0.625,
