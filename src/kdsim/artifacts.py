@@ -190,10 +190,8 @@ def load_model(
     )
     weights, biases = [], []
     for din, dout in zip(dims[:-1], dims[1:]):
-        w = np.frombuffer(r.take(din * dout * 8), dtype="<f8").reshape(din, dout)
-        b = np.frombuffer(r.take(dout * 8), dtype="<f8")
-        weights.append(w.astype(np.float64))
-        biases.append(b.astype(np.float64))
+        weights.append(np.frombuffer(r.take(din * dout * 8), dtype="<f8").reshape(din, dout))
+        biases.append(np.frombuffer(r.take(dout * 8), dtype="<f8"))
     if r.pos != len(r.blob):
         raise ParseError(f"{path}: trailing bytes after parameters")
     return Model(arch=arch, weights=weights, biases=biases, seed=seed)

@@ -38,12 +38,7 @@ from .artifacts import (
     write_json,
 )
 from .config import RunConfig, parse_config
-from .data import (
-    PartitionPlan,
-    load_dataset,
-    make_partition,
-    validate_plan,
-)
+from .data import PartitionPlan, load_dataset
 from .errors import ConfigError, KdsimError
 from .fed import FedTrajectory, preconsolidated_fedavg, rounds_to_target
 from .metrics import (
@@ -59,7 +54,7 @@ from .orchestrate import (
     _shared_transfer_sets,
     _transfer_for,
     best_teacher_frequency,
-    carve_public_pool,
+    build_scenario,
     consolidate_models,
     grid_search_tuned,
     pair_seed,
@@ -233,23 +228,18 @@ def _check_pair(args, k: int) -> tuple[int, int]:
 def cmd_partition(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train, _ = _base_data(cfg)
-    pool_idx, remainder_idx = carve_public_pool(train, cfg.pool.size, cfg.seed)
-    remainder = train.subset(remainder_idx)
-    plan = make_partition(
-        remainder,
-        cfg.partition.strategy,
-        cfg.partition.k,
-        _partition_params(cfg),
-        stable_seed(cfg.seed, "partition"),
+    train, test = _base_data(cfg)
+    scenario = build_scenario(
+        train, test, cfg.partition.strategy, cfg.partition.k, _partition_params(cfg),
+        cfg.pool.size, cfg.partition.val_fraction, cfg.seed,
     )
-    validate_plan(plan, len(remainder))
+    plan = scenario.partition
     write_json(out / PLAN_FILE, plan.to_json_dict())
     write_json(
         out / POOL_FILE,
         {
-            "pool_indices": [int(i) for i in pool_idx],
-            "remainder_indices": [int(i) for i in remainder_idx],
+            "pool_indices": scenario.pool_indices.tolist(),
+            "remainder_indices": scenario.remainder_indices.tolist(),
         },
     )
     record_stage(out, cfg, "partition", {"plan": PLAN_FILE, "pool": POOL_FILE})
@@ -258,7 +248,7 @@ def cmd_partition(cfg: RunConfig, args) -> int:
         f"partitioned {sum(sizes)} samples into {plan.k} shards "
         f"({cfg.partition.strategy}): {sizes}"
     )
-    print(f"public pool: {len(pool_idx)} samples")
+    print(f"public pool: {len(scenario.pool_indices)} samples")
     return 0
 
 

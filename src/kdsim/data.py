@@ -13,7 +13,6 @@ plan.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError, PartitionError
-from .seeding import rng_for, stable_seed
+from .seeding import rng_for
 
 PARTITION_STRATEGIES = (
     "uniform",

@@ -28,7 +28,7 @@ magnitudes comparable across temperature settings.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .nn import (
     _forward_cached,
     backprop_params,
     batch_indices,
+    check_finite,
     forward_logits,
     kl_loss,
     make_optimizer,
@@ -95,7 +96,7 @@ class DistillConfig:
 def _student_optimizer(cfg: DistillConfig, model: Model):
     return make_optimizer(
         cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, model
-    )
+    )[0]
 
 
 def _check_transfer(model: Model, transfer: TransferSet) -> None:
@@ -119,10 +120,10 @@ def _distill(
 ) -> Model:
     """Train a copy of the student on the fixed targets `nn.train_epoch` takes."""
     work = student.copy()
-    opt, params = _student_optimizer(cfg, work)
+    opt = _student_optimizer(cfg, work)
     for epoch in range(1, cfg.epochs + 1):
         train_epoch(
-            work, opt, params, transfer.features, cfg.batch_size,
+            work, opt, transfer.features, cfg.batch_size,
             rng_for(seed, "epoch", epoch),
             alpha=cfg.alpha, temperature=cfg.temperature, **targets,
         )
@@ -186,7 +187,6 @@ def _dml_step(
     hard_target: np.ndarray | None,
     idx: np.ndarray,
     opt,
-    params,
 ) -> None:
     logits, acts = _forward_cached(work, features[idx])
     probs = softmax(logits, 1.0)
@@ -196,7 +196,7 @@ def _dml_step(
     if hard_target is not None:
         dlogits = dlogits + (probs - hard_target[idx]) / nb
     gw, gb = backprop_params(work, acts, dlogits)
-    opt.step(params, gw + gb)
+    opt.step(work.params, gw + gb)
 
 
 def distill_dml(
@@ -231,8 +231,8 @@ def distill_dml(
     target_b = _hard_target(peer_b, transfer_b)
     work_a = peer_a.copy()
     work_b = peer_b.copy()
-    opt_a, params_a = _student_optimizer(cfg, work_a)
-    opt_b, params_b = _student_optimizer(cfg, work_b)
+    opt_a = _student_optimizer(cfg, work_a)
+    opt_b = _student_optimizer(cfg, work_b)
     for epoch in range(1, cfg.epochs + 1):
         batches_a = list(
             batch_indices(len(transfer_a), cfg.batch_size, rng_for(seed, "peer-a", epoch))
@@ -241,8 +241,10 @@ def distill_dml(
             batch_indices(len(transfer_b), cfg.batch_size, rng_for(seed, "peer-b", epoch))
         )
         for idx_a, idx_b in zip(batches_a, batches_b):
-            _dml_step(work_a, work_b, transfer_a.features, target_a, idx_a, opt_a, params_a)
-            _dml_step(work_b, work_a, transfer_b.features, target_b, idx_b, opt_b, params_b)
+            _dml_step(work_a, work_b, transfer_a.features, target_a, idx_a, opt_a)
+            _dml_step(work_b, work_a, transfer_b.features, target_b, idx_b, opt_b)
+        check_finite(work_a, "after a mutual-learning pass")
+        check_finite(work_b, "after a mutual-learning pass")
     return work_a, work_b
 
 

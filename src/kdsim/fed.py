@@ -18,11 +18,9 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .data import LabeledDataset
 from .errors import ConfigError, DataError, ShapeError
-from .nn import Model, evaluate, make_optimizer, onehot, train_epoch
+from .nn import Model, check_finite, evaluate, make_optimizer, onehot, train_epoch
 from .seeding import rng_for
 
 FED_OPTIMIZERS = ("sgd", "adam")
@@ -90,8 +88,9 @@ class FedTrajectory:
 def fedavg_aggregate(models: list[Model], sizes: list[int]) -> Model:
     """Dataset-size-weighted mean of client parameters, biases included.
 
-    Clients are accumulated in list order with float64 arithmetic; a
-    single client therefore aggregates to itself bit-exactly.
+    Client parameter vectors are accumulated in list order with float64
+    arithmetic; a single client therefore aggregates to itself
+    bit-exactly. Raises DomainError if the mean is not finite.
     """
     if not models:
         raise ConfigError("nothing to aggregate")
@@ -105,16 +104,10 @@ def fedavg_aggregate(models: list[Model], sizes: list[int]) -> Model:
             raise ShapeError("all clients must share one architecture")
     total = float(sum(sizes))
     out = models[0].copy()
-    for w in out.weights:
-        w[:] = 0.0
-    for b in out.biases:
-        b[:] = 0.0
+    out.params[:] = 0.0
     for model, size in zip(models, sizes):
-        frac = size / total
-        for acc, w in zip(out.weights, model.weights):
-            acc += frac * w
-        for acc, b in zip(out.biases, model.biases):
-            acc += frac * b
+        out.params += (size / total) * model.params
+    check_finite(out, "after the FedAvg aggregate")
     return out
 
 
@@ -130,13 +123,13 @@ def local_update(
     if len(shard) == 0:
         raise DataError(f"client {client_id} has an empty shard")
     work = global_model.copy()
-    opt, params = make_optimizer(
+    opt, _ = make_optimizer(
         cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work
     )
     targets = onehot(shard.labels, work.arch.num_classes)
     for epoch in range(1, cfg.local_epochs + 1):
         rng = rng_for(fed_seed, "local", round_index, client_id, epoch)
-        train_epoch(work, opt, params, shard.features, cfg.batch_size, rng, hard=targets)
+        train_epoch(work, opt, shard.features, cfg.batch_size, rng, hard=targets)
     return work
 
 

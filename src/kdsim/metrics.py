@@ -16,7 +16,7 @@ file of record. FedAvg trajectories have one JSON serializer
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -7,9 +7,15 @@ the package leans on: repeated runs are bit-identical per (architecture,
 seed), frozen models can never be touched by a training step, and every
 gradient can be checked against central finite differences.
 
+A model's parameters are one contiguous float64 vector, `Model.params`
+(every weight matrix in layer order, then every bias); the per-layer
+`weights` and `biases` are views into it. Copying, comparing, stepping
+and averaging models are therefore whole-vector operations.
+
 All training runs through one minibatch loop, `train_epoch`: supervised
 pre-training (early-stopped on validation accuracy) and FedAvg local
 updates pass hard targets, distillation passes the targets it builds.
+A pass that leaves a parameter NaN or infinite raises DomainError.
 """
 
 from __future__ import annotations
@@ -65,29 +71,45 @@ class ArchSpec:
 
 @dataclass(eq=False)
 class Model:
-    """Parameters of one classifier plus the seed that initialized it."""
+    """Parameters of one classifier plus the seed that initialized it.
+
+    Construction copies `weights` and `biases` into one fresh vector,
+    `params`, and rebinds them to views into it (see the module docstring).
+    """
 
     arch: ArchSpec
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     seed: int
+    params: np.ndarray = field(init=False, repr=False)
+    n_weight_entries: int = field(init=False, repr=False)  # weight prefix of params
+
+    def __post_init__(self) -> None:
+        arrays = [*self.weights, *self.biases]
+        self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        ends = np.cumsum([np.size(a) for a in arrays])
+        views = [v.reshape(np.shape(a)) for v, a in zip(np.split(self.params, ends[:-1]), arrays)]
+        n = len(self.weights)
+        self.weights, self.biases = views[:n], views[n:]
+        self.n_weight_entries = int(ends[n - 1])
 
     def copy(self) -> "Model":
-        return Model(
-            arch=self.arch,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            seed=self.seed,
-        )
+        return Model(self.arch, self.weights, self.biases, self.seed)
+
+    def __reduce__(self):
+        # pickling views would copy them apart from `params`; rebuild instead
+        return Model, (self.arch, self.weights, self.biases, self.seed)
 
 
 def models_equal(a: Model, b: Model) -> bool:
     """Bit-exact parameter equality (architecture included)."""
-    if a.arch != b.arch:
-        return False
-    return all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights)) and all(
-        np.array_equal(x, y) for x, y in zip(a.biases, b.biases)
-    )
+    return a.arch == b.arch and np.array_equal(a.params, b.params)
+
+
+def check_finite(model: Model, where: str) -> None:
+    """Raise DomainError unless every parameter is a finite number."""
+    if not np.isfinite(model.params).all():
+        raise DomainError(f"model parameters are not finite {where}; lower the learning rate")
 
 
 def init_model(arch: ArchSpec, seed: int) -> Model:
@@ -249,20 +271,15 @@ def kl_grad_logits(
 
 
 class _Optimizer:
-    """Adam or momentum-SGD with decoupled weight decay.
+    """Adam or momentum-SGD with decoupled weight decay on `Model.params`.
 
-    Decay applies to weight matrices only, never biases, and uses the
-    pre-update parameter value (decay is not folded into the gradient).
+    Decay applies to the weight entries only, never the biases after
+    them, and uses the pre-update parameter value (decay is not folded
+    into the gradient).
     """
 
     def __init__(
-        self,
-        name: str,
-        learning_rate: float,
-        weight_decay: float,
-        momentum: float,
-        params: list[np.ndarray],
-        decay_mask: list[bool],
+        self, name: str, learning_rate: float, weight_decay: float, momentum: float, model: Model
     ) -> None:
         if name not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {name!r}; choose one of {OPTIMIZERS}")
@@ -270,33 +287,28 @@ class _Optimizer:
         self.lr = learning_rate
         self.wd = weight_decay
         self.momentum = momentum
-        self.decay_mask = decay_mask
+        self.n_decay = model.n_weight_entries
         self.t = 0
-        if name == "adam":
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
-        else:
-            self.vel = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(model.params)  # Adam's first moment, SGD's velocity
+        self.v = np.zeros_like(model.params)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: list[np.ndarray]) -> None:
+        """Update the flat `params` in place from per-array gradients
+        given in the same order (weights, then biases)."""
+        g = np.concatenate([np.ravel(x) for x in grads])
         self.t += 1
         if self.name == "adam":
+            self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
+            self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * (g * g)
             bias1 = 1.0 - ADAM_BETA1**self.t
             bias2 = 1.0 - ADAM_BETA2**self.t
-            for p, g, m, v, decay in zip(params, grads, self.m, self.v, self.decay_mask):
-                m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-                v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-                update = self.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-                if decay and self.wd:
-                    update = update + self.lr * self.wd * p
-                p -= update
+            update = self.lr * (self.m / bias1) / (np.sqrt(self.v / bias2) + ADAM_EPS)
         else:
-            for p, g, vel, decay in zip(params, grads, self.vel, self.decay_mask):
-                vel[:] = self.momentum * vel + g
-                update = self.lr * vel
-                if decay and self.wd:
-                    update = update + self.lr * self.wd * p
-                p -= update
+            self.m = self.momentum * self.m + g
+            update = self.lr * self.m
+        if self.wd:
+            update[: self.n_decay] += self.lr * self.wd * params[: self.n_decay]
+        params -= update
 
 
 @dataclass(eq=False)
@@ -338,11 +350,9 @@ def make_optimizer(
     weight_decay: float,
     momentum: float,
     model: Model,
-) -> tuple[_Optimizer, list[np.ndarray]]:
-    """Optimizer over a model's parameters; weights decay, biases do not."""
-    params = list(model.weights) + list(model.biases)
-    decay_mask = [True] * len(model.weights) + [False] * len(model.biases)
-    return _Optimizer(name, learning_rate, weight_decay, momentum, params, decay_mask), params
+) -> tuple[_Optimizer, np.ndarray]:
+    """Optimizer over a model's parameters and the vector its step updates."""
+    return _Optimizer(name, learning_rate, weight_decay, momentum, model), model.params
 
 
 def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
@@ -355,7 +365,6 @@ def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
 def train_epoch(
     model: Model,
     opt: _Optimizer,
-    params: list[np.ndarray],
     features: np.ndarray,
     batch_size: int,
     rng: np.random.Generator,
@@ -372,7 +381,8 @@ def train_epoch(
     Trains in place on (1 - alpha) * CE(hard) + alpha * T^2 * weight *
     KL(soft || student at T) per sample (Hinton et al. 2015); without
     hard targets on the KL term alone, without soft targets on the CE
-    term alone. Returns the mean CE against labels when they are given.
+    term alone. Returns the mean CE against labels when they are given;
+    raises DomainError if the pass leaves a parameter non-finite.
     """
     total = 0.0
     for idx in batch_indices(len(features), batch_size, rng):
@@ -394,7 +404,8 @@ def train_epoch(
                 kd = alpha * kd
             dlogits = kd if dlogits is None else dlogits + kd
         gw, gb = backprop_params(model, acts, dlogits)
-        opt.step(params, gw + gb)
+        opt.step(model.params, gw + gb)
+    check_finite(model, "after a training pass")
     return None if labels is None else total / len(features)
 
 
@@ -416,7 +427,7 @@ def train_supervised(
     if len(train) == 0 or len(val) == 0:
         raise DataError("train and validation sets must both be non-empty")
     work = model.copy()
-    opt, params = make_optimizer(
+    opt, _ = make_optimizer(
         cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work
     )
     targets = onehot(train.labels, work.arch.num_classes)
@@ -427,7 +438,7 @@ def train_supervised(
     for epoch in range(1, cfg.max_epochs + 1):
         rng = rng_for(model.seed, "epoch", epoch)
         loss = train_epoch(
-            work, opt, params, train.features, cfg.batch_size, rng,
+            work, opt, train.features, cfg.batch_size, rng,
             hard=targets, labels=train.labels,
         )
         acc = evaluate(work, val).overall_accuracy

@@ -19,7 +19,7 @@ cells hash as vanilla runs at their grid point, which makes the default
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,10 +33,10 @@ from .data import (
     build_transfer_set,
     make_partition,
     split_train_val,
+    validate_plan,
 )
 from .distill import (
     DistillConfig,
-    TeacherWeights,
     adaptive_teacher_weights,
     distill_dml,
     distill_dpkd,
@@ -166,12 +166,13 @@ def build_scenario(
     master_seed: int,
     label: str | None = None,
 ) -> Scenario:
-    """Carve the pool, partition the remainder, split every shard."""
+    """Carve the pool, partition and validate the remainder, split every shard."""
     pool_idx, remainder_idx = carve_public_pool(train_data, pool_size, master_seed)
     remainder = train_data.subset(remainder_idx)
     plan = make_partition(
         remainder, strategy, k, partition_params, stable_seed(master_seed, "partition")
     )
+    validate_plan(plan, len(remainder))
     return scenario_from_plan(
         train_data,
         test_data,

@@ -17,7 +17,8 @@ _MASK = (1 << 63) - 1
 
 
 def stable_seed(*parts: int | float | str | bool) -> int:
-    """Hash a tuple of ints, floats, bools and strings into a 63-bit seed."""
+    """Hash a tuple of ints, floats, bools and strings (without NUL,
+    the token separator) into a 63-bit seed."""
     digest = hashlib.sha256()
     for part in parts:
         if isinstance(part, bool):
@@ -28,6 +29,8 @@ def stable_seed(*parts: int | float | str | bool) -> int:
         elif isinstance(part, (float, np.floating)):
             token = f"f:{float(part)!r}"
         elif isinstance(part, str):
+            if "\x00" in part:
+                raise ValueError(f"cannot derive a seed from a string holding NUL: {part!r}")
             token = f"s:{part}"
         else:
             raise TypeError(f"cannot derive a seed from {part!r}")

@@ -17,7 +17,9 @@ from kdsim.cli import main
 from kdsim.config import RunConfig, parse_config
 from kdsim.errors import ConfigError, ParseError
 from kdsim.nn import ArchSpec, init_model, models_equal
-from kdsim.orchestrate import DEFAULT_GRID_ALPHAS, DEFAULT_GRID_TEMPERATURES
+from kdsim.orchestrate import DEFAULT_GRID_ALPHAS, DEFAULT_GRID_TEMPERATURES, build_scenario
+from kdsim.seeding import stable_seed
+from kdsim.toydata import gaussian_blobs
 
 TINY_YAML = """\
 seed: 3
@@ -407,6 +409,28 @@ def _config_with(tmp_path, name, **sections):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(raw))
     return path
+
+
+def test_cli_partition_writes_the_plan_build_scenario_returns(tmp_path, capsys):
+    skew = {"strategy": "quantity_skew", "beta": 0.4}
+    config = _config_with(tmp_path, "qskew.yaml", partition=skew)
+    run = tmp_path / "run"
+    assert _run("partition", "--config", str(config), "--out-dir", str(run)) == 0
+    cfg = parse_config(config)
+    d = cfg.dataset
+    train, test = gaussian_blobs(
+        d.classes, d.dim, d.train_per_class, d.test_per_class, d.spread,
+        stable_seed(cfg.seed, "dataset"),
+    )
+    scenario = build_scenario(
+        train, test, "quantity_skew", cfg.partition.k, {"beta": 0.4}, cfg.pool.size,
+        cfg.partition.val_fraction, cfg.seed,
+    )
+    assert read_json(run / "plan.json") == scenario.partition.to_json_dict()
+    assert read_json(run / "pool.json") == {
+        "pool_indices": scenario.pool_indices.tolist(),
+        "remainder_indices": scenario.remainder_indices.tolist(),
+    }
 
 
 def test_write_failures_leave_the_previous_file(tmp_path, monkeypatch):

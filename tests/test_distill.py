@@ -24,7 +24,7 @@ from kdsim.distill import (
     weighted_ensemble_kl,
     weighted_ensemble_kl_grad_logits,
 )
-from kdsim.errors import ConfigError, ShapeError
+from kdsim.errors import ConfigError, DomainError, ShapeError
 from kdsim.nn import (
     ArchSpec,
     EvalReport,
@@ -203,6 +203,18 @@ def test_vanilla_self_teaching_on_public_data_is_a_fixed_point(rng):
     cfg = DistillConfig(weight_decay=0.0, **FAST)
     out = distill_vanilla(student, [student.copy()], ts, cfg, 1)
     assert models_equal(out, student)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_distillation_raises_instead_of_returning_nan(rng):
+    # a NaN student would otherwise be evaluated, saved and reported
+    student = init_model(ARCH, 1)
+    cfg = DistillConfig(**{**FAST, "learning_rate": 1e300})
+    with pytest.raises(DomainError, match="not finite"):
+        distill_vanilla(student, [init_model(ARCH, 2)], _labeled_transfer(rng), cfg, 7)
+    with pytest.raises(DomainError, match="not finite"):
+        distill_dml(student, init_model(ARCH, 2), _labeled_transfer(rng),
+                    _labeled_transfer(rng), cfg, 7)
 
 
 def test_vanilla_needs_a_teacher(rng):

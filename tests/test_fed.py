@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kdsim.data import LabeledDataset
-from kdsim.errors import ConfigError, DataError, ShapeError
+from kdsim.errors import ConfigError, DataError, DomainError, ShapeError
 from kdsim.fed import (
     FedConfig,
     FedTrajectory,
@@ -80,6 +80,14 @@ def test_aggregate_equal_models_is_identity():
     # drift: sum of fractions times the same value
     for a, b in zip(merged.weights, model.weights):
         assert np.allclose(a, b, rtol=0, atol=1e-15)
+
+
+def test_aggregate_refuses_a_non_finite_mean():
+    good = init_model(ARCH, 0)
+    bad = init_model(ARCH, 1)
+    bad.biases[0][2] = np.nan
+    with pytest.raises(DomainError, match="not finite after the FedAvg aggregate"):
+        fedavg_aggregate([good, bad], [3, 4])
 
 
 def test_aggregate_argument_checks():

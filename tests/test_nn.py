@@ -6,6 +6,7 @@ here certifies the shared kernels.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ import pytest
 from kdsim.data import LabeledDataset
 from kdsim.errors import ConfigError, DataError, DomainError, ShapeError
 from kdsim.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     ArchSpec,
     EvalReport,
     Model,
@@ -32,6 +36,7 @@ from kdsim.nn import (
     predict,
     reports_equal,
     softmax,
+    train_epoch,
     train_supervised,
     _forward_cached,
 )
@@ -276,6 +281,45 @@ def test_weight_decay_skips_biases():
         assert np.array_equal(b, b0)
 
 
+def _per_array_steps(name, lr, wd, momentum, model, grad_seq):
+    """Reference optimizer: one loop over the weight and bias arrays."""
+    params = [w.copy() for w in model.weights] + [b.copy() for b in model.biases]
+    decay = [True] * len(model.weights) + [False] * len(model.biases)
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_seq, start=1):
+        for i, (p, g) in enumerate(zip(params, grads)):
+            if name == "adam":
+                m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
+                v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * (g * g)
+                update = lr * (m[i] / (1.0 - ADAM_BETA1**t)) / (
+                    np.sqrt(v[i] / (1.0 - ADAM_BETA2**t)) + ADAM_EPS
+                )
+            else:
+                m[i] = momentum * m[i] + g
+                update = lr * m[i]
+            if decay[i]:
+                update = update + lr * wd * p
+            p -= update
+    return params
+
+
+@pytest.mark.parametrize("name, momentum", [("adam", 0.0), ("sgd", 0.9)])
+def test_flat_optimizer_is_bit_identical_to_a_per_array_loop(rng, name, momentum):
+    arch = ArchSpec(input_dim=3, hidden_layers=(5, 4), num_classes=3)
+    model = init_model(arch, 8)
+    for b in model.biases:
+        b += rng.normal(0, 1, size=b.shape)
+    shapes = [w.shape for w in model.weights] + [b.shape for b in model.biases]
+    grad_seq = [[rng.normal(0, 1, size=s) for s in shapes] for _ in range(6)]
+    want = _per_array_steps(name, 0.05, 0.3, momentum, model, grad_seq)
+    opt, params = make_optimizer(name, 0.05, 0.3, momentum, model)
+    for grads in grad_seq:
+        opt.step(params, grads)
+    got = model.weights + model.biases
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
 def test_unknown_optimizer_rejected():
     arch = ArchSpec(input_dim=2, hidden_layers=(), num_classes=2)
     model = init_model(arch, 0)
@@ -307,6 +351,40 @@ def test_model_copy_isolated():
     b = a.copy()
     b.weights[0][0, 0] += 1.0
     assert not models_equal(a, b)
+
+
+def test_params_is_one_vector_the_layer_arrays_view():
+    arch = ArchSpec(input_dim=2, hidden_layers=(3,), num_classes=2)
+    model = init_model(arch, 4)
+    flat = np.concatenate([a.ravel() for a in model.weights + model.biases])
+    assert model.params.dtype == np.float64 and np.array_equal(model.params, flat)
+    assert model.n_weight_entries == 2 * 3 + 3 * 2
+    model.weights[1][2, 1] = 5.0
+    model.biases[-1][-1] = 7.0
+    assert model.params[2 * 3 + 2 * 2 + 1] == 5.0 and model.params[-1] == 7.0
+
+
+def test_pickled_model_keeps_its_views_on_params():
+    arch = ArchSpec(input_dim=3, hidden_layers=(4,), num_classes=2)
+    model = init_model(arch, 12)
+    back = pickle.loads(pickle.dumps(model))
+    assert models_equal(back, model) and back.seed == model.seed
+    back.weights[0][0, 0] = 9.0
+    back.biases[1][1] = -3.0
+    assert back.params[0] == 9.0 and back.params[-1] == -3.0
+    assert model.params[0] != 9.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_epoch_refuses_to_leave_parameters_non_finite(rng):
+    arch = ArchSpec(input_dim=2, hidden_layers=(4,), num_classes=2)
+    model = init_model(arch, 1)
+    model.weights[0][0, 0] = np.inf
+    features = rng.normal(0, 1, size=(8, 2))
+    opt, _ = make_optimizer("sgd", 0.1, 0.0, 0.0, model)
+    hard = onehot(rng.integers(0, 2, size=8), 2)
+    with pytest.raises(DomainError, match="not finite after a training pass"):
+        train_epoch(model, opt, features, 4, rng, hard=hard)
 
 
 def test_batch_indices_cover_everything(rng):

@@ -2,15 +2,25 @@
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kdsim.artifacts import load_model, save_model
-from kdsim.data import PARTITION_STRATEGIES, LabeledDataset, make_partition, validate_plan
+from kdsim.artifacts import STAGE_PARENTS, config_fingerprint, load_model, save_model
+from kdsim.config import parse_config
+from kdsim.data import (
+    PARTITION_STRATEGIES,
+    TRANSFER_OPTIONS,
+    LabeledDataset,
+    make_partition,
+    validate_plan,
+)
 from kdsim.distill import merged_teacher_target, weighted_ensemble_kl_grad_logits
 from kdsim.errors import PartitionError
-from kdsim.nn import ArchSpec, Model, softmax
+from kdsim.nn import OPTIMIZERS, ArchSpec, Model, softmax
+from kdsim.orchestrate import MATRIX_METHODS, START_POLICIES, WEIGHTINGS
+from kdsim.seeding import stable_seed
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -110,3 +120,129 @@ def test_partition_plans_are_disjoint_in_range_and_cover_their_share(strategy, d
         # every class loses only its remainder modulo k
         per_class = np.bincount(labels[taken], minlength=classes)
         assert np.array_equal(per_class, k * (np.asarray(counts) // k))
+
+
+# -- seeds ------------------------------------------------------------------
+
+_seed_part = st.one_of(
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(st.characters(exclude_characters="\x00"), max_size=6),
+)
+_seed_parts = st.lists(_seed_part, max_size=4)
+
+
+def _typed(parts):
+    # the identity stable_seed promises to separate: type and repr
+    return tuple((type(p), repr(p)) for p in parts)
+
+
+@PROPERTY
+@given(a=_seed_parts, b=_seed_parts, extend=st.booleans())
+def test_distinct_seed_tuples_give_distinct_seeds(a, b, extend):
+    if extend:
+        b = a + b  # a prefix of b, or all of it when b is empty
+    assert (stable_seed(*a) == stable_seed(*b)) == (_typed(a) == _typed(b))
+
+
+@PROPERTY
+@given(st.text(), st.text())
+def test_strings_holding_nul_are_refused(head, tail):
+    with pytest.raises(ValueError):
+        stable_seed(head + "\x00" + tail)
+
+
+# -- run configuration ------------------------------------------------------
+
+_text = st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=12)
+_positive = st.one_of(st.integers(1, 50), st.floats(min_value=0, exclude_min=True))
+_rate = st.floats(0, 1, exclude_max=True)
+_unit = st.floats(0, 1)
+
+
+def _optimizer_keys(draw, allow_zero_lr=False):
+    return {
+        "optimizer": draw(st.sampled_from(OPTIMIZERS)),
+        "learning_rate": draw(st.floats(0, 10) if allow_zero_lr else _positive),
+        "weight_decay": draw(st.floats(0, 1)),
+        "momentum": draw(_rate),
+        "batch_size": draw(st.integers(1, 256)),
+    }
+
+
+@st.composite
+def _run_configs(draw):
+    """Raw trees that parse_config accepts, every section present."""
+    classes = draw(st.integers(2, 12))
+    strategy = draw(st.sampled_from(PARTITION_STRATEGIES))
+    k = classes if strategy == "specialized" else draw(st.integers(1, 12))
+    counts = {n: draw(st.integers(1, 500)) for n in ("labeled", "unlabeled_small", "unlabeled_large")}
+    max_epochs = draw(st.integers(1, 200))
+    start_policy = draw(st.sampled_from(START_POLICIES))
+    options = TRANSFER_OPTIONS[1:] if start_policy == "untrained" else TRANSFER_OPTIONS
+    return {
+        "seed": draw(st.integers(0, 2**63)),
+        "out_dir": draw(_text),
+        "jobs": draw(st.integers(1, 64)),
+        "dataset": draw(st.one_of(
+            st.fixed_dictionaries({
+                "kind": st.just("toy"), "classes": st.just(classes), "dim": st.integers(1, 50),
+                "train_per_class": st.integers(1, 500), "test_per_class": st.integers(1, 500),
+                "spread": _positive,
+            }),
+            st.fixed_dictionaries({"kind": st.just("csv"), "train_path": _text, "test_path": _text}),
+        )),
+        "partition": {
+            "strategy": strategy, "k": k, "beta": draw(_positive),
+            "dominant_fraction": draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
+            "min_chunk": draw(st.integers(1, 100)),
+            "betas": draw(st.none() | st.lists(_positive, min_size=k, max_size=k)),
+            "val_fraction": draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
+        },
+        "pool": {"size": max(counts.values()) + draw(st.integers(0, 100)), **counts},
+        "model": {"hidden_layers": draw(st.lists(st.integers(1, 128), max_size=3))},
+        "pretrain": {
+            **_optimizer_keys(draw),
+            "max_epochs": max_epochs,
+            "patience": draw(st.integers(1, max_epochs)),
+        },
+        "distill": {
+            **_optimizer_keys(draw),
+            "methods": draw(st.lists(st.sampled_from(MATRIX_METHODS), min_size=1, max_size=4)),
+            "transfer_options": draw(st.lists(st.sampled_from(TRANSFER_OPTIONS), min_size=1, max_size=4)),
+            "temperature": draw(_positive),
+            "alpha": draw(_unit),
+            "epochs": draw(st.integers(1, 100)),
+        },
+        "grid": {
+            "temperatures": draw(st.lists(_positive, min_size=1, max_size=4)),
+            "alphas": draw(st.lists(_unit, min_size=1, max_size=4)),
+            "sequential": draw(st.booleans()),
+        },
+        "consolidate": {
+            "start_policy": start_policy,
+            "weighting": draw(st.sampled_from(WEIGHTINGS)),
+            "transfer_option": draw(st.sampled_from(options)),
+            "epochs": draw(st.integers(1, 100)),
+        },
+        "fed": {
+            **_optimizer_keys(draw, allow_zero_lr=True),
+            "rounds": draw(st.integers(1, 500)),
+            "local_epochs": draw(st.integers(1, 10)),
+            "participation_rate": draw(st.floats(0, 1, exclude_min=True)),
+        },
+        "report": {"format": draw(st.sampled_from(("csv", "json")))},
+    }
+
+
+@PROPERTY
+@given(raw=_run_configs())
+def test_validated_config_survives_a_yaml_round_trip(tmp_path_factory, raw):
+    cfg = parse_config(None, raw)
+    path = tmp_path_factory.mktemp("config") / "run.yaml"
+    path.write_text(yaml.safe_dump(cfg.as_dict()))
+    back = parse_config(path)
+    assert back.as_dict() == cfg.as_dict()
+    for stage in STAGE_PARENTS:
+        assert config_fingerprint(back, stage) == config_fingerprint(cfg, stage)

@@ -57,3 +57,9 @@ def test_rng_for_streams():
 def test_rejects_unsupported_types():
     with pytest.raises(TypeError):
         stable_seed([1, 2])
+
+
+def test_rejects_strings_holding_the_separator():
+    # "a\x00s:b" would otherwise hash exactly like the pair ("a", "b")
+    with pytest.raises(ValueError, match="NUL"):
+        stable_seed("a\x00s:b")
