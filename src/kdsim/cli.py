@@ -54,11 +54,11 @@ from .orchestrate import (
     _shared_transfer_sets,
     _transfer_for,
     best_teacher_frequency,
-    build_scenario,
     consolidate_models,
     grid_search_tuned,
     pair_seed,
     participant_arch,
+    plan_partition,
     pretrain_participants,
     run_pairwise_matrix,
     scenario_from_plan,
@@ -228,19 +228,15 @@ def _check_pair(args, k: int) -> tuple[int, int]:
 def cmd_partition(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train, test = _base_data(cfg)
-    scenario = build_scenario(
-        train, test, cfg.partition.strategy, cfg.partition.k, _partition_params(cfg),
-        cfg.pool.size, cfg.partition.val_fraction, cfg.seed,
+    train, _ = _base_data(cfg)
+    plan, pool_idx, remainder_idx = plan_partition(
+        train, cfg.partition.strategy, cfg.partition.k, _partition_params(cfg),
+        cfg.pool.size, cfg.seed,
     )
-    plan = scenario.partition
     write_json(out / PLAN_FILE, plan.to_json_dict())
     write_json(
         out / POOL_FILE,
-        {
-            "pool_indices": scenario.pool_indices.tolist(),
-            "remainder_indices": scenario.remainder_indices.tolist(),
-        },
+        {"pool_indices": pool_idx.tolist(), "remainder_indices": remainder_idx.tolist()},
     )
     record_stage(out, cfg, "partition", {"plan": PLAN_FILE, "pool": POOL_FILE})
     sizes = plan.sizes()
@@ -248,7 +244,7 @@ def cmd_partition(cfg: RunConfig, args) -> int:
         f"partitioned {sum(sizes)} samples into {plan.k} shards "
         f"({cfg.partition.strategy}): {sizes}"
     )
-    print(f"public pool: {len(scenario.pool_indices)} samples")
+    print(f"public pool: {len(pool_idx)} samples")
     return 0
 
 

@@ -6,7 +6,11 @@ per-sample targets for the one minibatch loop, `nn.train_epoch`:
 
 * fixed-parameter distillation against one or more frozen teachers
   (`distill_vanilla`): the mean teacher distribution, the (temperature=1,
-  alpha=0.5) configuration being the canonical baseline;
+  alpha=0.5) configuration being the canonical baseline. Runs that share
+  student, teachers, transfer set and temperature and differ only in
+  alpha and seed (a grid-search row) go through `distill_vanilla_cells`,
+  which computes the targets once and trains the runs as one stack of
+  models (see `nn`); each comes out bit-identical to its own run;
 * mask-routed distillation where each transfer sample is answered either
   by the teacher or by a frozen snapshot of the student's starting
   point, whichever was more confident up front (`distill_dpkd`);
@@ -116,18 +120,24 @@ def _hard_target(model: Model, transfer: TransferSet) -> np.ndarray | None:
 
 
 def _distill(
-    student: Model, transfer: TransferSet, cfg: DistillConfig, seed: int, **targets
-) -> Model:
-    """Train a copy of the student on the fixed targets `nn.train_epoch` takes."""
-    work = student.copy()
+    student: Model,
+    transfer: TransferSet,
+    cfg: DistillConfig,
+    alphas: list[float],
+    seeds: list[int],
+    **targets,
+) -> list[Model]:
+    """Train one copy of the student per (alpha, seed) cell, all as one
+    stack, on the fixed targets `nn.train_epoch` takes."""
+    work = Model.from_params(student.arch, np.tile(student.params, (len(seeds), 1)), student.seed)
     opt = _student_optimizer(cfg, work)
     for epoch in range(1, cfg.epochs + 1):
         train_epoch(
             work, opt, transfer.features, cfg.batch_size,
-            rng_for(seed, "epoch", epoch),
-            alpha=cfg.alpha, temperature=cfg.temperature, **targets,
+            [rng_for(seed, "epoch", epoch) for seed in seeds],
+            alpha=alphas, temperature=cfg.temperature, **targets,
         )
-    return work
+    return [Model.from_params(student.arch, row.copy(), student.seed) for row in work.params]
 
 
 # --------------------------------------------------------------------------
@@ -160,19 +170,52 @@ def distill_vanilla(
     Labeled transfer data trains on (1 - alpha) * CE + alpha * T^2 * KL,
     the CE term at temperature 1 and the KL term against the mean
     teacher distribution at cfg.temperature. Without labels the loss is
-    the KL term alone.
+    the KL term alone. This is the one-cell case of
+    `distill_vanilla_cells`.
+    """
+    return distill_vanilla_cells(student, teachers, transfer, cfg, [cfg.alpha], [seed])[0]
+
+
+def distill_vanilla_cells(
+    student: Model,
+    teachers: list[Model],
+    transfer: TransferSet,
+    cfg: DistillConfig,
+    alphas: list[float],
+    seeds: list[int],
+) -> list[Model]:
+    """Vanilla runs at cfg.temperature, one per (alpha, seed) cell.
+
+    The bench's soft targets are computed once for all cells. Cells that
+    use the same loss terms train together as one stack; on labeled data
+    alpha = 0 drops the KL term and alpha = 1 the CE term, so those cells
+    form stacks of their own. Every returned model is bit-identical to
+    its one-cell `distill_vanilla` run.
     """
     if not teachers:
         raise ConfigError("vanilla distillation needs at least one teacher")
+    if len(alphas) != len(seeds):
+        raise ConfigError(f"{len(alphas)} alphas but {len(seeds)} seeds")
     _check_transfer(student, transfer)
     bench = effective_teachers(student, teachers, transfer.origin)
     soft = np.mean(
         [softmax(forward_logits(t, transfer.features), cfg.temperature) for t in bench],
         axis=0,
     )
-    return _distill(
-        student, transfer, cfg, seed, hard=_hard_target(student, transfer), soft=soft
-    )
+    hard = _hard_target(student, transfer)
+    stacks: dict[tuple[bool, ...], list[int]] = {}
+    for i, alpha in enumerate(alphas):
+        terms = () if hard is None else (alpha < 1.0, alpha > 0.0)
+        stacks.setdefault(terms, []).append(i)
+    trained: dict[int, Model] = {}
+    for cells in stacks.values():
+        models = _distill(
+            student, transfer, cfg,
+            [alphas[i] for i in cells], [seeds[i] for i in cells],
+            hard=hard, soft=soft,
+        )
+        trained.update(zip(cells, models))
+    return [trained[i] for i in range(len(alphas))]
 
 
 # --------------------------------------------------------------------------
@@ -195,8 +238,8 @@ def _dml_step(
     dlogits = (probs - partner_probs) / nb
     if hard_target is not None:
         dlogits = dlogits + (probs - hard_target[idx]) / nb
-    gw, gb = backprop_params(work, acts, dlogits)
-    opt.step(work.params, gw + gb)
+    backprop_params(work, acts, dlogits, out=opt.grad_views)
+    opt.step(work.params, opt.grad)
 
 
 def distill_dml(
@@ -339,7 +382,7 @@ def distill_dpkd(
         softmax(forward_logits(snapshot, transfer.features), temp),
         masks,
     )
-    return _distill(student, transfer, cfg, seed, soft=target)
+    return _distill(student, transfer, cfg, [cfg.alpha], [seed], soft=target)[0]
 
 
 # --------------------------------------------------------------------------
@@ -485,6 +528,6 @@ def distill_multi_teacher(
     ]
     soft, total = merged_teacher_target(teacher_probs, sample_w)
     return _distill(
-        student, transfer, cfg, seed,
+        student, transfer, cfg, [cfg.alpha], [seed],
         hard=_hard_target(student, transfer), soft=soft, weight=total,
-    )
+    )[0]

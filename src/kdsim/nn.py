@@ -9,13 +9,27 @@ gradient can be checked against central finite differences.
 
 A model's parameters are one contiguous float64 vector, `Model.params`
 (every weight matrix in layer order, then every bias); the per-layer
-`weights` and `biases` are views into it. Copying, comparing, stepping
-and averaging models are therefore whole-vector operations.
+`weights` and `biases` are views into it, laid out by
+`ArchSpec.param_views`. Copying, comparing, stepping and averaging
+models are therefore whole-vector operations.
+
+A stack is S models of one architecture trained side by side: a `Model`
+whose `params` is an (S, P) array, one row per cell, with (S, fan_in,
+fan_out) weight and (S, fan_out) bias views. Every layer function takes
+the leading cell axis: the forward pass and backprop batch their matrix
+products over it, softmax reduces over the last axis and the optimizer
+works elementwise. Each cell goes through exactly the floating-point
+operations of its own unstacked run (numpy's matmul multiplies a stack
+slice by slice, each slice with the BLAS call a single matrix gets), so
+its parameters come out bit-identical; stacking only saves the Python
+and numpy dispatch of S separate minibatch steps.
 
 All training runs through one minibatch loop, `train_epoch`: supervised
 pre-training (early-stopped on validation accuracy) and FedAvg local
 updates pass hard targets, distillation passes the targets it builds.
-A pass that leaves a parameter NaN or infinite raises DomainError.
+The optimizer owns a flat gradient buffer that `backprop_params` fills,
+and it steps in place. A pass that leaves a parameter NaN or infinite
+raises DomainError.
 """
 
 from __future__ import annotations
@@ -55,6 +69,14 @@ class ArchSpec:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if any(w < 1 for w in self.hidden_layers):
             raise ConfigError(f"hidden layer widths must be >= 1, got {self.hidden_layers}")
+        # (start, stop, shape) of every weight matrix, then every bias, in `Model.params`
+        dims = self.layer_dims()
+        self._layout: list[tuple[int, int, tuple[int, ...]]] = []
+        stop = 0
+        for shape in [*zip(dims[:-1], dims[1:]), *((d,) for d in dims[1:])]:
+            start, stop = stop, stop + math.prod(shape)
+            self._layout.append((start, stop, shape))
+        self.n_weight_entries = self._layout[len(self.hidden_layers)][1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArchSpec):
@@ -68,6 +90,21 @@ class ArchSpec:
     def layer_dims(self) -> list[int]:
         return [self.input_dim, *self.hidden_layers, self.num_classes]
 
+    def param_shapes(self) -> list[tuple[int, ...]]:
+        """Shape of every weight matrix in layer order, then every bias."""
+        return [shape for _, _, shape in self._layout]
+
+    def param_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Weight and bias views into a parameter vector (P,) or a stack (S, P).
+
+        The views of a stack keep its leading cell axis: weights are
+        (S, fan_in, fan_out) and biases (S, fan_out).
+        """
+        lead = flat.shape[:-1]
+        views = [flat[..., a:b].reshape(lead + shape) for a, b, shape in self._layout]
+        n = len(self.hidden_layers) + 1
+        return views[:n], views[n:]
+
 
 @dataclass(eq=False)
 class Model:
@@ -75,6 +112,7 @@ class Model:
 
     Construction copies `weights` and `biases` into one fresh vector,
     `params`, and rebinds them to views into it (see the module docstring).
+    `from_params` wraps an existing vector instead, or an (S, P) stack.
     """
 
     arch: ArchSpec
@@ -86,15 +124,30 @@ class Model:
 
     def __post_init__(self) -> None:
         arrays = [*self.weights, *self.biases]
-        self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-        ends = np.cumsum([np.size(a) for a in arrays])
-        views = [v.reshape(np.shape(a)) for v, a in zip(np.split(self.params, ends[:-1]), arrays)]
-        n = len(self.weights)
-        self.weights, self.biases = views[:n], views[n:]
-        self.n_weight_entries = int(ends[n - 1])
+        shapes = [np.shape(a) for a in arrays]
+        if shapes != self.arch.param_shapes():
+            raise ShapeError(
+                f"parameter shapes {shapes} do not match the architecture's "
+                f"{self.arch.param_shapes()}"
+            )
+        self._bind(np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64))
+
+    def _bind(self, params: np.ndarray) -> None:
+        self.params = params
+        self.weights, self.biases = self.arch.param_views(params)
+        self.n_weight_entries = self.arch.n_weight_entries
+
+    @classmethod
+    def from_params(cls, arch: ArchSpec, params: np.ndarray, seed: int) -> "Model":
+        """A model on `params` itself, not a copy; (S, P) makes a stack."""
+        model = cls.__new__(cls)
+        model.arch = arch
+        model.seed = seed
+        model._bind(params)
+        return model
 
     def copy(self) -> "Model":
-        return Model(self.arch, self.weights, self.biases, self.seed)
+        return Model.from_params(self.arch, self.params.copy(), self.seed)
 
     def __reduce__(self):
         # pickling views would copy them apart from `params`; rebuild instead
@@ -137,11 +190,12 @@ def init_model(arch: ArchSpec, seed: int) -> Model:
 
 def _check_input(model: Model, features: np.ndarray) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
+    # a stack also takes one row block per cell: (S, n, input_dim)
+    if x.ndim not in (2, model.params.ndim + 1):
         raise ShapeError(f"features must be 2-d, got shape {x.shape}")
-    if x.shape[1] != model.arch.input_dim:
+    if x.shape[-1] != model.arch.input_dim:
         raise ShapeError(
-            f"model expects {model.arch.input_dim} features, got {x.shape[1]}"
+            f"model expects {model.arch.input_dim} features, got {x.shape[-1]}"
         )
     return x
 
@@ -153,9 +207,10 @@ def _forward_cached(model: Model, features: np.ndarray) -> tuple[np.ndarray, lis
     h = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w + b
+        h = h @ w
+        h += b[..., None, :]
         if i < last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
             activations.append(h)
     return h, activations
 
@@ -167,18 +222,27 @@ def forward_logits(model: Model, features: np.ndarray) -> np.ndarray:
 
 
 def backprop_params(
-    model: Model, activations: list[np.ndarray], dlogits: np.ndarray
+    model: Model,
+    activations: list[np.ndarray],
+    dlogits: np.ndarray,
+    out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Parameter gradients from a loss gradient at the logits."""
-    grads_w: list[np.ndarray] = [np.empty(0)] * len(model.weights)
-    grads_b: list[np.ndarray] = [np.empty(0)] * len(model.biases)
+    """Parameter gradients (weights, biases) from a loss gradient at the logits.
+
+    They are written into `out`, views such as `_Optimizer.grad_views`,
+    when it is given, and into fresh arrays otherwise.
+    """
+    if out is None:
+        out = [np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases]
+    grads_w, grads_b = out
     delta = dlogits
     for i in reversed(range(len(model.weights))):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(activations[i].swapaxes(-1, -2), delta, out=grads_w[i])
+        delta.sum(axis=-2, out=grads_b[i])
         if i > 0:
             # ReLU derivative from the cached post-activation values
-            delta = (delta @ model.weights[i].T) * (activations[i] > 0.0)
+            delta = delta @ model.weights[i].swapaxes(-1, -2)
+            delta *= activations[i] > 0.0
     return grads_w, grads_b
 
 
@@ -195,10 +259,16 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """
     if temperature <= 0:
         raise DomainError(f"temperature must be > 0, got {temperature}")
-    z = np.asarray(logits, dtype=np.float64) / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    z = np.asarray(logits, dtype=np.float64)
+    if temperature == 1.0:
+        # x / 1.0 == x bit for bit, so the division is skipped
+        z = z - z.max(axis=-1, keepdims=True)
+    else:
+        z = z / temperature
+        z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _clamped_log(probs: np.ndarray) -> np.ndarray:
@@ -275,7 +345,11 @@ class _Optimizer:
 
     Decay applies to the weight entries only, never the biases after
     them, and uses the pre-update parameter value (decay is not folded
-    into the gradient).
+    into the gradient). Every array is shaped like the parameters, so a
+    stack's cells step independently. `grad` is a gradient buffer in the
+    same layout, with per-array views `grad_views` for `backprop_params`;
+    the step updates in place through scratch buffers and allocates
+    nothing.
     """
 
     def __init__(
@@ -291,24 +365,45 @@ class _Optimizer:
         self.t = 0
         self.m = np.zeros_like(model.params)  # Adam's first moment, SGD's velocity
         self.v = np.zeros_like(model.params)
+        self.grad = np.zeros_like(model.params)
+        self.grad_views = model.arch.param_views(self.grad)
+        self._update = np.empty_like(model.params)
+        self._scratch = np.empty_like(model.params)
 
-    def step(self, params: np.ndarray, grads: list[np.ndarray]) -> None:
-        """Update the flat `params` in place from per-array gradients
-        given in the same order (weights, then biases)."""
-        g = np.concatenate([np.ravel(x) for x in grads])
+    def step(self, params: np.ndarray, grads: np.ndarray | list[np.ndarray]) -> None:
+        """Update `params` in place from gradients in the same layout: an
+        array shaped like `params` (such as `grad`) or a list of
+        per-array gradients (weights, then biases)."""
+        g = grads if isinstance(grads, np.ndarray) else np.concatenate([np.ravel(x) for x in grads])
+        u, s = self._update, self._scratch
         self.t += 1
+        # the in-place operations keep the IEEE order of
+        #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
+        #   update = lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        # and of SGD's m = momentum * m + g;  update = lr * m
         if self.name == "adam":
-            self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
-            self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * (g * g)
-            bias1 = 1.0 - ADAM_BETA1**self.t
-            bias2 = 1.0 - ADAM_BETA2**self.t
-            update = self.lr * (self.m / bias1) / (np.sqrt(self.v / bias2) + ADAM_EPS)
+            self.m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+            self.m += s
+            self.v *= ADAM_BETA2
+            np.multiply(g, g, out=s)
+            s *= 1.0 - ADAM_BETA2
+            self.v += s
+            np.divide(self.m, 1.0 - ADAM_BETA1**self.t, out=u)
+            u *= self.lr
+            np.divide(self.v, 1.0 - ADAM_BETA2**self.t, out=s)
+            np.sqrt(s, out=s)
+            s += ADAM_EPS
+            u /= s
         else:
-            self.m = self.momentum * self.m + g
-            update = self.lr * self.m
+            self.m *= self.momentum
+            self.m += g
+            np.multiply(self.m, self.lr, out=u)
         if self.wd:
-            update[: self.n_decay] += self.lr * self.wd * params[: self.n_decay]
-        params -= update
+            n = self.n_decay
+            np.multiply(params[..., :n], self.lr * self.wd, out=s[..., :n])
+            u[..., :n] += s[..., :n]
+        params -= u
 
 
 @dataclass(eq=False)
@@ -355,11 +450,20 @@ def make_optimizer(
     return _Optimizer(name, learning_rate, weight_decay, momentum, model), model.params
 
 
-def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
-    """Shuffled minibatch index slices covering all n samples."""
-    order = rng.permutation(n)
+def batch_indices(
+    n: int, batch_size: int, rng: np.random.Generator | list[np.random.Generator]
+):
+    """Shuffled minibatch index slices covering all n samples.
+
+    Given a sequence of generators, one per cell of a stack, each cell
+    shuffles with its own and every slice has one row per cell.
+    """
+    if isinstance(rng, np.random.Generator):
+        order = rng.permutation(n)
+    else:
+        order = np.stack([r.permutation(n) for r in rng])
     for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+        yield order[..., start : start + batch_size]
 
 
 def train_epoch(
@@ -367,11 +471,11 @@ def train_epoch(
     opt: _Optimizer,
     features: np.ndarray,
     batch_size: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | list[np.random.Generator],
     *,
     hard: np.ndarray | None = None,
     soft: np.ndarray | None = None,
-    alpha: float = 0.0,
+    alpha: float | list[float] = 0.0,
     temperature: float = 1.0,
     weight: np.ndarray | None = None,
     labels: np.ndarray | None = None,
@@ -381,30 +485,44 @@ def train_epoch(
     Trains in place on (1 - alpha) * CE(hard) + alpha * T^2 * weight *
     KL(soft || student at T) per sample (Hinton et al. 2015); without
     hard targets on the KL term alone, without soft targets on the CE
-    term alone. Returns the mean CE against labels when they are given;
+    term alone. A stack takes one generator per cell as `rng` and one
+    alpha per cell (or one for all); its cells should agree on which
+    terms they use (see `distill.distill_vanilla_cells`). Returns the
+    mean CE against labels when they are given (plain models only);
     raises DomainError if the pass leaves a parameter non-finite.
     """
+    alpha = np.asarray(alpha, dtype=np.float64)[..., None, None]
+    use_ce = hard is not None and bool((alpha < 1.0).any())
+    use_kd = soft is not None and (hard is None or bool((alpha > 0.0).any()))
     total = 0.0
     for idx in batch_indices(len(features), batch_size, rng):
         logits, acts = _forward_cached(model, features[idx])
-        nb = len(idx)
-        dlogits = None
-        if hard is not None and alpha < 1.0:
+        nb = idx.shape[-1]
+        dlogits = probs = None
+        if use_ce:
             probs = softmax(logits, 1.0)
             if labels is not None:
                 total += ce_loss(probs, labels[idx]) * nb
-            dlogits = (1.0 - alpha) * (probs - hard[idx]) / nb
-        if soft is not None and (hard is None or alpha > 0.0):
-            gap = softmax(logits, temperature) - soft[idx]
+            dlogits = probs - hard[idx]
+            dlogits *= 1.0 - alpha
+            dlogits /= nb
+        if use_kd:
+            # at T = 1 the CE term's softmax serves the KL term too
+            gap = probs if probs is not None and temperature == 1.0 else softmax(logits, temperature)
+            gap -= soft[idx]
             if weight is not None:
-                gap = weight[idx][:, None] * gap
+                gap *= weight[idx][..., None]
             # d/dlogits of T^2 * mean KL = T * (student - target) / n
-            kd = temperature * gap / nb
+            gap *= temperature
+            gap /= nb
             if hard is not None:
-                kd = alpha * kd
-            dlogits = kd if dlogits is None else dlogits + kd
-        gw, gb = backprop_params(model, acts, dlogits)
-        opt.step(model.params, gw + gb)
+                gap *= alpha
+            if dlogits is None:
+                dlogits = gap
+            else:
+                dlogits += gap
+        backprop_params(model, acts, dlogits, out=opt.grad_views)
+        opt.step(model.params, opt.grad)
     check_finite(model, "after a training pass")
     return None if labels is None else total / len(features)
 

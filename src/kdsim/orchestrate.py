@@ -13,7 +13,10 @@ Seed policy: every pairwise cell derives its seed from (master seed,
 teacher id, student id, method, temperature, alpha), so cells are
 independent, reproducible and insensitive to execution order. Grid
 cells hash as vanilla runs at their grid point, which makes the default
-(1, 0.5) cell bit-identical to the standalone vanilla baseline.
+(1, 0.5) cell bit-identical to the standalone vanilla baseline. The grid
+search trains each temperature row as one stack of models
+(`distill.distill_vanilla_cells`); stacking changes no cell's bits, and
+the tuned method takes the searched winner instead of training it again.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .distill import (
     distill_dpkd,
     distill_multi_teacher,
     distill_vanilla,
+    distill_vanilla_cells,
     equal_teacher_weights,
 )
 from .errors import ConfigError, DataError
@@ -155,6 +159,28 @@ def scenario_from_plan(
     )
 
 
+def plan_partition(
+    train_data: LabeledDataset,
+    strategy: str,
+    k: int,
+    partition_params: dict,
+    pool_size: int,
+    master_seed: int,
+) -> tuple[PartitionPlan, np.ndarray, np.ndarray]:
+    """Carve the pool, then partition and validate the remainder.
+
+    Returns (plan, pool indices, remainder indices); the plan indexes
+    into the remainder.
+    """
+    pool_idx, remainder_idx = carve_public_pool(train_data, pool_size, master_seed)
+    remainder = train_data.subset(remainder_idx)
+    plan = make_partition(
+        remainder, strategy, k, partition_params, stable_seed(master_seed, "partition")
+    )
+    validate_plan(plan, len(remainder))
+    return plan, pool_idx, remainder_idx
+
+
 def build_scenario(
     train_data: LabeledDataset,
     test_data: LabeledDataset,
@@ -166,13 +192,10 @@ def build_scenario(
     master_seed: int,
     label: str | None = None,
 ) -> Scenario:
-    """Carve the pool, partition and validate the remainder, split every shard."""
-    pool_idx, remainder_idx = carve_public_pool(train_data, pool_size, master_seed)
-    remainder = train_data.subset(remainder_idx)
-    plan = make_partition(
-        remainder, strategy, k, partition_params, stable_seed(master_seed, "partition")
+    """`plan_partition`, then split every shard into train and validation."""
+    plan, pool_idx, remainder_idx = plan_partition(
+        train_data, strategy, k, partition_params, pool_size, master_seed
     )
-    validate_plan(plan, len(remainder))
     return scenario_from_plan(
         train_data,
         test_data,
@@ -334,9 +357,7 @@ def _run_cell(cell: PairCell) -> PairResult:
             sequential=cell.sequential,
         )
         temperature, alpha = search.best_temperature, search.best_alpha
-        best_cfg = replace(cfg, temperature=temperature, alpha=alpha)
-        seed = cell.seed("vanilla", temperature, alpha)
-        distilled = distill_vanilla(cell.student, [cell.teacher], cell.transfer, best_cfg, seed)
+        distilled = search.best_model
     return build_pair_result(
         cell.scenario,
         cell.method,
@@ -422,9 +443,13 @@ def run_pairwise_matrix(
 
 @dataclass(eq=False)
 class GridSearchResult:
+    """The searched surface, its argmax and, unless `evaluate_cell` replaced
+    the runner, the model the argmax cell trained."""
+
     best_temperature: float
     best_alpha: float
     surface: dict[tuple[float, float], float]
+    best_model: Model | None = None
 
 
 def argmax_surface(surface: dict[tuple[float, float], float]) -> tuple[float, float]:
@@ -461,8 +486,15 @@ def grid_search_tuned(
     temperature 1, then temperature at the chosen alpha, trading
     optimality for a linear number of cells.
 
+    The cells of one temperature row share their soft targets and train
+    as stacks (`distill_vanilla_cells`), each bit-identical to its own
+    `distill_vanilla` run: exhaustive mode trains one row at a time, and
+    sequential mode the alpha sweep at the anchor, then single cells.
+    Only the best model so far is kept, and returned as `best_model`.
+
     evaluate_cell can replace the real runner (used by tests to probe
-    selection logic against a synthetic surface).
+    selection logic against a synthetic surface); it is called cell by
+    cell, row by row, and `best_model` is then None.
     """
     if grid.empty:
         raise ConfigError("grid must contain at least one temperature and one alpha")
@@ -470,31 +502,42 @@ def grid_search_tuned(
         seed_fn = lambda t, a: pair_seed(0, 0, 1, "vanilla", t, a)
     if evaluate_cell is None:
         pre_acc = evaluate(student, select_data).overall_accuracy
-
-        def evaluate_cell(temperature: float, alpha: float) -> float:
-            cell_cfg = replace(cfg, temperature=temperature, alpha=alpha)
-            distilled = distill_vanilla(
-                student, [teacher], transfer, cell_cfg, seed_fn(temperature, alpha)
-            )
-            return (evaluate(distilled, select_data).overall_accuracy - pre_acc) * 100.0
-
     surface: dict[tuple[float, float], float] = {}
+    best_key, best_model = None, None
+
+    def search_row(temperature: float, alphas: list[float]) -> None:
+        nonlocal best_key, best_model
+        if evaluate_cell is not None:
+            for a in alphas:
+                surface[(temperature, a)] = evaluate_cell(temperature, a)
+            return
+        models = distill_vanilla_cells(
+            student, [teacher], transfer, replace(cfg, temperature=temperature),
+            alphas, [seed_fn(temperature, a) for a in alphas],
+        )
+        for a, model in zip(alphas, models):
+            key = (temperature, a)
+            surface[key] = (evaluate(model, select_data).overall_accuracy - pre_acc) * 100.0
+            # the order argmax_surface picks by: highest gain, then lowest key
+            if best_key is None or (-surface[key], key) < (-surface[best_key], best_key):
+                best_key, best_model = key, model
+
     temperatures = sorted(set(grid.temperatures))
     alphas = sorted(set(grid.alphas))
     if sequential:
         anchor = 1.0 if 1.0 in temperatures else temperatures[len(temperatures) // 2]
-        for a in alphas:
-            surface[(anchor, a)] = evaluate_cell(anchor, a)
+        search_row(anchor, alphas)
         best_alpha = argmax_surface(surface)[1]
         for t in temperatures:
             if (t, best_alpha) not in surface:
-                surface[(t, best_alpha)] = evaluate_cell(t, best_alpha)
+                search_row(t, [best_alpha])
     else:
         for t in temperatures:
-            for a in alphas:
-                surface[(t, a)] = evaluate_cell(t, a)
+            search_row(t, alphas)
     best_t, best_a = argmax_surface(surface)
-    return GridSearchResult(best_temperature=best_t, best_alpha=best_a, surface=surface)
+    return GridSearchResult(
+        best_temperature=best_t, best_alpha=best_a, surface=surface, best_model=best_model
+    )
 
 
 # --------------------------------------------------------------------------

@@ -433,6 +433,17 @@ def test_cli_partition_writes_the_plan_build_scenario_returns(tmp_path, capsys):
     }
 
 
+def test_cli_partition_splits_no_shard(tiny_config, tmp_path, monkeypatch, capsys):
+    import kdsim.orchestrate as orchestrate
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("partition built a train/validation split")
+
+    monkeypatch.setattr(orchestrate, "split_train_val", no_split)
+    assert _run("partition", "--config", str(tiny_config), "--out-dir", str(tmp_path / "run")) == 0
+    assert (tmp_path / "run" / "plan.json").exists()
+
+
 def test_write_failures_leave_the_previous_file(tmp_path, monkeypatch):
     json_path, model_path = tmp_path / "x.json", tmp_path / "m.kdsm"
     write_json(json_path, {"a": 1})

@@ -15,6 +15,7 @@ from kdsim.distill import (
     distill_dpkd,
     distill_multi_teacher,
     distill_vanilla,
+    distill_vanilla_cells,
     dpkd_masks,
     effective_teachers,
     equal_teacher_weights,
@@ -215,6 +216,24 @@ def test_diverging_distillation_raises_instead_of_returning_nan(rng):
     with pytest.raises(DomainError, match="not finite"):
         distill_dml(student, init_model(ARCH, 2), _labeled_transfer(rng),
                     _labeled_transfer(rng), cfg, 7)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_stack_raises_instead_of_returning_nan(rng):
+    cfg = DistillConfig(**{**FAST, "learning_rate": 1e300})
+    with pytest.raises(DomainError, match="not finite"):
+        distill_vanilla_cells(
+            init_model(ARCH, 1), [init_model(ARCH, 2)], _labeled_transfer(rng), cfg,
+            [0.1, 0.5, 0.9], [7, 8, 9],
+        )
+
+
+def test_vanilla_cells_need_one_seed_per_alpha(rng):
+    with pytest.raises(ConfigError):
+        distill_vanilla_cells(
+            init_model(ARCH, 1), [init_model(ARCH, 2)], _labeled_transfer(rng),
+            DistillConfig(**FAST), [0.1, 0.5], [7],
+        )
 
 
 def test_vanilla_needs_a_teacher(rng):

@@ -320,6 +320,25 @@ def test_flat_optimizer_is_bit_identical_to_a_per_array_loop(rng, name, momentum
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
+@pytest.mark.parametrize("name, momentum", [("adam", 0.0), ("sgd", 0.9)])
+def test_step_from_the_gradient_buffer_equals_the_list_form(rng, name, momentum):
+    arch = ArchSpec(input_dim=3, hidden_layers=(5, 4), num_classes=3)
+    listed = init_model(arch, 8)
+    buffered = listed.copy()
+    opt_l, _ = make_optimizer(name, 0.05, 0.3, momentum, listed)
+    opt_b, _ = make_optimizer(name, 0.05, 0.3, momentum, buffered)
+    for _ in range(4):
+        x = rng.normal(0, 1, size=(6, 3))
+        logits, acts = _forward_cached(listed, x)
+        dlogits = rng.normal(0, 1, size=logits.shape)
+        gw, gb = backprop_params(listed, acts, dlogits)
+        opt_l.step(listed.params, gw + gb)
+        _, acts = _forward_cached(buffered, x)
+        backprop_params(buffered, acts, dlogits, out=opt_b.grad_views)
+        opt_b.step(buffered.params, opt_b.grad)
+        assert buffered.params.tobytes() == listed.params.tobytes()
+
+
 def test_unknown_optimizer_rejected():
     arch = ArchSpec(input_dim=2, hidden_layers=(), num_classes=2)
     model = init_model(arch, 0)
@@ -362,6 +381,27 @@ def test_params_is_one_vector_the_layer_arrays_view():
     model.weights[1][2, 1] = 5.0
     model.biases[-1][-1] = 7.0
     assert model.params[2 * 3 + 2 * 2 + 1] == 5.0 and model.params[-1] == 7.0
+
+
+def test_a_stack_views_one_parameter_row_per_cell():
+    arch = ArchSpec(input_dim=2, hidden_layers=(3,), num_classes=2)
+    cells = [init_model(arch, s) for s in (1, 2, 3)]
+    stack = Model.from_params(arch, np.stack([m.params for m in cells]), 0)
+    assert [w.shape for w in stack.weights] == [(3, 2, 3), (3, 3, 2)]
+    assert [b.shape for b in stack.biases] == [(3, 3), (3, 2)]
+    logits = forward_logits(stack, np.ones((5, 2)))
+    for i, cell in enumerate(cells):
+        assert all(np.array_equal(s[i], w) for s, w in zip(stack.weights, cell.weights))
+        assert logits[i].tobytes() == forward_logits(cell, np.ones((5, 2))).tobytes()
+    stack.biases[1][2, 1] = 4.0
+    assert stack.params[2, -1] == 4.0
+
+
+def test_model_rejects_parameters_that_do_not_fit_its_architecture():
+    arch = ArchSpec(input_dim=2, hidden_layers=(3,), num_classes=2)
+    good = init_model(arch, 0)
+    with pytest.raises(ShapeError):
+        Model(arch, [w.T for w in good.weights], good.biases, 0)
 
 
 def test_pickled_model_keeps_its_views_on_params():

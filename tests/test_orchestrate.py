@@ -246,6 +246,44 @@ def test_grid_cell_matches_standalone_vanilla_run(pretrained, scenario):
     assert res.surface[(1.0, 0.5)] == gain
 
 
+@pytest.mark.parametrize("sequential", [False, True])
+# a learning rate this small leaves every gain 0: the tie-break picks the model
+@pytest.mark.parametrize("learning_rate", [QUICK.learning_rate, 1e-12])
+def test_stacked_search_equals_a_per_cell_reference(
+    pretrained, scenario, sequential, learning_rate
+):
+    from dataclasses import replace
+
+    cfg = replace(QUICK, learning_rate=learning_rate)
+
+    teacher, _ = pretrained[2]
+    student, _ = pretrained[0]
+    val = scenario.participants[0].val
+    shard = scenario.participants[0].train
+    ts = TransferSet(features=shard.features, labels=shard.labels, origin="student_data")
+    seed_fn = lambda t, a: pair_seed(5, 2, 0, "vanilla", t, a)
+    # alpha 0 and 1 drop a loss term and train in stacks of their own
+    grid = GridSpec(temperatures=(3.0, 0.5, 1.0), alphas=(1.0, 0.25, 0.0, 0.75))
+    pre = evaluate(student, val).overall_accuracy
+    models = {}
+
+    def one_cell(t, a):
+        cell_cfg = replace(cfg, temperature=t, alpha=a)
+        models[(t, a)] = distill_vanilla(student, [teacher], ts, cell_cfg, seed_fn(t, a))
+        return (evaluate(models[(t, a)], val).overall_accuracy - pre) * 100.0
+
+    want = grid_search_tuned(
+        student, teacher, ts, grid, cfg, val, evaluate_cell=one_cell, sequential=sequential
+    )
+    got = grid_search_tuned(student, teacher, ts, grid, cfg, val, seed_fn, sequential=sequential)
+    assert got.surface == want.surface
+    assert len(got.surface) == (4 + 3 - 1 if sequential else 12)
+    best = (got.best_temperature, got.best_alpha)
+    assert best == (want.best_temperature, want.best_alpha)
+    assert want.best_model is None
+    assert got.best_model.params.tobytes() == models[best].params.tobytes()
+
+
 # -- best-teacher tallies ---------------------------------------------------
 
 

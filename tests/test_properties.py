@@ -9,18 +9,38 @@ from hypothesis.extra.numpy import arrays
 
 from kdsim.artifacts import STAGE_PARENTS, config_fingerprint, load_model, save_model
 from kdsim.config import parse_config
+from dataclasses import replace
+
 from kdsim.data import (
     PARTITION_STRATEGIES,
     TRANSFER_OPTIONS,
     LabeledDataset,
+    TransferSet,
     make_partition,
     validate_plan,
 )
-from kdsim.distill import merged_teacher_target, weighted_ensemble_kl_grad_logits
+from kdsim.distill import (
+    DistillConfig,
+    distill_vanilla,
+    distill_vanilla_cells,
+    effective_teachers,
+    merged_teacher_target,
+    weighted_ensemble_kl_grad_logits,
+)
 from kdsim.errors import PartitionError
-from kdsim.nn import OPTIMIZERS, ArchSpec, Model, softmax
+from kdsim.nn import (
+    OPTIMIZERS,
+    ArchSpec,
+    Model,
+    forward_logits,
+    init_model,
+    make_optimizer,
+    onehot,
+    softmax,
+    train_epoch,
+)
 from kdsim.orchestrate import MATRIX_METHODS, START_POLICIES, WEIGHTINGS
-from kdsim.seeding import stable_seed
+from kdsim.seeding import rng_for, stable_seed
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -246,3 +266,72 @@ def test_validated_config_survives_a_yaml_round_trip(tmp_path_factory, raw):
     assert back.as_dict() == cfg.as_dict()
     for stage in STAGE_PARENTS:
         assert config_fingerprint(back, stage) == config_fingerprint(cfg, stage)
+
+
+@st.composite
+def _vanilla_cells(draw):
+    hidden = tuple(draw(st.lists(st.integers(1, 6), min_size=0, max_size=2)))
+    dim = draw(st.integers(1, 4))
+    classes = draw(st.integers(2, 4))
+    arch = ArchSpec(input_dim=dim, hidden_layers=hidden, num_classes=classes)
+    batch = draw(st.integers(1, 8))
+    # often a ragged last minibatch
+    n = batch * draw(st.integers(0, 2)) + draw(st.integers(1, batch))
+    origin = draw(st.sampled_from(["student_data", "public_labeled", "public_unlabeled_small"]))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labeled = origin != "public_unlabeled_small"
+    transfer = TransferSet(
+        features=data.normal(0, 1, size=(n, dim)),
+        labels=data.integers(0, classes, size=n) if labeled else None,
+        origin=origin,
+    )
+    optimizer, momentum = draw(st.sampled_from([("adam", 0.0), ("sgd", 0.9)]))
+    cfg = DistillConfig(
+        temperature=draw(st.sampled_from([0.5, 1.0, 3.0])),
+        epochs=draw(st.integers(1, 2)),
+        optimizer=optimizer,
+        learning_rate=0.05,
+        weight_decay=draw(st.sampled_from([0.0, 0.3])),
+        batch_size=batch,
+        momentum=momentum,
+    )
+    alphas = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), min_size=1, max_size=5))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=len(alphas), max_size=len(alphas)))
+    student = init_model(arch, draw(st.integers(0, 2**32)))
+    teacher = init_model(arch, draw(st.integers(0, 2**32)))
+    return student, teacher, transfer, cfg, alphas, seeds
+
+
+def _plain_vanilla(student, teacher, transfer, cfg, seed):
+    """Reference: one unstacked model through nn.train_epoch."""
+    bench = effective_teachers(student, [teacher], transfer.origin)
+    soft = np.mean(
+        [softmax(forward_logits(t, transfer.features), cfg.temperature) for t in bench], axis=0
+    )
+    hard = None
+    if transfer.labeled:
+        hard = onehot(transfer.labels, student.arch.num_classes)
+    work = student.copy()
+    opt, _ = make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work)
+    for epoch in range(1, cfg.epochs + 1):
+        train_epoch(
+            work, opt, transfer.features, cfg.batch_size, rng_for(seed, "epoch", epoch),
+            hard=hard, soft=soft, alpha=cfg.alpha, temperature=cfg.temperature,
+        )
+    return work
+
+
+@PROPERTY
+@given(_vanilla_cells())
+def test_stacked_cells_are_byte_identical_to_one_cell_runs(run):
+    student, teacher, transfer, cfg, alphas, seeds = run
+    before = student.params.tobytes()
+    cells = distill_vanilla_cells(student, [teacher], transfer, cfg, alphas, seeds)
+    assert student.params.tobytes() == before
+    assert len(cells) == len(alphas)
+    for model, alpha, seed in zip(cells, alphas, seeds):
+        cell_cfg = replace(cfg, alpha=alpha)
+        want = distill_vanilla(student, [teacher], transfer, cell_cfg, seed).params.tobytes()
+        assert model.params.shape == student.params.shape
+        assert model.params.tobytes() == want
+        assert _plain_vanilla(student, teacher, transfer, cell_cfg, seed).params.tobytes() == want
