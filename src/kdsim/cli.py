@@ -39,7 +39,7 @@ from .artifacts import (
 )
 from .config import RunConfig, parse_config
 from .data import PartitionPlan, load_dataset
-from .errors import ConfigError, KdsimError
+from .errors import ConfigError, DataError, KdsimError
 from .fed import FedTrajectory, preconsolidated_fedavg, rounds_to_target
 from .metrics import (
     cumulative_gain,
@@ -71,6 +71,7 @@ ENV_OUT_DIR = "KDSIM_OUT_DIR"
 PLAN_FILE = "plan.json"
 POOL_FILE = "pool.json"
 PRETRAIN_EVALS_FILE = "pretrain_evals.json"
+PRETRAIN_EVALS_SCHEMA_VERSION = 1
 RESULTS_FILE = "results.json"
 CONSOLIDATED_MODEL = "consolidated.kdsm"
 CONSOLIDATE_FILE = "consolidate.json"
@@ -196,10 +197,13 @@ def _model_path(i: int) -> str:
 def _load_pretrained(cfg: RunConfig, out: Path, force: bool):
     arts = require_stage(out, cfg, "pretrain", force)
     fingerprint = config_fingerprint(cfg, "pretrain")
-    reports = [
-        EvalReport.from_dict(item)
-        for item in read_json(out / arts["evals"])["reports"]
-    ]
+    payload = read_json(out / arts["evals"])
+    if payload.get("schema_version") != PRETRAIN_EVALS_SCHEMA_VERSION:
+        raise DataError(
+            f"unsupported pretrain evaluations schema {payload.get('schema_version')!r}; "
+            f"rerun `kdsim pretrain`"
+        )
+    reports = [EvalReport.from_dict(item) for item in payload["reports"]]
     pretrained = []
     for i, report in enumerate(reports):
         key = f"model_{i:02d}"
@@ -263,7 +267,10 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
         artifacts[f"model_{i:02d}"] = rel
     write_json(
         out / PRETRAIN_EVALS_FILE,
-        {"schema_version": 1, "reports": [rep.as_dict() for _, rep in pretrained]},
+        {
+            "schema_version": PRETRAIN_EVALS_SCHEMA_VERSION,
+            "reports": [rep.as_dict() for _, rep in pretrained],
+        },
     )
     record_stage(out, cfg, "pretrain", artifacts)
     for i, (_model, rep) in enumerate(pretrained):

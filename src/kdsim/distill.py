@@ -6,11 +6,7 @@ per-sample targets for the one minibatch loop, `nn.train_epoch`:
 
 * fixed-parameter distillation against one or more frozen teachers
   (`distill_vanilla`): the mean teacher distribution, the (temperature=1,
-  alpha=0.5) configuration being the canonical baseline. Runs that share
-  student, teachers, transfer set and temperature and differ only in
-  alpha and seed (a grid-search row) go through `distill_vanilla_cells`,
-  which computes the targets once and trains the runs as one stack of
-  models (see `nn`); each comes out bit-identical to its own run;
+  alpha=0.5) configuration being the canonical baseline;
 * mask-routed distillation where each transfer sample is answered either
   by the teacher or by a frozen snapshot of the student's starting
   point, whichever was more confident up front (`distill_dpkd`);
@@ -23,6 +19,16 @@ loop, because its target is the partner's current prediction. Teacher
 models are never mutated: targets are read from them once up front and
 only the student copy is ever stepped. Every run is deterministic per
 (models, transfer set, config, seed).
+
+Runs of one student on one transfer set that differ only in teachers,
+alpha and seed are cells: `distill_vanilla_benches` (one bench per
+cell; `distill_vanilla_cells` is a grid row against one bench),
+`distill_dpkd_cells` and `distill_dml_cells` train them as one stack of
+models (see `nn`), each cell with its own generators, and every cell
+comes out bit-identical to its own one-cell run. Work the cells share
+is done once: each model's soft targets, and DPKD's snapshot
+probabilities. `distill_vanilla`, `distill_dpkd` and `distill_dml` are
+the one-cell cases.
 
 Temperatures above 1 shrink softened-softmax gradients by roughly T^2,
 so the KL objectives here carry an explicit T^2 factor to keep gradient
@@ -119,6 +125,16 @@ def _hard_target(model: Model, transfer: TransferSet) -> np.ndarray | None:
     return onehot(transfer.labels, model.arch.num_classes)
 
 
+def _stack(models: list[Model]) -> Model:
+    """One stack whose cells start at the given models' parameters."""
+    return Model.from_params(models[0].arch, np.stack([m.params for m in models]), models[0].seed)
+
+
+def _unstack(stack: Model, like: list[Model]) -> list[Model]:
+    """One model per cell, each with the seed of the model it started from."""
+    return [Model.from_params(m.arch, row.copy(), m.seed) for m, row in zip(like, stack.params)]
+
+
 def _distill(
     student: Model,
     transfer: TransferSet,
@@ -129,7 +145,7 @@ def _distill(
 ) -> list[Model]:
     """Train one copy of the student per (alpha, seed) cell, all as one
     stack, on the fixed targets `nn.train_epoch` takes."""
-    work = Model.from_params(student.arch, np.tile(student.params, (len(seeds), 1)), student.seed)
+    work = _stack([student] * len(seeds))
     opt = _student_optimizer(cfg, work)
     for epoch in range(1, cfg.epochs + 1):
         train_epoch(
@@ -137,7 +153,7 @@ def _distill(
             [rng_for(seed, "epoch", epoch) for seed in seeds],
             alpha=alphas, temperature=cfg.temperature, **targets,
         )
-    return [Model.from_params(student.arch, row.copy(), student.seed) for row in work.params]
+    return _unstack(work, [student] * len(seeds))
 
 
 # --------------------------------------------------------------------------
@@ -171,9 +187,9 @@ def distill_vanilla(
     the CE term at temperature 1 and the KL term against the mean
     teacher distribution at cfg.temperature. Without labels the loss is
     the KL term alone. This is the one-cell case of
-    `distill_vanilla_cells`.
+    `distill_vanilla_benches`.
     """
-    return distill_vanilla_cells(student, teachers, transfer, cfg, [cfg.alpha], [seed])[0]
+    return distill_vanilla_benches(student, [teachers], transfer, cfg, [cfg.alpha], [seed])[0]
 
 
 def distill_vanilla_cells(
@@ -184,24 +200,45 @@ def distill_vanilla_cells(
     alphas: list[float],
     seeds: list[int],
 ) -> list[Model]:
-    """Vanilla runs at cfg.temperature, one per (alpha, seed) cell.
+    """Vanilla runs against one bench, one per (alpha, seed) cell: a grid
+    row. See `distill_vanilla_benches`."""
+    return distill_vanilla_benches(student, [teachers] * len(seeds), transfer, cfg, alphas, seeds)
 
-    The bench's soft targets are computed once for all cells. Cells that
-    use the same loss terms train together as one stack; on labeled data
-    alpha = 0 drops the KL term and alpha = 1 the CE term, so those cells
-    form stacks of their own. Every returned model is bit-identical to
-    its one-cell `distill_vanilla` run.
+
+def distill_vanilla_benches(
+    student: Model,
+    benches: list[list[Model]],
+    transfer: TransferSet,
+    cfg: DistillConfig,
+    alphas: list[float],
+    seeds: list[int],
+) -> list[Model]:
+    """Vanilla runs of one student at cfg.temperature, one per (teachers,
+    alpha, seed) cell.
+
+    Each teacher's soft targets, and those of the student's frozen self
+    on public data, are computed once for all cells; each cell's target
+    is the mean over its own bench. Cells that use the same loss terms
+    train together as one stack; on labeled data alpha = 0 drops the KL
+    term and alpha = 1 the CE term, so those cells form stacks of their
+    own. Every returned model is bit-identical to its one-cell
+    `distill_vanilla` run.
     """
-    if not teachers:
+    if not all(benches):
         raise ConfigError("vanilla distillation needs at least one teacher")
-    if len(alphas) != len(seeds):
-        raise ConfigError(f"{len(alphas)} alphas but {len(seeds)} seeds")
+    if not len(alphas) == len(seeds) == len(benches):
+        raise ConfigError(f"{len(benches)} benches, {len(alphas)} alphas but {len(seeds)} seeds")
     _check_transfer(student, transfer)
-    bench = effective_teachers(student, teachers, transfer.origin)
-    soft = np.mean(
-        [softmax(forward_logits(t, transfer.features), cfg.temperature) for t in bench],
-        axis=0,
-    )
+    own = effective_teachers(student, [], transfer.origin)  # one frozen self for every cell
+    full = [[*bench, *own] for bench in benches]
+    by_id = {id(m): m for bench in full for m in bench}
+    probs = {
+        i: softmax(forward_logits(m, transfer.features), cfg.temperature)
+        for i, m in by_id.items()
+    }
+    keys = [tuple(map(id, bench)) for bench in full]
+    means = {key: np.mean([probs[i] for i in key], axis=0) for key in dict.fromkeys(keys)}
+    soft = np.stack([means[key] for key in keys])
     hard = _hard_target(student, transfer)
     stacks: dict[tuple[bool, ...], list[int]] = {}
     for i, alpha in enumerate(alphas):
@@ -212,7 +249,7 @@ def distill_vanilla_cells(
         models = _distill(
             student, transfer, cfg,
             [alphas[i] for i in cells], [seeds[i] for i in cells],
-            hard=hard, soft=soft,
+            hard=hard, soft=soft[cells],
         )
         trained.update(zip(cells, models))
     return [trained[i] for i in range(len(alphas))]
@@ -231,13 +268,14 @@ def _dml_step(
     idx: np.ndarray,
     opt,
 ) -> None:
-    logits, acts = _forward_cached(work, features[idx])
+    rows = features.take(idx, axis=0)
+    logits, acts = _forward_cached(work, rows)
     probs = softmax(logits, 1.0)
-    partner_probs = softmax(forward_logits(partner, features[idx]), 1.0)
-    nb = len(idx)
+    partner_probs = softmax(forward_logits(partner, rows), 1.0)
+    nb = idx.shape[-1]
     dlogits = (probs - partner_probs) / nb
     if hard_target is not None:
-        dlogits = dlogits + (probs - hard_target[idx]) / nb
+        dlogits = dlogits + (probs - hard_target.take(idx, axis=0)) / nb
     backprop_params(work, acts, dlogits, out=opt.grad_views)
     opt.step(work.params, opt.grad)
 
@@ -260,35 +298,59 @@ def distill_dml(
     The mechanism expects labeled transfer data; unlabeled sets are
     allowed but drop the CE term and raise a warning. When the two
     transfer sets differ in length the peers run in lockstep over the
-    shorter batch schedule.
+    shorter batch schedule. This is the one-cell case of
+    `distill_dml_cells`.
     """
-    _check_transfer(peer_a, transfer_a)
-    _check_transfer(peer_b, transfer_b)
+    (a,), (b,) = distill_dml_cells([peer_a], [peer_b], transfer_a, transfer_b, cfg, [seed])
+    return a, b
+
+
+def distill_dml_cells(
+    peers_a: list[Model],
+    peers_b: list[Model],
+    transfer_a: TransferSet,
+    transfer_b: TransferSet,
+    cfg: DistillConfig,
+    seeds: list[int],
+) -> tuple[list[Model], list[Model]]:
+    """Mutual-learning runs, one per (peer A, peer B, seed) cell.
+
+    All A peers train on transfer_a and all B peers on transfer_b, so
+    the cells step as two stacks in lockstep, each cell shuffling with
+    its own generators. Returns the trained A peers and B peers; every
+    cell is bit-identical to its one-cell `distill_dml` run.
+    """
+    if not len(peers_a) == len(peers_b) == len(seeds):
+        raise ConfigError(
+            f"{len(peers_a)} A peers, {len(peers_b)} B peers but {len(seeds)} seeds"
+        )
+    _check_transfer(peers_a[0], transfer_a)
+    _check_transfer(peers_b[0], transfer_b)
     if not transfer_a.labeled or not transfer_b.labeled:
         warnings.warn(
             "mutual learning without labels drops the supervised term and "
             "tends to degrade both peers",
             stacklevel=2,
         )
-    target_a = _hard_target(peer_a, transfer_a)
-    target_b = _hard_target(peer_b, transfer_b)
-    work_a = peer_a.copy()
-    work_b = peer_b.copy()
+    target_a = _hard_target(peers_a[0], transfer_a)
+    target_b = _hard_target(peers_b[0], transfer_b)
+    work_a = _stack(peers_a)
+    work_b = _stack(peers_b)
     opt_a = _student_optimizer(cfg, work_a)
     opt_b = _student_optimizer(cfg, work_b)
     for epoch in range(1, cfg.epochs + 1):
-        batches_a = list(
-            batch_indices(len(transfer_a), cfg.batch_size, rng_for(seed, "peer-a", epoch))
-        )
-        batches_b = list(
-            batch_indices(len(transfer_b), cfg.batch_size, rng_for(seed, "peer-b", epoch))
-        )
+        batches_a = list(batch_indices(
+            len(transfer_a), cfg.batch_size, [rng_for(s, "peer-a", epoch) for s in seeds]
+        ))
+        batches_b = list(batch_indices(
+            len(transfer_b), cfg.batch_size, [rng_for(s, "peer-b", epoch) for s in seeds]
+        ))
         for idx_a, idx_b in zip(batches_a, batches_b):
             _dml_step(work_a, work_b, transfer_a.features, target_a, idx_a, opt_a)
             _dml_step(work_b, work_a, transfer_b.features, target_b, idx_b, opt_b)
         check_finite(work_a, "after a mutual-learning pass")
         check_finite(work_b, "after a mutual-learning pass")
-    return work_a, work_b
+    return _unstack(work_a, peers_a), _unstack(work_b, peers_b)
 
 
 # --------------------------------------------------------------------------
@@ -320,8 +382,18 @@ def dpkd_masks(
     comparisons, so a tie keeps the sample with the snapshot.
     """
     _check_transfer(teacher, transfer)
-    teacher_probs = softmax(forward_logits(teacher, transfer.features), 1.0)
-    snapshot_probs = softmax(forward_logits(snapshot, transfer.features), 1.0)
+    return _route_masks(
+        softmax(forward_logits(teacher, transfer.features), 1.0),
+        softmax(forward_logits(snapshot, transfer.features), 1.0),
+        transfer,
+        supervised,
+    )
+
+
+def _route_masks(
+    teacher_probs: np.ndarray, snapshot_probs: np.ndarray, transfer: TransferSet, supervised: bool
+) -> MaskPair:
+    """`dpkd_masks` from the two models' probabilities at temperature 1."""
     if supervised:
         if not transfer.labeled:
             raise ConfigError("supervised mask computation needs a labeled transfer set")
@@ -372,17 +444,45 @@ def distill_dpkd(
     Masks are computed once against a frozen snapshot of the student's
     starting parameters and held fixed for the whole run; the loss is
     T^2 * mean of mask-routed KL terms with no supervised component.
+    This is the one-cell case of `distill_dpkd_cells`.
     """
+    return distill_dpkd_cells(student, [teacher], transfer, cfg, [seed])[0]
+
+
+def _probabilities(model: Model, features: np.ndarray, temperature: float):
+    """Softmax of one forward pass at temperature 1 and at `temperature`."""
+    logits = forward_logits(model, features)
+    at_one = softmax(logits, 1.0)
+    return at_one, at_one if temperature == 1.0 else softmax(logits, temperature)
+
+
+def distill_dpkd_cells(
+    student: Model,
+    teachers: list[Model],
+    transfer: TransferSet,
+    cfg: DistillConfig,
+    seeds: list[int],
+) -> list[Model]:
+    """DPKD runs of one student, one per (teacher, seed) cell, as one stack.
+
+    The snapshot's probabilities are computed once for all cells, and
+    each model's once for both the masks (temperature 1) and the targets
+    (cfg.temperature). Every returned model is bit-identical to its
+    one-cell `distill_dpkd` run.
+    """
+    if len(teachers) != len(seeds):
+        raise ConfigError(f"{len(teachers)} teachers but {len(seeds)} seeds")
     _check_transfer(student, transfer)
-    snapshot = student.copy()
-    masks = dpkd_masks(teacher, snapshot, transfer, cfg.supervised_dpkd)
-    temp = cfg.temperature
-    target = masked_targets(
-        softmax(forward_logits(teacher, transfer.features), temp),
-        softmax(forward_logits(snapshot, transfer.features), temp),
-        masks,
+    snap_one, snap_t = _probabilities(student, transfer.features, cfg.temperature)
+    targets = []
+    for teacher in teachers:
+        _check_transfer(teacher, transfer)
+        teach_one, teach_t = _probabilities(teacher, transfer.features, cfg.temperature)
+        masks = _route_masks(teach_one, snap_one, transfer, cfg.supervised_dpkd)
+        targets.append(masked_targets(teach_t, snap_t, masks))
+    return _distill(
+        student, transfer, cfg, [cfg.alpha] * len(seeds), seeds, soft=np.stack(targets)
     )
-    return _distill(student, transfer, cfg, [cfg.alpha], [seed], soft=target)[0]
 
 
 # --------------------------------------------------------------------------

@@ -314,6 +314,11 @@ def parse_results_json(path: str | Path) -> list[PairResult]:
 
 
 def parse_trajectories_json(path: str | Path) -> list[FedTrajectory]:
+    payload = read_json(path)
+    if payload.get("schema_version") != RESULTS_SCHEMA_VERSION:
+        raise DataError(
+            f"unsupported trajectories schema {payload.get('schema_version')!r}"
+        )
     return [
         FedTrajectory(
             init_tag=item["init_tag"],
@@ -323,7 +328,7 @@ def parse_trajectories_json(path: str | Path) -> list[FedTrajectory]:
                 [int(c) for c in row] for row in item["participants_per_round"]
             ],
         )
-        for item in read_json(path)["trajectories"]
+        for item in payload["trajectories"]
     ]
 
 

@@ -13,10 +13,18 @@ Seed policy: every pairwise cell derives its seed from (master seed,
 teacher id, student id, method, temperature, alpha), so cells are
 independent, reproducible and insensitive to execution order. Grid
 cells hash as vanilla runs at their grid point, which makes the default
-(1, 0.5) cell bit-identical to the standalone vanilla baseline. The grid
-search trains each temperature row as one stack of models
-(`distill.distill_vanilla_cells`); stacking changes no cell's bits, and
-the tuned method takes the searched winner instead of training it again.
+(1, 0.5) cell bit-identical to the standalone vanilla baseline.
+
+Cells that share a starting point train as one stack of models (see
+`nn`), which changes no cell's bits. In the matrix, the K - 1 cells of
+one student in one (method, option) block form a group: they share the
+student's parameters and the transfer set and differ only in teacher and
+seed, so vanilla, DML and DPKD train each group as one stack
+(`distill.distill_vanilla_benches`, `distill_dml_cells`,
+`distill_dpkd_cells`). A tuned cell is a group of its own: its grid
+search trains each temperature row as one stack
+(`distill.distill_vanilla_cells`), and the tuned method takes the
+searched winner instead of training it again.
 """
 
 from __future__ import annotations
@@ -41,10 +49,10 @@ from .data import (
 from .distill import (
     DistillConfig,
     adaptive_teacher_weights,
-    distill_dml,
-    distill_dpkd,
+    distill_dml_cells,
+    distill_dpkd_cells,
     distill_multi_teacher,
-    distill_vanilla,
+    distill_vanilla_benches,
     distill_vanilla_cells,
     equal_teacher_weights,
 )
@@ -325,51 +333,61 @@ class PairCell:
         )
 
 
-def _run_cell(cell: PairCell) -> PairResult:
-    cfg = cell.cfg
+def _run_group(cells: list[PairCell]) -> list[PairResult]:
+    """Records of one group: one student's cells of one (method, option)
+    block, trained as one stack. A tuned cell is a group of its own."""
+    head = cells[0]
+    cfg = head.cfg
     temperature, alpha = cfg.temperature, cfg.alpha
-    if cell.method == "vanilla":
-        seed = cell.seed("vanilla", temperature, alpha)
-        distilled = distill_vanilla(cell.student, [cell.teacher], cell.transfer, cfg, seed)
-    elif cell.method == "dml":
+    teachers = [cell.teacher for cell in cells]
+    if head.method == "vanilla":
+        seeds = [cell.seed("vanilla", temperature, alpha) for cell in cells]
+        distilled = distill_vanilla_benches(
+            head.student, [[t] for t in teachers], head.transfer, cfg,
+            [alpha] * len(cells), seeds,
+        )
+    elif head.method == "dml":
         # mutual learning has no temperature/alpha knobs; record the
         # canonical baseline values
         temperature, alpha = 1.0, 0.5
-        seed = cell.seed("dml", temperature, alpha)
-        distilled, _ = distill_dml(
-            cell.student, cell.teacher, cell.transfer, cell.transfer, cfg, seed
+        seeds = [cell.seed("dml", temperature, alpha) for cell in cells]
+        distilled, _ = distill_dml_cells(
+            [head.student] * len(cells), teachers, head.transfer, head.transfer, cfg, seeds
         )
-    elif cell.method == "dpkd":
-        run_cfg = replace(cfg, supervised_dpkd=cell.option == "public_labeled")
-        seed = cell.seed("dpkd", temperature, alpha)
-        distilled = distill_dpkd(cell.student, cell.teacher, cell.transfer, run_cfg, seed)
+    elif head.method == "dpkd":
+        run_cfg = replace(cfg, supervised_dpkd=head.option == "public_labeled")
+        seeds = [cell.seed("dpkd", temperature, alpha) for cell in cells]
+        distilled = distill_dpkd_cells(head.student, teachers, head.transfer, run_cfg, seeds)
     else:
-        if cell.grid is None or cell.grid.empty:
+        if head.grid is None or head.grid.empty:
             raise ConfigError("tuned method needs a non-empty search grid")
         search = grid_search_tuned(
-            cell.student,
-            cell.teacher,
-            cell.transfer,
-            cell.grid,
+            head.student,
+            head.teacher,
+            head.transfer,
+            head.grid,
             cfg,
-            cell.student_val,
-            seed_fn=lambda t, a: cell.seed("vanilla", t, a),
-            sequential=cell.sequential,
+            head.student_val,
+            seed_fn=lambda t, a: head.seed("vanilla", t, a),
+            sequential=head.sequential,
         )
         temperature, alpha = search.best_temperature, search.best_alpha
-        distilled = search.best_model
-    return build_pair_result(
-        cell.scenario,
-        cell.method,
-        cell.option,
-        cell.teacher_id,
-        cell.student_id,
-        temperature,
-        alpha,
-        cell.student_eval,
-        evaluate(distilled, cell.test),
-        cell.teacher_eval,
-    )
+        distilled = [search.best_model]
+    return [
+        build_pair_result(
+            cell.scenario,
+            cell.method,
+            cell.option,
+            cell.teacher_id,
+            cell.student_id,
+            temperature,
+            alpha,
+            cell.student_eval,
+            evaluate(model, cell.test),
+            cell.teacher_eval,
+        )
+        for cell, model in zip(cells, distilled)
+    ]
 
 
 def run_pairwise_matrix(
@@ -391,8 +409,11 @@ def run_pairwise_matrix(
     K * (K - 1) records; self-transfers are excluded. `pairs` restricts
     the run to the given (teacher, student) pairs. Each record's
     pre-distillation evaluation is the stored pre-training report, not a
-    recomputation. Cells are independent, so `jobs` > 1 fans them out
-    over processes without changing any result. `sequential` selects the
+    recomputation. The cells of one student in one (method, option)
+    block train as one stack, each with its own seed under the seed
+    policy, so a record does not depend on which other pairs run beside
+    it. Groups are independent, so `jobs` > 1 fans them out over
+    processes without changing any result. `sequential` selects the
     linear grid search for the tuned method.
     """
     if len(pretrained) != scenario.k:
@@ -428,12 +449,17 @@ def run_pairwise_matrix(
         for option in transfer_options
         for teacher_id, student_id in pairs
     ]
+    groups: dict[tuple, list[PairCell]] = {}
+    for i, cell in enumerate(cells):
+        # a tuned cell runs its own grid search, so it is a group of its own
+        key = (cell.method, cell.option, i if cell.method == "tuned" else cell.student_id)
+        groups.setdefault(key, []).append(cell)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, cells))
+            done = list(pool.map(_run_group, groups.values()))
     else:
-        results = [_run_cell(cell) for cell in cells]
-    return canonical_order(results)
+        done = [_run_group(group) for group in groups.values()]
+    return canonical_order([record for records in done for record in records])
 
 
 # --------------------------------------------------------------------------

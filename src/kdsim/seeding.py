@@ -34,7 +34,9 @@ def stable_seed(*parts: int | float | str | bool) -> int:
             token = f"s:{part}"
         else:
             raise TypeError(f"cannot derive a seed from {part!r}")
-        digest.update(token.encode("utf-8"))
+        # surrogatepass keeps lone surrogates encodable (and distinct); other
+        # strings encode exactly as plain UTF-8
+        digest.update(token.encode("utf-8", "surrogatepass"))
         digest.update(b"\x00")
     return int.from_bytes(digest.digest()[:8], "little") & _MASK
 

@@ -509,6 +509,35 @@ def test_cli_matrix_in_two_processes_writes_identical_results(tmp_path, capsys):
     assert len(read_json(tmp_path / "run" / "results.json")["results"]) == 4 * 2 * 6
 
 
+def _restamp(path, version):
+    payload = read_json(path)
+    payload["schema_version"] = version
+    write_json(path, payload)
+
+
+def test_cli_refuses_pretrain_evaluations_of_another_schema(tiny_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    base = ("--config", str(tiny_config), "--out-dir", str(out))
+    for cmd in ("partition", "pretrain"):
+        assert _run(cmd, *base) == 0
+    _restamp(out / "pretrain_evals.json", 2)
+    capsys.readouterr()
+    assert _run("matrix", *base) == 2
+    assert "schema" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+
+
+def test_cli_report_refuses_trajectories_of_another_schema(tiny_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    base = ("--config", str(tiny_config), "--out-dir", str(out))
+    for cmd in ("partition", "pretrain", "matrix", "consolidate", "fedavg"):
+        assert _run(cmd, *base) == 0
+    _restamp(out / "trajectories.json", 2)
+    capsys.readouterr()
+    assert _run("report", *base) == 2
+    assert "schema" in capsys.readouterr().err
+
+
 def test_cli_report_refuses_stale_trajectories(tiny_config, tmp_path, capsys):
     out = tmp_path / "run"
     base = ("--out-dir", str(out))

@@ -16,6 +16,7 @@ from kdsim.metrics import (
     emit_report,
     learning_forgetting,
     parse_results_json,
+    parse_trajectories_json,
     reconciliation_residual,
     teacher_strength,
 )
@@ -225,3 +226,11 @@ def test_pair_result_json_dict_uses_short_temperature_key(rng):
     assert "temperature" not in payload
     again = PairResult.from_json_dict(payload)
     assert again.temperature == 4.0
+
+
+@pytest.mark.parametrize("header", ['"schema_version": 99, ', ""])
+def test_parse_trajectories_rejects_unknown_or_missing_schema(tmp_path, header):
+    path = tmp_path / "trajectories.json"
+    path.write_text("{" + header + '"trajectories": []}')
+    with pytest.raises(DataError, match="schema"):
+        parse_trajectories_json(path)

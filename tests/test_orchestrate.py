@@ -149,6 +149,28 @@ def test_matrix_parallel_matches_serial(pretrained, scenario):
         assert r1.to_json_dict() == r2.to_json_dict()
 
 
+@pytest.mark.filterwarnings("ignore:mutual learning without labels")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_matrix_matches_one_pair_runs(pretrained, scenario, jobs):
+    # each student's cells of a block train as one stack; a one-pair run
+    # trains a stack of one, and every record must come out the same
+    methods = ["vanilla", "dml", "dpkd"]
+    options = ["student_data", "public_labeled", "public_unlabeled_small"]
+    args = (pretrained, scenario, methods, options, QUICK, None, SIZES, 8)
+    full = run_pairwise_matrix(*args, jobs=jobs)
+    k = scenario.k
+    assert len(full) == len(methods) * len(options) * k * (k - 1)
+    singles = []
+    for t in range(k):
+        for s in range(k):
+            if t != s:
+                singles += run_pairwise_matrix(*args, pairs=[(t, s)])
+    key = lambda r: (r.method, r.transfer_option, r.teacher_id, r.student_id)
+    assert [r.to_json_dict() for r in full] == [
+        r.to_json_dict() for r in sorted(singles, key=key)
+    ]
+
+
 def test_matrix_rejects_bad_arguments(pretrained, scenario):
     with pytest.raises(ConfigError):
         run_pairwise_matrix(pretrained, scenario, ["osmosis"], ["student_data"], QUICK, None, SIZES, 0)

@@ -21,9 +21,16 @@ from kdsim.data import (
 )
 from kdsim.distill import (
     DistillConfig,
+    distill_dml,
+    distill_dml_cells,
+    distill_dpkd,
+    distill_dpkd_cells,
     distill_vanilla,
+    distill_vanilla_benches,
     distill_vanilla_cells,
+    dpkd_masks,
     effective_teachers,
+    masked_targets,
     merged_teacher_target,
     weighted_ensemble_kl_grad_logits,
 )
@@ -32,6 +39,8 @@ from kdsim.nn import (
     OPTIMIZERS,
     ArchSpec,
     Model,
+    _forward_cached,
+    backprop_params,
     forward_logits,
     init_model,
     make_optimizer,
@@ -335,3 +344,136 @@ def test_stacked_cells_are_byte_identical_to_one_cell_runs(run):
         assert model.params.shape == student.params.shape
         assert model.params.tobytes() == want
         assert _plain_vanilla(student, teacher, transfer, cell_cfg, seed).params.tobytes() == want
+
+
+@st.composite
+def _student_groups(draw):
+    """One student, several teachers, a transfer set whose last minibatch
+    is often ragged, and a run config (Adam or momentum SGD, T in {1, 3})."""
+    hidden = tuple(draw(st.lists(st.integers(1, 6), min_size=0, max_size=2)))
+    dim = draw(st.integers(1, 4))
+    classes = draw(st.integers(2, 4))
+    arch = ArchSpec(input_dim=dim, hidden_layers=hidden, num_classes=classes)
+    batch = draw(st.integers(1, 8))
+    n = batch * draw(st.integers(0, 2)) + draw(st.integers(1, batch))
+    origin = draw(st.sampled_from(["student_data", "public_labeled", "public_unlabeled_small"]))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    transfer = TransferSet(
+        features=data.normal(0, 1, size=(n, dim)),
+        labels=data.integers(0, classes, size=n) if origin != "public_unlabeled_small" else None,
+        origin=origin,
+    )
+    optimizer, momentum = draw(st.sampled_from([("adam", 0.0), ("sgd", 0.9)]))
+    cfg = DistillConfig(
+        temperature=draw(st.sampled_from([1.0, 3.0])),
+        alpha=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        epochs=draw(st.integers(1, 2)),
+        optimizer=optimizer,
+        learning_rate=0.05,
+        weight_decay=draw(st.sampled_from([0.0, 0.3])),
+        batch_size=batch,
+        momentum=momentum,
+        supervised_dpkd=transfer.labeled and draw(st.booleans()),
+    )
+    cells = draw(st.integers(1, 4))
+    seed_lists = st.lists(st.integers(0, 2**32), min_size=cells, max_size=cells)
+    teachers = [init_model(arch, s) for s in draw(seed_lists)]
+    seeds = draw(seed_lists)
+    return init_model(arch, draw(st.integers(0, 2**32))), teachers, transfer, cfg, seeds
+
+
+def _plain_dml(peer_a, peer_b, transfer, cfg, seed):
+    """Reference: two unstacked peers stepping in turn."""
+    hard = None if not transfer.labeled else onehot(transfer.labels, peer_a.arch.num_classes)
+    work = [peer_a.copy(), peer_b.copy()]
+    opts = [
+        make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, w)[0]
+        for w in work
+    ]
+    for epoch in range(1, cfg.epochs + 1):
+        orders = [
+            rng_for(seed, peer, epoch).permutation(len(transfer)) for peer in ("peer-a", "peer-b")
+        ]
+        for start in range(0, len(transfer), cfg.batch_size):
+            for me in (0, 1):
+                idx = orders[me][start : start + cfg.batch_size]
+                logits, acts = _forward_cached(work[me], transfer.features[idx])
+                probs = softmax(logits, 1.0)
+                partner = softmax(forward_logits(work[1 - me], transfer.features[idx]), 1.0)
+                dlogits = (probs - partner) / len(idx)
+                if hard is not None:
+                    dlogits = dlogits + (probs - hard[idx]) / len(idx)
+                backprop_params(work[me], acts, dlogits, out=opts[me].grad_views)
+                opts[me].step(work[me].params, opts[me].grad)
+    return work
+
+
+def _plain_dpkd(student, teacher, transfer, cfg, seed):
+    """Reference: masks and targets computed apart, one unstacked model."""
+    masks = dpkd_masks(teacher, student, transfer, cfg.supervised_dpkd)
+    soft = masked_targets(
+        softmax(forward_logits(teacher, transfer.features), cfg.temperature),
+        softmax(forward_logits(student, transfer.features), cfg.temperature),
+        masks,
+    )
+    work = student.copy()
+    opt, _ = make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work)
+    for epoch in range(1, cfg.epochs + 1):
+        train_epoch(
+            work, opt, transfer.features, cfg.batch_size, rng_for(seed, "epoch", epoch),
+            soft=soft, temperature=cfg.temperature,
+        )
+    return work
+
+
+def _bytes(models):
+    return [m.params.tobytes() for m in models]
+
+
+@PROPERTY
+@given(_student_groups())
+def test_stacked_teacher_cells_equal_one_cell_vanilla_runs(run):
+    student, teachers, transfer, cfg, seeds = run
+    cells = distill_vanilla_benches(
+        student, [[t] for t in teachers], transfer, cfg, [cfg.alpha] * len(seeds), seeds
+    )
+    assert _bytes(cells) == _bytes(
+        [distill_vanilla(student, [t], transfer, cfg, s) for t, s in zip(teachers, seeds)]
+    )
+    # the first teacher's cell against a plain, unstacked run
+    assert cells[0].params.tobytes() == _plain_vanilla(
+        student, teachers[0], transfer, cfg, seeds[0]
+    ).params.tobytes()
+
+
+@PROPERTY
+@given(_student_groups())
+def test_stacked_dpkd_cells_equal_one_cell_runs(run):
+    student, teachers, transfer, cfg, seeds = run
+    cells = distill_dpkd_cells(student, teachers, transfer, cfg, seeds)
+    assert _bytes(cells) == _bytes(
+        [distill_dpkd(student, t, transfer, cfg, s) for t, s in zip(teachers, seeds)]
+    )
+    assert cells[0].params.tobytes() == _plain_dpkd(
+        student, teachers[0], transfer, cfg, seeds[0]
+    ).params.tobytes()
+
+
+@PROPERTY
+@pytest.mark.filterwarnings("ignore:mutual learning without labels")
+@given(_student_groups())
+def test_stacked_dml_cells_equal_one_cell_runs(run):
+    student, teachers, transfer, cfg, seeds = run
+    peers_a, peers_b = distill_dml_cells(
+        [student] * len(seeds), teachers, transfer, transfer, cfg, seeds
+    )
+    one_cell = [
+        distill_dml(student, t, transfer, transfer, cfg, s) for t, s in zip(teachers, seeds)
+    ]
+    assert _bytes(peers_a) == _bytes([a for a, _ in one_cell])
+    assert _bytes(peers_b) == _bytes([b for _, b in one_cell])
+    plain_a, plain_b = _plain_dml(student, teachers[0], transfer, cfg, seeds[0])
+    assert (peers_a[0].params.tobytes(), peers_b[0].params.tobytes()) == (
+        plain_a.params.tobytes(),
+        plain_b.params.tobytes(),
+    )

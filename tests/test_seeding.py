@@ -63,3 +63,10 @@ def test_rejects_strings_holding_the_separator():
     # "a\x00s:b" would otherwise hash exactly like the pair ("a", "b")
     with pytest.raises(ValueError, match="NUL"):
         stable_seed("a\x00s:b")
+
+
+def test_lone_surrogates_hash_and_stay_distinct():
+    # strings holding a lone surrogate are valid str values; UTF-8 alone
+    # cannot encode them
+    assert stable_seed("\ud800") != stable_seed("\ud801")
+    assert stable_seed("a\udfff") != stable_seed("a")
