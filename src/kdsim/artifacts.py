@@ -102,9 +102,9 @@ def atomic_write(path: str | Path, mode: str = "w"):
 
 def write_json(path: str | Path, obj) -> None:
     """Write canonical JSON: sorted keys, indent 1, trailing newline."""
+    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
     with atomic_write(path) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_json(path: str | Path):

@@ -51,8 +51,6 @@ from .metrics import (
 from .nn import EvalReport, init_model
 from .orchestrate import (
     Scenario,
-    _shared_transfer_sets,
-    _transfer_for,
     best_teacher_frequency,
     consolidate_models,
     grid_search_tuned,
@@ -62,6 +60,7 @@ from .orchestrate import (
     pretrain_participants,
     run_pairwise_matrix,
     scenario_from_plan,
+    transfer_set_for,
 )
 from .seeding import stable_seed
 from .toydata import gaussian_blobs
@@ -256,7 +255,7 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
     scenario, _ = _scenario(cfg, out, args.force)
     pretrained = pretrain_participants(
-        scenario, tuple(cfg.model.hidden_layers), cfg.train_config(), cfg.seed
+        scenario, tuple(cfg.model.hidden_layers), cfg.pretrain, cfg.seed
     )
     (out / "models").mkdir(exist_ok=True)
     fingerprint = config_fingerprint(cfg, "pretrain")
@@ -314,9 +313,7 @@ def cmd_grid(cfg: RunConfig, args) -> int:
     pretrained = _load_pretrained(cfg, out, args.force)
     teacher, student = _check_pair(args, scenario.k)
     option = args.transfer_option
-    sizes = cfg.transfer_sizes()
-    shared = _shared_transfer_sets(scenario, [option], sizes, cfg.seed)
-    transfer = _transfer_for(scenario, shared, option, student, sizes)
+    transfer = transfer_set_for(scenario, option, student, cfg.transfer_sizes(), cfg.seed)
     search = grid_search_tuned(
         pretrained[student][0],
         pretrained[teacher][0],
@@ -434,7 +431,7 @@ def cmd_fedavg(cfg: RunConfig, args) -> int:
         consolidated,
         shards,
         scenario.test,
-        cfg.fed_config(),
+        cfg.fed,
         stable_seed(cfg.seed, "fed"),
     )
     write_json(out / TRAJECTORIES_FILE, trajectories_payload([random_arm, consolidated_arm]))

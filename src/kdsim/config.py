@@ -6,6 +6,12 @@ rejected, and validation collects every problem before failing so a bad
 config reports all of its mistakes in one pass. Command-line overrides
 (seed, output directory, jobs) are applied onto the tree before
 validation.
+
+The `pretrain` and `fed` sections are the library recipes themselves,
+`nn.TrainConfig` and `fed.FedConfig`, and the `distill` section's
+training keys follow `distill.DistillConfig`'s rules: each recipe states
+its rules once, in the library, and validation here reports them under
+the section's name. No check counts a boolean as a number.
 """
 
 from __future__ import annotations
@@ -16,10 +22,10 @@ from pathlib import Path
 import yaml
 
 from .data import PARTITION_STRATEGIES, TRANSFER_OPTIONS, TransferSizes
-from .distill import DistillConfig
+from .distill import DistillConfig, recipe_problems
 from .errors import ConfigError
 from .fed import FedConfig
-from .nn import OPTIMIZERS, TrainConfig
+from .nn import TrainConfig, check, is_int, is_number
 from .orchestrate import (
     DEFAULT_GRID_ALPHAS,
     DEFAULT_GRID_TEMPERATURES,
@@ -70,17 +76,6 @@ class ModelSection:
 
 
 @dataclass
-class PretrainSection:
-    optimizer: str = "adam"
-    learning_rate: float = 1e-3
-    weight_decay: float = 4e-4
-    batch_size: int = 32
-    max_epochs: int = 100
-    patience: int = 10
-    momentum: float = 0.0
-
-
-@dataclass
 class DistillSection:
     methods: list[str] = field(default_factory=lambda: ["vanilla"])
     transfer_options: list[str] = field(default_factory=lambda: ["student_data"])
@@ -110,18 +105,6 @@ class ConsolidateSection:
 
 
 @dataclass
-class FedSection:
-    rounds: int = 100
-    local_epochs: int = 2
-    participation_rate: float = 1.0
-    optimizer: str = "sgd"
-    learning_rate: float = 0.01
-    weight_decay: float = 4e-4
-    momentum: float = 0.0
-    batch_size: int = 32
-
-
-@dataclass
 class ReportSection:
     format: str = "csv"
 
@@ -135,39 +118,18 @@ class RunConfig:
     partition: PartitionSection = field(default_factory=PartitionSection)
     pool: PoolSection = field(default_factory=PoolSection)
     model: ModelSection = field(default_factory=ModelSection)
-    pretrain: PretrainSection = field(default_factory=PretrainSection)
+    pretrain: TrainConfig = field(default_factory=TrainConfig)
     distill: DistillSection = field(default_factory=DistillSection)
     grid: GridSection = field(default_factory=GridSection)
     consolidate: ConsolidateSection = field(default_factory=ConsolidateSection)
-    fed: FedSection = field(default_factory=FedSection)
+    fed: FedConfig = field(default_factory=FedConfig)
     report: ReportSection = field(default_factory=ReportSection)
 
     # -- adapters into the library dataclasses ------------------------------
 
-    def train_config(self) -> TrainConfig:
-        p = self.pretrain
-        return TrainConfig(
-            optimizer=p.optimizer,
-            learning_rate=p.learning_rate,
-            weight_decay=p.weight_decay,
-            batch_size=p.batch_size,
-            max_epochs=p.max_epochs,
-            patience=p.patience,
-            momentum=p.momentum,
-        )
-
     def distill_config(self) -> DistillConfig:
-        d = self.distill
-        return DistillConfig(
-            temperature=d.temperature,
-            alpha=d.alpha,
-            epochs=d.epochs,
-            optimizer=d.optimizer,
-            learning_rate=d.learning_rate,
-            weight_decay=d.weight_decay,
-            batch_size=d.batch_size,
-            momentum=d.momentum,
-        )
+        recipe = DistillConfig.__dataclass_fields__
+        return DistillConfig(**{k: v for k, v in asdict(self.distill).items() if k in recipe})
 
     def grid_spec(self) -> GridSpec:
         return GridSpec(
@@ -181,19 +143,6 @@ class RunConfig:
             unlabeled_large=self.pool.unlabeled_large,
         )
 
-    def fed_config(self) -> FedConfig:
-        f = self.fed
-        return FedConfig(
-            rounds=f.rounds,
-            local_epochs=f.local_epochs,
-            participation_rate=f.participation_rate,
-            optimizer=f.optimizer,
-            learning_rate=f.learning_rate,
-            weight_decay=f.weight_decay,
-            momentum=f.momentum,
-            batch_size=f.batch_size,
-        )
-
     def as_dict(self) -> dict:
         return asdict(self)
 
@@ -203,11 +152,11 @@ _SECTIONS = {
     "partition": PartitionSection,
     "pool": PoolSection,
     "model": ModelSection,
-    "pretrain": PretrainSection,
+    "pretrain": TrainConfig,
     "distill": DistillSection,
     "grid": GridSection,
     "consolidate": ConsolidateSection,
-    "fed": FedSection,
+    "fed": FedConfig,
     "report": ReportSection,
 }
 _TOP_SCALARS = ("seed", "out_dir", "jobs")
@@ -234,174 +183,121 @@ def _build_tree(raw: dict, errors: list[str]) -> RunConfig:
     return cfg
 
 
-def _is_num(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check(errors: list[str], ok: bool, path: str, message: str) -> None:
-    if not ok:
-        errors.append(f"{path}: {message}")
-
-
 def _validate(cfg: RunConfig, errors: list[str]) -> None:
-    _check(errors, isinstance(cfg.seed, int) and not isinstance(cfg.seed, bool) and cfg.seed >= 0,
-           "seed", "must be a non-negative integer")
-    _check(errors, isinstance(cfg.out_dir, str) and cfg.out_dir != "", "out_dir",
-           "must be a non-empty path")
-    _check(errors, isinstance(cfg.jobs, int) and not isinstance(cfg.jobs, bool) and cfg.jobs >= 1,
-           "jobs", "must be an integer >= 1")
+    check(errors, isinstance(cfg.seed, int) and not isinstance(cfg.seed, bool) and cfg.seed >= 0,
+          "seed", "must be a non-negative integer")
+    check(errors, isinstance(cfg.out_dir, str) and cfg.out_dir != "", "out_dir",
+          "must be a non-empty path")
+    check(errors, isinstance(cfg.jobs, int) and not isinstance(cfg.jobs, bool) and cfg.jobs >= 1,
+          "jobs", "must be an integer >= 1")
 
     d = cfg.dataset
-    _check(errors, d.kind in DATASET_KINDS, "dataset.kind",
-           f"must be one of {DATASET_KINDS}")
+    check(errors, d.kind in DATASET_KINDS, "dataset.kind",
+          f"must be one of {DATASET_KINDS}")
     if d.kind == "toy":
-        _check(errors, isinstance(d.classes, int) and d.classes >= 2, "dataset.classes",
-               "must be an integer >= 2")
-        _check(errors, isinstance(d.dim, int) and d.dim >= 1, "dataset.dim",
-               "must be an integer >= 1")
-        _check(errors, isinstance(d.train_per_class, int) and d.train_per_class >= 1,
-               "dataset.train_per_class", "must be an integer >= 1")
-        _check(errors, isinstance(d.test_per_class, int) and d.test_per_class >= 1,
-               "dataset.test_per_class", "must be an integer >= 1")
-        _check(errors, _is_num(d.spread) and d.spread > 0, "dataset.spread", "must be > 0")
+        check(errors, is_int(d.classes) and d.classes >= 2, "dataset.classes",
+              "must be an integer >= 2")
+        check(errors, is_int(d.dim) and d.dim >= 1, "dataset.dim",
+              "must be an integer >= 1")
+        check(errors, is_int(d.train_per_class) and d.train_per_class >= 1,
+              "dataset.train_per_class", "must be an integer >= 1")
+        check(errors, is_int(d.test_per_class) and d.test_per_class >= 1,
+              "dataset.test_per_class", "must be an integer >= 1")
+        check(errors, is_number(d.spread) and d.spread > 0, "dataset.spread", "must be > 0")
     elif d.kind == "csv":
-        _check(errors, isinstance(d.train_path, str) and d.train_path, "dataset.train_path",
-               "required for csv datasets")
-        _check(errors, isinstance(d.test_path, str) and d.test_path, "dataset.test_path",
-               "required for csv datasets")
+        check(errors, isinstance(d.train_path, str) and d.train_path, "dataset.train_path",
+              "required for csv datasets")
+        check(errors, isinstance(d.test_path, str) and d.test_path, "dataset.test_path",
+              "required for csv datasets")
 
     p = cfg.partition
-    _check(errors, p.strategy in PARTITION_STRATEGIES, "partition.strategy",
-           f"must be one of {PARTITION_STRATEGIES}")
-    _check(errors, isinstance(p.k, int) and p.k >= 1, "partition.k",
-           "must be an integer >= 1")
-    _check(errors, _is_num(p.beta) and p.beta > 0, "partition.beta", "must be > 0")
-    _check(errors, _is_num(p.dominant_fraction) and 0 < p.dominant_fraction < 1,
-           "partition.dominant_fraction", "must lie in (0, 1)")
-    _check(errors, isinstance(p.min_chunk, int) and p.min_chunk >= 1, "partition.min_chunk",
-           "must be an integer >= 1")
+    check(errors, p.strategy in PARTITION_STRATEGIES, "partition.strategy",
+          f"must be one of {PARTITION_STRATEGIES}")
+    check(errors, is_int(p.k) and p.k >= 1, "partition.k",
+          "must be an integer >= 1")
+    check(errors, is_number(p.beta) and p.beta > 0, "partition.beta", "must be > 0")
+    check(errors, is_number(p.dominant_fraction) and 0 < p.dominant_fraction < 1,
+          "partition.dominant_fraction", "must lie in (0, 1)")
+    check(errors, is_int(p.min_chunk) and p.min_chunk >= 1, "partition.min_chunk",
+          "must be an integer >= 1")
     if p.betas is not None:
         ok = isinstance(p.betas, list) and len(p.betas) == p.k and all(
-            _is_num(b) and b > 0 for b in p.betas
+            is_number(b) and b > 0 for b in p.betas
         )
-        _check(errors, ok, "partition.betas", f"must be a list of {p.k} positive numbers")
-    _check(errors, _is_num(p.val_fraction) and 0 < p.val_fraction < 1,
-           "partition.val_fraction", "must lie in (0, 1)")
-    if p.strategy == "specialized" and d.kind == "toy" and isinstance(d.classes, int):
-        _check(errors, p.k == d.classes, "partition.k",
-               f"specialized strategy needs k == dataset.classes ({d.classes})")
+        check(errors, ok, "partition.betas", f"must be a list of {p.k} positive numbers")
+    check(errors, is_number(p.val_fraction) and 0 < p.val_fraction < 1,
+          "partition.val_fraction", "must lie in (0, 1)")
+    if p.strategy == "specialized" and d.kind == "toy" and is_int(d.classes):
+        check(errors, p.k == d.classes, "partition.k",
+              f"specialized strategy needs k == dataset.classes ({d.classes})")
 
     pool = cfg.pool
     for name in ("size", "labeled", "unlabeled_small", "unlabeled_large"):
         val = getattr(pool, name)
-        _check(errors, isinstance(val, int) and val >= 1, f"pool.{name}",
-               "must be an integer >= 1")
-    used_options = set(cfg.distill.transfer_options) | {cfg.consolidate.transfer_option}
+        check(errors, is_int(val) and val >= 1, f"pool.{name}",
+              "must be an integer >= 1")
+    used_options = [cfg.consolidate.transfer_option]
+    if isinstance(cfg.distill.transfer_options, list):
+        used_options += cfg.distill.transfer_options
     need = {
         "public_labeled": pool.labeled,
         "public_unlabeled_small": pool.unlabeled_small,
         "public_unlabeled_large": pool.unlabeled_large,
     }
     for option, count in need.items():
-        if option in used_options and isinstance(count, int) and isinstance(pool.size, int):
-            _check(errors, pool.size >= count, "pool.size",
-                   f"must cover the {count} samples option {option} draws")
+        if option in used_options and is_int(count) and is_int(pool.size):
+            check(errors, pool.size >= count, "pool.size",
+                  f"must cover the {count} samples option {option} draws")
 
     m = cfg.model
     ok = (
         isinstance(m.hidden_layers, list)
-        and all(isinstance(w, int) and w >= 1 for w in m.hidden_layers)
+        and all(is_int(w) and w >= 1 for w in m.hidden_layers)
     )
-    _check(errors, ok, "model.hidden_layers", "must be a list of integers >= 1")
+    check(errors, ok, "model.hidden_layers", "must be a list of integers >= 1")
 
-    t = cfg.pretrain
-    _check(errors, t.optimizer in OPTIMIZERS, "pretrain.optimizer",
-           f"must be one of {OPTIMIZERS}")
-    _check(errors, _is_num(t.learning_rate) and t.learning_rate > 0,
-           "pretrain.learning_rate", "must be > 0")
-    _check(errors, _is_num(t.weight_decay) and t.weight_decay >= 0,
-           "pretrain.weight_decay", "must be >= 0")
-    _check(errors, isinstance(t.batch_size, int) and t.batch_size >= 1,
-           "pretrain.batch_size", "must be an integer >= 1")
-    _check(errors, isinstance(t.max_epochs, int) and t.max_epochs >= 1,
-           "pretrain.max_epochs", "must be an integer >= 1")
-    _check(errors, isinstance(t.patience, int) and 1 <= t.patience <= (
-        t.max_epochs if isinstance(t.max_epochs, int) else 1
-    ), "pretrain.patience", "must be an integer in [1, max_epochs]")
-    _check(errors, _is_num(t.momentum) and 0 <= t.momentum < 1, "pretrain.momentum",
-           "must lie in [0, 1)")
+    # the training recipes state their own rules
+    errors += [f"pretrain.{msg}" for msg in cfg.pretrain.problems()]
+    errors += [f"distill.{msg}" for msg in recipe_problems(cfg.distill)]
+    errors += [f"fed.{msg}" for msg in cfg.fed.problems()]
 
     s = cfg.distill
     ok = isinstance(s.methods, list) and s.methods and all(
         mth in MATRIX_METHODS for mth in s.methods
     )
-    _check(errors, ok, "distill.methods", f"must be a non-empty subset of {MATRIX_METHODS}")
+    check(errors, ok, "distill.methods", f"must be a non-empty subset of {MATRIX_METHODS}")
     ok = isinstance(s.transfer_options, list) and s.transfer_options and all(
         o in TRANSFER_OPTIONS for o in s.transfer_options
     )
-    _check(errors, ok, "distill.transfer_options",
-           f"must be a non-empty subset of {TRANSFER_OPTIONS}")
-    _check(errors, _is_num(s.temperature) and s.temperature > 0, "distill.temperature",
-           "must be > 0")
-    _check(errors, _is_num(s.alpha) and 0 <= s.alpha <= 1, "distill.alpha",
-           "must lie in [0, 1]")
-    _check(errors, isinstance(s.epochs, int) and s.epochs >= 1, "distill.epochs",
-           "must be an integer >= 1")
-    _check(errors, s.optimizer in OPTIMIZERS, "distill.optimizer",
-           f"must be one of {OPTIMIZERS}")
-    _check(errors, _is_num(s.learning_rate) and s.learning_rate > 0,
-           "distill.learning_rate", "must be > 0")
-    _check(errors, _is_num(s.weight_decay) and s.weight_decay >= 0,
-           "distill.weight_decay", "must be >= 0")
-    _check(errors, isinstance(s.batch_size, int) and s.batch_size >= 1,
-           "distill.batch_size", "must be an integer >= 1")
-    _check(errors, _is_num(s.momentum) and 0 <= s.momentum < 1, "distill.momentum",
-           "must lie in [0, 1)")
+    check(errors, ok, "distill.transfer_options",
+          f"must be a non-empty subset of {TRANSFER_OPTIONS}")
 
     g = cfg.grid
     ok = isinstance(g.temperatures, list) and g.temperatures and all(
-        _is_num(v) and v > 0 for v in g.temperatures
+        is_number(v) and v > 0 for v in g.temperatures
     )
-    _check(errors, ok, "grid.temperatures", "must be a non-empty list of positives")
+    check(errors, ok, "grid.temperatures", "must be a non-empty list of positives")
     ok = isinstance(g.alphas, list) and g.alphas and all(
-        _is_num(v) and 0 <= v <= 1 for v in g.alphas
+        is_number(v) and 0 <= v <= 1 for v in g.alphas
     )
-    _check(errors, ok, "grid.alphas", "must be a non-empty list of values in [0, 1]")
-    _check(errors, isinstance(g.sequential, bool), "grid.sequential", "must be a boolean")
+    check(errors, ok, "grid.alphas", "must be a non-empty list of values in [0, 1]")
+    check(errors, isinstance(g.sequential, bool), "grid.sequential", "must be a boolean")
 
     c = cfg.consolidate
-    _check(errors, c.start_policy in START_POLICIES, "consolidate.start_policy",
-           f"must be one of {START_POLICIES}")
-    _check(errors, c.weighting in WEIGHTINGS, "consolidate.weighting",
-           f"must be one of {WEIGHTINGS}")
-    _check(errors, c.transfer_option in TRANSFER_OPTIONS, "consolidate.transfer_option",
-           f"must be one of {TRANSFER_OPTIONS}")
+    check(errors, c.start_policy in START_POLICIES, "consolidate.start_policy",
+          f"must be one of {START_POLICIES}")
+    check(errors, c.weighting in WEIGHTINGS, "consolidate.weighting",
+          f"must be one of {WEIGHTINGS}")
+    check(errors, c.transfer_option in TRANSFER_OPTIONS, "consolidate.transfer_option",
+          f"must be one of {TRANSFER_OPTIONS}")
     if c.start_policy == "untrained":
-        _check(errors, c.transfer_option != "student_data", "consolidate.transfer_option",
-               "an untrained start has no own dataset; pick a public option")
-    _check(errors, isinstance(c.epochs, int) and c.epochs >= 1, "consolidate.epochs",
-           "must be an integer >= 1")
+        check(errors, c.transfer_option != "student_data", "consolidate.transfer_option",
+              "an untrained start has no own dataset; pick a public option")
+    check(errors, is_int(c.epochs) and c.epochs >= 1, "consolidate.epochs",
+          "must be an integer >= 1")
 
-    f = cfg.fed
-    _check(errors, isinstance(f.rounds, int) and f.rounds >= 1, "fed.rounds",
-           "must be an integer >= 1")
-    _check(errors, isinstance(f.local_epochs, int) and f.local_epochs >= 1,
-           "fed.local_epochs", "must be an integer >= 1")
-    _check(errors, _is_num(f.participation_rate) and 0 < f.participation_rate <= 1,
-           "fed.participation_rate", "must lie in (0, 1]")
-    _check(errors, f.optimizer in OPTIMIZERS, "fed.optimizer",
-           f"must be one of {OPTIMIZERS}")
-    _check(errors, _is_num(f.learning_rate) and f.learning_rate >= 0,
-           "fed.learning_rate", "must be >= 0")
-    _check(errors, _is_num(f.weight_decay) and f.weight_decay >= 0, "fed.weight_decay",
-           "must be >= 0")
-    _check(errors, _is_num(f.momentum) and 0 <= f.momentum < 1, "fed.momentum",
-           "must lie in [0, 1)")
-    _check(errors, isinstance(f.batch_size, int) and f.batch_size >= 1, "fed.batch_size",
-           "must be an integer >= 1")
-
-    _check(errors, cfg.report.format in REPORT_FORMATS, "report.format",
-           f"must be one of {REPORT_FORMATS}")
+    check(errors, cfg.report.format in REPORT_FORMATS, "report.format",
+          f"must be one of {REPORT_FORMATS}")
 
 
 def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:

@@ -51,11 +51,16 @@ from .nn import (
     _forward_cached,
     backprop_params,
     batch_indices,
+    check,
     check_finite,
     forward_logits,
+    is_int,
+    is_number,
     kl_loss,
     make_optimizer,
     onehot,
+    optimizer_problems,
+    raise_problems,
     softmax,
     train_epoch,
 )
@@ -70,7 +75,9 @@ class DistillConfig:
 
     temperature and alpha follow the usual soft-target convention:
     alpha mixes the hard-label term against the distillation term, and
-    temperature softens both endpoint distributions of the KL.
+    temperature softens both endpoint distributions of the KL. The
+    `distill` config section carries every field but method and
+    supervised_dpkd, and is checked by the same `recipe_problems`.
     """
 
     method: str = "vanilla"
@@ -85,22 +92,25 @@ class DistillConfig:
     supervised_dpkd: bool = False
 
     def __post_init__(self) -> None:
-        if self.method not in KD_METHODS:
-            raise ConfigError(f"unknown method {self.method!r}; choose one of {KD_METHODS}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
+        raise_problems(self)
+
+    def problems(self) -> list[str]:
+        """Every type and range finding, as "key: message"."""
+        found = recipe_problems(self)
+        check(found, self.method in KD_METHODS, "method", f"must be one of {KD_METHODS}")
+        return found
+
+
+def recipe_problems(cfg) -> list[str]:
+    """Findings on the training keys DistillConfig shares with the
+    `distill` config section: temperature, alpha, epochs and the
+    optimizer keys."""
+    found = optimizer_problems(cfg)
+    check(found, is_number(cfg.temperature) and cfg.temperature > 0, "temperature",
+          "must be > 0")
+    check(found, is_number(cfg.alpha) and 0 <= cfg.alpha <= 1, "alpha", "must lie in [0, 1]")
+    check(found, is_int(cfg.epochs) and cfg.epochs >= 1, "epochs", "must be an integer >= 1")
+    return found
 
 
 def _student_optimizer(cfg: DistillConfig, model: Model):

@@ -8,6 +8,10 @@ aggregation are all driven by derived seed streams, so a whole
 federation is reproducible bit for bit, and two arms started from
 different initial models see exactly the same data order.
 
+`FedConfig` is both the library's federation recipe and the run
+configuration's `fed` section; its rules live in `FedConfig.problems()`
+and share the optimizer checks of `nn.optimizer_problems`.
+
 Wall-clock timings are collected per round but never persisted; result
 files must be byte-identical across reruns.
 """
@@ -20,15 +24,26 @@ from dataclasses import dataclass, field
 
 from .data import LabeledDataset
 from .errors import ConfigError, DataError, ShapeError
-from .nn import Model, check_finite, evaluate, make_optimizer, onehot, train_epoch
+from .nn import (
+    Model,
+    check,
+    check_finite,
+    evaluate,
+    is_int,
+    is_number,
+    make_optimizer,
+    onehot,
+    optimizer_problems,
+    raise_problems,
+    train_epoch,
+)
 from .seeding import rng_for
-
-FED_OPTIMIZERS = ("sgd", "adam")
 
 
 @dataclass(eq=False)
 class FedConfig:
-    """Federation schedule and the shared local training recipe.
+    """Federation schedule and the shared local training recipe; the
+    `fed` config section.
 
     learning_rate may be zero (a frozen federation is a useful probe);
     everything else follows the usual constraints.
@@ -44,26 +59,19 @@ class FedConfig:
     batch_size: int = 32
 
     def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if self.local_epochs < 1:
-            raise ConfigError(f"local_epochs must be >= 1, got {self.local_epochs}")
-        if not 0.0 < self.participation_rate <= 1.0:
-            raise ConfigError(
-                f"participation_rate must lie in (0, 1], got {self.participation_rate}"
-            )
-        if self.optimizer not in FED_OPTIMIZERS:
-            raise ConfigError(
-                f"unknown optimizer {self.optimizer!r}; choose one of {FED_OPTIMIZERS}"
-            )
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        raise_problems(self)
+
+    def problems(self) -> list[str]:
+        """Every type and range finding, as "key: message"."""
+        found = optimizer_problems(self, zero_learning_rate=True)
+        rate = self.participation_rate
+        check(found, is_int(self.rounds) and self.rounds >= 1, "rounds",
+              "must be an integer >= 1")
+        check(found, is_int(self.local_epochs) and self.local_epochs >= 1, "local_epochs",
+              "must be an integer >= 1")
+        check(found, is_number(rate) and 0 < rate <= 1, "participation_rate",
+              "must lie in (0, 1]")
+        return found
 
 
 @dataclass(eq=False)

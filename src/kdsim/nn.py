@@ -30,6 +30,15 @@ updates pass hard targets, distillation passes the targets it builds.
 The optimizer owns a flat gradient buffer that `backprop_params` fills,
 and it steps in place. A pass that leaves a parameter NaN or infinite
 raises DomainError.
+
+A training recipe (`TrainConfig` here, `distill.DistillConfig` and
+`fed.FedConfig`) states its rules once, in `problems()`, which lists
+every type and range finding as "key: message". Its constructor raises
+one ConfigError naming them all, and `config` reports them per key;
+`TrainConfig` and `FedConfig` are the run configuration's `pretrain`
+and `fed` sections. The five optimizer keys every recipe shares are
+checked by one helper, `optimizer_problems`, and no rule counts a
+boolean as a number.
 """
 
 from __future__ import annotations
@@ -406,9 +415,56 @@ class _Optimizer:
         params -= u
 
 
+# --------------------------------------------------------------------------
+# Training recipes
+# --------------------------------------------------------------------------
+
+
+def is_int(value) -> bool:
+    """An integer that is not a boolean (YAML's true must not count as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """An int or float that is not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check(found: list[str], ok: bool, key: str, message: str) -> None:
+    """Append the finding "key: message" unless the rule holds."""
+    if not ok:
+        found.append(f"{key}: {message}")
+
+
+def optimizer_problems(cfg, zero_learning_rate: bool = False) -> list[str]:
+    """Findings on the five optimizer keys every training recipe shares:
+    optimizer, learning_rate, weight_decay, batch_size, momentum."""
+    found: list[str] = []
+    lr = cfg.learning_rate
+    check(found, cfg.optimizer in OPTIMIZERS, "optimizer", f"must be one of {OPTIMIZERS}")
+    if zero_learning_rate:
+        check(found, is_number(lr) and lr >= 0, "learning_rate", "must be >= 0")
+    else:
+        check(found, is_number(lr) and lr > 0, "learning_rate", "must be > 0")
+    check(found, is_number(cfg.weight_decay) and cfg.weight_decay >= 0, "weight_decay",
+          "must be >= 0")
+    check(found, is_int(cfg.batch_size) and cfg.batch_size >= 1, "batch_size",
+          "must be an integer >= 1")
+    check(found, is_number(cfg.momentum) and 0 <= cfg.momentum < 1, "momentum",
+          "must lie in [0, 1)")
+    return found
+
+
+def raise_problems(cfg) -> None:
+    """Raise one ConfigError listing every finding of `cfg.problems()`."""
+    found = cfg.problems()
+    if found:
+        raise ConfigError(f"invalid {type(cfg).__name__}: " + "; ".join(found))
+
+
 @dataclass(eq=False)
 class TrainConfig:
-    """Supervised training recipe."""
+    """Supervised training recipe; the `pretrain` config section."""
 
     optimizer: str = "adam"
     learning_rate: float = 1e-3
@@ -419,24 +475,17 @@ class TrainConfig:
     momentum: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(
-                f"unknown optimizer {self.optimizer!r}; choose one of {OPTIMIZERS}"
-            )
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not 1 <= self.patience <= self.max_epochs:
-            raise ConfigError(
-                f"patience must lie in [1, max_epochs], got {self.patience}"
-            )
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
+        raise_problems(self)
+
+    def problems(self) -> list[str]:
+        """Every type and range finding, as "key: message"."""
+        found = optimizer_problems(self)
+        check(found, is_int(self.max_epochs) and self.max_epochs >= 1, "max_epochs",
+              "must be an integer >= 1")
+        top = self.max_epochs if is_int(self.max_epochs) else 1
+        check(found, is_int(self.patience) and 1 <= self.patience <= top, "patience",
+              "must be an integer in [1, max_epochs]")
+        return found
 
 
 def make_optimizer(

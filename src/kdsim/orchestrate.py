@@ -37,8 +37,6 @@ import numpy as np
 from .data import (
     LabeledDataset,
     PartitionPlan,
-    PUBLIC_TRANSFER_OPTIONS,
-    TRANSFER_OPTIONS,
     TransferSet,
     TransferSizes,
     build_transfer_set,
@@ -269,41 +267,22 @@ def pair_seed(
     )
 
 
-def _shared_transfer_sets(
+def transfer_set_for(
     scenario: Scenario,
-    options: list[str],
+    option: str,
+    student_id: int | None,
     sizes: TransferSizes,
     master_seed: int,
-) -> dict[str, TransferSet]:
-    shared = {}
-    for option in options:
-        if option not in TRANSFER_OPTIONS:
-            raise ConfigError(
-                f"unknown transfer option {option!r}; choose one of {TRANSFER_OPTIONS}"
-            )
-        if option in PUBLIC_TRANSFER_OPTIONS:
-            shared[option] = build_transfer_set(
-                option,
-                scenario.public_pool,
-                None,
-                sizes,
-                stable_seed(master_seed, "transfer-sample"),
-            )
-    return shared
-
-
-def _transfer_for(
-    scenario: Scenario,
-    shared: dict[str, TransferSet],
-    option: str,
-    student_id: int,
-    sizes: TransferSizes,
 ) -> TransferSet:
+    """One transfer option's set for one student: a copy of the student's
+    own training data for student_data, otherwise the public-pool draw
+    every student shares (`student_id` is then unused)."""
     if option == "student_data":
-        return build_transfer_set(
-            "student_data", None, scenario.participants[student_id].train, sizes, 0
-        )
-    return shared[option]
+        train = scenario.participants[student_id].train
+        return build_transfer_set(option, None, train, sizes, 0)
+    return build_transfer_set(
+        option, scenario.public_pool, None, sizes, stable_seed(master_seed, "transfer-sample")
+    )
 
 
 @dataclass(eq=False)
@@ -423,7 +402,11 @@ def run_pairwise_matrix(
     for m in methods:
         if m not in MATRIX_METHODS:
             raise ConfigError(f"unknown method {m!r}; choose one of {MATRIX_METHODS}")
-    shared = _shared_transfer_sets(scenario, transfer_options, sizes, master_seed)
+    public = {
+        option: transfer_set_for(scenario, option, None, sizes, master_seed)
+        for option in transfer_options
+        if option != "student_data"
+    }
     if pairs is None:
         pairs = [(t, s) for t in range(scenario.k) for s in range(scenario.k) if t != s]
     cells = [
@@ -438,7 +421,11 @@ def run_pairwise_matrix(
             student=pretrained[student_id][0],
             student_eval=pretrained[student_id][1],
             student_val=scenario.participants[student_id].val,
-            transfer=_transfer_for(scenario, shared, option, student_id, sizes),
+            transfer=(
+                public[option]
+                if option in public
+                else transfer_set_for(scenario, option, student_id, sizes, master_seed)
+            ),
             test=scenario.test,
             cfg=cfg,
             grid=grid,
@@ -723,8 +710,7 @@ def consolidate_models(
     else:
         weights = equal_teacher_weights(len(teachers), scenario.test.class_count)
 
-    shared = _shared_transfer_sets(scenario, [ts_option], sizes, master_seed)
-    transfer = _transfer_for(scenario, shared, ts_option, chosen, sizes)
+    transfer = transfer_set_for(scenario, ts_option, chosen, sizes, master_seed)
     run_cfg = replace(cfg, epochs=epochs)
     seed = stable_seed(master_seed, "consolidate", start_policy, weighting, ts_option)
     merged = distill_multi_teacher(student, teachers, weights, transfer, run_cfg, seed)

@@ -16,7 +16,8 @@ from kdsim.artifacts import (
 from kdsim.cli import main
 from kdsim.config import RunConfig, parse_config
 from kdsim.errors import ConfigError, ParseError
-from kdsim.nn import ArchSpec, init_model, models_equal
+from kdsim.fed import FedConfig
+from kdsim.nn import ArchSpec, TrainConfig, init_model, models_equal
 from kdsim.orchestrate import DEFAULT_GRID_ALPHAS, DEFAULT_GRID_TEMPERATURES, build_scenario
 from kdsim.seeding import stable_seed
 from kdsim.toydata import gaussian_blobs
@@ -165,13 +166,34 @@ def test_untrained_consolidation_cannot_use_student_data(tmp_path):
     assert "consolidate.transfer_option" in str(err.value)
 
 
+@pytest.mark.parametrize("path", [
+    "dataset.classes", "dataset.dim", "dataset.train_per_class", "dataset.test_per_class",
+    "partition.k", "partition.min_chunk", "pool.size", "pool.labeled",
+    "pool.unlabeled_small", "pool.unlabeled_large", "consolidate.epochs",
+    "pretrain.batch_size", "pretrain.max_epochs", "distill.epochs", "fed.rounds",
+    "model.hidden_layers",
+])
+def test_booleans_are_not_counts(path):
+    section, key = path.split(".")
+    value = [True] if key == "hidden_layers" else True
+    with pytest.raises(ConfigError) as err:
+        parse_config(None, {section: {key: value}})
+    assert f"{path}: must be" in str(err.value)
+
+
+def test_malformed_transfer_options_are_reported():
+    for raw in ({"distill": {"transfer_options": 5}}, {"consolidate": {"transfer_option": [1]}}):
+        with pytest.raises(ConfigError, match="transfer_option"):
+            parse_config(None, raw)
+
+
 def test_adapters_copy_section_values(tiny_config):
     cfg = parse_config(tiny_config)
-    assert cfg.train_config().max_epochs == 12
+    assert isinstance(cfg.pretrain, TrainConfig) and cfg.pretrain.max_epochs == 12
     assert cfg.distill_config().epochs == 2
     assert cfg.grid_spec().temperatures == (1.0, 2.0)
     assert cfg.transfer_sizes().labeled == 12
-    assert cfg.fed_config().rounds == 2
+    assert isinstance(cfg.fed, FedConfig) and cfg.fed.rounds == 2
     tree = cfg.as_dict()
     assert tree["pool"]["unlabeled_large"] == 30
 

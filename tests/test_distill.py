@@ -101,6 +101,9 @@ def test_distill_config_rejects_bad_values():
         dict(weight_decay=-1.0),
         dict(batch_size=0),
         dict(momentum=1.0),
+        dict(optimizer="lion"),
+        dict(batch_size="8"),
+        dict(epochs=True),
     ):
         with pytest.raises(ConfigError):
             DistillConfig(**kwargs)

@@ -41,6 +41,10 @@ def test_fed_config_accepts_zero_learning_rate():
         dict(learning_rate=-1.0),
         dict(momentum=1.0),
         dict(batch_size=0),
+        dict(batch_size="8"),
+        dict(batch_size=True),
+        dict(rounds=True),
+        dict(learning_rate="0.1"),
     ):
         with pytest.raises(ConfigError):
             FedConfig(**kwargs)

@@ -508,6 +508,15 @@ def test_train_config_validation():
         TrainConfig(patience=11, max_epochs=10)
     with pytest.raises(ConfigError):
         TrainConfig(momentum=1.0)
+    for kwargs in (
+        dict(batch_size="8"),
+        dict(batch_size=True),
+        dict(max_epochs=True),
+        dict(learning_rate="0.1"),
+        dict(optimizer="lion"),
+    ):
+        with pytest.raises(ConfigError):
+            TrainConfig(**kwargs)
 
 
 # -- evaluation -------------------------------------------------------------

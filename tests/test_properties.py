@@ -34,11 +34,13 @@ from kdsim.distill import (
     merged_teacher_target,
     weighted_ensemble_kl_grad_logits,
 )
-from kdsim.errors import PartitionError
+from kdsim.errors import ConfigError, PartitionError
+from kdsim.fed import FedConfig
 from kdsim.nn import (
     OPTIMIZERS,
     ArchSpec,
     Model,
+    TrainConfig,
     _forward_cached,
     backprop_params,
     forward_logits,
@@ -275,6 +277,74 @@ def test_validated_config_survives_a_yaml_round_trip(tmp_path_factory, raw):
     assert back.as_dict() == cfg.as_dict()
     for stage in STAGE_PARENTS:
         assert config_fingerprint(back, stage) == config_fingerprint(cfg, stage)
+
+
+def _optimizer_values(allow_zero_lr=False):
+    """Strategies of valid values for the five optimizer keys."""
+    return {
+        "optimizer": st.sampled_from(OPTIMIZERS),
+        "learning_rate": st.floats(0, 10) if allow_zero_lr else _positive,
+        "weight_decay": st.floats(0, 1),
+        "momentum": _rate,
+        "batch_size": st.integers(1, 256),
+    }
+
+
+# Each training-recipe section, its library class and valid values per key.
+_RECIPES = {
+    "pretrain": (TrainConfig, {
+        **_optimizer_values(),
+        "max_epochs": st.integers(1, 200),
+        "patience": st.integers(1, 20),
+    }),
+    "distill": (DistillConfig, {
+        **_optimizer_values(),
+        "temperature": _positive,
+        "alpha": _unit,
+        "epochs": st.integers(1, 100),
+    }),
+    "fed": (FedConfig, {
+        **_optimizer_values(allow_zero_lr=True),
+        "rounds": st.integers(1, 500),
+        "local_epochs": st.integers(1, 10),
+        "participation_rate": st.floats(0, 1, exclude_min=True),
+    }),
+}
+_odd_values = st.one_of(
+    st.sampled_from([True, False, None, "8", "adam ", [1]]),
+    st.integers(-3, 0),
+    st.floats(allow_nan=True),
+)
+
+
+@st.composite
+def _recipe_sections(draw):
+    """A training-recipe section whose keys take valid or invalid values."""
+    name = draw(st.sampled_from(sorted(_RECIPES)))
+    cls, valid = _RECIPES[name]
+    keys = draw(st.lists(st.sampled_from(sorted(valid)), unique=True))
+    return name, cls, {key: draw(valid[key] | _odd_values) for key in keys}
+
+
+@PROPERTY
+@given(_recipe_sections())
+def test_config_sections_report_exactly_the_library_findings(case):
+    name, cls, values = case
+    probe = cls()
+    for key, value in values.items():
+        setattr(probe, key, value)
+    found = sorted(f"{name}.{msg}" for msg in probe.problems())
+    try:
+        parse_config(None, {name: values})
+        reported = []
+    except ConfigError as err:
+        reported = [line.strip() for line in str(err).splitlines()[1:]]
+    assert reported == found
+    if found:
+        with pytest.raises(ConfigError):
+            cls(**values)
+    else:
+        cls(**values)
 
 
 @st.composite
