@@ -38,7 +38,7 @@ one ConfigError naming them all, and `config` reports them per key;
 `TrainConfig` and `FedConfig` are the run configuration's `pretrain`
 and `fed` sections. The five optimizer keys every recipe shares are
 checked by one helper, `optimizer_problems`, and no rule counts a
-boolean as a number.
+boolean or an infinity as a number.
 """
 
 from __future__ import annotations
@@ -426,8 +426,14 @@ def is_int(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """An int or float that is not a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float that is not a boolean.
+
+    Only floats are tested for finiteness: every int is finite, and
+    `math.isfinite` overflows on ints beyond the float range.
+    """
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def check(found: list[str], ok: bool, key: str, message: str) -> None:
@@ -677,7 +683,9 @@ def predict(model: Model, features: np.ndarray) -> np.ndarray:
     return np.argmax(forward_logits(model, features), axis=1)
 
 
-def evaluate(model: Model, data: LabeledDataset) -> EvalReport:
+def _hits(model: Model, data: LabeledDataset) -> np.ndarray:
+    """Whether each row of `data` is classified right; (S, n) for a stack.
+    Raises DomainError if any output is not finite."""
     if len(data) == 0:
         raise DataError("cannot evaluate on an empty dataset")
     if data.class_count != model.arch.num_classes:
@@ -688,7 +696,18 @@ def evaluate(model: Model, data: LabeledDataset) -> EvalReport:
     logits = forward_logits(model, data.features)
     if not np.isfinite(logits).all():
         raise DomainError("model outputs are not finite; its parameters have diverged")
-    hits = np.argmax(logits, axis=1) == data.labels
+    return np.argmax(logits, axis=-1) == data.labels
+
+
+def overall_accuracies(models: list[Model], data: LabeledDataset) -> list[float]:
+    """`evaluate(m, data).overall_accuracy` of every model, bit for bit,
+    from one forward pass of the models as a stack."""
+    stack = Model.from_params(models[0].arch, np.stack([m.params for m in models]), 0)
+    return [float(row.sum() / len(data)) for row in _hits(stack, data)]
+
+
+def evaluate(model: Model, data: LabeledDataset) -> EvalReport:
+    hits = _hits(model, data)
     classes = model.arch.num_classes
     support = np.bincount(data.labels, minlength=classes).astype(np.int64)
     correct = np.bincount(data.labels[hits], minlength=classes).astype(np.int64)

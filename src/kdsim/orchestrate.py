@@ -21,10 +21,15 @@ one student in one (method, option) block form a group: they share the
 student's parameters and the transfer set and differ only in teacher and
 seed, so vanilla, DML and DPKD train each group as one stack
 (`distill.distill_vanilla_benches`, `distill_dml_cells`,
-`distill_dpkd_cells`). A tuned cell is a group of its own: its grid
-search trains each temperature row as one stack
-(`distill.distill_vanilla_cells`), and the tuned method takes the
-searched winner instead of training it again.
+`distill_dpkd_cells`). The tuned cells of a group run their grid
+searches side by side (`grid_search_teachers`): each temperature row
+trains every teacher's cells as one stack, and the tuned method takes
+each search's winner instead of training it again. When vanilla is
+requested too, a student's vanilla and tuned cells of one option form
+one group, and a vanilla record takes the model of the search's grid
+cell at the configured (temperature, alpha): the seed policy gives that
+cell the vanilla record's seed. Only vanilla cells the search did not
+train are trained as a stack.
 """
 
 from __future__ import annotations
@@ -51,12 +56,20 @@ from .distill import (
     distill_dpkd_cells,
     distill_multi_teacher,
     distill_vanilla_benches,
-    distill_vanilla_cells,
     equal_teacher_weights,
 )
 from .errors import ConfigError, DataError
 from .metrics import PairResult, build_pair_result, canonical_order
-from .nn import ArchSpec, EvalReport, Model, TrainConfig, evaluate, init_model, train_supervised
+from .nn import (
+    ArchSpec,
+    EvalReport,
+    Model,
+    TrainConfig,
+    evaluate,
+    init_model,
+    overall_accuracies,
+    train_supervised,
+)
 from .seeding import stable_seed
 
 MATRIX_METHODS = ("vanilla", "dml", "dpkd", "tuned")
@@ -312,9 +325,9 @@ class PairCell:
         )
 
 
-def _run_group(cells: list[PairCell]) -> list[PairResult]:
-    """Records of one group: one student's cells of one (method, option)
-    block, trained as one stack. A tuned cell is a group of its own."""
+def _train_stack(cells: list[PairCell]) -> tuple[float, float, list[Model]]:
+    """The (temperature, alpha) recorded for a stack of one student's
+    vanilla, DML or DPKD cells of one option, and the models it trains."""
     head = cells[0]
     cfg = head.cfg
     temperature, alpha = cfg.temperature, cfg.alpha
@@ -333,27 +346,53 @@ def _run_group(cells: list[PairCell]) -> list[PairResult]:
         distilled, _ = distill_dml_cells(
             [head.student] * len(cells), teachers, head.transfer, head.transfer, cfg, seeds
         )
-    elif head.method == "dpkd":
+    else:
         run_cfg = replace(cfg, supervised_dpkd=head.option == "public_labeled")
         seeds = [cell.seed("dpkd", temperature, alpha) for cell in cells]
         distilled = distill_dpkd_cells(head.student, teachers, head.transfer, run_cfg, seeds)
-    else:
+    return temperature, alpha, distilled
+
+
+def _run_group(cells: list[PairCell]) -> list[PairResult]:
+    """Records of one group: one student's cells of one option and one
+    method, or its vanilla and tuned cells together. The tuned cells'
+    searches run side by side; the rest train as one stack."""
+    head = cells[0]
+    cfg = head.cfg
+    trained: dict[int, tuple[float, float, Model]] = {}  # by id(cell)
+    tuned = [cell for cell in cells if cell.method == "tuned"]
+    if tuned:
         if head.grid is None or head.grid.empty:
             raise ConfigError("tuned method needs a non-empty search grid")
-        search = grid_search_tuned(
+        keep = (cfg.temperature, cfg.alpha)
+        searches = grid_search_teachers(
             head.student,
-            head.teacher,
+            [cell.teacher for cell in tuned],
             head.transfer,
             head.grid,
             cfg,
             head.student_val,
-            seed_fn=lambda t, a: head.seed("vanilla", t, a),
+            [lambda t, a, cell=cell: cell.seed("vanilla", t, a) for cell in tuned],
             sequential=head.sequential,
+            keep=keep,
         )
-        temperature, alpha = search.best_temperature, search.best_alpha
-        distilled = [search.best_model]
-    return [
-        build_pair_result(
+        shared = {}
+        for cell, search in zip(tuned, searches):
+            trained[id(cell)] = (search.best_temperature, search.best_alpha, search.best_model)
+            if search.kept_model is not None:
+                shared[cell.teacher_id] = (*keep, search.kept_model)
+        for cell in cells:
+            if cell.method == "vanilla" and cell.teacher_id in shared:
+                trained[id(cell)] = shared[cell.teacher_id]
+    rest = [cell for cell in cells if id(cell) not in trained]
+    if rest:
+        temperature, alpha, models = _train_stack(rest)
+        for cell, model in zip(rest, models):
+            trained[id(cell)] = (temperature, alpha, model)
+    records = []
+    for cell in cells:
+        temperature, alpha, model = trained[id(cell)]
+        records.append(build_pair_result(
             cell.scenario,
             cell.method,
             cell.option,
@@ -364,9 +403,8 @@ def _run_group(cells: list[PairCell]) -> list[PairResult]:
             cell.student_eval,
             evaluate(model, cell.test),
             cell.teacher_eval,
-        )
-        for cell, model in zip(cells, distilled)
-    ]
+        ))
+    return records
 
 
 def run_pairwise_matrix(
@@ -391,7 +429,9 @@ def run_pairwise_matrix(
     recomputation. The cells of one student in one (method, option)
     block train as one stack, each with its own seed under the seed
     policy, so a record does not depend on which other pairs run beside
-    it. Groups are independent, so `jobs` > 1 fans them out over
+    it. A student's tuned cells of one option search side by side, and
+    its vanilla cells of that option join them (see the module
+    docstring). Groups are independent, so `jobs` > 1 fans them out over
     processes without changing any result. `sequential` selects the
     linear grid search for the tuned method.
     """
@@ -437,10 +477,10 @@ def run_pairwise_matrix(
         for teacher_id, student_id in pairs
     ]
     groups: dict[tuple, list[PairCell]] = {}
-    for i, cell in enumerate(cells):
-        # a tuned cell runs its own grid search, so it is a group of its own
-        key = (cell.method, cell.option, i if cell.method == "tuned" else cell.student_id)
-        groups.setdefault(key, []).append(cell)
+    for cell in cells:
+        # vanilla cells join the tuned searches, which train their grid cell
+        method = "tuned" if cell.method == "vanilla" and "tuned" in methods else cell.method
+        groups.setdefault((method, cell.option, cell.student_id), []).append(cell)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(_run_group, groups.values()))
@@ -457,12 +497,14 @@ def run_pairwise_matrix(
 @dataclass(eq=False)
 class GridSearchResult:
     """The searched surface, its argmax and, unless `evaluate_cell` replaced
-    the runner, the model the argmax cell trained."""
+    the runner, the model the argmax cell trained and that of the cell
+    the search was asked to keep, if it trained that cell."""
 
     best_temperature: float
     best_alpha: float
     surface: dict[tuple[float, float], float]
     best_model: Model | None = None
+    kept_model: Model | None = None
 
 
 def argmax_surface(surface: dict[tuple[float, float], float]) -> tuple[float, float]:
@@ -476,6 +518,89 @@ def argmax_surface(surface: dict[tuple[float, float], float]) -> tuple[float, fl
             best_gain = surface[key]
             best_key = key
     return best_key
+
+
+def _search(
+    count: int, grid: GridSpec, sequential: bool, run_row, keep=None
+) -> list[GridSearchResult]:
+    """The one search loop: `count` searches over `grid`, side by side.
+
+    Each search visits its cells in the order `grid_search_tuned`
+    describes, and all searches share each temperature row:
+    `run_row(temperature, cells)` gets the row's (search, alpha) cells,
+    search-major, and returns one (gain, model or None) per cell. Only
+    each search's best model so far is kept, and the model of its `keep`
+    cell.
+    """
+    surfaces: list[dict[tuple[float, float], float]] = [{} for _ in range(count)]
+    best: list[tuple | None] = [None] * count
+    kept: list[Model | None] = [None] * count
+
+    def search_row(temperature: float, cells: list[tuple[int, float]]) -> None:
+        for (i, a), (gain, model) in zip(cells, run_row(temperature, cells)):
+            key = (temperature, a)
+            surfaces[i][key] = gain
+            # the order argmax_surface picks by: highest gain, then lowest key
+            if best[i] is None or (-gain, key) < best[i][0]:
+                best[i] = ((-gain, key), model)
+            if key == keep:
+                kept[i] = model
+
+    temperatures = sorted(set(grid.temperatures))
+    alphas = sorted(set(grid.alphas))
+    every_alpha = [(i, a) for i in range(count) for a in alphas]
+    if sequential:
+        anchor = 1.0 if 1.0 in temperatures else temperatures[len(temperatures) // 2]
+        search_row(anchor, every_alpha)
+        best_alphas = [argmax_surface(surface)[1] for surface in surfaces]
+        for t in temperatures:
+            cells = [(i, a) for i, a in enumerate(best_alphas) if (t, a) not in surfaces[i]]
+            if cells:
+                search_row(t, cells)
+    else:
+        for t in temperatures:
+            search_row(t, every_alpha)
+    return [
+        GridSearchResult(*argmax_surface(surface), surface, top[1], model)
+        for surface, top, model in zip(surfaces, best, kept)
+    ]
+
+
+def grid_search_teachers(
+    student: Model,
+    teachers: list[Model],
+    transfer: TransferSet,
+    grid: GridSpec,
+    cfg: DistillConfig,
+    select_data: LabeledDataset,
+    seed_fns: list,
+    sequential: bool = False,
+    keep: tuple[float, float] | None = None,
+) -> list[GridSearchResult]:
+    """`grid_search_tuned` for each teacher of one student, side by side.
+
+    Teacher i's cells take their seeds from seed_fns[i]. Each
+    temperature row trains every teacher's cells of that row as one
+    stack (`distill_vanilla_benches`) and evaluates them with one
+    stacked forward pass; every cell is bit-identical to its own
+    `distill_vanilla` run, so each result equals the one-teacher search.
+    A result's `kept_model` is the model of its `keep` cell, if the
+    search trained that cell.
+    """
+    if grid.empty:
+        raise ConfigError("grid must contain at least one temperature and one alpha")
+    pre_acc = evaluate(student, select_data).overall_accuracy
+
+    def run_row(temperature: float, cells: list[tuple[int, float]]) -> list:
+        models = distill_vanilla_benches(
+            student, [[teachers[i]] for i, _ in cells], transfer,
+            replace(cfg, temperature=temperature), [a for _, a in cells],
+            [seed_fns[i](temperature, a) for i, a in cells],
+        )
+        accs = overall_accuracies(models, select_data)
+        return [((acc - pre_acc) * 100.0, model) for acc, model in zip(accs, models)]
+
+    return _search(len(teachers), grid, sequential, run_row, keep)
 
 
 def grid_search_tuned(
@@ -499,11 +624,10 @@ def grid_search_tuned(
     temperature 1, then temperature at the chosen alpha, trading
     optimality for a linear number of cells.
 
-    The cells of one temperature row share their soft targets and train
-    as stacks (`distill_vanilla_cells`), each bit-identical to its own
-    `distill_vanilla` run: exhaustive mode trains one row at a time, and
-    sequential mode the alpha sweep at the anchor, then single cells.
-    Only the best model so far is kept, and returned as `best_model`.
+    This is the one-teacher case of `grid_search_teachers`: the cells of
+    one temperature row share their soft targets and train as stacks,
+    each bit-identical to its own `distill_vanilla` run. Only the best
+    model so far is kept, and returned as `best_model`.
 
     evaluate_cell can replace the real runner (used by tests to probe
     selection logic against a synthetic surface); it is called cell by
@@ -514,43 +638,11 @@ def grid_search_tuned(
     if seed_fn is None:
         seed_fn = lambda t, a: pair_seed(0, 0, 1, "vanilla", t, a)
     if evaluate_cell is None:
-        pre_acc = evaluate(student, select_data).overall_accuracy
-    surface: dict[tuple[float, float], float] = {}
-    best_key, best_model = None, None
-
-    def search_row(temperature: float, alphas: list[float]) -> None:
-        nonlocal best_key, best_model
-        if evaluate_cell is not None:
-            for a in alphas:
-                surface[(temperature, a)] = evaluate_cell(temperature, a)
-            return
-        models = distill_vanilla_cells(
-            student, [teacher], transfer, replace(cfg, temperature=temperature),
-            alphas, [seed_fn(temperature, a) for a in alphas],
-        )
-        for a, model in zip(alphas, models):
-            key = (temperature, a)
-            surface[key] = (evaluate(model, select_data).overall_accuracy - pre_acc) * 100.0
-            # the order argmax_surface picks by: highest gain, then lowest key
-            if best_key is None or (-surface[key], key) < (-surface[best_key], best_key):
-                best_key, best_model = key, model
-
-    temperatures = sorted(set(grid.temperatures))
-    alphas = sorted(set(grid.alphas))
-    if sequential:
-        anchor = 1.0 if 1.0 in temperatures else temperatures[len(temperatures) // 2]
-        search_row(anchor, alphas)
-        best_alpha = argmax_surface(surface)[1]
-        for t in temperatures:
-            if (t, best_alpha) not in surface:
-                search_row(t, [best_alpha])
-    else:
-        for t in temperatures:
-            search_row(t, alphas)
-    best_t, best_a = argmax_surface(surface)
-    return GridSearchResult(
-        best_temperature=best_t, best_alpha=best_a, surface=surface, best_model=best_model
-    )
+        return grid_search_teachers(
+            student, [teacher], transfer, grid, cfg, select_data, [seed_fn], sequential
+        )[0]
+    run_row = lambda t, cells: [(evaluate_cell(t, a), None) for _, a in cells]
+    return _search(1, grid, sequential, run_row)[0]
 
 
 # --------------------------------------------------------------------------

@@ -181,6 +181,28 @@ def test_booleans_are_not_counts(path):
     assert f"{path}: must be" in str(err.value)
 
 
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("path, value", [
+    ("pretrain.learning_rate", _INF), ("pretrain.weight_decay", _INF),
+    ("distill.temperature", _INF), ("distill.learning_rate", _INF),
+    ("distill.weight_decay", _INF), ("fed.learning_rate", _INF), ("fed.weight_decay", _INF),
+    ("grid.temperatures", [1.0, _INF]), ("dataset.spread", _INF),
+    ("partition.beta", _INF), ("partition.betas", [1.0, _INF, 1.0]),
+])
+def test_infinities_are_config_errors_before_any_work(tmp_path, capsys, path, value):
+    section, key = path.split(".")
+    config = _config_with(tmp_path, "inf.yaml", **{section: {key: value}})
+    assert ".inf" in config.read_text()
+    with pytest.raises(ConfigError, match=f"{path}: must be"):
+        parse_config(config)
+    out = tmp_path / "run"
+    assert _run("partition", "--config", str(config), "--out-dir", str(out)) == 1
+    assert path in capsys.readouterr().err
+    assert not (out / "plan.json").exists()
+
+
 def test_malformed_transfer_options_are_reported():
     for raw in ({"distill": {"transfer_options": 5}}, {"consolidate": {"transfer_option": [1]}}):
         with pytest.raises(ConfigError, match="transfer_option"):
@@ -496,14 +518,14 @@ def test_cli_matrix_honours_sequential_grid(tmp_path, monkeypatch, capsys):
         grid={"temperatures": [1.0, 2.0, 3.0], "alphas": [0.25, 0.5, 0.75], "sequential": True},
     )
     surfaces = []
-    search = orchestrate.grid_search_tuned
+    search = orchestrate.grid_search_teachers
 
     def counting_search(*args, **kwargs):
-        result = search(*args, **kwargs)
-        surfaces.append(len(result.surface))
-        return result
+        results = search(*args, **kwargs)
+        surfaces.extend(len(result.surface) for result in results)
+        return results
 
-    monkeypatch.setattr(orchestrate, "grid_search_tuned", counting_search)
+    monkeypatch.setattr(orchestrate, "grid_search_teachers", counting_search)
     base = ("--config", str(config), "--out-dir", str(tmp_path / "run"))
     for cmd in ("partition", "pretrain", "matrix"):
         assert _run(cmd, *base) == 0
@@ -529,6 +551,26 @@ def test_cli_matrix_in_two_processes_writes_identical_results(tmp_path, capsys):
         blobs.append((tmp_path / "run" / "results.json").read_bytes())
     assert blobs[0] == blobs[1]
     assert len(read_json(tmp_path / "run" / "results.json")["results"]) == 4 * 2 * 6
+
+
+def test_cli_sequential_tuned_matrix_in_two_processes_writes_identical_results(
+    tmp_path, capsys
+):
+    config = _config_with(
+        tmp_path,
+        "seq.yaml",
+        distill={"methods": ["vanilla", "tuned"], "transfer_options": ["student_data"]},
+        grid={"temperatures": [0.5, 1.0, 3.0], "alphas": [0.0, 0.5, 1.0], "sequential": True},
+    )
+    base = ("--config", str(config), "--out-dir", str(tmp_path / "run"))
+    assert _run("partition", *base) == 0
+    assert _run("pretrain", *base) == 0
+    blobs = []
+    for jobs in ("1", "2"):
+        assert _run("matrix", *base, "--jobs", jobs) == 0
+        blobs.append((tmp_path / "run" / "results.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert len(read_json(tmp_path / "run" / "results.json")["results"]) == 2 * 6
 
 
 def _restamp(path, version):

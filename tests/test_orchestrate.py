@@ -171,6 +171,46 @@ def test_matrix_matches_one_pair_runs(pretrained, scenario, jobs):
     ]
 
 
+@pytest.mark.parametrize("sequential, point, retrained", [
+    (False, (1.0, 0.5), "none"),
+    (True, (1.0, 0.5), "none"),
+    (False, (2.0, 0.5), "all"),  # off the grid: the vanilla cells train as before
+    # only searches whose anchor row picked alpha 0.1 train (3, 0.1)
+    (True, (3.0, 0.1), "some"),
+])
+def test_vanilla_records_beside_tuned_equal_vanilla_only_records(
+    pretrained, scenario, monkeypatch, sequential, point, retrained
+):
+    from dataclasses import replace
+
+    import kdsim.orchestrate as orchestrate
+
+    cfg = replace(QUICK, temperature=point[0], alpha=point[1])
+    grid = GridSpec(temperatures=(3.0, 1.0), alphas=(0.9, 0.5, 0.1))
+    options = ["student_data", "public_unlabeled_small"]
+    run = lambda methods: run_pairwise_matrix(
+        pretrained, scenario, methods, options, cfg, grid, SIZES, 9, sequential=sequential
+    )
+    alone = run(["vanilla"])
+    trained = []
+    train_stack = orchestrate._train_stack
+    monkeypatch.setattr(
+        orchestrate, "_train_stack", lambda cells: trained.extend(cells) or train_stack(cells)
+    )
+    both = run(["vanilla", "tuned"])
+    assert [r.to_json_dict() for r in both if r.method == "vanilla"] == [
+        r.to_json_dict() for r in alone
+    ]
+    assert len(both) == 2 * len(alone)
+    assert {cell.method for cell in trained} <= {"vanilla"}
+    # a search that trained the configured cell gives the vanilla record its model
+    count = {"none": 0, "all": len(alone)}.get(retrained)
+    if count is None:
+        assert 0 < len(trained) < len(alone)
+    else:
+        assert len(trained) == count
+
+
 def test_matrix_rejects_bad_arguments(pretrained, scenario):
     with pytest.raises(ConfigError):
         run_pairwise_matrix(pretrained, scenario, ["osmosis"], ["student_data"], QUICK, None, SIZES, 0)
@@ -236,6 +276,29 @@ def test_sequential_anchor_falls_back_to_median_temperature():
         sequential=True,
     )
     assert {t for t, _ in calls[:2]} == {3.0}
+
+
+def test_side_by_side_searches_follow_their_own_best_alpha():
+    import kdsim.orchestrate as orchestrate
+
+    peaks = [(4.0, 0.9), (2.0, 0.1)]
+    rows = []
+
+    def run_row(t, cells):
+        rows.append((t, cells))
+        return [(-(abs(t - peaks[i][0]) + abs(a - peaks[i][1])), None) for i, a in cells]
+
+    grid = GridSpec(temperatures=(4.0, 1.0, 2.0), alphas=(0.9, 0.1, 0.5))
+    results = orchestrate._search(2, grid, True, run_row)
+    assert [(r.best_temperature, r.best_alpha) for r in results] == peaks
+    # one anchor row of every search's alphas, search-major, then one
+    # cell per search at its own best alpha
+    assert rows == [
+        (1.0, [(0, 0.1), (0, 0.5), (0, 0.9), (1, 0.1), (1, 0.5), (1, 0.9)]),
+        (2.0, [(0, 0.9), (1, 0.1)]),
+        (4.0, [(0, 0.9), (1, 0.1)]),
+    ]
+    assert [len(r.surface) for r in results] == [3 + 3 - 1] * 2
 
 
 def test_grid_search_rejects_empty_axes():

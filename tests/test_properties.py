@@ -1,5 +1,7 @@
 """Property tests: invariants that must hold for every input, not just a few."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 import yaml
@@ -50,7 +52,15 @@ from kdsim.nn import (
     softmax,
     train_epoch,
 )
-from kdsim.orchestrate import MATRIX_METHODS, START_POLICIES, WEIGHTINGS
+import kdsim.orchestrate as orchestrate
+from kdsim.orchestrate import (
+    MATRIX_METHODS,
+    START_POLICIES,
+    WEIGHTINGS,
+    GridSpec,
+    grid_search_teachers,
+    grid_search_tuned,
+)
 from kdsim.seeding import rng_for, stable_seed
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -187,7 +197,9 @@ def test_strings_holding_nul_are_refused(head, tail):
 # -- run configuration ------------------------------------------------------
 
 _text = st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=12)
-_positive = st.one_of(st.integers(1, 50), st.floats(min_value=0, exclude_min=True))
+_positive = st.one_of(
+    st.integers(1, 50), st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+)
 _rate = st.floats(0, 1, exclude_max=True)
 _unit = st.floats(0, 1)
 
@@ -311,7 +323,7 @@ _RECIPES = {
     }),
 }
 _odd_values = st.one_of(
-    st.sampled_from([True, False, None, "8", "adam ", [1]]),
+    st.sampled_from([True, False, None, "8", "adam ", [1], float("inf"), float("-inf")]),
     st.integers(-3, 0),
     st.floats(allow_nan=True),
 )
@@ -547,3 +559,67 @@ def test_stacked_dml_cells_equal_one_cell_runs(run):
         plain_a.params.tobytes(),
         plain_b.params.tobytes(),
     )
+
+
+@st.composite
+def _cross_teacher_searches(draw):
+    """One student's tuned searches against two to four teachers: a grid
+    whose alphas may hold 0 and 1, T in {1, 3}, either search mode, and
+    sometimes a learning rate so small that every gain ties."""
+    student, teachers, transfer, cfg, _ = draw(_student_groups())
+    if len(teachers) == 1:  # one teacher is grid_search_tuned's own case
+        teachers.append(init_model(student.arch, draw(st.integers(0, 2**32))))
+    cfg = replace(cfg, learning_rate=draw(st.sampled_from([0.5, 1e-12])))
+    grid = GridSpec(
+        temperatures=draw(st.permutations([1.0, 3.0])),
+        alphas=draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=2, unique=True)),
+    )
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 30))
+    classes = student.arch.num_classes
+    select = LabeledDataset(
+        features=data.normal(0, 1, size=(n, student.arch.input_dim)),
+        labels=data.integers(0, classes, size=n),
+        class_count=classes,
+    )
+    keep = (draw(st.sampled_from(grid.temperatures)), draw(st.sampled_from(grid.alphas)))
+    return student, teachers, transfer, cfg, grid, select, draw(st.booleans()), keep
+
+
+@PROPERTY
+@given(_cross_teacher_searches())
+def test_cross_teacher_search_equals_one_pair_searches(run):
+    student, teachers, transfer, cfg, grid, select, sequential, keep = run
+    seed_fns = [lambda t, a, i=i: stable_seed(7, "pair", i, t, a) for i in range(len(teachers))]
+    trained = {}  # (teacher index, temperature, alpha) -> parameter bytes
+    benches = orchestrate.distill_vanilla_benches
+
+    def recording(*args):
+        models = benches(*args)
+        _, row_benches, _, row_cfg, alphas, _ = args
+        for (teacher,), alpha, model in zip(row_benches, alphas, models):
+            key = (teachers.index(teacher), row_cfg.temperature, alpha)
+            trained[key] = model.params.tobytes()
+        return models
+
+    with patch.object(orchestrate, "distill_vanilla_benches", recording):
+        got = grid_search_teachers(
+            student, teachers, transfer, grid, cfg, select, seed_fns, sequential, keep
+        )
+        together = dict(trained)
+        trained.clear()
+        want = [
+            grid_search_tuned(student, t, transfer, grid, cfg, select, f, sequential=sequential)
+            for t, f in zip(teachers, seed_fns)
+        ]
+    # every cell the searches trained side by side equals its one-pair cell
+    assert together == trained
+    for i, (search, one) in enumerate(zip(got, want)):
+        assert search.surface == one.surface
+        assert set(search.surface) == {(t, a) for j, t, a in trained if j == i}
+        assert (search.best_temperature, search.best_alpha) == (
+            one.best_temperature, one.best_alpha
+        )
+        assert search.best_model.params.tobytes() == one.best_model.params.tobytes()
+        kept = None if search.kept_model is None else search.kept_model.params.tobytes()
+        assert kept == trained.get((i, *keep))
