@@ -20,6 +20,7 @@ configuration or usage, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -48,7 +49,7 @@ from .metrics import (
     parse_trajectories_json,
     trajectories_payload,
 )
-from .nn import EvalReport, init_model
+from .nn import EvalReport, Model, init_model
 from .orchestrate import (
     Scenario,
     best_teacher_frequency,
@@ -84,7 +85,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process; parsing leaves
+    it unchanged, so every `main` call can share it."""
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="YAML run configuration")
     common.add_argument("--seed", type=int, help="override the master seed")
@@ -163,11 +167,11 @@ def _partition_params(cfg: RunConfig) -> dict:
     return params
 
 
-def _scenario(cfg: RunConfig, out: Path, force: bool) -> tuple[Scenario, list]:
+def _scenario(cfg: RunConfig, out: Path, force: bool) -> Scenario:
     """Rebuild the Scenario for this run from the partition artifacts.
 
-    Returns the scenario plus each participant's full shard (train and
-    validation together), which federated runs train on.
+    Shards are split into train and validation sets only when a stage
+    reads them (see `orchestrate.ParticipantData`).
     """
     arts = require_stage(out, cfg, "partition", force)
     train, test = _base_data(cfg)
@@ -175,7 +179,7 @@ def _scenario(cfg: RunConfig, out: Path, force: bool) -> tuple[Scenario, list]:
     pool = read_json(out / arts["pool"])
     pool_idx = np.asarray(pool["pool_indices"], dtype=np.int64)
     remainder_idx = np.asarray(pool["remainder_indices"], dtype=np.int64)
-    scenario = scenario_from_plan(
+    return scenario_from_plan(
         train,
         test,
         plan,
@@ -185,15 +189,22 @@ def _scenario(cfg: RunConfig, out: Path, force: bool) -> tuple[Scenario, list]:
         cfg.seed,
         label=cfg.partition.strategy,
     )
-    shards = [train.subset(idx) for idx in scenario.participant_indices]
-    return scenario, shards
 
 
 def _model_path(i: int) -> str:
     return f"models/participant_{i:02d}.kdsm"
 
 
-def _load_pretrained(cfg: RunConfig, out: Path, force: bool):
+def _load_pretrained(
+    cfg: RunConfig, out: Path, force: bool, k: int, ids: tuple[int, ...] | None = None
+) -> dict[int, tuple[Model, EvalReport]]:
+    """The pretrained (model, report) of each participant in `ids` (all k
+    by default), keyed by id.
+
+    The evaluations' schema and count and the manifest entry of every
+    participant's model are checked; only the model files of `ids` are
+    read.
+    """
     arts = require_stage(out, cfg, "pretrain", force)
     fingerprint = config_fingerprint(cfg, "pretrain")
     payload = read_json(out / arts["evals"])
@@ -203,16 +214,19 @@ def _load_pretrained(cfg: RunConfig, out: Path, force: bool):
             f"rerun `kdsim pretrain`"
         )
     reports = [EvalReport.from_dict(item) for item in payload["reports"]]
-    pretrained = []
-    for i, report in enumerate(reports):
-        key = f"model_{i:02d}"
-        if key not in arts:
+    if len(reports) != k:
+        raise ConfigError(
+            f"{len(reports)} pretrained models for {k} participants; rerun `kdsim pretrain`"
+        )
+    for i in range(k):
+        if f"model_{i:02d}" not in arts:
             raise ConfigError(
                 f"pretrained model {i} missing from manifest; rerun `kdsim pretrain`"
             )
-        model = load_model(out / arts[key], fingerprint, force)
-        pretrained.append((model, report))
-    return pretrained
+    return {
+        i: (load_model(out / arts[f"model_{i:02d}"], fingerprint, force), reports[i])
+        for i in (range(k) if ids is None else ids)
+    }
 
 
 def _check_pair(args, k: int) -> tuple[int, int]:
@@ -253,7 +267,7 @@ def cmd_partition(cfg: RunConfig, args) -> int:
 
 def cmd_pretrain(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
-    scenario, _ = _scenario(cfg, out, args.force)
+    scenario = _scenario(cfg, out, args.force)
     pretrained = pretrain_participants(
         scenario, tuple(cfg.model.hidden_layers), cfg.pretrain, cfg.seed
     )
@@ -279,9 +293,9 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
 
 def cmd_distill(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
-    scenario, _ = _scenario(cfg, out, args.force)
-    pretrained = _load_pretrained(cfg, out, args.force)
+    scenario = _scenario(cfg, out, args.force)
     teacher, student = _check_pair(args, scenario.k)
+    pretrained = _load_pretrained(cfg, out, args.force, scenario.k, (teacher, student))
     option = args.transfer_option
     (result,) = run_pairwise_matrix(
         pretrained,
@@ -309,9 +323,9 @@ def cmd_distill(cfg: RunConfig, args) -> int:
 
 def cmd_grid(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
-    scenario, _ = _scenario(cfg, out, args.force)
-    pretrained = _load_pretrained(cfg, out, args.force)
+    scenario = _scenario(cfg, out, args.force)
     teacher, student = _check_pair(args, scenario.k)
+    pretrained = _load_pretrained(cfg, out, args.force, scenario.k, (teacher, student))
     option = args.transfer_option
     transfer = transfer_set_for(scenario, option, student, cfg.transfer_sizes(), cfg.seed)
     search = grid_search_tuned(
@@ -350,8 +364,8 @@ def cmd_grid(cfg: RunConfig, args) -> int:
 
 def cmd_matrix(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
-    scenario, _ = _scenario(cfg, out, args.force)
-    pretrained = _load_pretrained(cfg, out, args.force)
+    scenario = _scenario(cfg, out, args.force)
+    pretrained = _load_pretrained(cfg, out, args.force, scenario.k)
     results = run_pairwise_matrix(
         pretrained,
         scenario,
@@ -375,8 +389,8 @@ def cmd_matrix(cfg: RunConfig, args) -> int:
 
 def cmd_consolidate(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
-    scenario, _ = _scenario(cfg, out, args.force)
-    pretrained = _load_pretrained(cfg, out, args.force)
+    scenario = _scenario(cfg, out, args.force)
+    pretrained = list(_load_pretrained(cfg, out, args.force, scenario.k).values())
     c = cfg.consolidate
     dcfg = cfg.distill_config()
     merged, report = consolidate_models(
@@ -419,7 +433,7 @@ def cmd_consolidate(cfg: RunConfig, args) -> int:
 
 def cmd_fedavg(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
-    scenario, shards = _scenario(cfg, out, args.force)
+    scenario = _scenario(cfg, out, args.force)
     arts = require_stage(out, cfg, "consolidate", args.force)
     consolidated = load_model(
         out / arts["model"], config_fingerprint(cfg, "consolidate"), args.force
@@ -429,7 +443,7 @@ def cmd_fedavg(cfg: RunConfig, args) -> int:
     random_arm, consolidated_arm = preconsolidated_fedavg(
         random_init,
         consolidated,
-        shards,
+        [part.shard for part in scenario.participants],
         scenario.test,
         cfg.fed,
         stable_seed(cfg.seed, "fed"),

@@ -2,12 +2,12 @@
 
 A Scenario materializes one experimental world: a public pool carved out
 of the training data before partitioning, participant shards built by a
-partitioning strategy, per-participant train/validation splits and one
-shared held-out test set. On top of that the orchestrator runs the full
-ordered teacher -> student matrix (K participants give K * (K - 1)
-pairs), temperature/alpha grid searches, many-to-one consolidation, and
-turns experience into method recommendations via a data-encoded rule
-table.
+partitioning strategy, per-participant train/validation splits (drawn on
+first use) and one shared held-out test set. On top of that the
+orchestrator runs the full ordered teacher -> student matrix (K
+participants give K * (K - 1) pairs), temperature/alpha grid searches,
+many-to-one consolidation, and turns experience into method
+recommendations via a data-encoded rule table.
 
 Seed policy: every pairwise cell derives its seed from (master seed,
 teacher id, student id, method, temperature, alpha), so cells are
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -102,13 +103,36 @@ class GridSpec:
 
 @dataclass(eq=False)
 class ParticipantData:
-    train: LabeledDataset
-    val: LabeledDataset
+    """One participant's full shard and its stratified train/validation
+    split, drawn from `seed` on first access to `train` or `val` and kept.
+    Federated runs train on the whole `shard`; a stage that never reads a
+    participant's split never draws it."""
+
+    shard: LabeledDataset
+    val_fraction: float
+    seed: int
+
+    @cached_property
+    def _split(self) -> tuple[LabeledDataset, LabeledDataset]:
+        return split_train_val(self.shard, self.val_fraction, self.seed)
+
+    @property
+    def train(self) -> LabeledDataset:
+        return self._split[0]
+
+    @property
+    def val(self) -> LabeledDataset:
+        return self._split[1]
 
 
 @dataclass(eq=False)
 class Scenario:
-    """One materialized experimental world."""
+    """One materialized experimental world.
+
+    `participants[i].shard` is participant i's data, the rows
+    `participant_indices[i]` of the training set; its train/validation
+    split is drawn lazily (see `ParticipantData`).
+    """
 
     label: str
     participants: list[ParticipantData]
@@ -153,7 +177,10 @@ def scenario_from_plan(
     master_seed: int,
     label: str | None = None,
 ) -> Scenario:
-    """Assemble a Scenario from a persisted plan and pool reservation."""
+    """Assemble a Scenario from a persisted plan and pool reservation.
+
+    No shard is split here; each participant splits on first use.
+    """
     pool_indices = np.asarray(pool_indices, dtype=np.int64)
     remainder_indices = np.asarray(remainder_indices, dtype=np.int64)
     participants = []
@@ -161,11 +188,11 @@ def scenario_from_plan(
     for i, shard in enumerate(plan.participants):
         global_idx = remainder_indices[shard]
         participant_indices.append(global_idx)
-        shard_data = train_data.subset(global_idx)
-        train, val = split_train_val(
-            shard_data, val_fraction, stable_seed(master_seed, "participant-split", i)
-        )
-        participants.append(ParticipantData(train=train, val=val))
+        participants.append(ParticipantData(
+            shard=train_data.subset(global_idx),
+            val_fraction=val_fraction,
+            seed=stable_seed(master_seed, "participant-split", i),
+        ))
     return Scenario(
         label=label if label is not None else plan.strategy,
         participants=participants,
@@ -211,7 +238,7 @@ def build_scenario(
     master_seed: int,
     label: str | None = None,
 ) -> Scenario:
-    """`plan_partition`, then split every shard into train and validation."""
+    """`plan_partition`, then `scenario_from_plan`."""
     plan, pool_idx, remainder_idx = plan_partition(
         train_data, strategy, k, partition_params, pool_size, master_seed
     )
@@ -408,7 +435,7 @@ def _run_group(cells: list[PairCell]) -> list[PairResult]:
 
 
 def run_pairwise_matrix(
-    pretrained: list[tuple[Model, EvalReport]],
+    pretrained: list[tuple[Model, EvalReport]] | dict[int, tuple[Model, EvalReport]],
     scenario: Scenario,
     methods: list[str],
     transfer_options: list[str],
@@ -424,20 +451,29 @@ def run_pairwise_matrix(
 
     With K participants each (method, option) block holds exactly
     K * (K - 1) records; self-transfers are excluded. `pairs` restricts
-    the run to the given (teacher, student) pairs. Each record's
-    pre-distillation evaluation is the stored pre-training report, not a
-    recomputation. The cells of one student in one (method, option)
-    block train as one stack, each with its own seed under the seed
-    policy, so a record does not depend on which other pairs run beside
-    it. A student's tuned cells of one option search side by side, and
-    its vanilla cells of that option join them (see the module
-    docstring). Groups are independent, so `jobs` > 1 fans them out over
-    processes without changing any result. `sequential` selects the
-    linear grid search for the tuned method.
+    the run to the given (teacher, student) pairs. `pretrained` holds
+    participant i's (model, report) at index or key i; it needs an entry
+    for every participant in `pairs`, or for all K without `pairs`. Each
+    record's pre-distillation evaluation is the stored pre-training
+    report, not a recomputation. The cells of one student in one
+    (method, option) block train as one stack, each with its own seed
+    under the seed policy, so a record does not depend on which other
+    pairs run beside it. A student's tuned cells of one option search
+    side by side, and its vanilla cells of that option join them (see
+    the module docstring). Groups are independent, so `jobs` > 1 fans
+    them out over processes without changing any result. `sequential`
+    selects the linear grid search for the tuned method.
     """
-    if len(pretrained) != scenario.k:
+    if pairs is None:
+        need = set(range(scenario.k))
+        pairs = [(t, s) for t in range(scenario.k) for s in range(scenario.k) if t != s]
+    else:
+        need = {i for pair in pairs for i in pair}
+    have = set(pretrained) if isinstance(pretrained, dict) else set(range(len(pretrained)))
+    if not need <= have <= set(range(scenario.k)):
         raise ConfigError(
-            f"{len(pretrained)} pretrained models for {scenario.k} participants"
+            f"pretrained models for participants {sorted(have)}; "
+            f"this run of {scenario.k} participants needs {sorted(need)}"
         )
     for m in methods:
         if m not in MATRIX_METHODS:
@@ -447,8 +483,6 @@ def run_pairwise_matrix(
         for option in transfer_options
         if option != "student_data"
     }
-    if pairs is None:
-        pairs = [(t, s) for t in range(scenario.k) for s in range(scenario.k) if t != s]
     cells = [
         PairCell(
             scenario=scenario.label,

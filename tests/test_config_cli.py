@@ -129,6 +129,46 @@ def test_non_mapping_yaml_rejected(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_malformed_yaml_is_a_config_error_naming_file_line_and_column(
+    tmp_path, monkeypatch, capsys, loader
+):
+    import kdsim.config as config
+
+    if not hasattr(yaml, loader):
+        pytest.skip(f"PyYAML built without {loader}")
+    monkeypatch.setattr(config, "_YAML_LOADER", getattr(yaml, loader))
+    path = tmp_path / "bad.yaml"
+    path.write_text("pool:\n  size: 40\nseed: [1\n")
+    with pytest.raises(ConfigError, match="line 4, column 1"):
+        parse_config(path)
+    assert _run("partition", "--config", str(path), "--out-dir", str(tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"kdsim: {path}: malformed YAML at line 4, column 1")
+    assert "Traceback" not in err
+
+
+def test_both_yaml_loaders_read_the_same_tree():
+    assert yaml.load(TINY_YAML, Loader=yaml.SafeLoader) == yaml.load(
+        TINY_YAML, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    )
+
+
+def test_repeated_methods_and_options_are_rejected():
+    raw = {
+        "distill": {
+            "methods": ["vanilla", "dml", "vanilla", "vanilla"],
+            "transfer_options": ["student_data", "student_data"],
+        }
+    }
+    with pytest.raises(ConfigError) as err:
+        parse_config(None, raw)
+    msg = str(err.value)
+    assert msg.count("distill.methods: repeated entry 'vanilla'") == 1
+    assert msg.count("distill.transfer_options: repeated entry 'student_data'") == 1
+    assert "'dml'" not in msg
+
+
 def test_csv_dataset_requires_paths(tmp_path):
     path = tmp_path / "csv.yaml"
     path.write_text("dataset:\n  kind: csv\n")
@@ -486,6 +526,123 @@ def test_cli_partition_splits_no_shard(tiny_config, tmp_path, monkeypatch, capsy
     monkeypatch.setattr(orchestrate, "split_train_val", no_split)
     assert _run("partition", "--config", str(tiny_config), "--out-dir", str(tmp_path / "run")) == 0
     assert (tmp_path / "run" / "plan.json").exists()
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name with a wrapper that records each call's first argument."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_cli_distill_builds_only_its_pair(tiny_config, tmp_path, monkeypatch, capsys):
+    import kdsim.cli as cli
+    import kdsim.orchestrate as orchestrate
+
+    out = tmp_path / "run"
+    base = ("--config", str(tiny_config), "--out-dir", str(out))
+    for cmd in ("partition", "pretrain"):
+        assert _run(cmd, *base) == 0
+    loads = _counting(monkeypatch, cli, "load_model")
+    splits = _counting(monkeypatch, orchestrate, "split_train_val")
+    pair = ("--teacher", "2", "--student", "0")
+    assert _run("distill", *base, *pair) == 0
+    assert sorted(path.name for path in loads) == ["participant_00.kdsm", "participant_02.kdsm"]
+    assert len(splits) == 1
+
+    result = read_json(out / "distill_t2_s0_vanilla_student_data.json")
+    assert _run("matrix", *base) == 0
+    (record,) = [
+        r for r in read_json(out / "results.json")["results"]
+        if (r["teacher_id"], r["student_id"]) == (2, 0)
+    ]
+    assert record == result
+
+    models = out / "models"
+    (models / "participant_01.kdsm").write_bytes(b"junk")
+    assert _run("distill", *base, *pair) == 0
+    assert read_json(out / "distill_t2_s0_vanilla_student_data.json") == result
+    for broken in ("participant_00.kdsm", "participant_02.kdsm"):
+        good = (models / broken).read_bytes()
+        (models / broken).write_bytes(b"junk")
+        capsys.readouterr()
+        assert _run("distill", *base, *pair) == 2
+        assert broken in capsys.readouterr().err
+        (models / broken).write_bytes(good)
+
+
+def test_cli_grid_reads_only_its_pair(tiny_config, tmp_path, monkeypatch, capsys):
+    import kdsim.cli as cli
+
+    base = ("--config", str(tiny_config), "--out-dir", str(tmp_path / "run"))
+    for cmd in ("partition", "pretrain"):
+        assert _run(cmd, *base) == 0
+    loads = _counting(monkeypatch, cli, "load_model")
+    assert _run("grid", *base, "--teacher", "1", "--student", "2") == 0
+    assert sorted(path.name for path in loads) == ["participant_01.kdsm", "participant_02.kdsm"]
+
+
+def test_cli_stages_that_use_every_participant_split_or_read_every_shard(
+    tiny_config, tmp_path, monkeypatch, capsys
+):
+    import kdsim.cli as cli
+    import kdsim.orchestrate as orchestrate
+
+    out = tmp_path / "run"
+    base = ("--config", str(tiny_config), "--out-dir", str(out))
+    assert _run("partition", *base) == 0
+    splits = _counting(monkeypatch, orchestrate, "split_train_val")
+    for cmd in ("pretrain", "matrix"):
+        splits.clear()
+        assert _run(cmd, *base) == 0
+        assert len(splits) == 3, cmd
+    assert _run("consolidate", *base) == 0
+
+    # federations train on whole shards and split none
+    shards = []
+    fedavg = cli.preconsolidated_fedavg
+
+    def recording(random_init, consolidated, arm_shards, *rest):
+        shards.extend(arm_shards)
+        return fedavg(random_init, consolidated, arm_shards, *rest)
+
+    monkeypatch.setattr(cli, "preconsolidated_fedavg", recording)
+    splits.clear()
+    assert _run("fedavg", *base) == 0
+    assert splits == []
+    plan = read_json(out / "plan.json")["participants"]
+    assert [len(shard) for shard in shards] == [len(idx) for idx in plan]
+
+
+def test_cli_main_calls_share_no_parsed_state(tiny_config, tmp_path, monkeypatch, capsys):
+    import kdsim.cli as cli
+
+    seen = []
+    for name in ("partition", "distill"):
+        monkeypatch.setitem(
+            cli._COMMANDS, name, lambda cfg, args: seen.append((cfg, args)) or 0
+        )
+    base = ("--config", str(tiny_config), "--out-dir", str(tmp_path / "run"))
+    assert _run("partition", *base, "--force", "--seed", "9", "--jobs", "2") == 0
+    assert _run("partition", "--sideways") == 1
+    assert _run("distill", *base, "--teacher", "0") == 1
+    assert _run("distill", *base, "--teacher", "0", "--student", "1", "--method", "dml") == 0
+    assert _run("partition", *base) == 0
+    assert _run("distill", *base, "--teacher", "1", "--student", "2") == 0
+    assert cli._build_parser() is cli._build_parser()
+
+    (forced, forced_args), (_, dml_args), (plain, plain_args), (_, default_args) = seen
+    assert (forced.seed, forced.jobs, forced_args.force) == (9, 2, True)
+    assert dml_args.method == "dml"
+    assert (plain.seed, plain.jobs, plain_args.force) == (3, 1, False)
+    assert not hasattr(plain_args, "teacher")
+    assert (default_args.method, default_args.teacher, default_args.force) == ("vanilla", 1, False)
 
 
 def test_write_failures_leave_the_previous_file(tmp_path, monkeypatch):

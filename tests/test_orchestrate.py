@@ -78,6 +78,28 @@ def test_scenario_rebuilds_identically_from_its_plan(blobs, scenario):
         assert np.array_equal(a.val.labels, b.val.labels)
 
 
+def test_participant_split_is_drawn_once_on_first_use(blobs, scenario, monkeypatch):
+    import kdsim.orchestrate as orchestrate
+
+    train, test = blobs
+    calls = []
+    split = orchestrate.split_train_val
+    monkeypatch.setattr(
+        orchestrate, "split_train_val", lambda *a: calls.append(a) or split(*a)
+    )
+    again = scenario_from_plan(
+        train, test, scenario.partition, scenario.pool_indices, scenario.remainder_indices,
+        0.2, 11,
+    )
+    assert calls == []
+    part = again.participants[1]
+    assert np.array_equal(part.shard.labels, train.labels[scenario.participant_indices[1]])
+    assert part.val is part.val
+    assert part.train is part.train
+    assert len(calls) == 1
+    assert calls[0][2] == stable_seed(11, "participant-split", 1)
+
+
 def test_pretrained_reports_match_test_set(pretrained, scenario):
     for model, report in pretrained:
         assert reports_equal(report, evaluate(model, scenario.test))
@@ -127,6 +149,24 @@ def test_matrix_cardinality_and_order(pretrained, scenario):
     assert all(len(v) == k * (k - 1) for v in blocks.values())
     keys = [(r.scenario, r.method, r.transfer_option, r.teacher_id, r.student_id) for r in results]
     assert keys == sorted(keys)
+
+
+def test_matrix_needs_a_pretrained_entry_for_every_participant_it_runs(pretrained, scenario):
+    args = (scenario, ["vanilla"], ["student_data"], QUICK, None, SIZES, 3)
+    one_pair = run_pairwise_matrix(pretrained, *args, pairs=[(2, 0)])
+    by_id = {2: pretrained[2], 0: pretrained[0]}
+    assert [r.to_json_dict() for r in run_pairwise_matrix(by_id, *args, pairs=[(2, 0)])] == [
+        r.to_json_dict() for r in one_pair
+    ]
+    for partial, pairs in (
+        (by_id, [(2, 1)]),  # participant 1 has no entry
+        (by_id, None),  # the full matrix needs all K
+        (pretrained[:2], None),
+        (pretrained + pretrained[:1], [(2, 0)]),  # more entries than participants
+        ({**by_id, 5: pretrained[1]}, [(2, 0)]),
+    ):
+        with pytest.raises(ConfigError, match="pretrained models for participants"):
+            run_pairwise_matrix(partial, *args, pairs=pairs)
 
 
 def test_matrix_is_deterministic(pretrained, scenario):

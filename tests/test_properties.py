@@ -252,8 +252,12 @@ def _run_configs(draw):
         },
         "distill": {
             **_optimizer_keys(draw),
-            "methods": draw(st.lists(st.sampled_from(MATRIX_METHODS), min_size=1, max_size=4)),
-            "transfer_options": draw(st.lists(st.sampled_from(TRANSFER_OPTIONS), min_size=1, max_size=4)),
+            "methods": draw(st.lists(
+                st.sampled_from(MATRIX_METHODS), min_size=1, max_size=4, unique=True
+            )),
+            "transfer_options": draw(st.lists(
+                st.sampled_from(TRANSFER_OPTIONS), min_size=1, max_size=4, unique=True
+            )),
             "temperature": draw(_positive),
             "alpha": draw(_unit),
             "epochs": draw(st.integers(1, 100)),
