@@ -22,7 +22,6 @@ import json
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -62,24 +61,36 @@ STAGE_SECTIONS = {
 }
 
 
+def _fields(section) -> dict:
+    """A config section as the dict `dataclasses.asdict` gives: its fields
+    hold only scalars, lists, tuples and None, which need no deep copy."""
+    return {name: getattr(section, name) for name in section.__dataclass_fields__}
+
+
 def config_fingerprint(cfg: RunConfig, stage: str) -> str:
     """Hex fingerprint of the config slice a stage depends on.
 
     Chained through STAGE_PARENTS so upstream changes invalidate
-    everything downstream.
+    everything downstream: each stage's payload holds its parent's
+    fingerprint, computed first, from the root down.
     """
     if stage not in STAGE_PARENTS:
         raise ConfigError(f"unknown stage {stage!r}")
-    parent = STAGE_PARENTS[stage]
-    payload = {
-        "v": 1,
-        "stage": stage,
-        "parent": config_fingerprint(cfg, parent) if parent else "",
-        "seed": cfg.seed,
-        "config": {name: asdict(getattr(cfg, name)) for name in STAGE_SECTIONS[stage]},
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    chain = [stage]
+    while STAGE_PARENTS[chain[-1]]:
+        chain.append(STAGE_PARENTS[chain[-1]])
+    fingerprint = ""
+    for name in reversed(chain):
+        payload = {
+            "v": 1,
+            "stage": name,
+            "parent": fingerprint,
+            "seed": cfg.seed,
+            "config": {section: _fields(getattr(cfg, section)) for section in STAGE_SECTIONS[name]},
+        }
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        fingerprint = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return fingerprint
 
 
 # -- file writing -----------------------------------------------------------

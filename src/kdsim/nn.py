@@ -24,12 +24,22 @@ slice by slice, each slice with the BLAS call a single matrix gets), so
 its parameters come out bit-identical; stacking only saves the Python
 and numpy dispatch of S separate minibatch steps.
 
+A ragged stack gives every cell its own training rows. Its cells come
+longest first, so at each minibatch the cells that still hold rows are
+a prefix of the stack, and each run of them with the same batch size
+steps as one sub-stack of row views (a run of one as a plain model).
+Nothing is padded, so every cell still sees its own run's arithmetic.
+The optimizer keeps one Adam step count per cell and can step a row
+range; `select_cells` keeps chosen cells of a stack together with their
+optimizer state, which is how early-stopped cells leave a stack.
+
 All training runs through one minibatch loop, `train_epoch`: supervised
-pre-training (early-stopped on validation accuracy) and FedAvg local
-updates pass hard targets, distillation passes the targets it builds.
-The optimizer owns a flat gradient buffer that `backprop_params` fills,
-and it steps in place. A pass that leaves a parameter NaN or infinite
-raises DomainError.
+pre-training (early-stopped on validation accuracy, every participant
+in one ragged stack, `train_supervised_cells`) and FedAvg local updates
+pass hard targets, distillation passes the targets it builds. The
+optimizer owns a flat gradient buffer that `backprop_params` fills, and
+it steps in place. A pass that leaves a parameter NaN or infinite raises
+DomainError.
 
 A training recipe (`TrainConfig` here, `distill.DistillConfig` and
 `fed.FedConfig`) states its rules once, in `problems()`, which lists
@@ -45,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -355,10 +366,12 @@ class _Optimizer:
     Decay applies to the weight entries only, never the biases after
     them, and uses the pre-update parameter value (decay is not folded
     into the gradient). Every array is shaped like the parameters, so a
-    stack's cells step independently. `grad` is a gradient buffer in the
-    same layout, with per-array views `grad_views` for `backprop_params`;
-    the step updates in place through scratch buffers and allocates
-    nothing.
+    stack's cells step independently, and the list `t` holds one Adam
+    step count per cell (one entry for a plain model). `grad` is a gradient
+    buffer in the same layout, with per-array views `grad_views` for
+    `backprop_params`; the step updates in place through scratch buffers.
+    A step may cover a contiguous row range of a stack, and
+    `select_cells` keeps chosen rows of a stack and of all this state.
     """
 
     def __init__(
@@ -371,48 +384,100 @@ class _Optimizer:
         self.wd = weight_decay
         self.momentum = momentum
         self.n_decay = model.n_weight_entries
-        self.t = 0
+        self.t = [0] * (len(model.params) if model.params.ndim == 2 else 1)
         self.m = np.zeros_like(model.params)  # Adam's first moment, SGD's velocity
         self.v = np.zeros_like(model.params)
+        self._buffers(model)
+
+    def _buffers(self, model: Model) -> None:
+        """The gradient buffer, its views, the scratch buffers and the
+        `cell_views` cache, for the stack `model`."""
         self.grad = np.zeros_like(model.params)
         self.grad_views = model.arch.param_views(self.grad)
         self._update = np.empty_like(model.params)
         self._scratch = np.empty_like(model.params)
+        self._cells: dict[tuple[int, int], tuple] = {}
+        self._cells_of = model.params
 
-    def step(self, params: np.ndarray, grads: np.ndarray | list[np.ndarray]) -> None:
+    def cell_views(self, stack: Model, lo: int, hi: int) -> tuple[Model, tuple]:
+        """Rows lo:hi of `stack`, the stack this optimizer steps, and the
+        same rows' gradient views; one row is a plain model. Each range's
+        views are built once per stack."""
+        if self._cells_of is not stack.params:
+            self._cells, self._cells_of = {}, stack.params
+        if (lo, hi) not in self._cells:
+            rows = lo if hi - lo == 1 else slice(lo, hi)
+            self._cells[lo, hi] = (
+                Model.from_params(stack.arch, stack.params[rows], stack.seed),
+                stack.arch.param_views(self.grad[rows]),
+            )
+        return self._cells[lo, hi]
+
+    def step(
+        self,
+        params: np.ndarray,
+        grads: np.ndarray | list[np.ndarray],
+        rows: slice | None = None,
+    ) -> None:
         """Update `params` in place from gradients in the same layout: an
         array shaped like `params` (such as `grad`) or a list of
-        per-array gradients (weights, then biases)."""
+        per-array gradients (weights, then biases). With `rows`, a
+        contiguous range of a stack's cells, only those rows of the
+        parameters, gradients and state take part."""
         g = grads if isinstance(grads, np.ndarray) else np.concatenate([np.ravel(x) for x in grads])
-        u, s = self._update, self._scratch
-        self.t += 1
+        m, v, u, s = self.m, self.v, self._update, self._scratch
+        if rows is not None:
+            params, g, m, v, u, s = (a[rows] for a in (params, g, m, v, u, s))
         # the in-place operations keep the IEEE order of
         #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
         #   update = lr * (m / bias1) / (sqrt(v / bias2) + eps)
         # and of SGD's m = momentum * m + g;  update = lr * m
         if self.name == "adam":
-            self.m *= ADAM_BETA1
+            span = rows or slice(None)
+            counts = [t + 1 for t in self.t[span]]
+            self.t[span] = counts
+            if counts.count(counts[0]) == len(counts):
+                bias1, bias2 = 1.0 - ADAM_BETA1 ** counts[0], 1.0 - ADAM_BETA2 ** counts[0]
+            else:
+                # each cell's Python-float corrections, broadcast over its row
+                bias1 = np.array([[1.0 - ADAM_BETA1**t] for t in counts])
+                bias2 = np.array([[1.0 - ADAM_BETA2**t] for t in counts])
+            m *= ADAM_BETA1
             np.multiply(g, 1.0 - ADAM_BETA1, out=s)
-            self.m += s
-            self.v *= ADAM_BETA2
+            m += s
+            v *= ADAM_BETA2
             np.multiply(g, g, out=s)
             s *= 1.0 - ADAM_BETA2
-            self.v += s
-            np.divide(self.m, 1.0 - ADAM_BETA1**self.t, out=u)
+            v += s
+            np.divide(m, bias1, out=u)
             u *= self.lr
-            np.divide(self.v, 1.0 - ADAM_BETA2**self.t, out=s)
+            np.divide(v, bias2, out=s)
             np.sqrt(s, out=s)
             s += ADAM_EPS
             u /= s
         else:
-            self.m *= self.momentum
-            self.m += g
-            np.multiply(self.m, self.lr, out=u)
+            m *= self.momentum
+            m += g
+            np.multiply(m, self.lr, out=u)
         if self.wd:
             n = self.n_decay
             np.multiply(params[..., :n], self.lr * self.wd, out=s[..., :n])
             u[..., :n] += s[..., :n]
         params -= u
+
+
+def select_cells(stack: Model, opt: _Optimizer, rows: list[int]) -> Model:
+    """The stack of only the given cells, in the given order; `opt` keeps
+    the same rows of its state (moments and step counts) and steps the
+    returned stack from then on. Training then resumes bit for bit as if
+    the other cells had never been there.
+    """
+    keep = np.asarray(rows, dtype=np.int64)
+    opt.t = [opt.t[i] for i in rows]
+    opt.m, opt.v = opt.m[keep], opt.v[keep]
+    narrowed = Model.from_params(stack.arch, stack.params[keep], stack.seed)
+    opt._buffers(narrowed)
+    return narrowed
 
 
 # --------------------------------------------------------------------------
@@ -521,20 +586,62 @@ def batch_indices(
         yield order[..., start : start + batch_size]
 
 
+def _ragged_steps(
+    model: Model,
+    opt: _Optimizer,
+    sizes: list[int],
+    batch_size: int,
+    rngs: list[np.random.Generator],
+):
+    """The sub-steps of one shuffled pass over ragged cells, as (cells,
+    their gradient views, their rows, row indices).
+
+    Cell i shuffles its own `sizes[i]` rows with `rngs[i]`, and the
+    indices point into the concatenation of every cell's rows. The cells
+    come longest first, so those still holding rows at a minibatch start
+    form a prefix of the stack; each maximal run of consecutive cells
+    with the same batch size is one sub-step on row views, and a run of
+    one cell steps as a plain model. Nothing is padded: padding would
+    change the reduction shapes, and with them the bits.
+    """
+    if sizes != sorted(sizes, reverse=True) or not len(rngs) == len(sizes) == len(model.params):
+        raise ShapeError(
+            f"ragged cells need one generator each and come longest first; got sizes "
+            f"{sizes} for {len(rngs)} generators and {len(model.params)} cells"
+        )
+    order = np.zeros((len(sizes), sizes[0]), dtype=np.int64)
+    first = 0
+    for row, n, rng in zip(order, sizes, rngs):
+        row[:n] = rng.permutation(n)
+        row[:n] += first
+        first += n
+    for start in range(0, sizes[0], batch_size):
+        # non-increasing, so equal batch sizes are neighbours
+        batches = [min(batch_size, n - start) for n in sizes if n > start]
+        lo = 0
+        while lo < len(batches):
+            nb = batches[lo]
+            hi = lo + batches.count(nb)
+            # a run of one cell steps as a plain model, on 1-d indices
+            cells = lo if hi - lo == 1 else slice(lo, hi)
+            yield *opt.cell_views(model, lo, hi), slice(lo, hi), order[cells, start : start + nb]
+            lo = hi
+
+
 def train_epoch(
     model: Model,
     opt: _Optimizer,
-    features: np.ndarray,
+    features: np.ndarray | list[np.ndarray],
     batch_size: int,
     rng: np.random.Generator | list[np.random.Generator],
     *,
-    hard: np.ndarray | None = None,
+    hard: np.ndarray | list[np.ndarray] | None = None,
     soft: np.ndarray | None = None,
     alpha: float | list[float] = 0.0,
     temperature: float = 1.0,
     weight: np.ndarray | None = None,
-    labels: np.ndarray | None = None,
-) -> float | None:
+    labels: np.ndarray | list[np.ndarray] | None = None,
+) -> float | list[float] | None:
     """One shuffled minibatch pass, one optimizer step per minibatch.
 
     Trains in place on (1 - alpha) * CE(hard) + alpha * T^2 * weight *
@@ -545,12 +652,34 @@ def train_epoch(
     terms they use (see `distill.distill_vanilla_benches`). Its soft
     targets are either shared, (n, C), or one block per cell, (S, n, C);
     each cell's minibatch rows are then gathered from its own block.
-    Returns the mean CE against labels when they are given (plain models
-    only); raises DomainError if the pass leaves a parameter non-finite.
+
+    Ragged cells, each with its own rows, pass `features`, `hard` and
+    `labels` as lists, one array per cell, longest first, and train on
+    hard targets alone; each minibatch is then one step per run of cells
+    with the same batch size (see `_ragged_steps`).
+
+    Returns the mean CE against labels when they are given, one per cell
+    for a stack; raises DomainError if the pass leaves a parameter
+    non-finite.
     """
     alpha = np.asarray(alpha, dtype=np.float64)[..., None, None]
     use_ce = hard is not None and bool((alpha < 1.0).any())
     use_kd = soft is not None and (hard is None or bool((alpha > 0.0).any()))
+    if isinstance(features, list):
+        if soft is not None:
+            raise ShapeError("ragged cells train on hard targets alone")
+        sizes = [len(f) for f in features]
+        steps = _ragged_steps(model, opt, sizes, batch_size, rng)
+        # one block of rows, which the sub-steps' indices point into
+        features = np.concatenate(features)
+        hard = None if hard is None else np.concatenate(hard)
+        labels = None if labels is None else np.concatenate(labels)
+    else:
+        sizes = [len(features)] * (len(model.params) if model.params.ndim == 2 else 1)
+        steps = zip(
+            repeat(model), repeat(opt.grad_views), repeat(None),
+            batch_indices(len(features), batch_size, rng),
+        )
     # rows are gathered with take, a copy that is several times faster
     # than fancy indexing; per-cell soft targets become one (S * n, C)
     # block, in which cell s reads row idx[s, j] at s * n + idx[s, j]
@@ -558,15 +687,18 @@ def train_epoch(
     if use_kd and soft.ndim == 3:
         offsets = np.arange(len(soft))[:, None] * soft.shape[1]
         soft = soft.reshape(-1, soft.shape[-1])
-    total = 0.0
-    for idx in batch_indices(len(features), batch_size, rng):
-        logits, acts = _forward_cached(model, features.take(idx, axis=0))
+    totals = [0.0] * len(sizes)
+    for cells, grad_views, rows, idx in steps:
+        logits, acts = _forward_cached(cells, features.take(idx, axis=0))
         nb = idx.shape[-1]
         dlogits = probs = None
         if use_ce:
             probs = softmax(logits, 1.0)
             if labels is not None:
-                total += ce_loss(probs, labels[idx]) * nb
+                first = 0 if rows is None else rows.start
+                per_cell = zip(probs.reshape(-1, nb, probs.shape[-1]), idx.reshape(-1, nb))
+                for j, (p, i) in enumerate(per_cell, first):
+                    totals[j] += ce_loss(p, labels.take(i)) * nb
             dlogits = probs - hard.take(idx, axis=0)
             dlogits *= 1.0 - alpha
             dlogits /= nb
@@ -585,10 +717,75 @@ def train_epoch(
                 dlogits = gap
             else:
                 dlogits += gap
-        backprop_params(model, acts, dlogits, out=opt.grad_views)
-        opt.step(model.params, opt.grad)
+        backprop_params(cells, acts, dlogits, out=grad_views)
+        opt.step(model.params, opt.grad, rows)
     check_finite(model, "after a training pass")
-    return None if labels is None else total / len(features)
+    if labels is None:
+        return None
+    losses = [total / n for total, n in zip(totals, sizes)]
+    return losses if model.params.ndim == 2 else losses[0]
+
+
+def train_supervised_cells(
+    models: list[Model],
+    trains: list[LabeledDataset],
+    vals: list[LabeledDataset],
+    cfg: TrainConfig,
+    history: bool = False,
+) -> tuple[list[Model], list[list[dict]] | None]:
+    """`train_supervised` of every model on its own sets, side by side.
+
+    The models, which share one architecture, train as one ragged stack
+    (longest training set first, see `train_epoch`). Each cell keeps its
+    own epoch stream, stale count and best snapshot; a cell whose
+    patience runs out leaves the stack (`select_cells`) and the others
+    go on. Every returned model is bit-identical to its one-cell run.
+    The per-epoch histories, and the training CE they record, are only
+    computed with `history`; otherwise the second value is None.
+    """
+    for train, val in zip(trains, vals):
+        if len(train) == 0 or len(val) == 0:
+            raise DataError("train and validation sets must both be non-empty")
+    arch = models[0].arch
+    # longest first; live[j] is the model that row j of the stack trains
+    live = sorted(range(len(models)), key=lambda i: -len(trains[i]))
+    work = Model.from_params(arch, np.stack([models[i].params for i in live]), 0)
+    opt, _ = make_optimizer(
+        cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work
+    )
+    targets = [onehot(train.labels, arch.num_classes) for train in trains]
+    best = [m.params.copy() for m in models]
+    best_acc = [evaluate(m, val).overall_accuracy for m, val in zip(models, vals)]
+    histories: list[list[dict]] = [[] for _ in models]
+    stale = [0] * len(models)
+    for epoch in range(1, cfg.max_epochs + 1):
+        losses = train_epoch(
+            work, opt, [trains[i].features for i in live], cfg.batch_size,
+            [rng_for(models[i].seed, "epoch", epoch) for i in live],
+            hard=[targets[i] for i in live],
+            labels=[trains[i].labels for i in live] if history else None,
+        )
+        keep = []
+        for j, i in enumerate(live):
+            row, _ = opt.cell_views(work, j, j + 1)
+            acc = evaluate(row, vals[i]).overall_accuracy
+            if history:
+                histories[i].append({"epoch": epoch, "train_loss": losses[j], "val_accuracy": acc})
+            if acc > best_acc[i]:
+                best_acc[i] = acc
+                best[i] = work.params[j].copy()
+                stale[i] = 0
+            else:
+                stale[i] += 1
+            if stale[i] < cfg.patience:
+                keep.append(j)
+        if not keep:
+            break
+        if len(keep) < len(live):
+            work = select_cells(work, opt, keep)
+            live = [live[j] for j in keep]
+    trained = [Model.from_params(arch, p, m.seed) for p, m in zip(best, models)]
+    return trained, histories if history else None
 
 
 def train_supervised(
@@ -604,35 +801,10 @@ def train_supervised(
     parameters of the best epoch seen (the untrained starting point
     counts as the epoch-0 candidate, so the result is never worse on the
     validation set than anything observed). The history holds one record
-    per trained epoch.
+    per trained epoch. This is the one-cell case of
+    `train_supervised_cells`.
     """
-    if len(train) == 0 or len(val) == 0:
-        raise DataError("train and validation sets must both be non-empty")
-    work = model.copy()
-    opt, _ = make_optimizer(
-        cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work
-    )
-    targets = onehot(train.labels, work.arch.num_classes)
-    best = work.copy()
-    best_acc = evaluate(work, val).overall_accuracy
-    history: list[dict] = []
-    stale = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        rng = rng_for(model.seed, "epoch", epoch)
-        loss = train_epoch(
-            work, opt, train.features, cfg.batch_size, rng,
-            hard=targets, labels=train.labels,
-        )
-        acc = evaluate(work, val).overall_accuracy
-        history.append({"epoch": epoch, "train_loss": loss, "val_accuracy": acc})
-        if acc > best_acc:
-            best_acc = acc
-            best = work.copy()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
+    (best,), (history,) = train_supervised_cells([model], [train], [val], cfg, history=True)
     return best, history
 
 

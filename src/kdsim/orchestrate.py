@@ -16,12 +16,13 @@ cells hash as vanilla runs at their grid point, which makes the default
 (1, 0.5) cell bit-identical to the standalone vanilla baseline.
 
 Cells that share a starting point train as one stack of models (see
-`nn`), which changes no cell's bits. In the matrix, the K - 1 cells of
-one student in one (method, option) block form a group: they share the
-student's parameters and the transfer set and differ only in teacher and
-seed, so vanilla, DML and DPKD train each group as one stack
-(`distill.distill_vanilla_benches`, `distill_dml_cells`,
-`distill_dpkd_cells`). The tuned cells of a group run their grid
+`nn`), which changes no cell's bits; pretraining trains all K
+participants as one ragged stack, each on its own shard. In the matrix,
+the K - 1 cells of one student in one (method, option) block form a
+group: they share the student's parameters and the transfer set and
+differ only in teacher and seed, so vanilla, DML and DPKD train each
+group as one stack (`distill.distill_vanilla_benches`,
+`distill_dml_cells`, `distill_dpkd_cells`). The tuned cells of a group run their grid
 searches side by side (`grid_search_teachers`): each temperature row
 trains every teacher's cells as one stack, and the tuned method takes
 each search's winner instead of training it again. When vanilla is
@@ -69,7 +70,7 @@ from .nn import (
     evaluate,
     init_model,
     overall_accuracies,
-    train_supervised,
+    train_supervised_cells,
 )
 from .seeding import stable_seed
 
@@ -277,15 +278,20 @@ def pretrain_participants(
 
     Each participant gets its own init seed derived from the master
     seed, trains with early stopping on its validation split, and is
-    evaluated on the shared test set.
+    evaluated on the shared test set. All participants train side by
+    side as one ragged stack (`nn.train_supervised_cells`), each
+    bit-identical to its own `train_supervised` run.
     """
     arch = participant_arch(scenario, hidden_layers)
-    out: list[tuple[Model, EvalReport]] = []
-    for i, part in enumerate(scenario.participants):
-        model = init_model(arch, stable_seed(master_seed, "participant-init", i))
-        trained, _ = train_supervised(model, part.train, part.val, cfg)
-        out.append((trained, evaluate(trained, scenario.test)))
-    return out
+    parts = scenario.participants
+    models = [
+        init_model(arch, stable_seed(master_seed, "participant-init", i))
+        for i in range(len(parts))
+    ]
+    trained, _ = train_supervised_cells(
+        models, [p.train for p in parts], [p.val for p in parts], cfg
+    )
+    return [(model, evaluate(model, scenario.test)) for model in trained]
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from kdsim.artifacts import (
+    STAGE_PARENTS,
     config_fingerprint,
     load_model,
     read_json,
@@ -284,6 +285,31 @@ def test_fingerprint_scoping_and_chaining():
         assert config_fingerprint(reseeded, stage) != config_fingerprint(base, stage)
 
 
+def test_fingerprints_are_frozen_values():
+    # manifests and model files on disk carry these; a change to how they
+    # are computed must not move them
+    base = RunConfig()
+    other = RunConfig(seed=5)
+    other.partition.strategy = "label_skew_dirichlet"
+    other.partition.betas = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0]
+    other.model.hidden_layers = [32, 16]
+    other.fed = FedConfig(
+        rounds=7, local_epochs=3, optimizer="adam", learning_rate=0.05, participation_rate=0.5
+    )
+    want = {
+        "partition": ("3af6a467b35b5076", "42accaeb5995159b"),
+        "pretrain": ("bb52c1cff9cf77d5", "a11418d51a8067f0"),
+        "distill": ("620a6aaf8d524db1", "6d0d241f5d6a89cc"),
+        "grid": ("1528b7eae637b401", "6f758f3f4dee3001"),
+        "matrix": ("620844a07069120f", "fc17ef2610874f3e"),
+        "consolidate": ("16be5c3fa334ba9d", "afdb2f8364a5ff58"),
+        "fedavg": ("2787942bf8b8a39c", "7a90d531ae33791c"),
+    }
+    assert set(want) == set(STAGE_PARENTS)
+    for stage, values in want.items():
+        assert (config_fingerprint(base, stage), config_fingerprint(other, stage)) == values
+
+
 def test_fingerprint_ignores_out_dir_and_jobs():
     a = RunConfig(out_dir="runs/a", jobs=1)
     b = RunConfig(out_dir="runs/b", jobs=8)
@@ -539,6 +565,16 @@ def _counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_cli_pretrain_computes_no_training_loss(tiny_config, tmp_path, monkeypatch, capsys):
+    import kdsim.nn as nn
+
+    base = ("--config", str(tiny_config), "--out-dir", str(tmp_path / "run"))
+    assert _run("partition", *base) == 0
+    losses = _counting(monkeypatch, nn, "ce_loss")
+    assert _run("pretrain", *base) == 0
+    assert losses == []
 
 
 def test_cli_distill_builds_only_its_pair(tiny_config, tmp_path, monkeypatch, capsys):

@@ -11,6 +11,7 @@ import pickle
 import numpy as np
 import pytest
 
+import kdsim.nn as nn
 from kdsim.data import LabeledDataset
 from kdsim.errors import ConfigError, DataError, DomainError, ShapeError
 from kdsim.nn import (
@@ -35,11 +36,15 @@ from kdsim.nn import (
     onehot,
     predict,
     reports_equal,
+    select_cells,
     softmax,
     train_epoch,
     train_supervised,
+    train_supervised_cells,
     _forward_cached,
 )
+from kdsim.seeding import rng_for
+
 
 GRID_TEMPERATURES = (0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0)
 
@@ -499,6 +504,57 @@ def test_train_rejects_empty_sets(rng):
         train_supervised(model, empty, val, TrainConfig())
     with pytest.raises(DataError):
         train_supervised(model, train, empty, TrainConfig())
+
+
+def test_train_cells_check_every_set_before_any_training(rng, monkeypatch):
+    train, val = _toy_split(rng)
+    arch = ArchSpec(input_dim=4, hidden_layers=(), num_classes=3)
+    models = [init_model(arch, seed) for seed in range(3)]
+    empty = train.subset(np.array([], dtype=np.int64))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before every set was checked")
+
+    monkeypatch.setattr(nn, "train_epoch", no_training)
+    for trains, vals in (([train, train, empty], [val] * 3), ([train] * 3, [val, empty, val])):
+        with pytest.raises(DataError):
+            train_supervised_cells(models, trains, vals, TrainConfig())
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_selected_cells_resume_as_if_never_selected(rng, optimizer):
+    # ragged sizes give the cells different Adam step counts before the cut
+    arch = ArchSpec(input_dim=3, hidden_layers=(5,), num_classes=3)
+    sizes = [23, 13, 8, 5]
+    features = [rng.normal(0, 1, size=(n, 3)) for n in sizes]
+    hard = [onehot(rng.integers(0, 3, size=n), 3) for n in sizes]
+    seeds = [11, 12, 13, 14]
+
+    def run(epochs, keep_after=None):
+        start = np.stack([init_model(arch, s).params for s in seeds])
+        work = Model.from_params(arch, start, 0)
+        opt, _ = make_optimizer(optimizer, 0.05, 0.3, 0.9 if optimizer == "sgd" else 0.0, work)
+        cells = list(range(len(seeds)))
+        for epoch in range(1, epochs + 1):
+            if epoch == keep_after:
+                work = select_cells(work, opt, [0, 2, 3])
+                cells = [0, 2, 3]
+            train_epoch(
+                work, opt, [features[i] for i in cells], 4,
+                [rng_for(seeds[i], "epoch", epoch) for i in cells],
+                hard=[hard[i] for i in cells],
+            )
+        return work, opt
+
+    whole, whole_opt = run(4)
+    cut, cut_opt = run(4, keep_after=3)
+    kept = [0, 2, 3]
+    assert cut.params.tobytes() == whole.params[kept].tobytes()
+    assert cut_opt.t == [whole_opt.t[i] for i in kept]
+    if optimizer == "adam":
+        assert len(set(whole_opt.t)) > 1
+    for name in ("m", "v"):
+        assert getattr(cut_opt, name).tobytes() == getattr(whole_opt, name)[kept].tobytes()
 
 
 def test_train_config_validation():

@@ -45,12 +45,15 @@ from kdsim.nn import (
     TrainConfig,
     _forward_cached,
     backprop_params,
+    evaluate,
     forward_logits,
     init_model,
     make_optimizer,
     onehot,
     softmax,
     train_epoch,
+    train_supervised,
+    train_supervised_cells,
 )
 import kdsim.orchestrate as orchestrate
 from kdsim.orchestrate import (
@@ -627,3 +630,86 @@ def test_cross_teacher_search_equals_one_pair_searches(run):
         assert search.best_model.params.tobytes() == one.best_model.params.tobytes()
         kept = None if search.kept_model is None else search.kept_model.params.tobytes()
         assert kept == trained.get((i, *keep))
+
+
+@st.composite
+def _supervised_cells(draw):
+    """One to five participants with training sets below, equal to and
+    multiples of the batch size, Adam or momentum SGD with or without
+    weight decay, and patience short enough that cells stop apart."""
+    hidden = tuple(draw(st.lists(st.integers(1, 6), min_size=0, max_size=2)))
+    dim = draw(st.integers(1, 4))
+    classes = draw(st.integers(2, 4))
+    arch = ArchSpec(input_dim=dim, hidden_layers=hidden, num_classes=classes)
+    batch = draw(st.integers(1, 8))
+    optimizer, momentum = draw(st.sampled_from([("adam", 0.0), ("sgd", 0.9)]))
+    max_epochs = draw(st.integers(1, 6))
+    cfg = TrainConfig(
+        optimizer=optimizer,
+        learning_rate=draw(st.sampled_from([0.05, 0.3])),
+        weight_decay=draw(st.sampled_from([0.0, 0.3])),
+        batch_size=batch,
+        max_epochs=max_epochs,
+        patience=draw(st.integers(1, max_epochs)),
+        momentum=momentum,
+    )
+    size = st.one_of(
+        st.integers(1, batch),
+        st.integers(1, 3).map(lambda k: k * batch),
+        st.integers(1, 4 * batch),
+    )
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def dataset(n):
+        labels = data.integers(0, classes, size=n)
+        features = data.normal(0, 1, size=(n, dim))
+        features[:, 0] += labels  # something to learn
+        return LabeledDataset(features=features, labels=labels, class_count=classes)
+
+    cells = draw(st.integers(1, 5))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=cells, max_size=cells))
+    models = [init_model(arch, seed) for seed in seeds]
+    trains = [dataset(draw(size)) for _ in range(cells)]
+    vals = [dataset(draw(st.integers(1, 6))) for _ in range(cells)]
+    return models, trains, vals, cfg
+
+
+def _plain_supervised(model, train, val, cfg):
+    """Reference: one unstacked model, one epoch after another, stopped
+    on its own validation accuracy."""
+    work = model.copy()
+    opt, _ = make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work)
+    targets = onehot(train.labels, work.arch.num_classes)
+    best = work.copy()
+    best_acc = evaluate(work, val).overall_accuracy
+    history, stale = [], 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        loss = train_epoch(
+            work, opt, train.features, cfg.batch_size, rng_for(model.seed, "epoch", epoch),
+            hard=targets, labels=train.labels,
+        )
+        acc = evaluate(work, val).overall_accuracy
+        history.append({"epoch": epoch, "train_loss": loss, "val_accuracy": acc})
+        if acc > best_acc:
+            best, best_acc, stale = work.copy(), acc, 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+    return best, history
+
+
+@PROPERTY
+@given(_supervised_cells())
+def test_ragged_supervised_cells_equal_one_cell_runs(run):
+    models, trains, vals, cfg = run
+    trained, none = train_supervised_cells(models, trains, vals, cfg)
+    again, histories = train_supervised_cells(models, trains, vals, cfg, history=True)
+    assert none is None
+    assert _bytes(trained) == _bytes(again)
+    for i, model in enumerate(models):
+        one, history = train_supervised(model, trains[i], vals[i], cfg)
+        plain, plain_history = _plain_supervised(model, trains[i], vals[i], cfg)
+        assert trained[i].params.tobytes() == one.params.tobytes() == plain.params.tobytes()
+        assert trained[i].seed == model.seed
+        assert histories[i] == history == plain_history
