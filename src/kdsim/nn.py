@@ -29,13 +29,15 @@ longest first, so at each minibatch the cells that still hold rows are
 a prefix of the stack, and each run of them with the same batch size
 steps as one sub-stack of row views (a run of one as a plain model).
 Nothing is padded, so every cell still sees its own run's arithmetic.
-The optimizer keeps one Adam step count per cell and can step a row
-range; `select_cells` keeps chosen cells of a stack together with their
-optimizer state, which is how early-stopped cells leave a stack.
+The optimizer keeps one Adam step count per cell once the cells step
+apart, and can step a row range; `select_cells` keeps chosen cells of a
+stack together with their optimizer state, which is how early-stopped
+cells leave a stack.
 
 All training runs through one minibatch loop, `train_epoch`: supervised
-pre-training (early-stopped on validation accuracy, every participant
-in one ragged stack, `train_supervised_cells`) and FedAvg local updates
+pre-training (early-stopped on validation accuracy; `train_supervised`
+for one model with its loss history, `train_supervised_cells` for every
+participant in one ragged stack) and FedAvg local updates
 pass hard targets, distillation passes the targets it builds. The
 optimizer owns a flat gradient buffer that `backprop_params` fills, and
 it steps in place. A pass that leaves a parameter NaN or infinite raises
@@ -366,8 +368,9 @@ class _Optimizer:
     Decay applies to the weight entries only, never the biases after
     them, and uses the pre-update parameter value (decay is not folded
     into the gradient). Every array is shaped like the parameters, so a
-    stack's cells step independently, and the list `t` holds one Adam
-    step count per cell (one entry for a plain model). `grad` is a gradient
+    stack's cells step independently. The Adam step count `t` is one int
+    while every step has covered every cell, and one entry per cell once
+    a step has covered only some rows. `grad` is a gradient
     buffer in the same layout, with per-array views `grad_views` for
     `backprop_params`; the step updates in place through scratch buffers.
     A step may cover a contiguous row range of a stack, and
@@ -384,7 +387,7 @@ class _Optimizer:
         self.wd = weight_decay
         self.momentum = momentum
         self.n_decay = model.n_weight_entries
-        self.t = [0] * (len(model.params) if model.params.ndim == 2 else 1)
+        self.t: int | list[int] = 0
         self.m = np.zeros_like(model.params)  # Adam's first moment, SGD's velocity
         self.v = np.zeros_like(model.params)
         self._buffers(model)
@@ -433,15 +436,11 @@ class _Optimizer:
         #   update = lr * (m / bias1) / (sqrt(v / bias2) + eps)
         # and of SGD's m = momentum * m + g;  update = lr * m
         if self.name == "adam":
-            span = rows or slice(None)
-            counts = [t + 1 for t in self.t[span]]
-            self.t[span] = counts
-            if counts.count(counts[0]) == len(counts):
-                bias1, bias2 = 1.0 - ADAM_BETA1 ** counts[0], 1.0 - ADAM_BETA2 ** counts[0]
+            if rows is None and isinstance(self.t, int):
+                self.t += 1
+                bias1, bias2 = 1.0 - ADAM_BETA1**self.t, 1.0 - ADAM_BETA2**self.t
             else:
-                # each cell's Python-float corrections, broadcast over its row
-                bias1 = np.array([[1.0 - ADAM_BETA1**t] for t in counts])
-                bias2 = np.array([[1.0 - ADAM_BETA2**t] for t in counts])
+                bias1, bias2 = self._cell_corrections(rows)
             m *= ADAM_BETA1
             np.multiply(g, 1.0 - ADAM_BETA1, out=s)
             m += s
@@ -465,6 +464,23 @@ class _Optimizer:
             u[..., :n] += s[..., :n]
         params -= u
 
+    def _cell_corrections(self, rows: slice | None) -> tuple:
+        """Advance the per-cell step counts of `rows` (every cell if None)
+        and return Adam's two bias corrections for them: each cell's
+        Python-float expression, broadcast over its row, or plain floats
+        when the cells agree."""
+        if isinstance(self.t, int):
+            self.t = [self.t] * len(self.m)
+        span = rows or slice(None)
+        counts = [t + 1 for t in self.t[span]]
+        self.t[span] = counts
+        if counts.count(counts[0]) == len(counts):
+            return 1.0 - ADAM_BETA1 ** counts[0], 1.0 - ADAM_BETA2 ** counts[0]
+        return (
+            np.array([[1.0 - ADAM_BETA1**t] for t in counts]),
+            np.array([[1.0 - ADAM_BETA2**t] for t in counts]),
+        )
+
 
 def select_cells(stack: Model, opt: _Optimizer, rows: list[int]) -> Model:
     """The stack of only the given cells, in the given order; `opt` keeps
@@ -473,7 +489,8 @@ def select_cells(stack: Model, opt: _Optimizer, rows: list[int]) -> Model:
     the other cells had never been there.
     """
     keep = np.asarray(rows, dtype=np.int64)
-    opt.t = [opt.t[i] for i in rows]
+    if isinstance(opt.t, list):
+        opt.t = [opt.t[i] for i in rows]
     opt.m, opt.v = opt.m[keep], opt.v[keep]
     narrowed = Model.from_params(stack.arch, stack.params[keep], stack.seed)
     opt._buffers(narrowed)
@@ -640,8 +657,8 @@ def train_epoch(
     alpha: float | list[float] = 0.0,
     temperature: float = 1.0,
     weight: np.ndarray | None = None,
-    labels: np.ndarray | list[np.ndarray] | None = None,
-) -> float | list[float] | None:
+    labels: np.ndarray | None = None,
+) -> float | None:
     """One shuffled minibatch pass, one optimizer step per minibatch.
 
     Trains in place on (1 - alpha) * CE(hard) + alpha * T^2 * weight *
@@ -653,29 +670,25 @@ def train_epoch(
     targets are either shared, (n, C), or one block per cell, (S, n, C);
     each cell's minibatch rows are then gathered from its own block.
 
-    Ragged cells, each with its own rows, pass `features`, `hard` and
-    `labels` as lists, one array per cell, longest first, and train on
-    hard targets alone; each minibatch is then one step per run of cells
-    with the same batch size (see `_ragged_steps`).
+    Ragged cells, each with its own rows, pass `features` and `hard` as
+    lists, one array per cell, longest first, and train on hard targets
+    alone; each minibatch is then one step per run of cells with the
+    same batch size (see `_ragged_steps`).
 
-    Returns the mean CE against labels when they are given, one per cell
-    for a stack; raises DomainError if the pass leaves a parameter
-    non-finite.
+    Returns the mean CE against labels when they are given (plain models
+    only); raises DomainError if the pass leaves a parameter non-finite.
     """
     alpha = np.asarray(alpha, dtype=np.float64)[..., None, None]
     use_ce = hard is not None and bool((alpha < 1.0).any())
     use_kd = soft is not None and (hard is None or bool((alpha > 0.0).any()))
     if isinstance(features, list):
-        if soft is not None:
-            raise ShapeError("ragged cells train on hard targets alone")
-        sizes = [len(f) for f in features]
-        steps = _ragged_steps(model, opt, sizes, batch_size, rng)
+        if soft is not None or labels is not None:
+            raise ShapeError("ragged cells train on hard targets alone and report no loss")
+        steps = _ragged_steps(model, opt, [len(f) for f in features], batch_size, rng)
         # one block of rows, which the sub-steps' indices point into
         features = np.concatenate(features)
         hard = None if hard is None else np.concatenate(hard)
-        labels = None if labels is None else np.concatenate(labels)
     else:
-        sizes = [len(features)] * (len(model.params) if model.params.ndim == 2 else 1)
         steps = zip(
             repeat(model), repeat(opt.grad_views), repeat(None),
             batch_indices(len(features), batch_size, rng),
@@ -687,7 +700,7 @@ def train_epoch(
     if use_kd and soft.ndim == 3:
         offsets = np.arange(len(soft))[:, None] * soft.shape[1]
         soft = soft.reshape(-1, soft.shape[-1])
-    totals = [0.0] * len(sizes)
+    total = 0.0
     for cells, grad_views, rows, idx in steps:
         logits, acts = _forward_cached(cells, features.take(idx, axis=0))
         nb = idx.shape[-1]
@@ -695,10 +708,7 @@ def train_epoch(
         if use_ce:
             probs = softmax(logits, 1.0)
             if labels is not None:
-                first = 0 if rows is None else rows.start
-                per_cell = zip(probs.reshape(-1, nb, probs.shape[-1]), idx.reshape(-1, nb))
-                for j, (p, i) in enumerate(per_cell, first):
-                    totals[j] += ce_loss(p, labels.take(i)) * nb
+                total += ce_loss(probs, labels[idx]) * nb
             dlogits = probs - hard.take(idx, axis=0)
             dlogits *= 1.0 - alpha
             dlogits /= nb
@@ -720,72 +730,7 @@ def train_epoch(
         backprop_params(cells, acts, dlogits, out=grad_views)
         opt.step(model.params, opt.grad, rows)
     check_finite(model, "after a training pass")
-    if labels is None:
-        return None
-    losses = [total / n for total, n in zip(totals, sizes)]
-    return losses if model.params.ndim == 2 else losses[0]
-
-
-def train_supervised_cells(
-    models: list[Model],
-    trains: list[LabeledDataset],
-    vals: list[LabeledDataset],
-    cfg: TrainConfig,
-    history: bool = False,
-) -> tuple[list[Model], list[list[dict]] | None]:
-    """`train_supervised` of every model on its own sets, side by side.
-
-    The models, which share one architecture, train as one ragged stack
-    (longest training set first, see `train_epoch`). Each cell keeps its
-    own epoch stream, stale count and best snapshot; a cell whose
-    patience runs out leaves the stack (`select_cells`) and the others
-    go on. Every returned model is bit-identical to its one-cell run.
-    The per-epoch histories, and the training CE they record, are only
-    computed with `history`; otherwise the second value is None.
-    """
-    for train, val in zip(trains, vals):
-        if len(train) == 0 or len(val) == 0:
-            raise DataError("train and validation sets must both be non-empty")
-    arch = models[0].arch
-    # longest first; live[j] is the model that row j of the stack trains
-    live = sorted(range(len(models)), key=lambda i: -len(trains[i]))
-    work = Model.from_params(arch, np.stack([models[i].params for i in live]), 0)
-    opt, _ = make_optimizer(
-        cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work
-    )
-    targets = [onehot(train.labels, arch.num_classes) for train in trains]
-    best = [m.params.copy() for m in models]
-    best_acc = [evaluate(m, val).overall_accuracy for m, val in zip(models, vals)]
-    histories: list[list[dict]] = [[] for _ in models]
-    stale = [0] * len(models)
-    for epoch in range(1, cfg.max_epochs + 1):
-        losses = train_epoch(
-            work, opt, [trains[i].features for i in live], cfg.batch_size,
-            [rng_for(models[i].seed, "epoch", epoch) for i in live],
-            hard=[targets[i] for i in live],
-            labels=[trains[i].labels for i in live] if history else None,
-        )
-        keep = []
-        for j, i in enumerate(live):
-            row, _ = opt.cell_views(work, j, j + 1)
-            acc = evaluate(row, vals[i]).overall_accuracy
-            if history:
-                histories[i].append({"epoch": epoch, "train_loss": losses[j], "val_accuracy": acc})
-            if acc > best_acc[i]:
-                best_acc[i] = acc
-                best[i] = work.params[j].copy()
-                stale[i] = 0
-            else:
-                stale[i] += 1
-            if stale[i] < cfg.patience:
-                keep.append(j)
-        if not keep:
-            break
-        if len(keep) < len(live):
-            work = select_cells(work, opt, keep)
-            live = [live[j] for j in keep]
-    trained = [Model.from_params(arch, p, m.seed) for p, m in zip(best, models)]
-    return trained, histories if history else None
+    return None if labels is None else total / len(features)
 
 
 def train_supervised(
@@ -801,11 +746,92 @@ def train_supervised(
     parameters of the best epoch seen (the untrained starting point
     counts as the epoch-0 candidate, so the result is never worse on the
     validation set than anything observed). The history holds one record
-    per trained epoch. This is the one-cell case of
-    `train_supervised_cells`.
+    per trained epoch.
     """
-    (best,), (history,) = train_supervised_cells([model], [train], [val], cfg, history=True)
+    if len(train) == 0 or len(val) == 0:
+        raise DataError("train and validation sets must both be non-empty")
+    work = model.copy()
+    opt, _ = make_optimizer(
+        cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work
+    )
+    targets = onehot(train.labels, work.arch.num_classes)
+    best = work.copy()
+    best_acc = evaluate(work, val).overall_accuracy
+    history: list[dict] = []
+    stale = 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        rng = rng_for(model.seed, "epoch", epoch)
+        loss = train_epoch(
+            work, opt, train.features, cfg.batch_size, rng,
+            hard=targets, labels=train.labels,
+        )
+        acc = evaluate(work, val).overall_accuracy
+        history.append({"epoch": epoch, "train_loss": loss, "val_accuracy": acc})
+        if acc > best_acc:
+            best_acc = acc
+            best = work.copy()
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
     return best, history
+
+
+def train_supervised_cells(
+    models: list[Model],
+    trains: list[LabeledDataset],
+    vals: list[LabeledDataset],
+    cfg: TrainConfig,
+) -> list[Model]:
+    """`train_supervised` of every model on its own sets, side by side,
+    without the loss history.
+
+    The models, which share one architecture, train as one ragged stack
+    (longest training set first, see `train_epoch`). Each cell keeps its
+    own epoch stream, stale count and best snapshot; a cell whose
+    patience runs out leaves the stack (`select_cells`) and the others
+    go on. Every returned model is bit-identical to its
+    `train_supervised` run.
+    """
+    for train, val in zip(trains, vals):
+        if len(train) == 0 or len(val) == 0:
+            raise DataError("train and validation sets must both be non-empty")
+    arch = models[0].arch
+    # longest first; live[j] is the model that row j of the stack trains
+    live = sorted(range(len(models)), key=lambda i: -len(trains[i]))
+    work = Model.from_params(arch, np.stack([models[i].params for i in live]), 0)
+    opt, _ = make_optimizer(
+        cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work
+    )
+    targets = [onehot(train.labels, arch.num_classes) for train in trains]
+    best = [m.params.copy() for m in models]
+    best_acc = [evaluate(m, val).overall_accuracy for m, val in zip(models, vals)]
+    stale = [0] * len(models)
+    for epoch in range(1, cfg.max_epochs + 1):
+        train_epoch(
+            work, opt, [trains[i].features for i in live], cfg.batch_size,
+            [rng_for(models[i].seed, "epoch", epoch) for i in live],
+            hard=[targets[i] for i in live],
+        )
+        keep = []
+        for j, i in enumerate(live):
+            row, _ = opt.cell_views(work, j, j + 1)
+            acc = evaluate(row, vals[i]).overall_accuracy
+            if acc > best_acc[i]:
+                best_acc[i] = acc
+                best[i] = work.params[j].copy()
+                stale[i] = 0
+            else:
+                stale[i] += 1
+            if stale[i] < cfg.patience:
+                keep.append(j)
+        if not keep:
+            break
+        if len(keep) < len(live):
+            work = select_cells(work, opt, keep)
+            live = [live[j] for j in keep]
+    return [Model.from_params(arch, p, m.seed) for p, m in zip(best, models)]
 
 
 # --------------------------------------------------------------------------

@@ -288,7 +288,7 @@ def pretrain_participants(
         init_model(arch, stable_seed(master_seed, "participant-init", i))
         for i in range(len(parts))
     ]
-    trained, _ = train_supervised_cells(
+    trained = train_supervised_cells(
         models, [p.train for p in parts], [p.val for p in parts], cfg
     )
     return [(model, evaluate(model, scenario.test)) for model in trained]

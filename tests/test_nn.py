@@ -550,11 +550,34 @@ def test_selected_cells_resume_as_if_never_selected(rng, optimizer):
     cut, cut_opt = run(4, keep_after=3)
     kept = [0, 2, 3]
     assert cut.params.tobytes() == whole.params[kept].tobytes()
-    assert cut_opt.t == [whole_opt.t[i] for i in kept]
     if optimizer == "adam":
+        assert cut_opt.t == [whole_opt.t[i] for i in kept]
         assert len(set(whole_opt.t)) > 1
     for name in ("m", "v"):
         assert getattr(cut_opt, name).tobytes() == getattr(whole_opt, name)[kept].tobytes()
+
+
+def test_ragged_cells_refuse_what_they_cannot_train(rng):
+    arch = ArchSpec(input_dim=3, hidden_layers=(), num_classes=2)
+    sizes = [6, 3]
+    features = [rng.normal(0, 1, size=(n, 3)) for n in sizes]
+    labels = [rng.integers(0, 2, size=n) for n in sizes]
+    hard = [onehot(y, 2) for y in labels]
+    work = Model.from_params(arch, np.stack([init_model(arch, s).params for s in (1, 2)]), 0)
+    opt, _ = make_optimizer("adam", 0.1, 0.0, 0.0, work)
+    start = work.params.tobytes()
+    rngs = [rng_for(s, "epoch", 1) for s in (1, 2)]
+    for kwargs in (
+        dict(soft=np.full((9, 2), 0.5)),
+        dict(labels=np.concatenate(labels)),
+    ):
+        with pytest.raises(ShapeError):
+            train_epoch(work, opt, features, 4, rngs, hard=hard, **kwargs)
+    with pytest.raises(ShapeError):
+        train_epoch(work, opt, features[::-1], 4, rngs, hard=hard[::-1])
+    with pytest.raises(ShapeError):
+        train_epoch(work, opt, features, 4, rngs[:1], hard=hard)
+    assert work.params.tobytes() == start
 
 
 def test_train_config_validation():
