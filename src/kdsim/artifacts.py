@@ -118,12 +118,20 @@ def write_json(path: str | Path, obj) -> None:
         fh.write(text)
 
 
+def _read(path: Path, mode: str = "r"):
+    """A file's whole text or bytes; a missing or unreadable file raises
+    ParseError naming it."""
+    try:
+        with open(path, mode) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read ({exc.strerror or exc})") from None
+
+
 def read_json(path: str | Path):
     p = Path(path)
     try:
-        return json.loads(p.read_text())
-    except FileNotFoundError:
-        raise
+        return json.loads(_read(p))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}: not valid JSON ({exc})") from None
 
@@ -153,7 +161,7 @@ def save_model(path: str | Path, model: Model, fingerprint: str) -> None:
 class _Reader:
     def __init__(self, path: Path):
         self.path = path
-        self.blob = path.read_bytes()
+        self.blob = _read(path, "rb")
         self.pos = 0
 
     def take(self, n: int) -> bytes:
@@ -175,7 +183,7 @@ def load_model(
     """Load a model snapshot, checking its config fingerprint.
 
     A fingerprint mismatch raises ConfigError unless force is set; a
-    malformed file raises ParseError.
+    missing or malformed file raises ParseError.
     """
     r = _Reader(Path(path))
     if r.take(4) != MODEL_MAGIC:

@@ -302,11 +302,10 @@ def cmd_distill(cfg: RunConfig, args) -> int:
         scenario,
         [args.method],
         [option],
-        cfg.distill_config(),
-        cfg.grid_spec(),
+        cfg.distill,
+        cfg.grid,
         cfg.transfer_sizes(),
         cfg.seed,
-        sequential=cfg.grid.sequential,
         pairs=[(teacher, student)],
     )
     rel = f"distill_t{teacher}_s{student}_{args.method}_{option}.json"
@@ -332,11 +331,10 @@ def cmd_grid(cfg: RunConfig, args) -> int:
         pretrained[student][0],
         pretrained[teacher][0],
         transfer,
-        cfg.grid_spec(),
-        cfg.distill_config(),
+        cfg.grid,
+        cfg.distill,
         scenario.participants[student].val,
         seed_fn=lambda t, a: pair_seed(cfg.seed, teacher, student, "vanilla", t, a),
-        sequential=cfg.grid.sequential,
     )
     rel = f"grid_t{teacher}_s{student}_{option}.json"
     write_json(
@@ -371,12 +369,11 @@ def cmd_matrix(cfg: RunConfig, args) -> int:
         scenario,
         list(cfg.distill.methods),
         list(cfg.distill.transfer_options),
-        cfg.distill_config(),
-        cfg.grid_spec(),
+        cfg.distill,
+        cfg.grid,
         cfg.transfer_sizes(),
         cfg.seed,
         jobs=cfg.jobs,
-        sequential=cfg.grid.sequential,
     )
     emit_report(results, [], "json", out)
     record_stage(out, cfg, "matrix", {"results": RESULTS_FILE})
@@ -392,7 +389,6 @@ def cmd_consolidate(cfg: RunConfig, args) -> int:
     scenario = _scenario(cfg, out, args.force)
     pretrained = list(_load_pretrained(cfg, out, args.force, scenario.k).values())
     c = cfg.consolidate
-    dcfg = cfg.distill_config()
     merged, report = consolidate_models(
         pretrained,
         scenario,
@@ -400,7 +396,7 @@ def cmd_consolidate(cfg: RunConfig, args) -> int:
         c.weighting,
         c.transfer_option,
         c.epochs,
-        dcfg,
+        cfg.distill,
         cfg.transfer_sizes(),
         cfg.seed,
     )

@@ -7,11 +7,12 @@ config reports all of its mistakes in one pass. Command-line overrides
 (seed, output directory, jobs) are applied onto the tree before
 validation.
 
-The `pretrain` and `fed` sections are the library recipes themselves,
-`nn.TrainConfig` and `fed.FedConfig`, and the `distill` section's
-training keys follow `distill.DistillConfig`'s rules: each recipe states
-its rules once, in the library, and validation here reports them under
-the section's name. No check counts a boolean as a number.
+The `pretrain`, `fed` and `grid` sections are library classes
+themselves, `nn.TrainConfig`, `fed.FedConfig` and `orchestrate.GridSpec`,
+and the `distill` section is `distill.DistillConfig` plus the matrix's
+`methods` and `transfer_options`: each class states its rules once, in
+its `problems()`, and validation here reports them under the section's
+name. No check counts a boolean as a number.
 """
 
 from __future__ import annotations
@@ -22,18 +23,11 @@ from pathlib import Path
 import yaml
 
 from .data import PARTITION_STRATEGIES, TRANSFER_OPTIONS, TransferSizes
-from .distill import DistillConfig, recipe_problems
+from .distill import DistillConfig
 from .errors import ConfigError
 from .fed import FedConfig
 from .nn import TrainConfig, check, is_int, is_number
-from .orchestrate import (
-    DEFAULT_GRID_ALPHAS,
-    DEFAULT_GRID_TEMPERATURES,
-    MATRIX_METHODS,
-    START_POLICIES,
-    WEIGHTINGS,
-    GridSpec,
-)
+from .orchestrate import MATRIX_METHODS, START_POLICIES, WEIGHTINGS, GridSpec
 
 DATASET_KINDS = ("toy", "csv")
 REPORT_FORMATS = ("csv", "json")
@@ -79,25 +73,26 @@ class ModelSection:
     hidden_layers: list[int] = field(default_factory=lambda: [64])
 
 
-@dataclass
-class DistillSection:
+@dataclass(eq=False)
+class DistillSection(DistillConfig):
+    """The training recipe of every pairwise run, and which methods and
+    transfer options the matrix runs."""
+
     methods: list[str] = field(default_factory=lambda: ["vanilla"])
     transfer_options: list[str] = field(default_factory=lambda: ["student_data"])
-    temperature: float = 1.0
-    alpha: float = 0.5
-    epochs: int = 30
-    optimizer: str = "adam"
-    learning_rate: float = 1e-3
-    weight_decay: float = 4e-4
-    batch_size: int = 32
-    momentum: float = 0.0
 
-
-@dataclass
-class GridSection:
-    temperatures: list[float] = field(default_factory=lambda: list(DEFAULT_GRID_TEMPERATURES))
-    alphas: list[float] = field(default_factory=lambda: list(DEFAULT_GRID_ALPHAS))
-    sequential: bool = False
+    def problems(self) -> list[str]:
+        found = super().problems()
+        for key, allowed in (("methods", MATRIX_METHODS), ("transfer_options", TRANSFER_OPTIONS)):
+            entries = getattr(self, key)
+            ok = isinstance(entries, list) and entries and all(e in allowed for e in entries)
+            check(found, ok, key, f"must be a non-empty subset of {allowed}")
+            if isinstance(entries, list):
+                for i, entry in enumerate(entries):
+                    first = entries.index(entry) == i
+                    check(found, not first or entries.count(entry) == 1, key,
+                          f"repeated entry {entry!r}")
+        return found
 
 
 @dataclass
@@ -124,21 +119,10 @@ class RunConfig:
     model: ModelSection = field(default_factory=ModelSection)
     pretrain: TrainConfig = field(default_factory=TrainConfig)
     distill: DistillSection = field(default_factory=DistillSection)
-    grid: GridSection = field(default_factory=GridSection)
+    grid: GridSpec = field(default_factory=GridSpec)
     consolidate: ConsolidateSection = field(default_factory=ConsolidateSection)
     fed: FedConfig = field(default_factory=FedConfig)
     report: ReportSection = field(default_factory=ReportSection)
-
-    # -- adapters into the library dataclasses ------------------------------
-
-    def distill_config(self) -> DistillConfig:
-        recipe = DistillConfig.__dataclass_fields__
-        return DistillConfig(**{k: v for k, v in asdict(self.distill).items() if k in recipe})
-
-    def grid_spec(self) -> GridSpec:
-        return GridSpec(
-            temperatures=tuple(self.grid.temperatures), alphas=tuple(self.grid.alphas)
-        )
 
     def transfer_sizes(self) -> TransferSizes:
         return TransferSizes(
@@ -158,7 +142,7 @@ _SECTIONS = {
     "model": ModelSection,
     "pretrain": TrainConfig,
     "distill": DistillSection,
-    "grid": GridSection,
+    "grid": GridSpec,
     "consolidate": ConsolidateSection,
     "fed": FedConfig,
     "report": ReportSection,
@@ -260,39 +244,9 @@ def _validate(cfg: RunConfig, errors: list[str]) -> None:
     )
     check(errors, ok, "model.hidden_layers", "must be a list of integers >= 1")
 
-    # the training recipes state their own rules
-    errors += [f"pretrain.{msg}" for msg in cfg.pretrain.problems()]
-    errors += [f"distill.{msg}" for msg in recipe_problems(cfg.distill)]
-    errors += [f"fed.{msg}" for msg in cfg.fed.problems()]
-
-    s = cfg.distill
-    ok = isinstance(s.methods, list) and s.methods and all(
-        mth in MATRIX_METHODS for mth in s.methods
-    )
-    check(errors, ok, "distill.methods", f"must be a non-empty subset of {MATRIX_METHODS}")
-    ok = isinstance(s.transfer_options, list) and s.transfer_options and all(
-        o in TRANSFER_OPTIONS for o in s.transfer_options
-    )
-    check(errors, ok, "distill.transfer_options",
-          f"must be a non-empty subset of {TRANSFER_OPTIONS}")
-    for key in ("methods", "transfer_options"):
-        entries = getattr(s, key)
-        if isinstance(entries, list):
-            for i, entry in enumerate(entries):
-                first = entries.index(entry) == i
-                check(errors, not first or entries.count(entry) == 1,
-                      f"distill.{key}", f"repeated entry {entry!r}")
-
-    g = cfg.grid
-    ok = isinstance(g.temperatures, list) and g.temperatures and all(
-        is_number(v) and v > 0 for v in g.temperatures
-    )
-    check(errors, ok, "grid.temperatures", "must be a non-empty list of positives")
-    ok = isinstance(g.alphas, list) and g.alphas and all(
-        is_number(v) and 0 <= v <= 1 for v in g.alphas
-    )
-    check(errors, ok, "grid.alphas", "must be a non-empty list of values in [0, 1]")
-    check(errors, isinstance(g.sequential, bool), "grid.sequential", "must be a boolean")
+    # the library sections state their own rules
+    for name in ("pretrain", "distill", "grid", "fed"):
+        errors += [f"{name}.{msg}" for msg in getattr(cfg, name).problems()]
 
     c = cfg.consolidate
     check(errors, c.start_policy in START_POLICIES, "consolidate.start_policy",

@@ -21,14 +21,13 @@ only the student copy is ever stepped. Every run is deterministic per
 (models, transfer set, config, seed).
 
 Runs of one student on one transfer set that differ only in teachers,
-alpha and seed are cells: `distill_vanilla_benches` (one bench per
-cell; `distill_vanilla_cells` is a grid row against one bench),
-`distill_dpkd_cells` and `distill_dml_cells` train them as one stack of
-models (see `nn`), each cell with its own generators, and every cell
-comes out bit-identical to its own one-cell run. Work the cells share
-is done once: each model's soft targets, and DPKD's snapshot
-probabilities. `distill_vanilla`, `distill_dpkd` and `distill_dml` are
-the one-cell cases.
+alpha and seed are cells: `distill_vanilla_benches` (one teacher bench
+per cell), `distill_dpkd_cells` and `distill_dml_cells` train them as
+one stack of models (see `nn`), each cell with its own generators, and
+every cell comes out bit-identical to its own one-cell run. Work the
+cells share is done once: each model's soft targets, and DPKD's
+snapshot probabilities. `distill_vanilla`, `distill_dpkd` and
+`distill_dml` are the one-cell cases.
 
 Temperatures above 1 shrink softened-softmax gradients by roughly T^2,
 so the KL objectives here carry an explicit T^2 factor to keep gradient
@@ -66,21 +65,17 @@ from .nn import (
 )
 from .seeding import rng_for
 
-KD_METHODS = ("vanilla", "dml", "dpkd")
-
 
 @dataclass(eq=False)
 class DistillConfig:
-    """Knobs for one distillation run.
+    """The training recipe of one distillation run, shared by every
+    method; the `distill` config section extends it.
 
     temperature and alpha follow the usual soft-target convention:
     alpha mixes the hard-label term against the distillation term, and
-    temperature softens both endpoint distributions of the KL. The
-    `distill` config section carries every field but method and
-    supervised_dpkd, and is checked by the same `recipe_problems`.
+    temperature softens both endpoint distributions of the KL.
     """
 
-    method: str = "vanilla"
     temperature: float = 1.0
     alpha: float = 0.5
     epochs: int = 30
@@ -89,28 +84,20 @@ class DistillConfig:
     weight_decay: float = 4e-4
     batch_size: int = 32
     momentum: float = 0.0
-    supervised_dpkd: bool = False
 
     def __post_init__(self) -> None:
         raise_problems(self)
 
     def problems(self) -> list[str]:
         """Every type and range finding, as "key: message"."""
-        found = recipe_problems(self)
-        check(found, self.method in KD_METHODS, "method", f"must be one of {KD_METHODS}")
+        found = optimizer_problems(self)
+        check(found, is_number(self.temperature) and self.temperature > 0, "temperature",
+              "must be > 0")
+        check(found, is_number(self.alpha) and 0 <= self.alpha <= 1, "alpha",
+              "must lie in [0, 1]")
+        check(found, is_int(self.epochs) and self.epochs >= 1, "epochs",
+              "must be an integer >= 1")
         return found
-
-
-def recipe_problems(cfg) -> list[str]:
-    """Findings on the training keys DistillConfig shares with the
-    `distill` config section: temperature, alpha, epochs and the
-    optimizer keys."""
-    found = optimizer_problems(cfg)
-    check(found, is_number(cfg.temperature) and cfg.temperature > 0, "temperature",
-          "must be > 0")
-    check(found, is_number(cfg.alpha) and 0 <= cfg.alpha <= 1, "alpha", "must lie in [0, 1]")
-    check(found, is_int(cfg.epochs) and cfg.epochs >= 1, "epochs", "must be an integer >= 1")
-    return found
 
 
 def _student_optimizer(cfg: DistillConfig, model: Model):
@@ -200,19 +187,6 @@ def distill_vanilla(
     `distill_vanilla_benches`.
     """
     return distill_vanilla_benches(student, [teachers], transfer, cfg, [cfg.alpha], [seed])[0]
-
-
-def distill_vanilla_cells(
-    student: Model,
-    teachers: list[Model],
-    transfer: TransferSet,
-    cfg: DistillConfig,
-    alphas: list[float],
-    seeds: list[int],
-) -> list[Model]:
-    """Vanilla runs against one bench, one per (alpha, seed) cell: a grid
-    row. See `distill_vanilla_benches`."""
-    return distill_vanilla_benches(student, [teachers] * len(seeds), transfer, cfg, alphas, seeds)
 
 
 def distill_vanilla_benches(
@@ -447,16 +421,19 @@ def distill_dpkd(
     transfer: TransferSet,
     cfg: DistillConfig,
     seed: int,
+    supervised: bool = False,
 ) -> Model:
     """Distill from whichever of (teacher, frozen starting student) was
     more confident per sample.
 
     Masks are computed once against a frozen snapshot of the student's
-    starting parameters and held fixed for the whole run; the loss is
-    T^2 * mean of mask-routed KL terms with no supervised component.
-    This is the one-cell case of `distill_dpkd_cells`.
+    starting parameters and held fixed for the whole run, comparing the
+    true class's probability when `supervised` and the top probability
+    otherwise (see `dpkd_masks`); the loss is T^2 * mean of mask-routed
+    KL terms with no supervised component. This is the one-cell case of
+    `distill_dpkd_cells`.
     """
-    return distill_dpkd_cells(student, [teacher], transfer, cfg, [seed])[0]
+    return distill_dpkd_cells(student, [teacher], transfer, cfg, [seed], supervised)[0]
 
 
 def _probabilities(model: Model, features: np.ndarray, temperature: float):
@@ -472,8 +449,10 @@ def distill_dpkd_cells(
     transfer: TransferSet,
     cfg: DistillConfig,
     seeds: list[int],
+    supervised: bool = False,
 ) -> list[Model]:
-    """DPKD runs of one student, one per (teacher, seed) cell, as one stack.
+    """DPKD runs of one student, one per (teacher, seed) cell, as one stack,
+    every cell routing by the same rule (`supervised`, see `distill_dpkd`).
 
     The snapshot's probabilities are computed once for all cells, and
     each model's once for both the masks (temperature 1) and the targets
@@ -488,7 +467,7 @@ def distill_dpkd_cells(
     for teacher in teachers:
         _check_transfer(teacher, transfer)
         teach_one, teach_t = _probabilities(teacher, transfer.features, cfg.temperature)
-        masks = _route_masks(teach_one, snap_one, transfer, cfg.supervised_dpkd)
+        masks = _route_masks(teach_one, snap_one, transfer, supervised)
         targets.append(masked_targets(teach_t, snap_t, masks))
     return _distill(
         student, transfer, cfg, [cfg.alpha] * len(seeds), seeds, soft=np.stack(targets)

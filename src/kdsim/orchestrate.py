@@ -36,7 +36,7 @@ train are trained as a stack.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -67,9 +67,12 @@ from .nn import (
     EvalReport,
     Model,
     TrainConfig,
+    check,
     evaluate,
     init_model,
+    is_number,
     overall_accuracies,
+    raise_problems,
     train_supervised_cells,
 )
 from .seeding import stable_seed
@@ -84,22 +87,35 @@ DEFAULT_GRID_ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 @dataclass(eq=False)
 class GridSpec:
-    """Axes of the temperature/alpha search grid."""
+    """The temperature/alpha search grid and its search mode; the `grid`
+    config section.
 
-    temperatures: tuple[float, ...] = DEFAULT_GRID_TEMPERATURES
-    alphas: tuple[float, ...] = DEFAULT_GRID_ALPHAS
+    Exhaustive mode trains every (temperature, alpha) cell; `sequential`
+    tunes alpha at one anchor temperature first, then temperature at the
+    chosen alpha (see `grid_search_tuned`). The axes may be lists or
+    tuples and keep the values given; the search reads them as floats.
+    """
+
+    temperatures: list[float] = field(default_factory=lambda: list(DEFAULT_GRID_TEMPERATURES))
+    alphas: list[float] = field(default_factory=lambda: list(DEFAULT_GRID_ALPHAS))
+    sequential: bool = False
 
     def __post_init__(self) -> None:
-        self.temperatures = tuple(float(t) for t in self.temperatures)
-        self.alphas = tuple(float(a) for a in self.alphas)
-        if any(t <= 0 for t in self.temperatures):
-            raise ConfigError("grid temperatures must be > 0")
-        if any(not 0.0 <= a <= 1.0 for a in self.alphas):
-            raise ConfigError("grid alphas must lie in [0, 1]")
+        raise_problems(self)
 
-    @property
-    def empty(self) -> bool:
-        return not self.temperatures or not self.alphas
+    def problems(self) -> list[str]:
+        """Every type and range finding, as "key: message"."""
+        found: list[str] = []
+        ok = isinstance(self.temperatures, (list, tuple)) and self.temperatures and all(
+            is_number(t) and t > 0 for t in self.temperatures
+        )
+        check(found, ok, "temperatures", "must be a non-empty list of positives")
+        ok = isinstance(self.alphas, (list, tuple)) and self.alphas and all(
+            is_number(a) and 0 <= a <= 1 for a in self.alphas
+        )
+        check(found, ok, "alphas", "must be a non-empty list of values in [0, 1]")
+        check(found, isinstance(self.sequential, bool), "sequential", "must be a boolean")
+        return found
 
 
 @dataclass(eq=False)
@@ -350,7 +366,6 @@ class PairCell:
     cfg: DistillConfig
     grid: GridSpec | None
     master_seed: int
-    sequential: bool
 
     def seed(self, method: str, temperature: float, alpha: float) -> int:
         return pair_seed(
@@ -380,9 +395,11 @@ def _train_stack(cells: list[PairCell]) -> tuple[float, float, list[Model]]:
             [head.student] * len(cells), teachers, head.transfer, head.transfer, cfg, seeds
         )
     else:
-        run_cfg = replace(cfg, supervised_dpkd=head.option == "public_labeled")
         seeds = [cell.seed("dpkd", temperature, alpha) for cell in cells]
-        distilled = distill_dpkd_cells(head.student, teachers, head.transfer, run_cfg, seeds)
+        distilled = distill_dpkd_cells(
+            head.student, teachers, head.transfer, cfg, seeds,
+            supervised=head.option == "public_labeled",
+        )
     return temperature, alpha, distilled
 
 
@@ -395,8 +412,8 @@ def _run_group(cells: list[PairCell]) -> list[PairResult]:
     trained: dict[int, tuple[float, float, Model]] = {}  # by id(cell)
     tuned = [cell for cell in cells if cell.method == "tuned"]
     if tuned:
-        if head.grid is None or head.grid.empty:
-            raise ConfigError("tuned method needs a non-empty search grid")
+        if head.grid is None:
+            raise ConfigError("tuned method needs a search grid")
         keep = (cfg.temperature, cfg.alpha)
         searches = grid_search_teachers(
             head.student,
@@ -406,7 +423,6 @@ def _run_group(cells: list[PairCell]) -> list[PairResult]:
             cfg,
             head.student_val,
             [lambda t, a, cell=cell: cell.seed("vanilla", t, a) for cell in tuned],
-            sequential=head.sequential,
             keep=keep,
         )
         shared = {}
@@ -450,7 +466,6 @@ def run_pairwise_matrix(
     sizes: TransferSizes,
     master_seed: int,
     jobs: int = 1,
-    sequential: bool = False,
     pairs: list[tuple[int, int]] | None = None,
 ) -> list[PairResult]:
     """Every ordered teacher -> student pair for every method and option.
@@ -467,8 +482,8 @@ def run_pairwise_matrix(
     pairs run beside it. A student's tuned cells of one option search
     side by side, and its vanilla cells of that option join them (see
     the module docstring). Groups are independent, so `jobs` > 1 fans
-    them out over processes without changing any result. `sequential`
-    selects the linear grid search for the tuned method.
+    them out over processes without changing any result. The tuned
+    method searches `grid`, in its own mode.
     """
     if pairs is None:
         need = set(range(scenario.k))
@@ -510,7 +525,6 @@ def run_pairwise_matrix(
             cfg=cfg,
             grid=grid,
             master_seed=master_seed,
-            sequential=sequential,
         )
         for method in methods
         for option in transfer_options
@@ -560,13 +574,12 @@ def argmax_surface(surface: dict[tuple[float, float], float]) -> tuple[float, fl
     return best_key
 
 
-def _search(
-    count: int, grid: GridSpec, sequential: bool, run_row, keep=None
-) -> list[GridSearchResult]:
+def _search(count: int, grid: GridSpec, run_row, keep=None) -> list[GridSearchResult]:
     """The one search loop: `count` searches over `grid`, side by side.
 
     Each search visits its cells in the order `grid_search_tuned`
-    describes, and all searches share each temperature row:
+    describes, in the grid's mode, and all searches share each
+    temperature row, whose values are floats whatever the grid holds:
     `run_row(temperature, cells)` gets the row's (search, alpha) cells,
     search-major, and returns one (gain, model or None) per cell. Only
     each search's best model so far is kept, and the model of its `keep`
@@ -586,10 +599,10 @@ def _search(
             if key == keep:
                 kept[i] = model
 
-    temperatures = sorted(set(grid.temperatures))
-    alphas = sorted(set(grid.alphas))
+    temperatures = sorted({float(t) for t in grid.temperatures})
+    alphas = sorted({float(a) for a in grid.alphas})
     every_alpha = [(i, a) for i in range(count) for a in alphas]
-    if sequential:
+    if grid.sequential:
         anchor = 1.0 if 1.0 in temperatures else temperatures[len(temperatures) // 2]
         search_row(anchor, every_alpha)
         best_alphas = [argmax_surface(surface)[1] for surface in surfaces]
@@ -614,7 +627,6 @@ def grid_search_teachers(
     cfg: DistillConfig,
     select_data: LabeledDataset,
     seed_fns: list,
-    sequential: bool = False,
     keep: tuple[float, float] | None = None,
 ) -> list[GridSearchResult]:
     """`grid_search_tuned` for each teacher of one student, side by side.
@@ -627,8 +639,6 @@ def grid_search_teachers(
     A result's `kept_model` is the model of its `keep` cell, if the
     search trained that cell.
     """
-    if grid.empty:
-        raise ConfigError("grid must contain at least one temperature and one alpha")
     pre_acc = evaluate(student, select_data).overall_accuracy
 
     def run_row(temperature: float, cells: list[tuple[int, float]]) -> list:
@@ -640,7 +650,7 @@ def grid_search_teachers(
         accs = overall_accuracies(models, select_data)
         return [((acc - pre_acc) * 100.0, model) for acc, model in zip(accs, models)]
 
-    return _search(len(teachers), grid, sequential, run_row, keep)
+    return _search(len(teachers), grid, run_row, keep)
 
 
 def grid_search_tuned(
@@ -652,7 +662,6 @@ def grid_search_tuned(
     select_data: LabeledDataset,
     seed_fn=None,
     evaluate_cell=None,
-    sequential: bool = False,
 ) -> GridSearchResult:
     """Search the temperature/alpha grid for the best vanilla-KD setting.
 
@@ -660,8 +669,9 @@ def grid_search_tuned(
     (temperature, alpha) and the cell seed produced by seed_fn; the gain
     used for selection is measured on select_data (the student's
     validation split in orchestrated runs). Exhaustive mode scans the
-    full Cartesian product; sequential mode tunes alpha first at
-    temperature 1, then temperature at the chosen alpha, trading
+    full Cartesian product; sequential mode (`grid.sequential`) tunes
+    alpha first at temperature 1, or at the median temperature when 1 is
+    off the grid, then temperature at the chosen alpha, trading
     optimality for a linear number of cells.
 
     This is the one-teacher case of `grid_search_teachers`: the cells of
@@ -673,16 +683,14 @@ def grid_search_tuned(
     selection logic against a synthetic surface); it is called cell by
     cell, row by row, and `best_model` is then None.
     """
-    if grid.empty:
-        raise ConfigError("grid must contain at least one temperature and one alpha")
     if seed_fn is None:
         seed_fn = lambda t, a: pair_seed(0, 0, 1, "vanilla", t, a)
     if evaluate_cell is None:
         return grid_search_teachers(
-            student, [teacher], transfer, grid, cfg, select_data, [seed_fn], sequential
+            student, [teacher], transfer, grid, cfg, select_data, [seed_fn]
         )[0]
     run_row = lambda t, cells: [(evaluate_cell(t, a), None) for _, a in cells]
-    return _search(1, grid, sequential, run_row)[0]
+    return _search(1, grid, run_row)[0]
 
 
 # --------------------------------------------------------------------------

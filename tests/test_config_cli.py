@@ -1,5 +1,8 @@
 """Run configuration parsing, artifact files, and the command line."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -16,10 +19,16 @@ from kdsim.artifacts import (
 )
 from kdsim.cli import main
 from kdsim.config import RunConfig, parse_config
+from kdsim.distill import DistillConfig
 from kdsim.errors import ConfigError, ParseError
 from kdsim.fed import FedConfig
 from kdsim.nn import ArchSpec, TrainConfig, init_model, models_equal
-from kdsim.orchestrate import DEFAULT_GRID_ALPHAS, DEFAULT_GRID_TEMPERATURES, build_scenario
+from kdsim.orchestrate import (
+    DEFAULT_GRID_ALPHAS,
+    DEFAULT_GRID_TEMPERATURES,
+    GridSpec,
+    build_scenario,
+)
 from kdsim.seeding import stable_seed
 from kdsim.toydata import gaussian_blobs
 
@@ -250,11 +259,27 @@ def test_malformed_transfer_options_are_reported():
             parse_config(None, raw)
 
 
+def test_grid_section_is_a_grid_spec_with_its_rules():
+    raw = {"grid": {"temperatures": [], "alphas": [True, 0.5], "sequential": 1}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(None, raw)
+    assert str(err.value).splitlines()[1:] == [
+        "  grid.alphas: must be a non-empty list of values in [0, 1]",
+        "  grid.sequential: must be a boolean",
+        "  grid.temperatures: must be a non-empty list of positives",
+    ]
+    with pytest.raises(ConfigError, match="temperatures"):
+        GridSpec(**raw["grid"])
+    # the section keeps the values it is given; the search reads them as floats
+    cfg = parse_config(None, {"grid": {"temperatures": [1, 2], "alphas": [0, 1]}})
+    assert cfg.grid.temperatures == [1, 2] and type(cfg.grid.temperatures[0]) is int
+
+
 def test_adapters_copy_section_values(tiny_config):
     cfg = parse_config(tiny_config)
     assert isinstance(cfg.pretrain, TrainConfig) and cfg.pretrain.max_epochs == 12
-    assert cfg.distill_config().epochs == 2
-    assert cfg.grid_spec().temperatures == (1.0, 2.0)
+    assert isinstance(cfg.distill, DistillConfig) and cfg.distill.epochs == 2
+    assert isinstance(cfg.grid, GridSpec) and cfg.grid.temperatures == [1.0, 2.0]
     assert cfg.transfer_sizes().labeled == 12
     assert isinstance(cfg.fed, FedConfig) and cfg.fed.rounds == 2
     tree = cfg.as_dict()
@@ -816,3 +841,68 @@ def test_cli_diverged_federation_fails_instead_of_reporting_accuracy(tmp_path, c
     assert _run("fedavg", *base) == 2
     assert "not finite" in capsys.readouterr().err
     assert not (tmp_path / "run" / "trajectories.json").exists()
+
+
+def test_cli_missing_plan_is_an_error_not_a_traceback(tiny_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    base = ("--config", str(tiny_config), "--out-dir", str(out))
+    assert _run("partition", *base) == 0
+    (out / "plan.json").unlink()
+    capsys.readouterr()
+    assert _run("pretrain", *base) == 2
+    assert capsys.readouterr().err.startswith(f"kdsim: {out / 'plan.json'}: cannot read")
+
+
+def test_cli_missing_model_fails_the_stages_that_read_it(tiny_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    base = ("--config", str(tiny_config), "--out-dir", str(out))
+    for cmd in ("partition", "pretrain"):
+        assert _run(cmd, *base) == 0
+    missing = out / "models" / "participant_01.kdsm"
+    missing.unlink()
+    capsys.readouterr()
+    assert _run("matrix", *base) == 2
+    assert capsys.readouterr().err.startswith(f"kdsim: {missing}: cannot read")
+    # a request reads only its own pair's models
+    assert _run("distill", *base, "--teacher", "2", "--student", "0") == 0
+    assert _run("distill", *base, "--teacher", "1", "--student", "0") == 2
+
+
+def test_integer_grid_values_write_the_bytes_of_their_float_spelling(tmp_path, capsys):
+    methods = {"methods": ["vanilla", "tuned"], "transfer_options": ["student_data"]}
+    written = []
+    for name, temperatures, alphas in (
+        ("ints", [1, 2], [0, 1, 0.5]), ("floats", [1.0, 2.0], [0.0, 1.0, 0.5])
+    ):
+        grid = {"temperatures": temperatures, "alphas": alphas, "sequential": True}
+        config = _config_with(tmp_path, f"{name}.yaml", distill=methods, grid=grid)
+        out = tmp_path / name
+        base = ("--config", str(config), "--out-dir", str(out))
+        for cmd in ("partition", "pretrain", "matrix"):
+            assert _run(cmd, *base) == 0
+        assert _run("grid", *base, "--teacher", "0", "--student", "1") == 0
+        written.append([
+            (out / rel).read_bytes() for rel in ("results.json", "grid_t0_s1_student_data.json")
+        ])
+    assert written[0] == written[1]
+    assert b'"temperature": 1.0' in written[0][1]
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
+    blocks = re.findall(r"```(\w*)\n(.*?)```", _README.read_text(), re.S)
+    (config,) = [body for lang, body in blocks if lang == "yaml" and body.startswith("# run.yaml")]
+    commands = [
+        line.split()[1:]
+        for lang, body in blocks if lang == "sh"
+        for line in body.splitlines() if line.startswith("kdsim ")
+    ]
+    assert len(commands) == 8
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KDSIM_OUT_DIR", raising=False)
+    Path("run.yaml").write_text(config)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert Path("runs/demo/results.csv").exists()

@@ -15,7 +15,7 @@ from kdsim.distill import (
     distill_dpkd,
     distill_multi_teacher,
     distill_vanilla,
-    distill_vanilla_cells,
+    distill_vanilla_benches,
     dpkd_masks,
     effective_teachers,
     equal_teacher_weights,
@@ -92,7 +92,6 @@ FAST = dict(epochs=3, learning_rate=1e-2, batch_size=16)
 
 def test_distill_config_rejects_bad_values():
     for kwargs in (
-        dict(method="magic"),
         dict(temperature=0.0),
         dict(alpha=1.5),
         dict(alpha=-0.1),
@@ -225,16 +224,16 @@ def test_diverging_distillation_raises_instead_of_returning_nan(rng):
 def test_diverging_stack_raises_instead_of_returning_nan(rng):
     cfg = DistillConfig(**{**FAST, "learning_rate": 1e300})
     with pytest.raises(DomainError, match="not finite"):
-        distill_vanilla_cells(
-            init_model(ARCH, 1), [init_model(ARCH, 2)], _labeled_transfer(rng), cfg,
+        distill_vanilla_benches(
+            init_model(ARCH, 1), [[init_model(ARCH, 2)]] * 3, _labeled_transfer(rng), cfg,
             [0.1, 0.5, 0.9], [7, 8, 9],
         )
 
 
 def test_vanilla_cells_need_one_seed_per_alpha(rng):
     with pytest.raises(ConfigError):
-        distill_vanilla_cells(
-            init_model(ARCH, 1), [init_model(ARCH, 2)], _labeled_transfer(rng),
+        distill_vanilla_benches(
+            init_model(ARCH, 1), [[init_model(ARCH, 2)]] * 2, _labeled_transfer(rng),
             DistillConfig(**FAST), [0.1, 0.5], [7],
         )
 
@@ -392,7 +391,7 @@ def test_dpkd_ignores_labels_when_unsupervised(rng):
     ts2 = TransferSet(
         features=feats, labels=np.full(40, 2, dtype=np.int64), origin="public_labeled"
     )
-    cfg = DistillConfig(method="dpkd", **FAST)
+    cfg = DistillConfig(**FAST)
     assert models_equal(
         distill_dpkd(student, teacher, ts1, cfg, 8),
         distill_dpkd(student, teacher, ts2, cfg, 8),
@@ -403,7 +402,7 @@ def test_dpkd_all_tie_run_is_a_fixed_point(rng):
     # teacher equals the snapshot, every sample routes to the snapshot,
     # and the snapshot is the student's own start
     student = init_model(ARCH, 3)
-    cfg = DistillConfig(method="dpkd", weight_decay=0.0, **FAST)
+    cfg = DistillConfig(weight_decay=0.0, **FAST)
     out = distill_dpkd(student, student.copy(), _unlabeled_transfer(rng), cfg, 2)
     assert models_equal(out, student)
 
@@ -412,7 +411,7 @@ def test_dpkd_deterministic_and_pure(rng):
     student = init_model(ARCH, 1)
     teacher = init_model(ARCH, 2)
     ts = _unlabeled_transfer(rng)
-    cfg = DistillConfig(method="dpkd", temperature=2.0, **FAST)
+    cfg = DistillConfig(temperature=2.0, **FAST)
     a = distill_dpkd(student, teacher, ts, cfg, 11)
     b = distill_dpkd(student, teacher, ts, cfg, 11)
     assert models_equal(a, b)

@@ -226,10 +226,10 @@ def test_vanilla_records_beside_tuned_equal_vanilla_only_records(
     import kdsim.orchestrate as orchestrate
 
     cfg = replace(QUICK, temperature=point[0], alpha=point[1])
-    grid = GridSpec(temperatures=(3.0, 1.0), alphas=(0.9, 0.5, 0.1))
+    grid = GridSpec(temperatures=(3.0, 1.0), alphas=(0.9, 0.5, 0.1), sequential=sequential)
     options = ["student_data", "public_unlabeled_small"]
     run = lambda methods: run_pairwise_matrix(
-        pretrained, scenario, methods, options, cfg, grid, SIZES, 9, sequential=sequential
+        pretrained, scenario, methods, options, cfg, grid, SIZES, 9
     )
     alone = run(["vanilla"])
     trained = []
@@ -291,10 +291,8 @@ def test_sequential_grid_sweeps_alpha_at_the_anchor_first():
         calls.append((t, a))
         return -(abs(t - 4.0) + abs(a - 0.9))
 
-    grid = GridSpec(temperatures=(1.0, 2.0, 4.0), alphas=(0.1, 0.5, 0.9))
-    res = grid_search_tuned(
-        None, None, None, grid, QUICK, None, evaluate_cell=probe, sequential=True
-    )
+    grid = GridSpec(temperatures=(1.0, 2.0, 4.0), alphas=(0.1, 0.5, 0.9), sequential=True)
+    res = grid_search_tuned(None, None, None, grid, QUICK, None, evaluate_cell=probe)
     # one alpha sweep at T=1, then a temperature sweep at the winner
     assert calls[:3] == [(1.0, 0.1), (1.0, 0.5), (1.0, 0.9)]
     assert all(a == 0.9 for _, a in calls[3:])
@@ -304,7 +302,7 @@ def test_sequential_grid_sweeps_alpha_at_the_anchor_first():
 
 def test_sequential_anchor_falls_back_to_median_temperature():
     calls = []
-    grid = GridSpec(temperatures=(2.0, 3.0, 4.0), alphas=(0.25, 0.75))
+    grid = GridSpec(temperatures=(2.0, 3.0, 4.0), alphas=(0.25, 0.75), sequential=True)
     grid_search_tuned(
         None,
         None,
@@ -313,7 +311,6 @@ def test_sequential_anchor_falls_back_to_median_temperature():
         QUICK,
         None,
         evaluate_cell=lambda t, a: calls.append((t, a)) or 0.0,
-        sequential=True,
     )
     assert {t for t, _ in calls[:2]} == {3.0}
 
@@ -328,8 +325,8 @@ def test_side_by_side_searches_follow_their_own_best_alpha():
         rows.append((t, cells))
         return [(-(abs(t - peaks[i][0]) + abs(a - peaks[i][1])), None) for i, a in cells]
 
-    grid = GridSpec(temperatures=(4.0, 1.0, 2.0), alphas=(0.9, 0.1, 0.5))
-    results = orchestrate._search(2, grid, True, run_row)
+    grid = GridSpec(temperatures=(4.0, 1.0, 2.0), alphas=(0.9, 0.1, 0.5), sequential=True)
+    results = orchestrate._search(2, grid, run_row)
     assert [(r.best_temperature, r.best_alpha) for r in results] == peaks
     # one anchor row of every search's alphas, search-major, then one
     # cell per search at its own best alpha
@@ -388,7 +385,9 @@ def test_stacked_search_equals_a_per_cell_reference(
     ts = TransferSet(features=shard.features, labels=shard.labels, origin="student_data")
     seed_fn = lambda t, a: pair_seed(5, 2, 0, "vanilla", t, a)
     # alpha 0 and 1 drop a loss term and train in stacks of their own
-    grid = GridSpec(temperatures=(3.0, 0.5, 1.0), alphas=(1.0, 0.25, 0.0, 0.75))
+    grid = GridSpec(
+        temperatures=(3.0, 0.5, 1.0), alphas=(1.0, 0.25, 0.0, 0.75), sequential=sequential
+    )
     pre = evaluate(student, val).overall_accuracy
     models = {}
 
@@ -397,10 +396,8 @@ def test_stacked_search_equals_a_per_cell_reference(
         models[(t, a)] = distill_vanilla(student, [teacher], ts, cell_cfg, seed_fn(t, a))
         return (evaluate(models[(t, a)], val).overall_accuracy - pre) * 100.0
 
-    want = grid_search_tuned(
-        student, teacher, ts, grid, cfg, val, evaluate_cell=one_cell, sequential=sequential
-    )
-    got = grid_search_tuned(student, teacher, ts, grid, cfg, val, seed_fn, sequential=sequential)
+    want = grid_search_tuned(student, teacher, ts, grid, cfg, val, evaluate_cell=one_cell)
+    got = grid_search_tuned(student, teacher, ts, grid, cfg, val, seed_fn)
     assert got.surface == want.surface
     assert len(got.surface) == (4 + 3 - 1 if sequential else 12)
     best = (got.best_temperature, got.best_alpha)

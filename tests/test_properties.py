@@ -29,7 +29,6 @@ from kdsim.distill import (
     distill_dpkd_cells,
     distill_vanilla,
     distill_vanilla_benches,
-    distill_vanilla_cells,
     dpkd_masks,
     effective_teachers,
     masked_targets,
@@ -308,7 +307,7 @@ def _optimizer_values(allow_zero_lr=False):
     }
 
 
-# Each training-recipe section, its library class and valid values per key.
+# Each section that is a library class: the class and valid values per key.
 _RECIPES = {
     "pretrain": (TrainConfig, {
         **_optimizer_values(),
@@ -327,6 +326,11 @@ _RECIPES = {
         "local_epochs": st.integers(1, 10),
         "participation_rate": st.floats(0, 1, exclude_min=True),
     }),
+    "grid": (GridSpec, {
+        "temperatures": st.lists(_positive, min_size=1, max_size=4),
+        "alphas": st.lists(_unit, min_size=1, max_size=4),
+        "sequential": st.booleans(),
+    }),
 }
 _odd_values = st.one_of(
     st.sampled_from([True, False, None, "8", "adam ", [1], float("inf"), float("-inf")]),
@@ -337,7 +341,7 @@ _odd_values = st.one_of(
 
 @st.composite
 def _recipe_sections(draw):
-    """A training-recipe section whose keys take valid or invalid values."""
+    """A library-class section whose keys take valid or invalid values."""
     name = draw(st.sampled_from(sorted(_RECIPES)))
     cls, valid = _RECIPES[name]
     keys = draw(st.lists(st.sampled_from(sorted(valid)), unique=True))
@@ -423,7 +427,9 @@ def _plain_vanilla(student, teacher, transfer, cfg, seed):
 def test_stacked_cells_are_byte_identical_to_one_cell_runs(run):
     student, teacher, transfer, cfg, alphas, seeds = run
     before = student.params.tobytes()
-    cells = distill_vanilla_cells(student, [teacher], transfer, cfg, alphas, seeds)
+    cells = distill_vanilla_benches(
+        student, [[teacher]] * len(seeds), transfer, cfg, alphas, seeds
+    )
     assert student.params.tobytes() == before
     assert len(cells) == len(alphas)
     for model, alpha, seed in zip(cells, alphas, seeds):
@@ -461,7 +467,6 @@ def _student_groups(draw):
         weight_decay=draw(st.sampled_from([0.0, 0.3])),
         batch_size=batch,
         momentum=momentum,
-        supervised_dpkd=transfer.labeled and draw(st.booleans()),
     )
     cells = draw(st.integers(1, 4))
     seed_lists = st.lists(st.integers(0, 2**32), min_size=cells, max_size=cells)
@@ -496,9 +501,9 @@ def _plain_dml(peer_a, peer_b, transfer, cfg, seed):
     return work
 
 
-def _plain_dpkd(student, teacher, transfer, cfg, seed):
+def _plain_dpkd(student, teacher, transfer, cfg, seed, supervised):
     """Reference: masks and targets computed apart, one unstacked model."""
-    masks = dpkd_masks(teacher, student, transfer, cfg.supervised_dpkd)
+    masks = dpkd_masks(teacher, student, transfer, supervised)
     soft = masked_targets(
         softmax(forward_logits(teacher, transfer.features), cfg.temperature),
         softmax(forward_logits(student, transfer.features), cfg.temperature),
@@ -535,15 +540,16 @@ def test_stacked_teacher_cells_equal_one_cell_vanilla_runs(run):
 
 
 @PROPERTY
-@given(_student_groups())
-def test_stacked_dpkd_cells_equal_one_cell_runs(run):
+@given(_student_groups(), st.booleans())
+def test_stacked_dpkd_cells_equal_one_cell_runs(run, supervised):
     student, teachers, transfer, cfg, seeds = run
-    cells = distill_dpkd_cells(student, teachers, transfer, cfg, seeds)
+    supervised = transfer.labeled and supervised
+    cells = distill_dpkd_cells(student, teachers, transfer, cfg, seeds, supervised)
     assert _bytes(cells) == _bytes(
-        [distill_dpkd(student, t, transfer, cfg, s) for t, s in zip(teachers, seeds)]
+        [distill_dpkd(student, t, transfer, cfg, s, supervised) for t, s in zip(teachers, seeds)]
     )
     assert cells[0].params.tobytes() == _plain_dpkd(
-        student, teachers[0], transfer, cfg, seeds[0]
+        student, teachers[0], transfer, cfg, seeds[0], supervised
     ).params.tobytes()
 
 
@@ -579,6 +585,7 @@ def _cross_teacher_searches(draw):
     grid = GridSpec(
         temperatures=draw(st.permutations([1.0, 3.0])),
         alphas=draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=2, unique=True)),
+        sequential=draw(st.booleans()),
     )
     data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 30))
@@ -589,13 +596,13 @@ def _cross_teacher_searches(draw):
         class_count=classes,
     )
     keep = (draw(st.sampled_from(grid.temperatures)), draw(st.sampled_from(grid.alphas)))
-    return student, teachers, transfer, cfg, grid, select, draw(st.booleans()), keep
+    return student, teachers, transfer, cfg, grid, select, keep
 
 
 @PROPERTY
 @given(_cross_teacher_searches())
 def test_cross_teacher_search_equals_one_pair_searches(run):
-    student, teachers, transfer, cfg, grid, select, sequential, keep = run
+    student, teachers, transfer, cfg, grid, select, keep = run
     seed_fns = [lambda t, a, i=i: stable_seed(7, "pair", i, t, a) for i in range(len(teachers))]
     trained = {}  # (teacher index, temperature, alpha) -> parameter bytes
     benches = orchestrate.distill_vanilla_benches
@@ -610,12 +617,12 @@ def test_cross_teacher_search_equals_one_pair_searches(run):
 
     with patch.object(orchestrate, "distill_vanilla_benches", recording):
         got = grid_search_teachers(
-            student, teachers, transfer, grid, cfg, select, seed_fns, sequential, keep
+            student, teachers, transfer, grid, cfg, select, seed_fns, keep
         )
         together = dict(trained)
         trained.clear()
         want = [
-            grid_search_tuned(student, t, transfer, grid, cfg, select, f, sequential=sequential)
+            grid_search_tuned(student, t, transfer, grid, cfg, select, f)
             for t, f in zip(teachers, seed_fns)
         ]
     # every cell the searches trained side by side equals its one-pair cell
