@@ -27,10 +27,12 @@ from kdsim.distill import (
     distill_dml_cells,
     distill_dpkd,
     distill_dpkd_cells,
+    distill_multi_teacher,
     distill_vanilla,
     distill_vanilla_benches,
     dpkd_masks,
     effective_teachers,
+    equal_teacher_weights,
     masked_targets,
     merged_teacher_target,
     weighted_ensemble_kl_grad_logits,
@@ -689,3 +691,188 @@ def test_ragged_supervised_cells_equal_one_cell_runs(run):
         one, _ = train_supervised(model, trains[i], vals[i], cfg)
         assert trained[i].params.tobytes() == one.params.tobytes()
         assert trained[i].seed == model.seed
+
+
+# -- the minibatch step against a literal reference -------------------------
+
+
+def _reference_cell(params, arch, features, batch_size, rngs, opt_cfg, terms, *,
+                    hard=None, soft=None, weight=None, alpha=0.0, temperature=1.0):
+    """One cell trained by a literal minibatch loop, one epoch per generator.
+
+    Every minibatch gathers its rows with its own `take`, reduces with
+    `ndarray.max`/`sum` and keeps the operand order of the objective
+    (1 - alpha) * CE + alpha * T^2 * weight * KL and of the optimizer
+    step (Adam or momentum SGD, decoupled weight decay on the weights).
+    `terms` = (use CE, use KL) is decided by the whole stack, as in
+    `nn.train_epoch`.
+    """
+    name, lr, wd, momentum = opt_cfg
+    use_ce, use_kd = terms
+    p = params.copy()
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    t = 0
+    n_decay = arch.n_weight_entries
+    for rng in rngs:
+        order = rng.permutation(len(features))
+        for start in range(0, len(features), batch_size):
+            idx = order[start : start + batch_size]
+            nb = len(idx)
+            weights, biases = arch.param_views(p)
+            h = features.take(idx, axis=0)
+            acts = [h]
+            for i, (w, b) in enumerate(zip(weights, biases)):
+                h = h @ w + b
+                if i < len(weights) - 1:
+                    h = np.maximum(h, 0.0)
+                    acts.append(h)
+            dlogits = None
+            if use_ce:
+                z = h - h.max(axis=-1, keepdims=True)
+                e = np.exp(z)
+                probs = e / e.sum(axis=-1, keepdims=True)
+                dlogits = (probs - hard.take(idx, axis=0)) * (1.0 - alpha) / nb
+            if use_kd:
+                # x / 1.0 is x, so T = 1 needs no case of its own
+                z = h / temperature
+                z = z - z.max(axis=-1, keepdims=True)
+                e = np.exp(z)
+                gap = e / e.sum(axis=-1, keepdims=True) - soft.take(idx, axis=0)
+                if weight is not None:
+                    gap = gap * weight.take(idx)[:, None]
+                gap = gap * temperature / nb
+                if hard is not None:
+                    gap = gap * alpha
+                dlogits = gap if dlogits is None else dlogits + gap
+            grads_w, grads_b = [None] * len(weights), [None] * len(weights)
+            delta = dlogits
+            for i in reversed(range(len(weights))):
+                grads_w[i] = acts[i].T @ delta
+                grads_b[i] = delta.sum(axis=0)
+                if i > 0:
+                    delta = (delta @ weights[i].T) * (acts[i] > 0.0)
+            g = np.concatenate([x.ravel() for x in grads_w + grads_b])
+            if name == "adam":
+                t += 1
+                m = m * 0.9 + g * (1.0 - 0.9)
+                v = v * 0.999 + (g * g) * (1.0 - 0.999)
+                update = (m / (1.0 - 0.9**t)) * lr / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            else:
+                m = m * momentum + g
+                update = m * lr
+            if wd:
+                update[:n_decay] = update[:n_decay] + p[:n_decay] * (lr * wd)
+            p = p - update
+    return p
+
+
+@st.composite
+def _step_cases(draw):
+    """A transfer set with an often short last minibatch, Adam or momentum
+    SGD with or without decay, T in {0.5, 1, 3}, per-cell alpha in
+    {0, 0.5, 1}, labeled or unlabeled rows, shared or per-cell soft
+    targets, and per-sample weights or none."""
+    hidden = tuple(draw(st.lists(st.integers(1, 6), min_size=0, max_size=2)))
+    dim = draw(st.integers(1, 4))
+    classes = draw(st.integers(2, 4))
+    arch = ArchSpec(input_dim=dim, hidden_layers=hidden, num_classes=classes)
+    batch = draw(st.integers(1, 8))
+    n = batch * draw(st.integers(0, 2)) + draw(st.integers(1, batch))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = data.normal(0, 1, size=(n, dim))
+    labeled = draw(st.booleans())
+    hard = onehot(data.integers(0, classes, size=n), classes) if labeled else None
+    with_soft = not labeled or draw(st.booleans())
+    per_cell_soft = with_soft and draw(st.booleans())
+
+    def soft_block(shape):
+        return softmax(data.normal(0, 2, size=shape), 1.0)
+
+    weight = None
+    if with_soft and draw(st.booleans()):
+        weight = data.uniform(0, 1, size=n)
+    optimizer, momentum = draw(st.sampled_from([("adam", 0.0), ("sgd", 0.9)]))
+    opt_cfg = (optimizer, 0.05, draw(st.sampled_from([0.0, 0.3])), momentum)
+    temperature = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    alphas = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=3, max_size=3))
+    epochs = draw(st.integers(1, 2))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=3, max_size=3))
+    starts = [init_model(arch, draw(st.integers(0, 2**32))).params for _ in range(3)]
+    softs = None
+    if with_soft:
+        softs = [soft_block((n, classes))] * 3
+        if per_cell_soft:
+            softs = [soft_block((n, classes)) for _ in range(3)]
+    return (arch, features, batch, hard, softs, per_cell_soft, weight, opt_cfg, temperature,
+            alphas, epochs, seeds, starts)
+
+
+def _terms(hard, soft, alphas):
+    """Which loss terms `nn.train_epoch` uses for cells at these alphas."""
+    use_ce = hard is not None and any(a < 1.0 for a in alphas)
+    use_kd = soft is not None and (hard is None or any(a > 0.0 for a in alphas))
+    return use_ce, use_kd
+
+
+@PROPERTY
+@given(_step_cases())
+def test_plain_and_stacked_steps_equal_a_literal_reference(case):
+    (arch, features, batch, hard, softs, per_cell_soft, weight, opt_cfg, temperature,
+     alphas, epochs, seeds, starts) = case
+
+    def epoch_rngs(seed):
+        return [rng_for(seed, "epoch", e) for e in range(1, epochs + 1)]
+
+    def train(cells):
+        """The first `cells` cells through nn.train_epoch: a plain model
+        for None, else a stack of that many cells."""
+        plain = cells is None
+        rows = slice(0, 1 if plain else cells)
+        params = starts[0].copy() if plain else np.stack(starts[rows])
+        work = Model.from_params(arch, params, 0)
+        opt, _ = make_optimizer(*opt_cfg, work)
+        soft = None
+        if softs is not None:
+            soft = np.stack(softs[rows]) if per_cell_soft and not plain else softs[0]
+        for epoch in range(1, epochs + 1):
+            rng = [rng_for(s, "epoch", epoch) for s in seeds[rows]]
+            train_epoch(
+                work, opt, features, batch, rng[0] if plain else rng,
+                hard=hard, soft=soft, weight=weight,
+                alpha=alphas[0] if plain else alphas[rows], temperature=temperature,
+            )
+        return work.params.reshape(-1 if plain else cells, len(starts[0]))
+
+    for cells in (None, 1, 3):
+        count = 1 if cells is None else cells
+        terms = _terms(hard, softs, alphas[:count])
+        got = train(cells)
+        for i in range(count):
+            want = _reference_cell(
+                starts[i], arch, features, batch, epoch_rngs(seeds[i]), opt_cfg, terms,
+                hard=hard, soft=None if softs is None else softs[i], weight=weight,
+                alpha=alphas[i], temperature=temperature,
+            )
+            assert got[i].tobytes() == want.tobytes(), (cells, i)
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+def test_one_cell_runs_return_plain_models(labeled):
+    arch = ArchSpec(input_dim=3, hidden_layers=(4,), num_classes=3)
+    data = np.random.default_rng(5)
+    transfer = TransferSet(
+        features=data.normal(0, 1, size=(11, 3)),
+        labels=data.integers(0, 3, size=11) if labeled else None,
+        origin="student_data" if labeled else "public_unlabeled_small",
+    )
+    cfg = DistillConfig(epochs=2, batch_size=4)
+    student, teacher, other = (init_model(arch, s) for s in (1, 2, 3))
+    weights = equal_teacher_weights(2, 3)
+    for model in (
+        distill_vanilla(student, [teacher], transfer, cfg, 9),
+        distill_dpkd(student, teacher, transfer, cfg, 9),
+        distill_multi_teacher(student, [teacher, other], weights, transfer, cfg, 9),
+    ):
+        assert model.params.shape == student.params.shape == (len(student.params),)
+        assert model.seed == student.seed
