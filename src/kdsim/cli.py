@@ -23,6 +23,7 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +39,8 @@ from .artifacts import (
     save_model,
     write_json,
 )
-from .config import RunConfig, parse_config
-from .data import PartitionPlan, load_dataset
+from .config import DatasetSection, RunConfig, parse_config
+from .data import LabeledDataset, PartitionPlan, load_dataset
 from .errors import ConfigError, DataError, KdsimError
 from .fed import FedTrajectory, preconsolidated_fedavg, rounds_to_target
 from .metrics import (
@@ -139,20 +140,36 @@ def _load_config(args) -> RunConfig:
 # -- shared stage plumbing --------------------------------------------------
 
 
-def _base_data(cfg: RunConfig):
+def _base_data(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
+    """The run's train and test sets. A toy draw is made once per process
+    for each dataset section and seed (see `_toy_data`); CSV files are
+    read on every call."""
     d = cfg.dataset
     if d.kind == "toy":
-        return gaussian_blobs(
-            d.classes,
-            d.dim,
-            d.train_per_class,
-            d.test_per_class,
-            d.spread,
-            stable_seed(cfg.seed, "dataset"),
-        )
+        return _toy_data(astuple(d), cfg.seed)
     train = load_dataset(d.train_path)
     test = load_dataset(d.test_path, class_count=train.class_count)
     return train, test
+
+
+@functools.lru_cache(maxsize=4)
+def _toy_data(dataset: tuple, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+    """`gaussian_blobs` of a toy dataset section, given as the tuple of
+    its field values, under a master seed. Every stage call of one
+    process shares the result, so its arrays are read-only."""
+    d = DatasetSection(*dataset)
+    sets = gaussian_blobs(
+        d.classes,
+        d.dim,
+        d.train_per_class,
+        d.test_per_class,
+        d.spread,
+        stable_seed(seed, "dataset"),
+    )
+    for data in sets:
+        data.features.flags.writeable = False
+        data.labels.flags.writeable = False
+    return sets
 
 
 def _partition_params(cfg: RunConfig) -> dict:

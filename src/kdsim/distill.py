@@ -27,7 +27,9 @@ one stack of models (see `nn`), each cell with its own generators, and
 every cell comes out bit-identical to its own one-cell run. Work the
 cells share is done once: each model's soft targets, and DPKD's
 snapshot probabilities. `distill_vanilla`, `distill_dpkd` and
-`distill_dml` are the one-cell cases.
+`distill_dml` are the one-cell cases; a run of one cell, these and
+`distill_multi_teacher` included, trains as a plain model rather than a
+one-cell stack, which gives the same bits at a cheaper step.
 
 Temperatures above 1 shrink softened-softmax gradients by roughly T^2,
 so the KL objectives here carry an explicit T^2 factor to keep gradient
@@ -46,6 +48,7 @@ from .errors import ConfigError, DataError, ShapeError
 from .nn import (
     EvalReport,
     Model,
+    _check_input,
     _clamped_log,
     _forward_cached,
     backprop_params,
@@ -123,13 +126,24 @@ def _hard_target(model: Model, transfer: TransferSet) -> np.ndarray | None:
 
 
 def _stack(models: list[Model]) -> Model:
-    """One stack whose cells start at the given models' parameters."""
-    return Model.from_params(models[0].arch, np.stack([m.params for m in models]), models[0].seed)
+    """One stack whose cells start at the given models' parameters; one
+    model alone is a plain copy, which trains as a plain model."""
+    params = np.stack([m.params for m in models])
+    return Model.from_params(
+        models[0].arch, params[0] if len(models) == 1 else params, models[0].seed
+    )
 
 
 def _unstack(stack: Model, like: list[Model]) -> list[Model]:
     """One model per cell, each with the seed of the model it started from."""
-    return [Model.from_params(m.arch, row.copy(), m.seed) for m, row in zip(like, stack.params)]
+    rows = stack.params.reshape(len(like), -1)
+    return [Model.from_params(m.arch, row.copy(), m.seed) for m, row in zip(like, rows)]
+
+
+def _per_cell(work: Model, values: list):
+    """What `nn.train_epoch` takes per cell of `work`: the list for a
+    stack, its one entry for a plain model."""
+    return values if work.params.ndim == 2 else values[0]
 
 
 def _distill(
@@ -138,17 +152,23 @@ def _distill(
     cfg: DistillConfig,
     alphas: list[float],
     seeds: list[int],
+    *,
+    soft: np.ndarray,
     **targets,
 ) -> list[Model]:
     """Train one copy of the student per (alpha, seed) cell, all as one
-    stack, on the fixed targets `nn.train_epoch` takes."""
+    stack (one cell as a plain model), on the fixed targets
+    `nn.train_epoch` takes; `soft` is shared, (n, C), or one block per
+    cell, (S, n, C)."""
     work = _stack([student] * len(seeds))
     opt = _student_optimizer(cfg, work)
+    if soft.ndim == 3:
+        soft = _per_cell(work, soft)
     for epoch in range(1, cfg.epochs + 1):
         train_epoch(
             work, opt, transfer.features, cfg.batch_size,
-            [rng_for(seed, "epoch", epoch) for seed in seeds],
-            alpha=alphas, temperature=cfg.temperature, **targets,
+            _per_cell(work, [rng_for(seed, "epoch", epoch) for seed in seeds]),
+            alpha=_per_cell(work, alphas), temperature=cfg.temperature, soft=soft, **targets,
         )
     return _unstack(work, [student] * len(seeds))
 
@@ -253,7 +273,7 @@ def _dml_step(
     opt,
 ) -> None:
     rows = features.take(idx, axis=0)
-    logits, acts = _forward_cached(work, rows)
+    logits, acts = _forward_cached(work, _check_input(work, rows))
     probs = softmax(logits, 1.0)
     partner_probs = softmax(forward_logits(partner, rows), 1.0)
     nb = idx.shape[-1]
@@ -324,10 +344,12 @@ def distill_dml_cells(
     opt_b = _student_optimizer(cfg, work_b)
     for epoch in range(1, cfg.epochs + 1):
         batches_a = list(batch_indices(
-            len(transfer_a), cfg.batch_size, [rng_for(s, "peer-a", epoch) for s in seeds]
+            len(transfer_a), cfg.batch_size,
+            _per_cell(work_a, [rng_for(s, "peer-a", epoch) for s in seeds]),
         ))
         batches_b = list(batch_indices(
-            len(transfer_b), cfg.batch_size, [rng_for(s, "peer-b", epoch) for s in seeds]
+            len(transfer_b), cfg.batch_size,
+            _per_cell(work_b, [rng_for(s, "peer-b", epoch) for s in seeds]),
         ))
         for idx_a, idx_b in zip(batches_a, batches_b):
             _dml_step(work_a, work_b, transfer_a.features, target_a, idx_a, opt_a)

@@ -38,10 +38,16 @@ All training runs through one minibatch loop, `train_epoch`: supervised
 pre-training (early-stopped on validation accuracy; `train_supervised`
 for one model with its loss history, `train_supervised_cells` for every
 participant in one ragged stack) and FedAvg local updates
-pass hard targets, distillation passes the targets it builds. The
-optimizer owns a flat gradient buffer that `backprop_params` fills, and
-it steps in place. A pass that leaves a parameter NaN or infinite raises
-DomainError.
+pass hard targets, distillation passes the targets it builds. A run of
+one cell passes a plain model, not a one-cell stack: the step is the
+same arithmetic on fewer axes, and cheaper. An epoch gathers its
+shuffled rows of every input with one `take` each (a wide stack a few
+minibatches at a time), checks them once, and every minibatch steps on
+a slice; what does not change between minibatches (loss weights, the
+optimizer's views and constants) is computed once, and scalar operands
+are 0-d arrays. The optimizer owns a flat gradient buffer that
+`backprop_params` fills, and it steps in place. A pass that leaves a
+parameter NaN or infinite raises DomainError.
 
 A training recipe (`TrainConfig` here, `distill.DistillConfig` and
 `fed.FedConfig`) states its rules once, in `problems()`, which lists
@@ -57,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +78,28 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+
+def _operand(value: float) -> np.ndarray:
+    """`value` as a read-only 0-d float64 array. A ufunc computes the same
+    bits with it as with the Python number (our arrays are all float64),
+    and dispatches faster: a Python scalar costs it a conversion per call."""
+    a = np.array(value, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+_ZERO = _operand(0.0)
+_BETA1, _BETA2, _EPS = _operand(ADAM_BETA1), _operand(ADAM_BETA2), _operand(ADAM_EPS)
+# each moment's share of a new gradient
+_SHARE1, _SHARE2 = _operand(1.0 - ADAM_BETA1), _operand(1.0 - ADAM_BETA2)
+
 OPTIMIZERS = ("adam", "sgd")
+
+# `train_epoch` gathers a chunk of minibatches at a time, in arrays of
+# about this many bytes at most. Such arrays reuse freed memory; gathering
+# whole epochs of wide stacks instead faulted in fresh pages every epoch
+# (5x the minor page faults of per-minibatch gathers on perfbench's grid)
+_GATHER_BYTES = 1 << 14
 
 
 @dataclass(eq=False)
@@ -222,9 +249,9 @@ def _check_input(model: Model, features: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_cached(model: Model, features: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Logits plus the input activation of every layer (for backprop)."""
-    x = _check_input(model, features)
+def _forward_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Logits plus the input activation of every layer (for backprop), from
+    float64 rows that `_check_input` has passed."""
     activations = [x]
     h = x
     last = len(model.weights) - 1
@@ -232,14 +259,14 @@ def _forward_cached(model: Model, features: np.ndarray) -> tuple[np.ndarray, lis
         h = h @ w
         h += b[..., None, :]
         if i < last:
-            np.maximum(h, 0.0, out=h)
+            np.maximum(h, _ZERO, out=h)
             activations.append(h)
     return h, activations
 
 
 def forward_logits(model: Model, features: np.ndarray) -> np.ndarray:
     """Pure forward pass: one logit row per input row."""
-    logits, _ = _forward_cached(model, features)
+    logits, _ = _forward_cached(model, _check_input(model, features))
     return logits
 
 
@@ -260,11 +287,11 @@ def backprop_params(
     delta = dlogits
     for i in reversed(range(len(model.weights))):
         np.matmul(activations[i].swapaxes(-1, -2), delta, out=grads_w[i])
-        delta.sum(axis=-2, out=grads_b[i])
+        np.add.reduce(delta, axis=-2, out=grads_b[i])
         if i > 0:
             # ReLU derivative from the cached post-activation values
             delta = delta @ model.weights[i].swapaxes(-1, -2)
-            delta *= activations[i] > 0.0
+            delta *= activations[i] > _ZERO
     return grads_w, grads_b
 
 
@@ -282,14 +309,15 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     if temperature <= 0:
         raise DomainError(f"temperature must be > 0, got {temperature}")
     z = np.asarray(logits, dtype=np.float64)
+    # the ufunc reductions are what ndarray.max and sum call, minus a wrapper
     if temperature == 1.0:
         # x / 1.0 == x bit for bit, so the division is skipped
-        z = z - z.max(axis=-1, keepdims=True)
+        z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     else:
         z = z / temperature
-        z -= z.max(axis=-1, keepdims=True)
+        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -375,6 +403,8 @@ class _Optimizer:
     `backprop_params`; the step updates in place through scratch buffers.
     A step may cover a contiguous row range of a stack, and
     `select_cells` keeps chosen rows of a stack and of all this state.
+    The views a step of the optimizer's own stack and gradient buffer
+    works on, decay prefixes included, are built once per row range.
     """
 
     def __init__(
@@ -387,6 +417,12 @@ class _Optimizer:
         self.wd = weight_decay
         self.momentum = momentum
         self.n_decay = model.n_weight_entries
+        # every scalar of the step as a 0-d operand (see `_operand`); the
+        # bias corrections are refilled each step
+        self._lr = _operand(learning_rate)
+        self._momentum = _operand(momentum)
+        self._decay_rate = _operand(learning_rate * weight_decay)
+        self._bias = np.zeros(()), np.zeros(())
         self.t: int | list[int] = 0
         self.m = np.zeros_like(model.params)  # Adam's first moment, SGD's velocity
         self.v = np.zeros_like(model.params)
@@ -394,20 +430,21 @@ class _Optimizer:
 
     def _buffers(self, model: Model) -> None:
         """The gradient buffer, its views, the scratch buffers and the
-        `cell_views` cache, for the stack `model`."""
+        `cell_views` and step-view caches, for the stack `model`."""
         self.grad = np.zeros_like(model.params)
         self.grad_views = model.arch.param_views(self.grad)
         self._update = np.empty_like(model.params)
         self._scratch = np.empty_like(model.params)
         self._cells: dict[tuple[int, int], tuple] = {}
         self._cells_of = model.params
+        self._steps: dict[tuple[int, int] | None, tuple] = {}
 
     def cell_views(self, stack: Model, lo: int, hi: int) -> tuple[Model, tuple]:
         """Rows lo:hi of `stack`, the stack this optimizer steps, and the
         same rows' gradient views; one row is a plain model. Each range's
         views are built once per stack."""
         if self._cells_of is not stack.params:
-            self._cells, self._cells_of = {}, stack.params
+            self._cells, self._steps, self._cells_of = {}, {}, stack.params
         if (lo, hi) not in self._cells:
             rows = lo if hi - lo == 1 else slice(lo, hi)
             self._cells[lo, hi] = (
@@ -428,9 +465,14 @@ class _Optimizer:
         contiguous range of a stack's cells, only those rows of the
         parameters, gradients and state take part."""
         g = grads if isinstance(grads, np.ndarray) else np.concatenate([np.ravel(x) for x in grads])
-        m, v, u, s = self.m, self.v, self._update, self._scratch
-        if rows is not None:
-            params, g, m, v, u, s = (a[rows] for a in (params, g, m, v, u, s))
+        if params is self._cells_of and g is self.grad:
+            key = None if rows is None else (rows.start, rows.stop)
+            views = self._steps.get(key)
+            if views is None:
+                views = self._steps[key] = self._step_views(params, g, rows)
+        else:
+            views = self._step_views(params, g, rows)
+        params, g, m, v, u, s, decay = views
         # the in-place operations keep the IEEE order of
         #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
         #   update = lr * (m / bias1) / (sqrt(v / bias2) + eps)
@@ -438,44 +480,59 @@ class _Optimizer:
         if self.name == "adam":
             if rows is None and isinstance(self.t, int):
                 self.t += 1
-                bias1, bias2 = 1.0 - ADAM_BETA1**self.t, 1.0 - ADAM_BETA2**self.t
+                bias1, bias2 = self._bias
+                bias1[()], bias2[()] = 1.0 - ADAM_BETA1**self.t, 1.0 - ADAM_BETA2**self.t
             else:
                 bias1, bias2 = self._cell_corrections(rows)
-            m *= ADAM_BETA1
-            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+            m *= _BETA1
+            np.multiply(g, _SHARE1, out=s)
             m += s
-            v *= ADAM_BETA2
+            v *= _BETA2
             np.multiply(g, g, out=s)
-            s *= 1.0 - ADAM_BETA2
+            s *= _SHARE2
             v += s
             np.divide(m, bias1, out=u)
-            u *= self.lr
+            u *= self._lr
             np.divide(v, bias2, out=s)
             np.sqrt(s, out=s)
-            s += ADAM_EPS
+            s += _EPS
             u /= s
         else:
-            m *= self.momentum
+            m *= self._momentum
             m += g
-            np.multiply(m, self.lr, out=u)
-        if self.wd:
-            n = self.n_decay
-            np.multiply(params[..., :n], self.lr * self.wd, out=s[..., :n])
-            u[..., :n] += s[..., :n]
+            np.multiply(m, self._lr, out=u)
+        if decay is not None:
+            weights, scratch, update = decay
+            np.multiply(weights, self._decay_rate, out=scratch)
+            update += scratch
         params -= u
+
+    def _step_views(self, params: np.ndarray, g: np.ndarray, rows: slice | None) -> tuple:
+        """The parameters, gradient, moments and scratch buffers a step
+        updates (rows `rows` of each, or all), then the decayed weight
+        prefixes of the parameters, scratch and update (None without decay)."""
+        arrays = params, g, self.m, self.v, self._update, self._scratch
+        if rows is not None:
+            arrays = tuple(a[rows] for a in arrays)
+        params, _, _, _, u, s = arrays
+        n = self.n_decay
+        decay = (params[..., :n], s[..., :n], u[..., :n]) if self.wd else None
+        return *arrays, decay
 
     def _cell_corrections(self, rows: slice | None) -> tuple:
         """Advance the per-cell step counts of `rows` (every cell if None)
         and return Adam's two bias corrections for them: each cell's
-        Python-float expression, broadcast over its row, or plain floats
-        when the cells agree."""
+        Python-float expression, broadcast over its row, or one 0-d
+        operand each when the cells agree."""
         if isinstance(self.t, int):
             self.t = [self.t] * len(self.m)
         span = rows or slice(None)
         counts = [t + 1 for t in self.t[span]]
         self.t[span] = counts
         if counts.count(counts[0]) == len(counts):
-            return 1.0 - ADAM_BETA1 ** counts[0], 1.0 - ADAM_BETA2 ** counts[0]
+            bias1, bias2 = self._bias
+            bias1[()], bias2[()] = 1.0 - ADAM_BETA1 ** counts[0], 1.0 - ADAM_BETA2 ** counts[0]
+            return bias1, bias2
         return (
             np.array([[1.0 - ADAM_BETA1**t] for t in counts]),
             np.array([[1.0 - ADAM_BETA2**t] for t in counts]),
@@ -587,6 +644,13 @@ def make_optimizer(
     return _Optimizer(name, learning_rate, weight_decay, momentum, model), model.params
 
 
+def _shuffle(n: int, rng: np.random.Generator | list[np.random.Generator]) -> np.ndarray:
+    """A permutation of range(n); (S, n), one row per generator, for a list."""
+    if isinstance(rng, np.random.Generator):
+        return rng.permutation(n)
+    return np.stack([r.permutation(n) for r in rng])
+
+
 def batch_indices(
     n: int, batch_size: int, rng: np.random.Generator | list[np.random.Generator]
 ):
@@ -595,32 +659,34 @@ def batch_indices(
     Given a sequence of generators, one per cell of a stack, each cell
     shuffles with its own and every slice has one row per cell.
     """
-    if isinstance(rng, np.random.Generator):
-        order = rng.permutation(n)
-    else:
-        order = np.stack([r.permutation(n) for r in rng])
+    order = _shuffle(n, rng)
     for start in range(0, n, batch_size):
         yield order[..., start : start + batch_size]
 
 
-def _ragged_steps(
-    model: Model,
-    opt: _Optimizer,
-    sizes: list[int],
-    batch_size: int,
-    rngs: list[np.random.Generator],
-):
-    """The sub-steps of one shuffled pass over ragged cells, as (cells,
-    their gradient views, their rows, row indices).
+class Ragged(NamedTuple):
+    """The rows of ragged cells as one block: cell i's `sizes[i]` rows
+    follow those of the cells before it. Build it with `Ragged.of`."""
 
-    Cell i shuffles its own `sizes[i]` rows with `rngs[i]`, and the
-    indices point into the concatenation of every cell's rows. The cells
-    come longest first, so those still holding rows at a minibatch start
-    form a prefix of the stack; each maximal run of consecutive cells
-    with the same batch size is one sub-step on row views, and a run of
-    one cell steps as a plain model. Nothing is padded: padding would
-    change the reduction shapes, and with them the bits.
-    """
+    block: np.ndarray
+    sizes: list[int]
+
+    @classmethod
+    def of(cls, arrays: list[np.ndarray]) -> "Ragged":
+        return cls(np.concatenate(arrays), [len(a) for a in arrays])
+
+    def select(self, cells: list[int]) -> "Ragged":
+        """The rows of the given cells only, in the given order."""
+        starts = np.cumsum([0, *self.sizes])
+        return Ragged.of([self.block[starts[j] : starts[j] + self.sizes[j]] for j in cells])
+
+
+def _ragged_order(
+    model: Model, sizes: list[int], rngs: list[np.random.Generator]
+) -> np.ndarray:
+    """The (S, max size) row order of one shuffled pass over ragged cells:
+    cell i shuffles its own `sizes[i]` rows with `rngs[i]`, and its row
+    of the order points into the `Ragged` block (padded with index 0)."""
     if sizes != sorted(sizes, reverse=True) or not len(rngs) == len(sizes) == len(model.params):
         raise ShapeError(
             f"ragged cells need one generator each and come longest first; got sizes "
@@ -632,6 +698,21 @@ def _ragged_steps(
         row[:n] = rng.permutation(n)
         row[:n] += first
         first += n
+    return order
+
+
+def _ragged_steps(model: Model, opt: _Optimizer, sizes: list[int], batch_size: int):
+    """The sub-steps of one pass over ragged cells, as (cells, their
+    gradient views, their rows, their index along the row order's first
+    axis, the minibatch start, its size).
+
+    The cells come longest first, so those still holding rows at a
+    minibatch start form a prefix of the stack; each maximal run of
+    consecutive cells with the same batch size is one sub-step on row
+    views, and a run of one cell steps as a plain model. Nothing is
+    padded: padding would change the reduction shapes, and with them the
+    bits.
+    """
     for start in range(0, sizes[0], batch_size):
         # non-increasing, so equal batch sizes are neighbours
         batches = [min(batch_size, n - start) for n in sizes if n > start]
@@ -639,20 +720,29 @@ def _ragged_steps(
         while lo < len(batches):
             nb = batches[lo]
             hi = lo + batches.count(nb)
-            # a run of one cell steps as a plain model, on 1-d indices
+            # a run of one cell steps as a plain model, on 2-d rows
             cells = lo if hi - lo == 1 else slice(lo, hi)
-            yield *opt.cell_views(model, lo, hi), slice(lo, hi), order[cells, start : start + nb]
+            yield *opt.cell_views(model, lo, hi), slice(lo, hi), cells, start, nb
             lo = hi
+
+
+def _factor(values: list[float], per_cell: bool) -> np.ndarray | None:
+    """A loss weight as an operand: one per cell, broadcast over its
+    (rows, classes), when `per_cell`, else 0-d; None when every cell's is
+    1 (x * 1.0 is x, so the multiply is skipped)."""
+    if all(v == 1.0 for v in values):
+        return None
+    return np.array(values)[:, None, None] if per_cell else _operand(values[0])
 
 
 def train_epoch(
     model: Model,
     opt: _Optimizer,
-    features: np.ndarray | list[np.ndarray],
+    features: np.ndarray | Ragged | list[np.ndarray],
     batch_size: int,
     rng: np.random.Generator | list[np.random.Generator],
     *,
-    hard: np.ndarray | list[np.ndarray] | None = None,
+    hard: np.ndarray | Ragged | list[np.ndarray] | None = None,
     soft: np.ndarray | None = None,
     alpha: float | list[float] = 0.0,
     temperature: float = 1.0,
@@ -671,58 +761,100 @@ def train_epoch(
     each cell's minibatch rows are then gathered from its own block.
 
     Ragged cells, each with its own rows, pass `features` and `hard` as
-    lists, one array per cell, longest first, and train on hard targets
-    alone; each minibatch is then one step per run of cells with the
-    same batch size (see `_ragged_steps`).
+    `Ragged` blocks (or lists, one array per cell), longest first, and
+    train on hard targets alone; each minibatch is then one step per run
+    of cells with the same batch size (see `_ragged_steps`).
+
+    The epoch's shuffled rows of every input are gathered a chunk of
+    minibatches at a time, one `take` per input, and each minibatch
+    steps on a slice of its chunk; the features are checked per chunk,
+    before its first step. A chunk's arrays stay near `_GATHER_BYTES`,
+    so a plain model usually gathers its whole epoch at once and a wide
+    stack one minibatch at a time.
 
     Returns the mean CE against labels when they are given (plain models
     only); raises DomainError if the pass leaves a parameter non-finite.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)[..., None, None]
-    use_ce = hard is not None and bool((alpha < 1.0).any())
-    use_kd = soft is not None and (hard is None or bool((alpha > 0.0).any()))
+    per_cell = not isinstance(alpha, (int, float))
+    alphas = [float(a) for a in alpha] if per_cell else [float(alpha)]
+    use_ce = hard is not None and any(a < 1.0 for a in alphas)
+    use_kd = soft is not None and (hard is None or any(a > 0.0 for a in alphas))
     if isinstance(features, list):
+        features = Ragged.of(features)
+    if isinstance(hard, list):
+        hard = Ragged.of(hard)
+    if isinstance(features, Ragged):
         if soft is not None or labels is not None:
             raise ShapeError("ragged cells train on hard targets alone and report no loss")
-        steps = _ragged_steps(model, opt, [len(f) for f in features], batch_size, rng)
-        # one block of rows, which the sub-steps' indices point into
-        features = np.concatenate(features)
-        hard = None if hard is None else np.concatenate(hard)
+        if hard is not None and hard.sizes != features.sizes:
+            raise ShapeError(f"ragged hard targets of {hard.sizes} rows for {features.sizes}")
+        order = _ragged_order(model, features.sizes, rng)
+        steps = _ragged_steps(model, opt, features.sizes, batch_size)
+        features = features.block
+        hard = None if hard is None else hard.block
     else:
-        steps = zip(
-            repeat(model), repeat(opt.grad_views), repeat(None),
-            batch_indices(len(features), batch_size, rng),
+        n = len(features)
+        order = _shuffle(n, rng)
+        steps = (
+            (model, opt.grad_views, None, ..., start, min(batch_size, n - start))
+            for start in range(0, n, batch_size)
         )
-    # rows are gathered with take, a copy that is several times faster
-    # than fancy indexing; per-cell soft targets become one (S * n, C)
-    # block, in which cell s reads row idx[s, j] at s * n + idx[s, j]
+    # per-cell soft targets are read as one (S * n, C) block, in which
+    # cell s finds row i at s * n + i
     offsets = None
     if use_kd and soft.ndim == 3:
         offsets = np.arange(len(soft))[:, None] * soft.shape[1]
         soft = soft.reshape(-1, soft.shape[-1])
+    # float64 bytes of the widest gathered input per minibatch row
+    cells_per_row = 1 if order.ndim == 1 else len(order)
+    row_bytes = 8 * cells_per_row * max(model.arch.input_dim, model.arch.num_classes)
+    chunk = max(1, _GATHER_BYTES // (row_bytes * batch_size)) * batch_size
+    ce_factor = _factor([1.0 - a for a in alphas], per_cell)
+    kd_factor = _factor(alphas, per_cell) if hard is not None else None
+    t_factor = _factor([temperature], False)
+    sizes: dict[int, np.ndarray] = {}  # each minibatch size as an operand
     total = 0.0
-    for cells, grad_views, rows, idx in steps:
-        logits, acts = _forward_cached(cells, features.take(idx, axis=0))
-        nb = idx.shape[-1]
+    first = stop = 0
+    for cells, grad_views, rows, at, start, nb in steps:
+        if start >= stop:
+            # the next chunk's rows of every input, (rows, .) or (S, rows, .):
+            # take is a copy several times faster than fancy indexing
+            first, stop = start, start + chunk
+            part = order[..., first:stop]
+            x = _check_input(model, features.take(part, axis=0))
+            y = hard.take(part, axis=0) if use_ce else None
+            if use_kd:
+                q = soft.take(part if offsets is None else part + offsets, axis=0)
+                w = None if weight is None else weight.take(part)[..., None]
+            if labels is not None:
+                chunk_labels = labels.take(part)
+        batch = slice(start - first, start - first + nb)
+        key = at, batch, slice(None)
+        size = sizes.get(nb)
+        if size is None:
+            size = sizes[nb] = _operand(nb)
+        logits, acts = _forward_cached(cells, x[key])
         dlogits = probs = None
         if use_ce:
             probs = softmax(logits, 1.0)
             if labels is not None:
-                total += ce_loss(probs, labels[idx]) * nb
-            dlogits = probs - hard.take(idx, axis=0)
-            dlogits *= 1.0 - alpha
-            dlogits /= nb
+                total += ce_loss(probs, chunk_labels[batch]) * nb
+            dlogits = probs - y[key]
+            if ce_factor is not None:
+                dlogits *= ce_factor
+            dlogits /= size
         if use_kd:
             # at T = 1 the CE term's softmax serves the KL term too
             gap = probs if probs is not None and temperature == 1.0 else softmax(logits, temperature)
-            gap -= soft.take(idx if offsets is None else idx + offsets, axis=0)
-            if weight is not None:
-                gap *= weight.take(idx)[..., None]
+            gap -= q[key]
+            if w is not None:
+                gap *= w[key]
             # d/dlogits of T^2 * mean KL = T * (student - target) / n
-            gap *= temperature
-            gap /= nb
-            if hard is not None:
-                gap *= alpha
+            if t_factor is not None:
+                gap *= t_factor
+            gap /= size
+            if kd_factor is not None:
+                gap *= kd_factor
             if dlogits is None:
                 dlogits = gap
             else:
@@ -804,15 +936,16 @@ def train_supervised_cells(
     opt, _ = make_optimizer(
         cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work
     )
-    targets = [onehot(train.labels, arch.num_classes) for train in trains]
+    # the live cells' rows, narrowed when a cell leaves
+    features = Ragged.of([trains[i].features for i in live])
+    hard = Ragged.of([onehot(trains[i].labels, arch.num_classes) for i in live])
     best = [m.params.copy() for m in models]
     best_acc = [evaluate(m, val).overall_accuracy for m, val in zip(models, vals)]
     stale = [0] * len(models)
     for epoch in range(1, cfg.max_epochs + 1):
         train_epoch(
-            work, opt, [trains[i].features for i in live], cfg.batch_size,
-            [rng_for(models[i].seed, "epoch", epoch) for i in live],
-            hard=[targets[i] for i in live],
+            work, opt, features, cfg.batch_size,
+            [rng_for(models[i].seed, "epoch", epoch) for i in live], hard=hard,
         )
         keep = []
         for j, i in enumerate(live):
@@ -831,6 +964,7 @@ def train_supervised_cells(
         if len(keep) < len(live):
             work = select_cells(work, opt, keep)
             live = [live[j] for j in keep]
+            features, hard = features.select(keep), hard.select(keep)
     return [Model.from_params(arch, p, m.seed) for p, m in zip(best, models)]
 
 

@@ -568,6 +568,63 @@ def test_cli_partition_writes_the_plan_build_scenario_returns(tmp_path, capsys):
     }
 
 
+def _direct_blobs(cfg):
+    d = cfg.dataset
+    return gaussian_blobs(
+        d.classes, d.dim, d.train_per_class, d.test_per_class, d.spread,
+        stable_seed(cfg.seed, "dataset"),
+    )
+
+
+def _same_sets(a, b):
+    return all(
+        np.array_equal(x.features, y.features) and np.array_equal(x.labels, y.labels)
+        and x.class_count == y.class_count
+        for x, y in zip(a, b)
+    )
+
+
+def test_toy_data_is_drawn_once_and_read_only(tiny_config):
+    import kdsim.cli as cli
+
+    cfg = parse_config(tiny_config)
+    sets = cli._base_data(cfg)
+    assert cli._base_data(parse_config(tiny_config)) is sets
+    assert _same_sets(sets, _direct_blobs(cfg))
+    for data in sets:
+        for array in (data.features, data.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1
+
+
+@pytest.mark.parametrize(
+    "section, values",
+    [
+        ("seed", 4),
+        ("dataset", {"classes": 4}),
+        ("dataset", {"dim": 2}),
+        ("dataset", {"train_per_class": 41}),
+        ("dataset", {"test_per_class": 14}),
+        ("dataset", {"spread": 2.0}),
+        ("dataset", {"train_path": "unused.csv"}),
+        ("dataset", {"test_path": "unused.csv"}),
+    ],
+)
+def test_toy_data_is_drawn_again_for_a_new_seed_or_dataset_key(tmp_path, section, values):
+    import kdsim.cli as cli
+
+    base = parse_config(_config_with(tmp_path, "base.yaml"))
+    if section == "seed":
+        changed = parse_config(_config_with(tmp_path, "new.yaml"), {"seed": values})
+    else:
+        changed = parse_config(_config_with(tmp_path, "new.yaml", **{section: values}))
+    first, again = cli._base_data(base), cli._base_data(changed)
+    assert again is not first
+    assert _same_sets(again, _direct_blobs(changed))
+
+
 def test_cli_partition_splits_no_shard(tiny_config, tmp_path, monkeypatch, capsys):
     import kdsim.orchestrate as orchestrate
 

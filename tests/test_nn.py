@@ -577,6 +577,8 @@ def test_ragged_cells_refuse_what_they_cannot_train(rng):
         train_epoch(work, opt, features[::-1], 4, rngs, hard=hard[::-1])
     with pytest.raises(ShapeError):
         train_epoch(work, opt, features, 4, rngs[:1], hard=hard)
+    with pytest.raises(ShapeError):
+        train_epoch(work, opt, features, 4, rngs, hard=[hard[0], hard[1][:2]])
     assert work.params.tobytes() == start
 
 

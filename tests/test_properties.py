@@ -55,6 +55,7 @@ from kdsim.nn import (
     train_supervised,
     train_supervised_cells,
 )
+import kdsim.nn as nn
 import kdsim.orchestrate as orchestrate
 from kdsim.orchestrate import (
     MATRIX_METHODS,
@@ -767,6 +768,11 @@ def _reference_cell(params, arch, features, batch_size, rngs, opt_cfg, terms, *,
     return p
 
 
+# train_epoch's gather budget: chunks of one minibatch, of a few, or the
+# whole epoch
+_gather_budgets = st.sampled_from([1, 600, nn._GATHER_BYTES])
+
+
 @st.composite
 def _step_cases(draw):
     """A transfer set with an often short last minibatch, Adam or momentum
@@ -795,17 +801,20 @@ def _step_cases(draw):
     optimizer, momentum = draw(st.sampled_from([("adam", 0.0), ("sgd", 0.9)]))
     opt_cfg = (optimizer, 0.05, draw(st.sampled_from([0.0, 0.3])), momentum)
     temperature = draw(st.sampled_from([0.5, 1.0, 3.0]))
-    alphas = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=3, max_size=3))
+    # without soft targets alpha = 1 would leave no loss term at all
+    alpha = st.sampled_from([0.0, 0.5, 1.0] if with_soft else [0.0, 0.5])
+    alphas = draw(st.lists(alpha, min_size=3, max_size=3))
     epochs = draw(st.integers(1, 2))
     seeds = draw(st.lists(st.integers(0, 2**32), min_size=3, max_size=3))
     starts = [init_model(arch, draw(st.integers(0, 2**32))).params for _ in range(3)]
+    gather = draw(_gather_budgets)
     softs = None
     if with_soft:
         softs = [soft_block((n, classes))] * 3
         if per_cell_soft:
             softs = [soft_block((n, classes)) for _ in range(3)]
     return (arch, features, batch, hard, softs, per_cell_soft, weight, opt_cfg, temperature,
-            alphas, epochs, seeds, starts)
+            alphas, epochs, seeds, starts, gather)
 
 
 def _terms(hard, soft, alphas):
@@ -819,7 +828,7 @@ def _terms(hard, soft, alphas):
 @given(_step_cases())
 def test_plain_and_stacked_steps_equal_a_literal_reference(case):
     (arch, features, batch, hard, softs, per_cell_soft, weight, opt_cfg, temperature,
-     alphas, epochs, seeds, starts) = case
+     alphas, epochs, seeds, starts, gather) = case
 
     def epoch_rngs(seed):
         return [rng_for(seed, "epoch", e) for e in range(1, epochs + 1)]
@@ -847,7 +856,8 @@ def test_plain_and_stacked_steps_equal_a_literal_reference(case):
     for cells in (None, 1, 3):
         count = 1 if cells is None else cells
         terms = _terms(hard, softs, alphas[:count])
-        got = train(cells)
+        with patch.object(nn, "_GATHER_BYTES", gather):
+            got = train(cells)
         for i in range(count):
             want = _reference_cell(
                 starts[i], arch, features, batch, epoch_rngs(seeds[i]), opt_cfg, terms,
@@ -855,6 +865,49 @@ def test_plain_and_stacked_steps_equal_a_literal_reference(case):
                 alpha=alphas[i], temperature=temperature,
             )
             assert got[i].tobytes() == want.tobytes(), (cells, i)
+
+
+@st.composite
+def _ragged_cases(draw):
+    """One to four cells, each with its own labeled rows (longest first,
+    often a short last minibatch), Adam or momentum SGD with or without
+    decay, and every gather budget."""
+    hidden = tuple(draw(st.lists(st.integers(1, 6), min_size=0, max_size=2)))
+    dim = draw(st.integers(1, 4))
+    classes = draw(st.integers(2, 4))
+    arch = ArchSpec(input_dim=dim, hidden_layers=hidden, num_classes=classes)
+    batch = draw(st.integers(1, 8))
+    sizes = sorted(draw(st.lists(st.integers(1, 3 * batch), min_size=1, max_size=4)), reverse=True)
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = [data.normal(0, 1, size=(n, dim)) for n in sizes]
+    hard = [onehot(data.integers(0, classes, size=n), classes) for n in sizes]
+    optimizer, momentum = draw(st.sampled_from([("adam", 0.0), ("sgd", 0.9)]))
+    opt_cfg = (optimizer, 0.05, draw(st.sampled_from([0.0, 0.3])), momentum)
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=len(sizes), max_size=len(sizes)))
+    starts = [init_model(arch, draw(st.integers(0, 2**32))).params for _ in sizes]
+    return arch, features, hard, batch, opt_cfg, draw(st.integers(1, 2)), seeds, starts, draw(
+        _gather_budgets
+    )
+
+
+@PROPERTY
+@given(_ragged_cases())
+def test_ragged_steps_equal_a_literal_reference(case):
+    arch, features, hard, batch, opt_cfg, epochs, seeds, starts, gather = case
+    work = Model.from_params(arch, np.stack(starts), 0)
+    opt, _ = make_optimizer(*opt_cfg, work)
+    with patch.object(nn, "_GATHER_BYTES", gather):
+        for epoch in range(1, epochs + 1):
+            train_epoch(
+                work, opt, features, batch, [rng_for(s, "epoch", epoch) for s in seeds], hard=hard
+            )
+    for i, seed in enumerate(seeds):
+        want = _reference_cell(
+            starts[i], arch, features[i], batch,
+            [rng_for(seed, "epoch", e) for e in range(1, epochs + 1)], opt_cfg, (True, False),
+            hard=hard[i],
+        )
+        assert work.params[i].tobytes() == want.tobytes(), i
 
 
 @pytest.mark.parametrize("labeled", [True, False])
