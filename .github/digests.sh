@@ -1,0 +1,14 @@
+# Artifact digests of one perfbench run, for comparing runs or commits.
+# Source this file, then call: digests DIR WORKLOAD SEED
+# matrix, grid and federate print their combined SHA-256. requests prints
+# its per-file digests as JSON without manifest.json, which depends on the
+# repetition count, and fails if no other file is left.
+digests() {
+  line=$(cd "$1" && python3 perfbench/run.py --workload "$2" --seed "$3" --seconds 1 --trace 0 | grep '^artifacts sha256=')
+  if [ "$2" = requests ]; then
+    echo "$line" | cut -d' ' -f3- \
+      | python3 -c 'import json, sys; d = json.load(sys.stdin); d.pop("manifest.json"); assert d; print(json.dumps(d, sort_keys=True))'
+  else
+    echo "$line" | cut -d' ' -f2
+  fi
+}

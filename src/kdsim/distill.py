@@ -1,8 +1,10 @@
 """Knowledge transfer between trained classifiers.
 
 Every mechanism trains on the soft-target objective (1 - alpha) * CE +
-alpha * T^2 * KL of Hinton et al. (2015); three of them only build
-per-sample targets for the one minibatch loop, `nn.train_epoch`:
+alpha * T^2 * KL of Hinton et al. (2015), or on a part of it, and only
+builds per-sample targets for the one minibatch loop, `nn.train_steps`.
+Alpha becomes that loop's two loss weights in `_distill`: (1 - alpha,
+alpha) on labeled data, the KL term alone at weight 1 without labels.
 
 * fixed-parameter distillation against one or more frozen teachers
   (`distill_vanilla`): the mean teacher distribution, the (temperature=1,
@@ -12,13 +14,15 @@ per-sample targets for the one minibatch loop, `nn.train_epoch`:
   point, whichever was more confident up front (`distill_dpkd`);
 * many-to-one consolidation with per-class accuracy weights
   (`distill_multi_teacher`): the weighted teacher mean, with the total
-  weight scaling each sample's KL term.
+  weight scaling each sample's KL term;
+* mutual learning between two live peers (`distill_dml`), on CE + KL
+  at unit weights and temperature 1: each peer's target is the other
+  peer itself, whose current prediction the loop reads at every
+  minibatch, and the two peers' passes step in turn.
 
-Mutual learning between two live peers (`distill_dml`) keeps its own
-loop, because its target is the partner's current prediction. Teacher
-models are never mutated: targets are read from them once up front and
-only the student copy is ever stepped. Every run is deterministic per
-(models, transfer set, config, seed).
+Teacher models are never mutated: targets are read from them once up
+front and only the student copy is ever stepped. Every run is
+deterministic per (models, transfer set, config, seed).
 
 Runs of one student on one transfer set that differ only in teachers,
 alpha and seed are cells: `distill_vanilla_benches` (one teacher bench
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -48,11 +53,7 @@ from .errors import ConfigError, DataError, ShapeError
 from .nn import (
     EvalReport,
     Model,
-    _check_input,
     _clamped_log,
-    _forward_cached,
-    backprop_params,
-    batch_indices,
     check,
     check_finite,
     forward_logits,
@@ -65,6 +66,7 @@ from .nn import (
     raise_problems,
     softmax,
     train_epoch,
+    train_steps,
 )
 from .seeding import rng_for
 
@@ -104,9 +106,7 @@ class DistillConfig:
 
 
 def _student_optimizer(cfg: DistillConfig, model: Model):
-    return make_optimizer(
-        cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, model
-    )[0]
+    return make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, model)
 
 
 def _check_transfer(model: Model, transfer: TransferSet) -> None:
@@ -154,21 +154,29 @@ def _distill(
     seeds: list[int],
     *,
     soft: np.ndarray,
-    **targets,
+    hard: np.ndarray | None = None,
+    weight: np.ndarray | None = None,
 ) -> list[Model]:
     """Train one copy of the student per (alpha, seed) cell, all as one
     stack (one cell as a plain model), on the fixed targets
     `nn.train_epoch` takes; `soft` is shared, (n, C), or one block per
-    cell, (S, n, C)."""
+    cell, (S, n, C). With hard targets each cell weighs the CE and KL
+    terms (1 - alpha, alpha); without them the KL term trains alone."""
     work = _stack([student] * len(seeds))
     opt = _student_optimizer(cfg, work)
     if soft.ndim == 3:
         soft = _per_cell(work, soft)
+    weights = {}
+    if hard is not None:
+        weights = dict(
+            ce_weight=_per_cell(work, [1.0 - a for a in alphas]),
+            kd_weight=_per_cell(work, alphas),
+        )
     for epoch in range(1, cfg.epochs + 1):
         train_epoch(
             work, opt, transfer.features, cfg.batch_size,
             _per_cell(work, [rng_for(seed, "epoch", epoch) for seed in seeds]),
-            alpha=_per_cell(work, alphas), temperature=cfg.temperature, soft=soft, **targets,
+            hard=hard, soft=soft, weight=weight, temperature=cfg.temperature, **weights,
         )
     return _unstack(work, [student] * len(seeds))
 
@@ -264,26 +272,6 @@ def distill_vanilla_benches(
 # --------------------------------------------------------------------------
 
 
-def _dml_step(
-    work: Model,
-    partner: Model,
-    features: np.ndarray,
-    hard_target: np.ndarray | None,
-    idx: np.ndarray,
-    opt,
-) -> None:
-    rows = features.take(idx, axis=0)
-    logits, acts = _forward_cached(work, _check_input(work, rows))
-    probs = softmax(logits, 1.0)
-    partner_probs = softmax(forward_logits(partner, rows), 1.0)
-    nb = idx.shape[-1]
-    dlogits = (probs - partner_probs) / nb
-    if hard_target is not None:
-        dlogits = dlogits + (probs - hard_target.take(idx, axis=0)) / nb
-    backprop_params(work, acts, dlogits, out=opt.grad_views)
-    opt.step(work.params, opt.grad)
-
-
 def distill_dml(
     peer_a: Model,
     peer_b: Model,
@@ -336,27 +324,28 @@ def distill_dml_cells(
             "tends to degrade both peers",
             stacklevel=2,
         )
-    target_a = _hard_target(peers_a[0], transfer_a)
-    target_b = _hard_target(peers_b[0], transfer_b)
-    work_a = _stack(peers_a)
-    work_b = _stack(peers_b)
-    opt_a = _student_optimizer(cfg, work_a)
-    opt_b = _student_optimizer(cfg, work_b)
+    sets = [transfer_a, transfer_b]
+    work = [_stack(peers_a), _stack(peers_b)]
+    opts = [_student_optimizer(cfg, w) for w in work]
+    hard = [_hard_target(w, t) for w, t in zip(work, sets)]
+    steps = -(-min(map(len, sets)) // cfg.batch_size)  # the shorter batch schedule
     for epoch in range(1, cfg.epochs + 1):
-        batches_a = list(batch_indices(
-            len(transfer_a), cfg.batch_size,
-            _per_cell(work_a, [rng_for(s, "peer-a", epoch) for s in seeds]),
-        ))
-        batches_b = list(batch_indices(
-            len(transfer_b), cfg.batch_size,
-            _per_cell(work_b, [rng_for(s, "peer-b", epoch) for s in seeds]),
-        ))
-        for idx_a, idx_b in zip(batches_a, batches_b):
-            _dml_step(work_a, work_b, transfer_a.features, target_a, idx_a, opt_a)
-            _dml_step(work_b, work_a, transfer_b.features, target_b, idx_b, opt_b)
-        check_finite(work_a, "after a mutual-learning pass")
-        check_finite(work_b, "after a mutual-learning pass")
-    return _unstack(work_a, peers_a), _unstack(work_b, peers_b)
+        # each peer's target is the other's current prediction
+        passes = [
+            train_steps(
+                work[me], opts[me], sets[me].features, cfg.batch_size,
+                _per_cell(work[me], [rng_for(s, peer, epoch) for s in seeds]),
+                hard=hard[me], soft=work[1 - me],
+            )
+            for me, peer in enumerate(("peer-a", "peer-b"))
+        ]
+        # A steps, then B against A's fresh parameters; islice stops
+        # before zip could step A once more past B's last minibatch
+        for _ in islice(zip(*passes), steps):
+            pass
+        for w in work:
+            check_finite(w, "after a mutual-learning pass")
+    return _unstack(work[0], peers_a), _unstack(work[1], peers_b)
 
 
 # --------------------------------------------------------------------------

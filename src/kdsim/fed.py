@@ -131,9 +131,7 @@ def local_update(
     if len(shard) == 0:
         raise DataError(f"client {client_id} has an empty shard")
     work = global_model.copy()
-    opt, _ = make_optimizer(
-        cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work
-    )
+    opt = make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work)
     targets = onehot(shard.labels, work.arch.num_classes)
     for epoch in range(1, cfg.local_epochs + 1):
         rng = rng_for(fed_seed, "local", round_index, client_id, epoch)

@@ -34,11 +34,15 @@ apart, and can step a row range; `select_cells` keeps chosen cells of a
 stack together with their optimizer state, which is how early-stopped
 cells leave a stack.
 
-All training runs through one minibatch loop, `train_epoch`: supervised
-pre-training (early-stopped on validation accuracy; `train_supervised`
-for one model with its loss history, `train_supervised_cells` for every
-participant in one ragged stack) and FedAvg local updates
-pass hard targets, distillation passes the targets it builds. A run of
+All training runs through one minibatch loop, `train_steps`, which makes
+one optimizer step per `next()`; `train_epoch` runs a whole pass of it.
+Supervised pre-training (early-stopped on validation accuracy;
+`train_supervised` for one model, `train_supervised_cells` for every
+participant in one ragged stack) and FedAvg local updates pass hard
+targets; distillation passes the targets it builds, weighing the CE and
+KL terms as it chooses. Mutual learning passes each peer the other, a
+live model whose current prediction is the target, and advances the
+two peers' passes in lockstep. A run of
 one cell passes a plain model, not a one-cell stack: the step is the
 same arithmetic on fewer axes, and cheaper. An epoch gathers its
 shuffled rows of every input with one `take` each (a wide stack a few
@@ -63,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -95,7 +99,7 @@ _SHARE1, _SHARE2 = _operand(1.0 - ADAM_BETA1), _operand(1.0 - ADAM_BETA2)
 
 OPTIMIZERS = ("adam", "sgd")
 
-# `train_epoch` gathers a chunk of minibatches at a time, in arrays of
+# `train_steps` gathers a chunk of minibatches at a time, in arrays of
 # about this many bytes at most. Such arrays reuse freed memory; gathering
 # whole epochs of wide stacks instead faulted in fresh pages every epoch
 # (5x the minor page faults of per-minibatch gathers on perfbench's grid)
@@ -639,9 +643,9 @@ def make_optimizer(
     weight_decay: float,
     momentum: float,
     model: Model,
-) -> tuple[_Optimizer, np.ndarray]:
-    """Optimizer over a model's parameters and the vector its step updates."""
-    return _Optimizer(name, learning_rate, weight_decay, momentum, model), model.params
+) -> _Optimizer:
+    """Optimizer over a model's parameters, `model.params`."""
+    return _Optimizer(name, learning_rate, weight_decay, momentum, model)
 
 
 def _shuffle(n: int, rng: np.random.Generator | list[np.random.Generator]) -> np.ndarray:
@@ -649,19 +653,6 @@ def _shuffle(n: int, rng: np.random.Generator | list[np.random.Generator]) -> np
     if isinstance(rng, np.random.Generator):
         return rng.permutation(n)
     return np.stack([r.permutation(n) for r in rng])
-
-
-def batch_indices(
-    n: int, batch_size: int, rng: np.random.Generator | list[np.random.Generator]
-):
-    """Shuffled minibatch index slices covering all n samples.
-
-    Given a sequence of generators, one per cell of a stack, each cell
-    shuffles with its own and every slice has one row per cell.
-    """
-    order = _shuffle(n, rng)
-    for start in range(0, n, batch_size):
-        yield order[..., start : start + batch_size]
 
 
 class Ragged(NamedTuple):
@@ -726,16 +717,25 @@ def _ragged_steps(model: Model, opt: _Optimizer, sizes: list[int], batch_size: i
             lo = hi
 
 
-def _factor(values: list[float], per_cell: bool) -> np.ndarray | None:
-    """A loss weight as an operand: one per cell, broadcast over its
-    (rows, classes), when `per_cell`, else 0-d; None when every cell's is
-    1 (x * 1.0 is x, so the multiply is skipped)."""
-    if all(v == 1.0 for v in values):
+def _factor(weight: float | list[float]) -> np.ndarray | None:
+    """A loss weight as an operand: 0-d for one float, and for one per
+    cell broadcast over each cell's (rows, classes); None when every
+    weight is 1 (x * 1.0 is x, so the multiply is skipped). Plain Python
+    decides: numpy's reductions cost microseconds on a short pass."""
+    if isinstance(weight, (int, float)):
+        return None if weight == 1.0 else _operand(weight)
+    if all(w == 1.0 for w in weight):
         return None
-    return np.array(values)[:, None, None] if per_cell else _operand(values[0])
+    return np.array(weight, dtype=np.float64)[:, None, None]
 
 
-def train_epoch(
+def _in_use(weight: float | list[float]) -> bool:
+    """Whether a loss term at this weight, one or one per cell, is used:
+    some weight is not 0."""
+    return weight != 0.0 if isinstance(weight, (int, float)) else any(w != 0.0 for w in weight)
+
+
+def train_steps(
     model: Model,
     opt: _Optimizer,
     features: np.ndarray | Ragged | list[np.ndarray],
@@ -743,22 +743,30 @@ def train_epoch(
     rng: np.random.Generator | list[np.random.Generator],
     *,
     hard: np.ndarray | Ragged | list[np.ndarray] | None = None,
-    soft: np.ndarray | None = None,
-    alpha: float | list[float] = 0.0,
+    soft: np.ndarray | Model | None = None,
+    ce_weight: float | list[float] = 1.0,
+    kd_weight: float | list[float] = 1.0,
     temperature: float = 1.0,
     weight: np.ndarray | None = None,
-    labels: np.ndarray | None = None,
-) -> float | None:
-    """One shuffled minibatch pass, one optimizer step per minibatch.
+) -> Iterator[None]:
+    """One shuffled minibatch pass that makes one optimizer step per
+    `next()`; `train_epoch` runs it to the end.
 
-    Trains in place on (1 - alpha) * CE(hard) + alpha * T^2 * weight *
-    KL(soft || student at T) per sample (Hinton et al. 2015); without
-    hard targets on the KL term alone, without soft targets on the CE
-    term alone. A stack takes one generator per cell as `rng` and one
-    alpha per cell (or one for all); its cells should agree on which
-    terms they use (see `distill.distill_vanilla_benches`). Its soft
-    targets are either shared, (n, C), or one block per cell, (S, n, C);
-    each cell's minibatch rows are then gathered from its own block.
+    Trains in place on ce_weight * CE(hard) + kd_weight * T^2 * weight *
+    KL(soft || student at T) per sample (Hinton et al. 2015): the CE
+    term at temperature 1, each weight one float or one per cell of a
+    stack. A term without targets, or whose weights are all 0, is
+    skipped; the cells of a stack should agree on which terms they use
+    (see `distill.distill_vanilla_benches`). A stack takes one generator
+    per cell as `rng`. Its soft targets are either shared, (n, C), or
+    one block per cell, (S, n, C); each cell's minibatch rows are then
+    gathered from its own block.
+
+    `soft` may also be a live model with the same cells as `model`
+    (plain for plain, S for S): each minibatch's target is then its
+    current prediction at `temperature` on the minibatch's rows, which
+    is how two mutual-learning peers, each stepping in turn, teach each
+    other (see `distill.distill_dml_cells`).
 
     Ragged cells, each with its own rows, pass `features` and `hard` as
     `Ragged` blocks (or lists, one array per cell), longest first, and
@@ -770,22 +778,23 @@ def train_epoch(
     steps on a slice of its chunk; the features are checked per chunk,
     before its first step. A chunk's arrays stay near `_GATHER_BYTES`,
     so a plain model usually gathers its whole epoch at once and a wide
-    stack one minibatch at a time.
-
-    Returns the mean CE against labels when they are given (plain models
-    only); raises DomainError if the pass leaves a parameter non-finite.
+    stack one minibatch at a time. The arguments are checked at the
+    first `next()`, before the first step.
     """
-    per_cell = not isinstance(alpha, (int, float))
-    alphas = [float(a) for a in alpha] if per_cell else [float(alpha)]
-    use_ce = hard is not None and any(a < 1.0 for a in alphas)
-    use_kd = soft is not None and (hard is None or any(a > 0.0 for a in alphas))
+    live = isinstance(soft, Model)
+    if live and soft.params.shape[:-1] != model.params.shape[:-1]:
+        raise ShapeError(
+            f"a live soft model of params {soft.params.shape} for a model of {model.params.shape}"
+        )
+    use_ce = hard is not None and _in_use(ce_weight)
+    use_kd = soft is not None and _in_use(kd_weight)
     if isinstance(features, list):
         features = Ragged.of(features)
     if isinstance(hard, list):
         hard = Ragged.of(hard)
     if isinstance(features, Ragged):
-        if soft is not None or labels is not None:
-            raise ShapeError("ragged cells train on hard targets alone and report no loss")
+        if soft is not None:
+            raise ShapeError("ragged cells train on hard targets alone")
         if hard is not None and hard.sizes != features.sizes:
             raise ShapeError(f"ragged hard targets of {hard.sizes} rows for {features.sizes}")
         order = _ragged_order(model, features.sizes, rng)
@@ -802,18 +811,17 @@ def train_epoch(
     # per-cell soft targets are read as one (S * n, C) block, in which
     # cell s finds row i at s * n + i
     offsets = None
-    if use_kd and soft.ndim == 3:
+    if use_kd and not live and soft.ndim == 3:
         offsets = np.arange(len(soft))[:, None] * soft.shape[1]
         soft = soft.reshape(-1, soft.shape[-1])
     # float64 bytes of the widest gathered input per minibatch row
     cells_per_row = 1 if order.ndim == 1 else len(order)
     row_bytes = 8 * cells_per_row * max(model.arch.input_dim, model.arch.num_classes)
     chunk = max(1, _GATHER_BYTES // (row_bytes * batch_size)) * batch_size
-    ce_factor = _factor([1.0 - a for a in alphas], per_cell)
-    kd_factor = _factor(alphas, per_cell) if hard is not None else None
-    t_factor = _factor([temperature], False)
+    ce_factor = _factor(ce_weight)
+    kd_factor = _factor(kd_weight)
+    t_factor = _factor(temperature)
     sizes: dict[int, np.ndarray] = {}  # each minibatch size as an operand
-    total = 0.0
     first = stop = 0
     for cells, grad_views, rows, at, start, nb in steps:
         if start >= stop:
@@ -824,10 +832,9 @@ def train_epoch(
             x = _check_input(model, features.take(part, axis=0))
             y = hard.take(part, axis=0) if use_ce else None
             if use_kd:
-                q = soft.take(part if offsets is None else part + offsets, axis=0)
+                if not live:
+                    q = soft.take(part if offsets is None else part + offsets, axis=0)
                 w = None if weight is None else weight.take(part)[..., None]
-            if labels is not None:
-                chunk_labels = labels.take(part)
         batch = slice(start - first, start - first + nb)
         key = at, batch, slice(None)
         size = sizes.get(nb)
@@ -837,8 +844,6 @@ def train_epoch(
         dlogits = probs = None
         if use_ce:
             probs = softmax(logits, 1.0)
-            if labels is not None:
-                total += ce_loss(probs, chunk_labels[batch]) * nb
             dlogits = probs - y[key]
             if ce_factor is not None:
                 dlogits *= ce_factor
@@ -846,7 +851,7 @@ def train_epoch(
         if use_kd:
             # at T = 1 the CE term's softmax serves the KL term too
             gap = probs if probs is not None and temperature == 1.0 else softmax(logits, temperature)
-            gap -= q[key]
+            gap -= softmax(_forward_cached(soft, x[key])[0], temperature) if live else q[key]
             if w is not None:
                 gap *= w[key]
             # d/dlogits of T^2 * mean KL = T * (student - target) / n
@@ -861,8 +866,15 @@ def train_epoch(
                 dlogits += gap
         backprop_params(cells, acts, dlogits, out=grad_views)
         opt.step(model.params, opt.grad, rows)
+        yield
+
+
+def train_epoch(model: Model, opt: _Optimizer, *args, **kwargs) -> None:
+    """Every step of one `train_steps` pass (same arguments); raises
+    DomainError if the pass leaves a parameter non-finite."""
+    for _ in train_steps(model, opt, *args, **kwargs):
+        pass
     check_finite(model, "after a training pass")
-    return None if labels is None else total / len(features)
 
 
 def train_supervised(
@@ -878,14 +890,12 @@ def train_supervised(
     parameters of the best epoch seen (the untrained starting point
     counts as the epoch-0 candidate, so the result is never worse on the
     validation set than anything observed). The history holds one record
-    per trained epoch.
+    per trained epoch: its number and validation accuracy.
     """
     if len(train) == 0 or len(val) == 0:
         raise DataError("train and validation sets must both be non-empty")
     work = model.copy()
-    opt, _ = make_optimizer(
-        cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work
-    )
+    opt = make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work)
     targets = onehot(train.labels, work.arch.num_classes)
     best = work.copy()
     best_acc = evaluate(work, val).overall_accuracy
@@ -893,12 +903,9 @@ def train_supervised(
     stale = 0
     for epoch in range(1, cfg.max_epochs + 1):
         rng = rng_for(model.seed, "epoch", epoch)
-        loss = train_epoch(
-            work, opt, train.features, cfg.batch_size, rng,
-            hard=targets, labels=train.labels,
-        )
+        train_epoch(work, opt, train.features, cfg.batch_size, rng, hard=targets)
         acc = evaluate(work, val).overall_accuracy
-        history.append({"epoch": epoch, "train_loss": loss, "val_accuracy": acc})
+        history.append({"epoch": epoch, "val_accuracy": acc})
         if acc > best_acc:
             best_acc = acc
             best = work.copy()
@@ -917,10 +924,10 @@ def train_supervised_cells(
     cfg: TrainConfig,
 ) -> list[Model]:
     """`train_supervised` of every model on its own sets, side by side,
-    without the loss history.
+    without the history.
 
     The models, which share one architecture, train as one ragged stack
-    (longest training set first, see `train_epoch`). Each cell keeps its
+    (longest training set first, see `train_steps`). Each cell keeps its
     own epoch stream, stale count and best snapshot; a cell whose
     patience runs out leaves the stack (`select_cells`) and the others
     go on. Every returned model is bit-identical to its
@@ -933,9 +940,7 @@ def train_supervised_cells(
     # longest first; live[j] is the model that row j of the stack trains
     live = sorted(range(len(models)), key=lambda i: -len(trains[i]))
     work = Model.from_params(arch, np.stack([models[i].params for i in live]), 0)
-    opt, _ = make_optimizer(
-        cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work
-    )
+    opt = make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work)
     # the live cells' rows, narrowed when a cell leaves
     features = Ragged.of([trains[i].features for i in live])
     hard = Ragged.of([onehot(trains[i].labels, arch.num_classes) for i in live])

@@ -23,7 +23,6 @@ from kdsim.nn import (
     Model,
     TrainConfig,
     backprop_params,
-    batch_indices,
     ce_grad_logits,
     ce_loss,
     evaluate,
@@ -237,9 +236,9 @@ def test_sgd_single_step_hand_computed():
     arch = ArchSpec(input_dim=2, hidden_layers=(), num_classes=2)
     model = init_model(arch, 0)
     w0 = model.weights[0].copy()
-    opt, params = make_optimizer("sgd", 0.1, 0.5, 0.0, model)
+    opt = make_optimizer("sgd", 0.1, 0.5, 0.0, model)
     g = [np.ones_like(model.weights[0]), np.zeros_like(model.biases[0])]
-    opt.step(params, g)
+    opt.step(model.params, g)
     # decoupled decay uses the pre-update value: w1 = w0 - lr*g - lr*wd*w0
     expected = w0 - 0.1 * 1.0 - 0.1 * 0.5 * w0
     assert np.allclose(model.weights[0], expected, atol=1e-15)
@@ -250,10 +249,10 @@ def test_sgd_momentum_accumulates():
     arch = ArchSpec(input_dim=1, hidden_layers=(), num_classes=2)
     model = init_model(arch, 0)
     start = model.weights[0].copy()
-    opt, params = make_optimizer("sgd", 1.0, 0.0, 0.5, model)
+    opt = make_optimizer("sgd", 1.0, 0.0, 0.5, model)
     g = [np.ones_like(model.weights[0]), np.zeros_like(model.biases[0])]
-    opt.step(params, g)
-    opt.step(params, g)
+    opt.step(model.params, g)
+    opt.step(model.params, g)
     # velocities 1 then 1.5 -> total displacement 2.5
     assert np.allclose(model.weights[0], start - 2.5, atol=1e-15)
 
@@ -262,9 +261,9 @@ def test_adam_first_step_approximates_signed_lr(rng):
     arch = ArchSpec(input_dim=3, hidden_layers=(), num_classes=2)
     model = init_model(arch, 1)
     before = model.weights[0].copy()
-    opt, params = make_optimizer("adam", 1e-3, 0.0, 0.0, model)
+    opt = make_optimizer("adam", 1e-3, 0.0, 0.0, model)
     g = rng.normal(0, 1, size=before.shape)
-    opt.step(params, [g, np.zeros_like(model.biases[0])])
+    opt.step(model.params, [g, np.zeros_like(model.biases[0])])
     step = before - model.weights[0]
     # bias-corrected first step is lr * g / (|g| + eps) ~ lr * sign(g)
     assert np.allclose(step, 1e-3 * np.sign(g), atol=1e-6)
@@ -277,9 +276,8 @@ def test_weight_decay_skips_biases():
         b += 1.0
     before_w = [w.copy() for w in model.weights]
     before_b = [b.copy() for b in model.biases]
-    opt, params = make_optimizer("adam", 0.1, 1.0, 0.0, model)
-    zero = [np.zeros_like(p) for p in params]
-    opt.step(params, zero)
+    opt = make_optimizer("adam", 0.1, 1.0, 0.0, model)
+    opt.step(model.params, np.zeros_like(model.params))
     for w, w0 in zip(model.weights, before_w):
         assert np.allclose(w, w0 - 0.1 * 1.0 * w0, atol=1e-15)
     for b, b0 in zip(model.biases, before_b):
@@ -318,9 +316,9 @@ def test_flat_optimizer_is_bit_identical_to_a_per_array_loop(rng, name, momentum
     shapes = [w.shape for w in model.weights] + [b.shape for b in model.biases]
     grad_seq = [[rng.normal(0, 1, size=s) for s in shapes] for _ in range(6)]
     want = _per_array_steps(name, 0.05, 0.3, momentum, model, grad_seq)
-    opt, params = make_optimizer(name, 0.05, 0.3, momentum, model)
+    opt = make_optimizer(name, 0.05, 0.3, momentum, model)
     for grads in grad_seq:
-        opt.step(params, grads)
+        opt.step(model.params, grads)
     got = model.weights + model.biases
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
@@ -330,8 +328,8 @@ def test_step_from_the_gradient_buffer_equals_the_list_form(rng, name, momentum)
     arch = ArchSpec(input_dim=3, hidden_layers=(5, 4), num_classes=3)
     listed = init_model(arch, 8)
     buffered = listed.copy()
-    opt_l, _ = make_optimizer(name, 0.05, 0.3, momentum, listed)
-    opt_b, _ = make_optimizer(name, 0.05, 0.3, momentum, buffered)
+    opt_l = make_optimizer(name, 0.05, 0.3, momentum, listed)
+    opt_b = make_optimizer(name, 0.05, 0.3, momentum, buffered)
     for _ in range(4):
         x = rng.normal(0, 1, size=(6, 3))
         logits, acts = _forward_cached(listed, x)
@@ -426,20 +424,10 @@ def test_train_epoch_refuses_to_leave_parameters_non_finite(rng):
     model = init_model(arch, 1)
     model.weights[0][0, 0] = np.inf
     features = rng.normal(0, 1, size=(8, 2))
-    opt, _ = make_optimizer("sgd", 0.1, 0.0, 0.0, model)
+    opt = make_optimizer("sgd", 0.1, 0.0, 0.0, model)
     hard = onehot(rng.integers(0, 2, size=8), 2)
     with pytest.raises(DomainError, match="not finite after a training pass"):
         train_epoch(model, opt, features, 4, rng, hard=hard)
-
-
-def test_batch_indices_cover_everything(rng):
-    for _ in range(20):
-        n = int(rng.integers(1, 50))
-        bs = int(rng.integers(1, 12))
-        batches = list(batch_indices(n, bs, np.random.default_rng(0)))
-        flat = np.concatenate(batches)
-        assert sorted(flat.tolist()) == list(range(n))
-        assert all(len(b) <= bs for b in batches)
 
 
 # -- training ---------------------------------------------------------------
@@ -533,7 +521,7 @@ def test_selected_cells_resume_as_if_never_selected(rng, optimizer):
     def run(epochs, keep_after=None):
         start = np.stack([init_model(arch, s).params for s in seeds])
         work = Model.from_params(arch, start, 0)
-        opt, _ = make_optimizer(optimizer, 0.05, 0.3, 0.9 if optimizer == "sgd" else 0.0, work)
+        opt = make_optimizer(optimizer, 0.05, 0.3, 0.9 if optimizer == "sgd" else 0.0, work)
         cells = list(range(len(seeds)))
         for epoch in range(1, epochs + 1):
             if epoch == keep_after:
@@ -561,18 +549,15 @@ def test_ragged_cells_refuse_what_they_cannot_train(rng):
     arch = ArchSpec(input_dim=3, hidden_layers=(), num_classes=2)
     sizes = [6, 3]
     features = [rng.normal(0, 1, size=(n, 3)) for n in sizes]
-    labels = [rng.integers(0, 2, size=n) for n in sizes]
-    hard = [onehot(y, 2) for y in labels]
+    hard = [onehot(rng.integers(0, 2, size=n), 2) for n in sizes]
     work = Model.from_params(arch, np.stack([init_model(arch, s).params for s in (1, 2)]), 0)
-    opt, _ = make_optimizer("adam", 0.1, 0.0, 0.0, work)
+    opt = make_optimizer("adam", 0.1, 0.0, 0.0, work)
     start = work.params.tobytes()
     rngs = [rng_for(s, "epoch", 1) for s in (1, 2)]
-    for kwargs in (
-        dict(soft=np.full((9, 2), 0.5)),
-        dict(labels=np.concatenate(labels)),
-    ):
-        with pytest.raises(ShapeError):
-            train_epoch(work, opt, features, 4, rngs, hard=hard, **kwargs)
+    # fixed soft targets, and a live model with the stack's cells
+    for soft in (np.full((9, 2), 0.5), Model.from_params(arch, work.params.copy(), 0)):
+        with pytest.raises(ShapeError, match="hard targets alone"):
+            train_epoch(work, opt, features, 4, rngs, hard=hard, soft=soft)
     with pytest.raises(ShapeError):
         train_epoch(work, opt, features[::-1], 4, rngs, hard=hard[::-1])
     with pytest.raises(ShapeError):
@@ -580,6 +565,25 @@ def test_ragged_cells_refuse_what_they_cannot_train(rng):
     with pytest.raises(ShapeError):
         train_epoch(work, opt, features, 4, rngs, hard=[hard[0], hard[1][:2]])
     assert work.params.tobytes() == start
+
+
+def test_live_soft_model_needs_the_same_cells(rng):
+    arch = ArchSpec(input_dim=3, hidden_layers=(4,), num_classes=2)
+    features = rng.normal(0, 1, size=(10, 3))
+    plain = init_model(arch, 1)
+    stack = Model.from_params(arch, np.stack([init_model(arch, s).params for s in (2, 3)]), 0)
+    three = Model.from_params(arch, np.stack([init_model(arch, s).params for s in (4, 5, 6)]), 0)
+    for work, soft, rng_arg in (
+        (plain, stack, rng_for(1, "epoch", 1)),
+        (stack, plain, [rng_for(s, "epoch", 1) for s in (1, 2)]),
+        (stack, three, [rng_for(s, "epoch", 1) for s in (1, 2)]),
+    ):
+        opt = make_optimizer("adam", 0.1, 0.0, 0.0, work)
+        start = work.params.tobytes()
+        with pytest.raises(ShapeError, match="live soft model"):
+            train_epoch(work, opt, features, 4, rng_arg, soft=soft)
+        assert work.params.tobytes() == start
+        assert opt.t == 0
 
 
 def test_train_config_validation():

@@ -406,6 +406,17 @@ def _vanilla_cells(draw):
     return student, teacher, transfer, cfg, alphas, seeds
 
 
+def _alpha_weights(alpha, labeled):
+    """The loss weights `nn.train_epoch` takes for alpha, one float or one
+    per cell: (1 - alpha, alpha) for CE and KL with labels, none (the KL
+    term alone) without."""
+    if not labeled:
+        return {}
+    if isinstance(alpha, list):
+        return dict(ce_weight=[1.0 - a for a in alpha], kd_weight=alpha)
+    return dict(ce_weight=1.0 - alpha, kd_weight=alpha)
+
+
 def _plain_vanilla(student, teacher, transfer, cfg, seed):
     """Reference: one unstacked model through nn.train_epoch."""
     bench = effective_teachers(student, [teacher], transfer.origin)
@@ -415,12 +426,13 @@ def _plain_vanilla(student, teacher, transfer, cfg, seed):
     hard = None
     if transfer.labeled:
         hard = onehot(transfer.labels, student.arch.num_classes)
+    weights = _alpha_weights(cfg.alpha, transfer.labeled)
     work = student.copy()
-    opt, _ = make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work)
+    opt = make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work)
     for epoch in range(1, cfg.epochs + 1):
         train_epoch(
             work, opt, transfer.features, cfg.batch_size, rng_for(seed, "epoch", epoch),
-            hard=hard, soft=soft, alpha=cfg.alpha, temperature=cfg.temperature,
+            hard=hard, soft=soft, temperature=cfg.temperature, **weights,
         )
     return work
 
@@ -478,27 +490,32 @@ def _student_groups(draw):
     return init_model(arch, draw(st.integers(0, 2**32))), teachers, transfer, cfg, seeds
 
 
-def _plain_dml(peer_a, peer_b, transfer, cfg, seed):
-    """Reference: two unstacked peers stepping in turn."""
-    hard = None if not transfer.labeled else onehot(transfer.labels, peer_a.arch.num_classes)
+def _plain_dml(peer_a, peer_b, transfer_a, transfer_b, cfg, seed):
+    """Reference: two unstacked peers stepping in turn, each on its own
+    set, over the shorter batch schedule."""
+    sets = (transfer_a, transfer_b)
+    classes = peer_a.arch.num_classes
+    hard = [onehot(t.labels, classes) if t.labeled else None for t in sets]
     work = [peer_a.copy(), peer_b.copy()]
     opts = [
-        make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, w)[0]
+        make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, w)
         for w in work
     ]
     for epoch in range(1, cfg.epochs + 1):
         orders = [
-            rng_for(seed, peer, epoch).permutation(len(transfer)) for peer in ("peer-a", "peer-b")
+            rng_for(seed, peer, epoch).permutation(len(t))
+            for peer, t in zip(("peer-a", "peer-b"), sets)
         ]
-        for start in range(0, len(transfer), cfg.batch_size):
+        for start in range(0, min(len(t) for t in sets), cfg.batch_size):
             for me in (0, 1):
                 idx = orders[me][start : start + cfg.batch_size]
-                logits, acts = _forward_cached(work[me], transfer.features[idx])
+                rows = sets[me].features[idx]
+                logits, acts = _forward_cached(work[me], rows)
                 probs = softmax(logits, 1.0)
-                partner = softmax(forward_logits(work[1 - me], transfer.features[idx]), 1.0)
+                partner = softmax(forward_logits(work[1 - me], rows), 1.0)
                 dlogits = (probs - partner) / len(idx)
-                if hard is not None:
-                    dlogits = dlogits + (probs - hard[idx]) / len(idx)
+                if hard[me] is not None:
+                    dlogits = dlogits + (probs - hard[me][idx]) / len(idx)
                 backprop_params(work[me], acts, dlogits, out=opts[me].grad_views)
                 opts[me].step(work[me].params, opts[me].grad)
     return work
@@ -513,7 +530,7 @@ def _plain_dpkd(student, teacher, transfer, cfg, seed, supervised):
         masks,
     )
     work = student.copy()
-    opt, _ = make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work)
+    opt = make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work)
     for epoch in range(1, cfg.epochs + 1):
         train_epoch(
             work, opt, transfer.features, cfg.batch_size, rng_for(seed, "epoch", epoch),
@@ -569,11 +586,48 @@ def test_stacked_dml_cells_equal_one_cell_runs(run):
     ]
     assert _bytes(peers_a) == _bytes([a for a, _ in one_cell])
     assert _bytes(peers_b) == _bytes([b for _, b in one_cell])
-    plain_a, plain_b = _plain_dml(student, teachers[0], transfer, cfg, seeds[0])
+    plain_a, plain_b = _plain_dml(student, teachers[0], transfer, transfer, cfg, seeds[0])
     assert (peers_a[0].params.tobytes(), peers_b[0].params.tobytes()) == (
         plain_a.params.tobytes(),
         plain_b.params.tobytes(),
     )
+
+
+@st.composite
+def _uneven_dml_groups(draw):
+    """A mutual-learning group, its transfer set, and a second set with
+    one or two more minibatches, labeled or not."""
+    student, teachers, transfer, cfg, seeds = draw(_student_groups())
+    batch = cfg.batch_size
+    n = -(-len(transfer) // batch) * batch + draw(st.integers(1, 2 * batch))
+    origin = draw(st.sampled_from(["student_data", "public_labeled", "public_unlabeled_small"]))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    longer = TransferSet(
+        features=data.normal(0, 1, size=(n, student.arch.input_dim)),
+        labels=(
+            data.integers(0, student.arch.num_classes, size=n)
+            if origin != "public_unlabeled_small" else None
+        ),
+        origin=origin,
+    )
+    return student, teachers, transfer, longer, cfg, seeds
+
+
+@PROPERTY
+@pytest.mark.filterwarnings("ignore:mutual learning without labels")
+@pytest.mark.parametrize("a_longer", [True, False])
+@given(_uneven_dml_groups())
+def test_dml_peers_step_over_the_shorter_schedule(a_longer, run):
+    student, teachers, shorter, longer, cfg, seeds = run
+    set_a, set_b = (longer, shorter) if a_longer else (shorter, longer)
+    peers_a, peers_b = distill_dml_cells(
+        [student] * len(seeds), teachers, set_a, set_b, cfg, seeds
+    )
+    for a, b, teacher, seed in zip(peers_a, peers_b, teachers, seeds):
+        one_a, one_b = distill_dml(student, teacher, set_a, set_b, cfg, seed)
+        plain_a, plain_b = _plain_dml(student, teacher, set_a, set_b, cfg, seed)
+        assert a.params.tobytes() == one_a.params.tobytes() == plain_a.params.tobytes()
+        assert b.params.tobytes() == one_b.params.tobytes() == plain_b.params.tobytes()
 
 
 @st.composite
@@ -840,7 +894,7 @@ def test_plain_and_stacked_steps_equal_a_literal_reference(case):
         rows = slice(0, 1 if plain else cells)
         params = starts[0].copy() if plain else np.stack(starts[rows])
         work = Model.from_params(arch, params, 0)
-        opt, _ = make_optimizer(*opt_cfg, work)
+        opt = make_optimizer(*opt_cfg, work)
         soft = None
         if softs is not None:
             soft = np.stack(softs[rows]) if per_cell_soft and not plain else softs[0]
@@ -848,8 +902,8 @@ def test_plain_and_stacked_steps_equal_a_literal_reference(case):
             rng = [rng_for(s, "epoch", epoch) for s in seeds[rows]]
             train_epoch(
                 work, opt, features, batch, rng[0] if plain else rng,
-                hard=hard, soft=soft, weight=weight,
-                alpha=alphas[0] if plain else alphas[rows], temperature=temperature,
+                hard=hard, soft=soft, weight=weight, temperature=temperature,
+                **_alpha_weights(alphas[0] if plain else alphas[rows], hard is not None),
             )
         return work.params.reshape(-1 if plain else cells, len(starts[0]))
 
@@ -895,7 +949,7 @@ def _ragged_cases(draw):
 def test_ragged_steps_equal_a_literal_reference(case):
     arch, features, hard, batch, opt_cfg, epochs, seeds, starts, gather = case
     work = Model.from_params(arch, np.stack(starts), 0)
-    opt, _ = make_optimizer(*opt_cfg, work)
+    opt = make_optimizer(*opt_cfg, work)
     with patch.object(nn, "_GATHER_BYTES", gather):
         for epoch in range(1, epochs + 1):
             train_epoch(
