@@ -12,3 +12,20 @@ digests() {
     echo "$line" | cut -d' ' -f2
   fi
 }
+
+# SHA-256 of trajectories.json and consolidated.kdsm after running
+# partition, pretrain, consolidate and fedavg through the CLI of the
+# checkout DIR on the run configuration CONFIG at SEED, in a fresh run
+# directory, on one line. Call: fed_digests DIR CONFIG SEED
+# Prints nothing and fails if a stage fails.
+fed_digests() {
+  run=$(mktemp -d)
+  for stage in partition pretrain consolidate fedavg; do
+    if ! PYTHONPATH="$1/src" python3 -m kdsim "$stage" --config "$2" --seed "$3" --out-dir "$run" > /dev/null; then
+      rm -rf "$run"
+      return 1
+    fi
+  done
+  (cd "$run" && sha256sum trajectories.json consolidated.kdsm | paste -sd ' ')
+  rm -rf "$run"
+}

@@ -8,6 +8,13 @@ aggregation are all driven by derived seed streams, so a whole
 federation is reproducible bit for bit, and two arms started from
 different initial models see exactly the same data order.
 
+`run_federated` advances one or more arms side by side, round by round.
+What the arms share is drawn once: each round's participants, each
+participant's local-epoch row orders (`client_round`) and, once per
+federation, each shard's one-hot targets. Every arm's clients then train
+on those same draws, so an arm's trajectory is bit-identical to a
+federation run alone from its initial model.
+
 `FedConfig` is both the library's federation recipe and the run
 configuration's `fed` section; its rules live in `FedConfig.problems()`
 and share the optimizer checks of `nn.optimizer_problems`.
@@ -21,6 +28,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .data import LabeledDataset
 from .errors import ConfigError, DataError, ShapeError
@@ -82,7 +92,10 @@ class FedTrajectory:
     init_accuracy is the starting model's accuracy before any training.
     participants_per_round records which clients contributed to each
     aggregate. wall_times (per-round seconds) and final_model stay
-    in-memory only; persisted trajectories carry neither.
+    in-memory only; persisted trajectories carry neither. An arm's round
+    time covers its own local updates, aggregate and evaluation; the
+    draws the arms share (participants, row orders, one-hot targets)
+    fall outside every arm's time.
     """
 
     init_tag: str
@@ -119,6 +132,36 @@ def fedavg_aggregate(models: list[Model], sizes: list[int]) -> Model:
     return out
 
 
+class ClientRound(NamedTuple):
+    """One client's draws for one round: its shard's one-hot targets and
+    the row order of each local epoch."""
+
+    targets: np.ndarray
+    orders: list[np.ndarray]
+
+
+def client_round(
+    shard: LabeledDataset,
+    num_classes: int,
+    cfg: FedConfig,
+    round_index: int,
+    client_id: int,
+    fed_seed: int,
+    targets: np.ndarray | None = None,
+) -> ClientRound:
+    """The draws of one client's round: epoch e of round r shuffles the
+    shard with the stream derived from (fed_seed, "local", r, client_id,
+    e). The one-hot targets, the same in every round, are built unless
+    given."""
+    if targets is None:
+        targets = onehot(shard.labels, num_classes)
+    orders = [
+        rng_for(fed_seed, "local", round_index, client_id, epoch).permutation(len(shard))
+        for epoch in range(1, cfg.local_epochs + 1)
+    ]
+    return ClientRound(targets, orders)
+
+
 def local_update(
     global_model: Model,
     shard: LabeledDataset,
@@ -126,16 +169,23 @@ def local_update(
     round_index: int,
     client_id: int,
     fed_seed: int,
+    draws: ClientRound | None = None,
 ) -> Model:
-    """One client's local training for a round, from the global model."""
+    """One client's local training for a round, from the global model.
+
+    `draws` are the client's draws for this round (`client_round`), made
+    here when not given; a federation passes the same draws to every arm.
+    """
     if len(shard) == 0:
         raise DataError(f"client {client_id} has an empty shard")
+    if draws is None:
+        draws = client_round(
+            shard, global_model.arch.num_classes, cfg, round_index, client_id, fed_seed
+        )
     work = global_model.copy()
     opt = make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work)
-    targets = onehot(shard.labels, work.arch.num_classes)
-    for epoch in range(1, cfg.local_epochs + 1):
-        rng = rng_for(fed_seed, "local", round_index, client_id, epoch)
-        train_epoch(work, opt, shard.features, cfg.batch_size, rng, hard=targets)
+    for order in draws.orders:
+        train_epoch(work, opt, shard.features, cfg.batch_size, order, hard=draws.targets)
     return work
 
 
@@ -150,38 +200,64 @@ def _round_participants(
 
 
 def run_federated(
-    init: Model,
+    inits: list[Model],
+    tags: list[str],
     shards: list[LabeledDataset],
     test: LabeledDataset,
     cfg: FedConfig,
     fed_seed: int,
-    init_tag: str = "random",
-) -> FedTrajectory:
-    """Run a synchronous federation and record its accuracy trajectory."""
+) -> list[FedTrajectory]:
+    """Run synchronous federations, one arm per initial model and tag,
+    and return each arm's accuracy trajectory, in the order given.
+
+    The arms advance round by round side by side. A round's participants
+    and each participant's draws (`client_round`) are made once and
+    serve every arm; each shard's one-hot targets are built once.
+    """
+    if not inits or len(inits) != len(tags):
+        raise ConfigError(
+            f"a federation needs one tag per arm and at least one arm; got "
+            f"{len(inits)} initial models and {len(tags)} tags"
+        )
+    arch = inits[0].arch
+    if any(init.arch != arch for init in inits[1:]):
+        raise ShapeError("every arm must share one architecture")
     if not shards:
         raise ConfigError("federation needs at least one client shard")
     for i, shard in enumerate(shards):
         if len(shard) == 0:
             raise DataError(f"client {i} has an empty shard")
-    traj = FedTrajectory(
-        init_tag=init_tag, init_accuracy=evaluate(init, test).overall_accuracy
-    )
-    global_model = init.copy()
+    trajs = [
+        FedTrajectory(init_tag=tag, init_accuracy=evaluate(init, test).overall_accuracy)
+        for init, tag in zip(inits, tags)
+    ]
+    models = [init.copy() for init in inits]
+    targets: dict[int, np.ndarray] = {}
     for round_index in range(1, cfg.rounds + 1):
-        started = time.perf_counter()
         participants = _round_participants(
             len(shards), cfg.participation_rate, round_index, fed_seed
         )
-        updates = [
-            local_update(global_model, shards[c], cfg, round_index, c, fed_seed)
-            for c in participants
-        ]
-        global_model = fedavg_aggregate(updates, [len(shards[c]) for c in participants])
-        traj.accuracies.append(evaluate(global_model, test).overall_accuracy)
-        traj.wall_times.append(time.perf_counter() - started)
-        traj.participants_per_round.append(participants)
-    traj.final_model = global_model
-    return traj
+        draws = []
+        for c in participants:
+            draw = client_round(
+                shards[c], arch.num_classes, cfg, round_index, c, fed_seed, targets.get(c)
+            )
+            targets[c] = draw.targets
+            draws.append(draw)
+        sizes = [len(shards[c]) for c in participants]
+        for arm, traj in enumerate(trajs):
+            started = time.perf_counter()
+            updates = [
+                local_update(models[arm], shards[c], cfg, round_index, c, fed_seed, draw)
+                for c, draw in zip(participants, draws)
+            ]
+            models[arm] = fedavg_aggregate(updates, sizes)
+            traj.accuracies.append(evaluate(models[arm], test).overall_accuracy)
+            traj.wall_times.append(time.perf_counter() - started)
+            traj.participants_per_round.append(participants)
+    for traj, model in zip(trajs, models):
+        traj.final_model = model
+    return trajs
 
 
 def rounds_to_target(traj: FedTrajectory, target: float) -> int | None:
@@ -207,12 +283,10 @@ def preconsolidated_fedavg(
     Both arms share shards, schedule and every derived seed stream, so
     client sampling and batch orders are identical; the second arm
     starts from the distillation-consolidated model instead of a fresh
-    initialization.
+    initialization. The two arms are one `run_federated` call, which
+    makes their shared draws once.
     """
-    if random_init.arch != consolidated.arch:
-        raise ShapeError("both arms must share one architecture")
-    random_arm = run_federated(random_init, shards, test, cfg, fed_seed, init_tag="random")
-    consolidated_arm = run_federated(
-        consolidated, shards, test, cfg, fed_seed, init_tag="preconsolidated"
+    random_arm, consolidated_arm = run_federated(
+        [random_init, consolidated], ["random", "preconsolidated"], shards, test, cfg, fed_seed
     )
     return random_arm, consolidated_arm

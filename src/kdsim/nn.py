@@ -740,7 +740,7 @@ def train_steps(
     opt: _Optimizer,
     features: np.ndarray | Ragged | list[np.ndarray],
     batch_size: int,
-    rng: np.random.Generator | list[np.random.Generator],
+    rng: np.random.Generator | list[np.random.Generator] | np.ndarray,
     *,
     hard: np.ndarray | Ragged | list[np.ndarray] | None = None,
     soft: np.ndarray | Model | None = None,
@@ -761,6 +761,13 @@ def train_steps(
     per cell as `rng`. Its soft targets are either shared, (n, C), or
     one block per cell, (S, n, C); each cell's minibatch rows are then
     gathered from its own block.
+
+    A plain model may take, in place of its generator, the pass's row
+    order itself: the (n,) array `rng.permutation(n)` would have drawn,
+    which lets callers that train several models on one order draw it
+    once (see `fed.run_federated`). The order is read, never written. A
+    stack, ragged cells, or an order whose length is not the row count
+    raise ShapeError before any step.
 
     `soft` may also be a live model with the same cells as `model`
     (plain for plain, S for S): each minibatch's target is then its
@@ -792,7 +799,10 @@ def train_steps(
         features = Ragged.of(features)
     if isinstance(hard, list):
         hard = Ragged.of(hard)
+    given = isinstance(rng, np.ndarray)
     if isinstance(features, Ragged):
+        if given:
+            raise ShapeError("ragged cells take one generator per cell, not a row order")
         if soft is not None:
             raise ShapeError("ragged cells train on hard targets alone")
         if hard is not None and hard.sizes != features.sizes:
@@ -803,7 +813,12 @@ def train_steps(
         hard = None if hard is None else hard.block
     else:
         n = len(features)
-        order = _shuffle(n, rng)
+        if given and (model.params.ndim != 1 or rng.shape != (n,)):
+            raise ShapeError(
+                f"a row order of shape {rng.shape} for {n} rows and params of "
+                f"{model.params.shape}; only a plain model takes one, of length {n}"
+            )
+        order = rng if given else _shuffle(n, rng)
         steps = (
             (model, opt.grad_views, None, ..., start, min(batch_size, n - start))
             for start in range(0, n, batch_size)

@@ -332,7 +332,7 @@ def test_criterion_05_fedavg_oracle():
     shard = train.subset(np.arange(len(train)))
     fc = FedConfig(rounds=3, local_epochs=2, learning_rate=0.05)
     init = init_model(ArchSpec(4, (6,), 3), 77)
-    traj = run_federated(init, [shard], test, fc, 99)
+    (traj,) = run_federated([init], ["random"], [shard], test, fc, 99)
     chained = init.copy()
     for round_index in range(1, fc.rounds + 1):
         chained = local_update(chained, shard, fc, round_index, 0, 99)

@@ -14,7 +14,8 @@ from kdsim.fed import (
     rounds_to_target,
     run_federated,
 )
-from kdsim.nn import ArchSpec, init_model, models_equal
+from kdsim.nn import ArchSpec, init_model, models_equal, onehot
+from kdsim.seeding import rng_for
 
 ARCH = ArchSpec(input_dim=3, hidden_layers=(6,), num_classes=4)
 
@@ -134,7 +135,7 @@ def test_single_client_federation_equals_local_training(rng):
     traj_model = init.copy()
     for rnd in (1, 2, 3):
         traj_model = local_update(traj_model, shard, cfg, rnd, 0, 77)
-    fed = run_federated(init, [shard], test, cfg, 77)
+    (fed,) = run_federated([init], ["random"], [shard], test, cfg, 77)
     # rebuild the final model independently and compare trajectories
     assert len(fed.accuracies) == 3
     from kdsim.nn import evaluate
@@ -147,14 +148,14 @@ def test_zero_learning_rate_federation_is_flat(rng):
     test = _shard(rng, n=50)
     init = init_model(ARCH, 8)
     cfg = FedConfig(rounds=4, learning_rate=0.0, weight_decay=0.0)
-    traj = run_federated(init, shards, test, cfg, 1)
+    (traj,) = run_federated([init], ["random"], shards, test, cfg, 1)
     assert all(acc == traj.init_accuracy for acc in traj.accuracies)
 
 
 def test_full_participation_every_round(rng):
     shards = [_shard(rng, n=20) for _ in range(4)]
-    traj = run_federated(
-        init_model(ARCH, 0), shards, _shard(rng), FedConfig(rounds=2), 0
+    (traj,) = run_federated(
+        [init_model(ARCH, 0)], ["random"], shards, _shard(rng), FedConfig(rounds=2), 0
     )
     assert traj.participants_per_round == [[0, 1, 2, 3], [0, 1, 2, 3]]
 
@@ -162,7 +163,7 @@ def test_full_participation_every_round(rng):
 def test_partial_participation_counts_and_membership(rng):
     shards = [_shard(rng, n=20) for _ in range(5)]
     cfg = FedConfig(rounds=6, participation_rate=0.5)
-    traj = run_federated(init_model(ARCH, 0), shards, _shard(rng), cfg, 3)
+    (traj,) = run_federated([init_model(ARCH, 0)], ["random"], shards, _shard(rng), cfg, 3)
     rounds_seen = set()
     for sel in traj.participants_per_round:
         assert len(sel) == 3  # ceil(0.5 * 5)
@@ -170,7 +171,7 @@ def test_partial_participation_counts_and_membership(rng):
         assert all(0 <= c < 5 for c in sel)
         rounds_seen.add(tuple(sel))
     assert len(rounds_seen) > 1  # sampling varies across rounds
-    again = run_federated(init_model(ARCH, 0), shards, _shard(rng), cfg, 3)
+    (again,) = run_federated([init_model(ARCH, 0)], ["random"], shards, _shard(rng), cfg, 3)
     assert again.participants_per_round == traj.participants_per_round
 
 
@@ -182,7 +183,7 @@ def test_federation_learns_a_separable_problem(blobs, scenario):
         4,
     )
     cfg = FedConfig(rounds=15, local_epochs=2, learning_rate=0.05)
-    traj = run_federated(init, shards, test, cfg, 6)
+    (traj,) = run_federated([init], ["random"], shards, test, cfg, 6)
     assert traj.accuracies[-1] > traj.init_accuracy + 0.3
     assert max(traj.accuracies) > 0.7
 
@@ -225,6 +226,40 @@ def test_paired_arms_identical_inits_coincide(rng):
     init = init_model(ARCH, 3)
     a, b = preconsolidated_fedavg(init, init.copy(), shards, test, FedConfig(rounds=2), 5)
     assert a.accuracies == b.accuracies
+
+
+def test_paired_arms_draw_each_client_round_once(rng, monkeypatch):
+    streams = []
+    built = []
+
+    def counting_rng_for(*parts):
+        streams.append(parts[1])
+        return rng_for(*parts)
+
+    def counting_onehot(labels, num_classes):
+        built.append(len(labels))
+        return onehot(labels, num_classes)
+
+    monkeypatch.setattr("kdsim.fed.rng_for", counting_rng_for)
+    monkeypatch.setattr("kdsim.fed.onehot", counting_onehot)
+    sizes = [9, 14, 20, 25, 31]
+    shards = [_shard(rng, n=n) for n in sizes]
+    cfg = FedConfig(rounds=4, local_epochs=2, participation_rate=0.5)
+    rand_arm, _ = preconsolidated_fedavg(
+        init_model(ARCH, 1), init_model(ARCH, 2), shards, _shard(rng), cfg, 9
+    )
+    # ceil(0.5 * 5) = 3 participants a round, drawn once for both arms
+    assert streams.count("local") == cfg.rounds * 3 * cfg.local_epochs
+    assert streams.count("participation") == cfg.rounds
+    clients = {c for chosen in rand_arm.participants_per_round for c in chosen}
+    assert sorted(built) == sorted(sizes[c] for c in clients)
+
+
+def test_a_federation_needs_one_tag_per_arm(rng):
+    init = init_model(ARCH, 0)
+    for inits, tags in (([], []), ([init], []), ([init, init.copy()], ["random"])):
+        with pytest.raises(ConfigError, match="one tag per arm"):
+            run_federated(inits, tags, [_shard(rng)], _shard(rng), FedConfig(rounds=1), 0)
 
 
 def test_paired_arms_need_one_architecture(rng):

@@ -567,6 +567,26 @@ def test_ragged_cells_refuse_what_they_cannot_train(rng):
     assert work.params.tobytes() == start
 
 
+def test_a_row_order_is_for_a_plain_model_of_its_length(rng):
+    arch = ArchSpec(input_dim=3, hidden_layers=(), num_classes=2)
+    features = rng.normal(0, 1, size=(6, 3))
+    hard = onehot(rng.integers(0, 2, size=6), 2)
+    order = rng_for(1, "epoch", 1).permutation(6)
+    plain = init_model(arch, 1)
+    stack = Model.from_params(arch, np.stack([init_model(arch, s).params for s in (1, 2)]), 0)
+    for work, x, y, given in (
+        (stack, features, hard, order),
+        (stack, [features, features[:3]], [hard, hard[:3]], order),
+        (plain, features, hard, order[:5]),
+    ):
+        opt = make_optimizer("adam", 0.1, 0.0, 0.0, work)
+        start = work.params.tobytes()
+        with pytest.raises(ShapeError):
+            train_epoch(work, opt, x, 4, given, hard=y)
+        assert work.params.tobytes() == start
+        assert opt.t == 0
+
+
 def test_live_soft_model_needs_the_same_cells(rng):
     arch = ArchSpec(input_dim=3, hidden_layers=(4,), num_classes=2)
     features = rng.normal(0, 1, size=(10, 3))

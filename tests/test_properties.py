@@ -1,5 +1,6 @@
 """Property tests: invariants that must hold for every input, not just a few."""
 
+import math
 from unittest.mock import patch
 
 import numpy as np
@@ -38,7 +39,13 @@ from kdsim.distill import (
     weighted_ensemble_kl_grad_logits,
 )
 from kdsim.errors import ConfigError, PartitionError
-from kdsim.fed import FedConfig
+from kdsim.fed import (
+    FedConfig,
+    fedavg_aggregate,
+    local_update,
+    preconsolidated_fedavg,
+    run_federated,
+)
 from kdsim.nn import (
     OPTIMIZERS,
     ArchSpec,
@@ -46,6 +53,7 @@ from kdsim.nn import (
     TrainConfig,
     _forward_cached,
     backprop_params,
+    evaluate,
     forward_logits,
     init_model,
     make_optimizer,
@@ -887,9 +895,10 @@ def test_plain_and_stacked_steps_equal_a_literal_reference(case):
     def epoch_rngs(seed):
         return [rng_for(seed, "epoch", e) for e in range(1, epochs + 1)]
 
-    def train(cells):
+    def train(cells, given_order=False):
         """The first `cells` cells through nn.train_epoch: a plain model
-        for None, else a stack of that many cells."""
+        for None, else a stack of that many cells. A plain model may take
+        each pass's row order instead of its generator."""
         plain = cells is None
         rows = slice(0, 1 if plain else cells)
         params = starts[0].copy() if plain else np.stack(starts[rows])
@@ -900,6 +909,8 @@ def test_plain_and_stacked_steps_equal_a_literal_reference(case):
             soft = np.stack(softs[rows]) if per_cell_soft and not plain else softs[0]
         for epoch in range(1, epochs + 1):
             rng = [rng_for(s, "epoch", epoch) for s in seeds[rows]]
+            if given_order:
+                rng = [rng[0].permutation(len(features))]
             train_epoch(
                 work, opt, features, batch, rng[0] if plain else rng,
                 hard=hard, soft=soft, weight=weight, temperature=temperature,
@@ -907,11 +918,11 @@ def test_plain_and_stacked_steps_equal_a_literal_reference(case):
             )
         return work.params.reshape(-1 if plain else cells, len(starts[0]))
 
-    for cells in (None, 1, 3):
+    for cells, given_order in ((None, False), (None, True), (1, False), (3, False)):
         count = 1 if cells is None else cells
         terms = _terms(hard, softs, alphas[:count])
         with patch.object(nn, "_GATHER_BYTES", gather):
-            got = train(cells)
+            got = train(cells, given_order)
         for i in range(count):
             want = _reference_cell(
                 starts[i], arch, features, batch, epoch_rngs(seeds[i]), opt_cfg, terms,
@@ -983,3 +994,85 @@ def test_one_cell_runs_return_plain_models(labeled):
     ):
         assert model.params.shape == student.params.shape == (len(student.params),)
         assert model.seed == student.seed
+
+
+# -- FedAvg arms against a literal federation -------------------------------
+
+
+@st.composite
+def _federations(draw):
+    """Two or three arms from different initial models over unequal
+    shards, the first shorter than a batch; full or half participation,
+    one or two local epochs, and SGD with momentum 0 or 0.9, or Adam."""
+    hidden = tuple(draw(st.lists(st.integers(1, 5), max_size=1)))
+    dim = draw(st.integers(1, 3))
+    classes = draw(st.integers(2, 4))
+    arch = ArchSpec(input_dim=dim, hidden_layers=hidden, num_classes=classes)
+    batch = draw(st.integers(2, 6))
+    sizes = [
+        draw(st.integers(1, batch - 1)),
+        draw(st.integers(batch, 3 * batch)),
+        *draw(st.lists(st.integers(1, 3 * batch), max_size=2)),
+    ]
+    optimizer, momentum = draw(st.sampled_from([("sgd", 0.0), ("sgd", 0.9), ("adam", 0.0)]))
+    cfg = FedConfig(
+        rounds=draw(st.integers(1, 3)),
+        local_epochs=draw(st.integers(1, 2)),
+        participation_rate=draw(st.sampled_from([1.0, 0.5])),
+        optimizer=optimizer,
+        learning_rate=0.05,
+        weight_decay=draw(st.sampled_from([0.0, 4e-4])),
+        momentum=momentum,
+        batch_size=batch,
+    )
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def dataset(n):
+        labels = data.integers(0, classes, size=n)
+        features = data.normal(0, 1, size=(n, dim))
+        features[:, 0] += labels  # something to learn
+        return LabeledDataset(features=features, labels=labels, class_count=classes)
+
+    arms = draw(st.integers(2, 3))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=arms, max_size=arms, unique=True))
+    inits = [init_model(arch, seed) for seed in seeds]
+    return inits, [dataset(n) for n in sizes], dataset(8), cfg, draw(st.integers(0, 2**32))
+
+
+def _literal_federation(init, shards, test, cfg, fed_seed):
+    """One arm alone: standalone local updates and aggregates, round by
+    round, with the participation draw spelled out."""
+    model = init.copy()
+    accuracies, chosen = [], []
+    k = len(shards)
+    for r in range(1, cfg.rounds + 1):
+        participants = list(range(k))
+        if cfg.participation_rate < 1.0:
+            count = max(1, math.ceil(cfg.participation_rate * k))
+            drawn = rng_for(fed_seed, "participation", r).choice(k, size=count, replace=False)
+            participants = sorted(int(c) for c in drawn)
+        updates = [local_update(model, shards[c], cfg, r, c, fed_seed) for c in participants]
+        model = fedavg_aggregate(updates, [len(shards[c]) for c in participants])
+        accuracies.append(evaluate(model, test).overall_accuracy)
+        chosen.append(participants)
+    return model, accuracies, chosen
+
+
+@PROPERTY
+@given(_federations())
+def test_federation_arms_equal_literal_one_arm_federations(run):
+    inits, shards, test, cfg, fed_seed = run
+    tags = [f"arm{i}" for i in range(len(inits))]
+    trajs = run_federated(inits, tags, shards, test, cfg, fed_seed)
+    if len(inits) == 2:
+        assert [t.final_model.params.tobytes() for t in trajs] == [
+            t.final_model.params.tobytes()
+            for t in preconsolidated_fedavg(*inits, shards, test, cfg, fed_seed)
+        ]
+    for init, tag, traj in zip(inits, tags, trajs):
+        model, accuracies, chosen = _literal_federation(init, shards, test, cfg, fed_seed)
+        assert traj.init_tag == tag
+        assert traj.init_accuracy == evaluate(init, test).overall_accuracy
+        assert traj.final_model.params.tobytes() == model.params.tobytes()
+        assert traj.accuracies == accuracies
+        assert traj.participants_per_round == chosen
