@@ -469,8 +469,9 @@ def cmd_fedavg(cfg: RunConfig, args) -> int:
             f"{traj.init_tag}: start {traj.init_accuracy:.4f}, "
             f"final {final:.4f} after {len(traj.accuracies)} rounds"
         )
+    # a random arm that never classifies a test row right sets no target
     target = max(random_arm.accuracies)
-    reached = rounds_to_target(consolidated_arm, target)
+    reached = rounds_to_target(consolidated_arm, target) if target > 0 else None
     if reached is not None:
         print(
             f"consolidated start reaches the random arm's best accuracy "

@@ -419,13 +419,6 @@ def masked_distillation_loss(
     return temperature**2 * kl_loss(probs, target_probs)
 
 
-def masked_distillation_grad_logits(
-    student_logits: np.ndarray, target_probs: np.ndarray, temperature: float
-) -> np.ndarray:
-    probs = softmax(student_logits, temperature)
-    return temperature * (probs - target_probs) / len(probs)
-
-
 def distill_dpkd(
     student: Model,
     teacher: Model,
@@ -565,19 +558,6 @@ def weighted_ensemble_kl(
         per_sample = np.sum(target * (_clamped_log(target) - _clamped_log(probs)), axis=1)
         total += float(np.mean(w * per_sample))
     return temperature**2 * total
-
-
-def weighted_ensemble_kl_grad_logits(
-    student_logits: np.ndarray,
-    teacher_probs: list[np.ndarray],
-    sample_weights: list[np.ndarray],
-    temperature: float,
-) -> np.ndarray:
-    probs = softmax(student_logits, temperature)
-    acc = np.zeros_like(probs)
-    for target, w in zip(teacher_probs, sample_weights):
-        acc += w[:, None] * (probs - target)
-    return temperature * acc / len(probs)
 
 
 def merged_teacher_target(

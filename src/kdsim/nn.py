@@ -4,8 +4,9 @@ Models are deliberately small and boring: float64 numpy, ReLU hidden
 layers, analytic gradients, explicit seeds everywhere. Keeping the
 arithmetic in plain numpy makes three guarantees cheap that the rest of
 the package leans on: repeated runs are bit-identical per (architecture,
-seed), frozen models can never be touched by a training step, and every
-gradient can be checked against central finite differences.
+seed), frozen models can never be touched by a training step, and the
+gradient a training step applies can be checked against central finite
+differences of the loss it documents (the tests read it off one SGD step).
 
 A model's parameters are one contiguous float64 vector, `Model.params`
 (every weight matrix in layer order, then every bias); the per-layer
@@ -360,12 +361,6 @@ def ce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(_clamped_log(picked)))
 
 
-def ce_grad_logits(probs: np.ndarray, labels: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """d(mean CE)/d(logits) when probs = softmax(logits / temperature)."""
-    y = onehot(labels, probs.shape[1])
-    return (probs - y) / (len(probs) * temperature)
-
-
 def kl_loss(student_probs: np.ndarray, target_probs: np.ndarray) -> float:
     """Mean over samples of sum_i target_i * ln(target_i / student_i).
 
@@ -380,13 +375,6 @@ def kl_loss(student_probs: np.ndarray, target_probs: np.ndarray) -> float:
         raise DataError("KL divergence needs a non-empty 2-d batch")
     per_sample = np.sum(t * (_clamped_log(t) - _clamped_log(s)), axis=1)
     return float(np.mean(per_sample))
-
-
-def kl_grad_logits(
-    student_probs: np.ndarray, target_probs: np.ndarray, temperature: float = 1.0
-) -> np.ndarray:
-    """d(mean KL)/d(student logits) when student = softmax(logits / T)."""
-    return (student_probs - target_probs) / (len(student_probs) * temperature)
 
 
 # --------------------------------------------------------------------------
@@ -457,18 +445,11 @@ class _Optimizer:
             )
         return self._cells[lo, hi]
 
-    def step(
-        self,
-        params: np.ndarray,
-        grads: np.ndarray | list[np.ndarray],
-        rows: slice | None = None,
-    ) -> None:
-        """Update `params` in place from gradients in the same layout: an
-        array shaped like `params` (such as `grad`) or a list of
-        per-array gradients (weights, then biases). With `rows`, a
-        contiguous range of a stack's cells, only those rows of the
-        parameters, gradients and state take part."""
-        g = grads if isinstance(grads, np.ndarray) else np.concatenate([np.ravel(x) for x in grads])
+    def step(self, params: np.ndarray, g: np.ndarray, rows: slice | None = None) -> None:
+        """Update `params` in place from gradients `g` shaped like them
+        (such as `grad`). With `rows`, a contiguous range of a stack's
+        cells, only those rows of the parameters, gradients and state
+        take part."""
         if params is self._cells_of and g is self.grad:
             key = None if rows is None else (rows.start, rows.stop)
             views = self._steps.get(key)

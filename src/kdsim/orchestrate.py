@@ -550,9 +550,9 @@ def run_pairwise_matrix(
 
 @dataclass(eq=False)
 class GridSearchResult:
-    """The searched surface, its argmax and, unless `evaluate_cell` replaced
-    the runner, the model the argmax cell trained and that of the cell
-    the search was asked to keep, if it trained that cell."""
+    """The searched surface, its argmax, the model the argmax cell trained
+    and that of the cell the search was asked to keep, if it trained that
+    cell. The models are None where `_search`'s row runner returns none."""
 
     best_temperature: float
     best_alpha: float
@@ -660,8 +660,7 @@ def grid_search_tuned(
     grid: GridSpec,
     cfg: DistillConfig,
     select_data: LabeledDataset,
-    seed_fn=None,
-    evaluate_cell=None,
+    seed_fn,
 ) -> GridSearchResult:
     """Search the temperature/alpha grid for the best vanilla-KD setting.
 
@@ -678,19 +677,10 @@ def grid_search_tuned(
     one temperature row share their soft targets and train as stacks,
     each bit-identical to its own `distill_vanilla` run. Only the best
     model so far is kept, and returned as `best_model`.
-
-    evaluate_cell can replace the real runner (used by tests to probe
-    selection logic against a synthetic surface); it is called cell by
-    cell, row by row, and `best_model` is then None.
     """
-    if seed_fn is None:
-        seed_fn = lambda t, a: pair_seed(0, 0, 1, "vanilla", t, a)
-    if evaluate_cell is None:
-        return grid_search_teachers(
-            student, [teacher], transfer, grid, cfg, select_data, [seed_fn]
-        )[0]
-    run_row = lambda t, cells: [(evaluate_cell(t, a), None) for _, a in cells]
-    return _search(1, grid, run_row)[0]
+    return grid_search_teachers(
+        student, [teacher], transfer, grid, cfg, select_data, [seed_fn]
+    )[0]
 
 
 # --------------------------------------------------------------------------

@@ -900,6 +900,30 @@ def test_cli_diverged_federation_fails_instead_of_reporting_accuracy(tmp_path, c
     assert not (tmp_path / "run" / "trajectories.json").exists()
 
 
+def test_cli_fedavg_without_a_target_accuracy_exits_zero(tmp_path, capsys):
+    # a learning rate of 0 is a valid probe; at seed 6 this random arm
+    # never classifies the two test rows right, so its best accuracy, 0,
+    # is no target the consolidated arm could reach
+    config = _config_with(
+        tmp_path, "flat.yaml",
+        dataset={"classes": 2, "dim": 2, "train_per_class": 40, "test_per_class": 1},
+        partition={"strategy": "uniform", "k": 2},
+        pool={"size": 20, "labeled": 5, "unlabeled_small": 5, "unlabeled_large": 10},
+        model={"hidden_layers": [4]},
+        pretrain={"max_epochs": 2, "patience": 2},
+        consolidate={"epochs": 1},
+        fed={"rounds": 2, "local_epochs": 1, "learning_rate": 0.0},
+    )
+    base = ("--config", str(config), "--out-dir", str(tmp_path / "run"), "--seed", "6")
+    for cmd in ("partition", "pretrain", "consolidate"):
+        assert _run(cmd, *base) == 0
+    capsys.readouterr()
+    assert _run("fedavg", *base) == 0
+    out = capsys.readouterr().out
+    assert "random: start 0.0000, final 0.0000" in out
+    assert "best accuracy" not in out
+
+
 def test_cli_missing_plan_is_an_error_not_a_traceback(tiny_config, tmp_path, capsys):
     out = tmp_path / "run"
     base = ("--config", str(tiny_config), "--out-dir", str(out))

@@ -19,11 +19,10 @@ from kdsim.distill import (
     dpkd_masks,
     effective_teachers,
     equal_teacher_weights,
-    masked_distillation_grad_logits,
     masked_distillation_loss,
     masked_targets,
+    merged_teacher_target,
     weighted_ensemble_kl,
-    weighted_ensemble_kl_grad_logits,
 )
 from kdsim.errors import ConfigError, DomainError, ShapeError
 from kdsim.nn import (
@@ -41,24 +40,7 @@ from kdsim.nn import (
 )
 from kdsim.seeding import rng_for
 
-
-def _fd_grad(loss_fn, logits, eps=1e-6):
-    grad = np.zeros_like(logits)
-    it = np.nditer(logits, flags=["multi_index"])
-    while not it.finished:
-        i = it.multi_index
-        up = logits.copy()
-        up[i] += eps
-        down = logits.copy()
-        down[i] -= eps
-        grad[i] = (loss_fn(up) - loss_fn(down)) / (2 * eps)
-        it.iternext()
-    return grad
-
-
-def _rel(analytic, numeric):
-    scale = max(np.linalg.norm(numeric), 1e-12)
-    return np.linalg.norm(analytic - numeric) / scale
+from gradcheck import fd_gradient, rel_err, scaled_last_layer, step_gradient
 
 
 def _bias_model(logit_rows: np.ndarray) -> Model:
@@ -124,38 +106,47 @@ def test_effective_teachers_appends_frozen_self_on_public_data():
         assert not models_equal(bench[-1], student)
 
 
-# -- vanilla gradient against the composite loss ----------------------------
+# -- the trainer's step against each method's loss -------------------------
+# (see gradcheck; each model's last layer is scaled by the temperature)
+
+
+def _gradient_case(rng, temperature, n=6, classes=3):
+    arch = ArchSpec(input_dim=4, hidden_layers=(5,), num_classes=classes)
+    model = scaled_last_layer(init_model(arch, 0), temperature)
+    return model, rng.normal(0, 1, size=(n, 4))
 
 
 @pytest.mark.parametrize("temperature", [0.5, 1.0, 3.0])
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
 def test_vanilla_labeled_gradient_matches_loss(rng, temperature, alpha):
-    n, c = 6, 3
-    logits = temperature * rng.normal(0, 2, size=(n, c))
-    target = rng.dirichlet(np.ones(c), size=n)
-    labels = rng.integers(0, c, size=n)
-    hard = onehot(labels, c)
+    # the composite loss distill_vanilla trains on: (1 - alpha) CE + alpha T^2 KL
+    model, x = _gradient_case(rng, temperature)
+    target = rng.dirichlet(np.ones(3), size=6)
+    labels = rng.integers(0, 3, size=6)
 
-    def loss(lg):
-        ce = ce_loss(softmax(lg, 1.0), labels)
-        kd = temperature**2 * kl_loss(softmax(lg, temperature), target)
+    def loss(m):
+        logits = forward_logits(m, x)
+        ce = ce_loss(softmax(logits, 1.0), labels)
+        kd = temperature**2 * kl_loss(softmax(logits, temperature), target)
         return (1 - alpha) * ce + alpha * kd
 
-    analytic = (1 - alpha) * (softmax(logits, 1.0) - hard) / n
-    analytic += alpha * temperature * (softmax(logits, temperature) - target) / n
-    assert _rel(analytic, _fd_grad(loss, logits)) < 1e-5
+    analytic = step_gradient(
+        model, x, hard=onehot(labels, 3), soft=target, ce_weight=1 - alpha, kd_weight=alpha,
+        temperature=temperature,
+    )
+    assert rel_err(analytic, fd_gradient(loss, model)) < 1e-5
 
 
 def test_vanilla_unlabeled_gradient_matches_loss(rng):
-    n, c, t = 5, 4, 2.5
-    logits = t * rng.normal(0, 2, size=(n, c))
-    target = rng.dirichlet(np.ones(c), size=n)
+    t = 2.5
+    model, x = _gradient_case(rng, t, n=5, classes=4)
+    target = rng.dirichlet(np.ones(4), size=5)
 
-    def loss(lg):
-        return t**2 * kl_loss(softmax(lg, t), target)
+    def loss(m):
+        return t**2 * kl_loss(softmax(forward_logits(m, x), t), target)
 
-    analytic = t * (softmax(logits, t) - target) / n
-    assert _rel(analytic, _fd_grad(loss, logits)) < 1e-5
+    analytic = step_gradient(model, x, soft=target, temperature=t)
+    assert rel_err(analytic, fd_gradient(loss, model)) < 1e-5
 
 
 # -- vanilla training behavior ----------------------------------------------
@@ -374,11 +365,13 @@ def test_masked_targets_route_rows(rng):
 
 @pytest.mark.parametrize("temperature", [0.5, 1.0, 4.0])
 def test_masked_loss_gradient_check(rng, temperature):
-    logits = temperature * rng.normal(0, 2, size=(6, 3))
+    model, x = _gradient_case(rng, temperature)
     target = rng.dirichlet(np.ones(3), size=6)
-    numeric = _fd_grad(lambda lg: masked_distillation_loss(lg, target, temperature), logits)
-    analytic = masked_distillation_grad_logits(logits, target, temperature)
-    assert _rel(analytic, numeric) < 1e-5
+    numeric = fd_gradient(
+        lambda m: masked_distillation_loss(forward_logits(m, x), target, temperature), model
+    )
+    analytic = step_gradient(model, x, soft=target, temperature=temperature)
+    assert rel_err(analytic, numeric) < 1e-5
 
 
 def test_dpkd_ignores_labels_when_unsupervised(rng):
@@ -501,15 +494,16 @@ def test_weighted_kl_hand_case():
 
 @pytest.mark.parametrize("temperature", [0.5, 1.0, 4.0])
 def test_weighted_kl_gradient_check(rng, temperature):
-    n, c = 6, 3
-    logits = temperature * rng.normal(0, 2, size=(n, c))
-    targets = [rng.dirichlet(np.ones(c), size=n) for _ in range(2)]
-    sw = [rng.uniform(0, 0.5, n) for _ in range(2)]
-    numeric = _fd_grad(
-        lambda lg: weighted_ensemble_kl(lg, targets, sw, temperature), logits
+    # distill_multi_teacher trains on the merged target and weight
+    model, x = _gradient_case(rng, temperature)
+    targets = [rng.dirichlet(np.ones(3), size=6) for _ in range(2)]
+    sw = [rng.uniform(0, 0.5, 6) for _ in range(2)]
+    numeric = fd_gradient(
+        lambda m: weighted_ensemble_kl(forward_logits(m, x), targets, sw, temperature), model
     )
-    analytic = weighted_ensemble_kl_grad_logits(logits, targets, sw, temperature)
-    assert _rel(analytic, numeric) < 1e-5
+    merged, total = merged_teacher_target(targets, sw)
+    analytic = step_gradient(model, x, soft=merged, weight=total, temperature=temperature)
+    assert rel_err(analytic, numeric) < 1e-5
 
 
 # -- multi-teacher runs -----------------------------------------------------

@@ -1,8 +1,9 @@
 """Network core: losses, gradients (vs finite differences), training.
 
-The finite-difference checks are the ground truth for every analytic
-gradient in the package; later modules reuse these formulas, so a pass
-here certifies the shared kernels.
+The finite-difference checks read the gradient off one step of the
+trainer (see gradcheck) and compare it with central differences of the
+loss `train_steps` documents, for plain models, stacks, ragged cells and
+a live soft model; every method trains through that step.
 """
 
 import math
@@ -23,12 +24,10 @@ from kdsim.nn import (
     Model,
     TrainConfig,
     backprop_params,
-    ce_grad_logits,
     ce_loss,
     evaluate,
     forward_logits,
     init_model,
-    kl_grad_logits,
     kl_loss,
     make_optimizer,
     models_equal,
@@ -44,28 +43,11 @@ from kdsim.nn import (
 )
 from kdsim.seeding import rng_for
 
+from gradcheck import fd_gradient, rel_err, scaled_last_layer, step_gradient
+
 
 GRID_TEMPERATURES = (0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0)
-
-
-def fd_grad_logits(loss_fn, logits, eps=1e-6):
-    """Central finite differences of a scalar loss wrt a logit matrix."""
-    grad = np.zeros_like(logits)
-    it = np.nditer(logits, flags=["multi_index"])
-    while not it.finished:
-        i = it.multi_index
-        up = logits.copy()
-        up[i] += eps
-        down = logits.copy()
-        down[i] -= eps
-        grad[i] = (loss_fn(up) - loss_fn(down)) / (2 * eps)
-        it.iternext()
-    return grad
-
-
-def rel_err(analytic, numeric):
-    denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
-    return np.linalg.norm(analytic - numeric) / denom
+ARCH = ArchSpec(input_dim=4, hidden_layers=(5,), num_classes=3)
 
 
 # -- softmax ----------------------------------------------------------------
@@ -124,11 +106,14 @@ def test_ce_loss_hand_value():
 
 
 def test_ce_grad_matches_finite_differences(rng):
-    for t in (0.5, 1.0, 3.0):
-        logits = rng.normal(0, 2, size=(6, 3))
+    # the trainer's CE term, at temperature 1, through no, one and two
+    # hidden layers
+    for seed, hidden in enumerate(((), (5,), (4, 4))):
+        model = init_model(ArchSpec(input_dim=4, hidden_layers=hidden, num_classes=3), seed)
+        x = rng.normal(0, 1, size=(6, 4))
         labels = rng.integers(0, 3, size=6)
-        analytic = ce_grad_logits(softmax(logits, t), labels, t)
-        numeric = fd_grad_logits(lambda z: ce_loss(softmax(z, t), labels), logits)
+        analytic = step_gradient(model, x, hard=onehot(labels, 3))
+        numeric = fd_gradient(lambda m: ce_loss(softmax(forward_logits(m, x)), labels), model)
         assert rel_err(analytic, numeric) < 1e-5
 
 
@@ -160,16 +145,87 @@ def test_kl_nonnegative(rng):
 
 
 def test_kl_grad_matches_finite_differences_all_temperatures(rng):
-    # criterion-level sweep: analytic KL gradient at every search grid
-    # temperature against central differences on 3-class instances. The
-    # raw logits scale with t so the tempered distributions stay away
-    # from the probability clamp, where the true loss is locally flat.
+    # the trainer's T^2-scaled KL term at every search grid temperature,
+    # on 3-class instances
     target = softmax(rng.normal(0, 2, size=(5, 3)))
-    for t in GRID_TEMPERATURES:
-        logits = t * rng.normal(0, 2, size=(5, 3))
-        analytic = kl_grad_logits(softmax(logits, t), target, t)
-        numeric = fd_grad_logits(lambda z: kl_loss(softmax(z, t), target), logits)
+    x = rng.normal(0, 1, size=(5, 4))
+    for seed, t in enumerate(GRID_TEMPERATURES):
+        model = scaled_last_layer(init_model(ARCH, seed), t)
+        analytic = step_gradient(model, x, soft=target, temperature=t)
+        numeric = fd_gradient(
+            lambda m: t**2 * kl_loss(softmax(forward_logits(m, x), t), target), model
+        )
         assert rel_err(analytic, numeric) < 1e-5
+
+
+def _three_cells() -> Model:
+    return Model.from_params(ARCH, np.stack([init_model(ARCH, s).params for s in range(3)]), 0)
+
+
+def _stack_case(rng):
+    # three cells, each with its own loss weights and soft targets
+    x = rng.normal(0, 1, size=(6, 4))
+    labels = rng.integers(0, 3, size=6)
+    soft = softmax(rng.normal(0, 2, size=(3, 6, 3)))
+    ce_w, kd_w, t = [0.75, 0.5, 0.1], [0.25, 0.5, 0.9], 2.0
+
+    def loss(m):
+        logits = forward_logits(m, x)
+        return sum(
+            ce_w[s] * ce_loss(softmax(logits[s]), labels)
+            + kd_w[s] * t**2 * kl_loss(softmax(logits[s], t), soft[s])
+            for s in range(3)
+        )
+
+    targets = dict(hard=onehot(labels, 3), soft=soft, ce_weight=ce_w, kd_weight=kd_w,
+                   temperature=t)
+    return _three_cells(), x, [rng_for(s, "order") for s in range(3)], targets, loss
+
+
+def _ragged_case(rng):
+    # three cells with their own rows, longest first, on hard targets
+    xs = [rng.normal(0, 1, size=(n, 4)) for n in (7, 5, 3)]
+    labels = [rng.integers(0, 3, size=len(x)) for x in xs]
+
+    def loss(m):
+        return sum(
+            ce_loss(softmax(forward_logits(Model.from_params(ARCH, m.params[i], 0), x)), y)
+            for i, (x, y) in enumerate(zip(xs, labels))
+        )
+
+    targets = dict(hard=[onehot(y, 3) for y in labels])
+    return _three_cells(), xs, [rng_for(s, "order") for s in range(3)], targets, loss
+
+
+def _live_case(rng):
+    # a mutual-learning peer: its prediction is the soft target, and the
+    # step holds it fixed
+    peer = scaled_last_layer(init_model(ARCH, 1), 3.0)
+    x = rng.normal(0, 1, size=(6, 4))
+    labels = rng.integers(0, 3, size=6)
+    t = 3.0
+    target = softmax(forward_logits(peer, x), t)
+
+    def loss(m):
+        logits = forward_logits(m, x)
+        return (0.4 * ce_loss(softmax(logits), labels)
+                + 0.6 * t**2 * kl_loss(softmax(logits, t), target))
+
+    targets = dict(hard=onehot(labels, 3), soft=peer, ce_weight=0.4, kd_weight=0.6,
+                   temperature=t)
+    return init_model(ARCH, 0), x, None, targets, loss
+
+
+@pytest.mark.parametrize("case", [_stack_case, _ragged_case, _live_case],
+                         ids=["stack", "ragged", "live"])
+def test_stacked_ragged_and_live_steps_match_finite_differences(rng, case):
+    model, features, rngs, targets, loss = case(rng)
+    soft = targets.get("soft")
+    before = soft.params.copy() if isinstance(soft, Model) else None
+    analytic = step_gradient(model, features, rngs, **targets)
+    assert rel_err(analytic, fd_gradient(loss, model)) < 1e-5
+    if before is not None:
+        assert soft.params.tobytes() == before.tobytes()
 
 
 # -- backprop through the network -------------------------------------------
@@ -185,7 +241,7 @@ def test_backprop_params_matches_finite_differences(rng):
         return ce_loss(softmax(forward_logits(m, features)), labels)
 
     logits, acts = _forward_cached(model, features)
-    gw, gb = backprop_params(model, acts, ce_grad_logits(softmax(logits), labels))
+    gw, gb = backprop_params(model, acts, (softmax(logits) - onehot(labels, 3)) / 6)
 
     eps = 1e-6
     for params, grads in ((model.weights, gw), (model.biases, gb)):
@@ -210,7 +266,7 @@ def test_backprop_two_hidden_layers(rng):
     features = rng.normal(0, 1, size=(5, 3))
     labels = rng.integers(0, 2, size=5)
     logits, acts = _forward_cached(model, features)
-    gw, gb = backprop_params(model, acts, ce_grad_logits(softmax(logits), labels))
+    gw, gb = backprop_params(model, acts, (softmax(logits) - onehot(labels, 2)) / 5)
 
     def loss_of():
         return ce_loss(softmax(forward_logits(model, features)), labels)
@@ -237,7 +293,8 @@ def test_sgd_single_step_hand_computed():
     model = init_model(arch, 0)
     w0 = model.weights[0].copy()
     opt = make_optimizer("sgd", 0.1, 0.5, 0.0, model)
-    g = [np.ones_like(model.weights[0]), np.zeros_like(model.biases[0])]
+    g = np.zeros_like(model.params)
+    g[: model.n_weight_entries] = 1.0
     opt.step(model.params, g)
     # decoupled decay uses the pre-update value: w1 = w0 - lr*g - lr*wd*w0
     expected = w0 - 0.1 * 1.0 - 0.1 * 0.5 * w0
@@ -250,7 +307,8 @@ def test_sgd_momentum_accumulates():
     model = init_model(arch, 0)
     start = model.weights[0].copy()
     opt = make_optimizer("sgd", 1.0, 0.0, 0.5, model)
-    g = [np.ones_like(model.weights[0]), np.zeros_like(model.biases[0])]
+    g = np.zeros_like(model.params)
+    g[: model.n_weight_entries] = 1.0
     opt.step(model.params, g)
     opt.step(model.params, g)
     # velocities 1 then 1.5 -> total displacement 2.5
@@ -263,7 +321,7 @@ def test_adam_first_step_approximates_signed_lr(rng):
     before = model.weights[0].copy()
     opt = make_optimizer("adam", 1e-3, 0.0, 0.0, model)
     g = rng.normal(0, 1, size=before.shape)
-    opt.step(model.params, [g, np.zeros_like(model.biases[0])])
+    opt.step(model.params, np.concatenate([g.ravel(), np.zeros_like(model.biases[0])]))
     step = before - model.weights[0]
     # bias-corrected first step is lr * g / (|g| + eps) ~ lr * sign(g)
     assert np.allclose(step, 1e-3 * np.sign(g), atol=1e-6)
@@ -318,7 +376,7 @@ def test_flat_optimizer_is_bit_identical_to_a_per_array_loop(rng, name, momentum
     want = _per_array_steps(name, 0.05, 0.3, momentum, model, grad_seq)
     opt = make_optimizer(name, 0.05, 0.3, momentum, model)
     for grads in grad_seq:
-        opt.step(model.params, grads)
+        opt.step(model.params, np.concatenate([g.ravel() for g in grads]))
     got = model.weights + model.biases
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
@@ -334,8 +392,9 @@ def test_step_from_the_gradient_buffer_equals_the_list_form(rng, name, momentum)
         x = rng.normal(0, 1, size=(6, 3))
         logits, acts = _forward_cached(listed, x)
         dlogits = rng.normal(0, 1, size=logits.shape)
+        # backprop's per-array gradients, concatenated in a fresh array
         gw, gb = backprop_params(listed, acts, dlogits)
-        opt_l.step(listed.params, gw + gb)
+        opt_l.step(listed.params, np.concatenate([g.ravel() for g in gw + gb]))
         _, acts = _forward_cached(buffered, x)
         backprop_params(buffered, acts, dlogits, out=opt_b.grad_views)
         opt_b.step(buffered.params, opt_b.grad)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import kdsim.orchestrate as orchestrate
 from kdsim.data import TransferSet, TransferSizes
 from kdsim.distill import DistillConfig, distill_vanilla
 from kdsim.errors import ConfigError, DataError
@@ -270,17 +271,23 @@ def test_argmax_prefers_low_temperature_then_low_alpha():
         argmax_surface({})
 
 
+def _probe(grid, gain_of):
+    """A one-search `_search` over `grid` scoring each cell gain_of(t, a),
+    cell by cell, row by row, with no model."""
+    run_row = lambda t, cells: [(gain_of(t, a), None) for _, a in cells]
+    return orchestrate._search(1, grid, run_row)[0]
+
+
 def test_grid_search_finds_the_synthetic_peak():
     grid = GridSpec()
-    probe = lambda t, a: -(abs(t - 2.0) + abs(a - 0.75))
-    res = grid_search_tuned(None, None, None, grid, QUICK, None, evaluate_cell=probe)
+    res = _probe(grid, lambda t, a: -(abs(t - 2.0) + abs(a - 0.75)))
     assert (res.best_temperature, res.best_alpha) == (2.0, 0.75)
     assert len(res.surface) == len(grid.temperatures) * len(grid.alphas)
 
 
 def test_grid_search_tie_break_on_flat_surface():
     grid = GridSpec(temperatures=(3.0, 1.0, 2.0), alphas=(0.9, 0.5))
-    res = grid_search_tuned(None, None, None, grid, QUICK, None, evaluate_cell=lambda t, a: 0.0)
+    res = _probe(grid, lambda t, a: 0.0)
     assert (res.best_temperature, res.best_alpha) == (1.0, 0.5)
 
 
@@ -292,7 +299,7 @@ def test_sequential_grid_sweeps_alpha_at_the_anchor_first():
         return -(abs(t - 4.0) + abs(a - 0.9))
 
     grid = GridSpec(temperatures=(1.0, 2.0, 4.0), alphas=(0.1, 0.5, 0.9), sequential=True)
-    res = grid_search_tuned(None, None, None, grid, QUICK, None, evaluate_cell=probe)
+    res = _probe(grid, probe)
     # one alpha sweep at T=1, then a temperature sweep at the winner
     assert calls[:3] == [(1.0, 0.1), (1.0, 0.5), (1.0, 0.9)]
     assert all(a == 0.9 for _, a in calls[3:])
@@ -303,21 +310,11 @@ def test_sequential_grid_sweeps_alpha_at_the_anchor_first():
 def test_sequential_anchor_falls_back_to_median_temperature():
     calls = []
     grid = GridSpec(temperatures=(2.0, 3.0, 4.0), alphas=(0.25, 0.75), sequential=True)
-    grid_search_tuned(
-        None,
-        None,
-        None,
-        grid,
-        QUICK,
-        None,
-        evaluate_cell=lambda t, a: calls.append((t, a)) or 0.0,
-    )
+    _probe(grid, lambda t, a: calls.append((t, a)) or 0.0)
     assert {t for t, _ in calls[:2]} == {3.0}
 
 
 def test_side_by_side_searches_follow_their_own_best_alpha():
-    import kdsim.orchestrate as orchestrate
-
     peaks = [(4.0, 0.9), (2.0, 0.1)]
     rows = []
 
@@ -340,7 +337,7 @@ def test_side_by_side_searches_follow_their_own_best_alpha():
 
 def test_grid_search_rejects_empty_axes():
     with pytest.raises(ConfigError):
-        grid_search_tuned(None, None, None, GridSpec(temperatures=()), QUICK, None)
+        GridSpec(temperatures=())
     with pytest.raises(ConfigError):
         GridSpec(temperatures=(0.0,))
     with pytest.raises(ConfigError):
@@ -396,7 +393,7 @@ def test_stacked_search_equals_a_per_cell_reference(
         models[(t, a)] = distill_vanilla(student, [teacher], ts, cell_cfg, seed_fn(t, a))
         return (evaluate(models[(t, a)], val).overall_accuracy - pre) * 100.0
 
-    want = grid_search_tuned(student, teacher, ts, grid, cfg, val, evaluate_cell=one_cell)
+    want = _probe(grid, one_cell)
     got = grid_search_tuned(student, teacher, ts, grid, cfg, val, seed_fn)
     assert got.surface == want.surface
     assert len(got.surface) == (4 + 3 - 1 if sequential else 12)
