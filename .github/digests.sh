@@ -29,3 +29,20 @@ fed_digests() {
   (cd "$run" && sha256sum trajectories.json consolidated.kdsm | paste -sd ' ')
   rm -rf "$run"
 }
+
+# SHA-256 of results.json after running partition, pretrain and matrix
+# through the CLI of the checkout DIR on the run configuration CONFIG at
+# SEED with JOBS worker processes, in a fresh run directory.
+# Call: matrix_digest DIR CONFIG SEED JOBS
+# Prints nothing and fails if a stage fails.
+matrix_digest() {
+  run=$(mktemp -d)
+  for stage in partition pretrain matrix; do
+    if ! PYTHONPATH="$1/src" python3 -m kdsim "$stage" --config "$2" --seed "$3" --jobs "$4" --out-dir "$run" > /dev/null; then
+      rm -rf "$run"
+      return 1
+    fi
+  done
+  (cd "$run" && sha256sum results.json | cut -d' ' -f1)
+  rm -rf "$run"
+}

@@ -112,10 +112,11 @@ def atomic_write(path: str | Path, mode: str = "w"):
 
 
 def write_json(path: str | Path, obj) -> None:
-    """Write canonical JSON: sorted keys, indent 1, trailing newline."""
-    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    """Write canonical JSON: sorted keys, indent 1, trailing newline. The
+    text is streamed into the file, never held whole in memory."""
     with atomic_write(path) as fh:
-        fh.write(text)
+        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def _read(path: Path, mode: str = "r"):

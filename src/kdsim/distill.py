@@ -24,13 +24,14 @@ Teacher models are never mutated: targets are read from them once up
 front and only the student copy is ever stepped. Every run is
 deterministic per (models, transfer set, config, seed).
 
-Runs of one student on one transfer set that differ only in teachers,
+Runs on one transfer set that differ only in start model, teachers,
 alpha and seed are cells: `distill_vanilla_benches` (one teacher bench
 per cell), `distill_dpkd_cells` and `distill_dml_cells` train them as
 one stack of models (see `nn`), each cell with its own generators, and
 every cell comes out bit-identical to its own one-cell run. Work the
-cells share is done once: each model's soft targets, and DPKD's
-snapshot probabilities. `distill_vanilla`, `distill_dpkd` and
+cells share is done once: each distinct model's soft targets, the
+frozen self of each distinct student, and DPKD's snapshot probabilities
+of each distinct student. `distill_vanilla`, `distill_dpkd` and
 `distill_dml` are the one-cell cases; a run of one cell, these and
 `distill_multi_teacher` included, trains as a plain model rather than a
 one-cell stack, which gives the same bits at a cheaper step.
@@ -147,7 +148,7 @@ def _per_cell(work: Model, values: list):
 
 
 def _distill(
-    student: Model,
+    students: list[Model],
     transfer: TransferSet,
     cfg: DistillConfig,
     alphas: list[float],
@@ -157,12 +158,13 @@ def _distill(
     hard: np.ndarray | None = None,
     weight: np.ndarray | None = None,
 ) -> list[Model]:
-    """Train one copy of the student per (alpha, seed) cell, all as one
-    stack (one cell as a plain model), on the fixed targets
-    `nn.train_epoch` takes; `soft` is shared, (n, C), or one block per
-    cell, (S, n, C). With hard targets each cell weighs the CE and KL
-    terms (1 - alpha, alpha); without them the KL term trains alone."""
-    work = _stack([student] * len(seeds))
+    """Train one copy of each cell's start model, one cell per (student,
+    alpha, seed), all as one stack (one cell as a plain model), on the
+    fixed targets `nn.train_epoch` takes; `soft` is shared, (n, C), or
+    one block per cell, (S, n, C). With hard targets each cell weighs the
+    CE and KL terms (1 - alpha, alpha); without them the KL term trains
+    alone."""
+    work = _stack(students)
     opt = _student_optimizer(cfg, work)
     if soft.ndim == 3:
         soft = _per_cell(work, soft)
@@ -178,7 +180,12 @@ def _distill(
             _per_cell(work, [rng_for(seed, "epoch", epoch) for seed in seeds]),
             hard=hard, soft=soft, weight=weight, temperature=cfg.temperature, **weights,
         )
-    return _unstack(work, [student] * len(seeds))
+    return _unstack(work, students)
+
+
+def _distinct(models: list[Model]) -> dict[int, Model]:
+    """The distinct models of a list by `id`, in first-seen order."""
+    return {id(m): m for m in models}
 
 
 # --------------------------------------------------------------------------
@@ -214,54 +221,64 @@ def distill_vanilla(
     the KL term alone. This is the one-cell case of
     `distill_vanilla_benches`.
     """
-    return distill_vanilla_benches(student, [teachers], transfer, cfg, [cfg.alpha], [seed])[0]
+    return distill_vanilla_benches([student], [teachers], transfer, cfg, [cfg.alpha], [seed])[0]
 
 
 def distill_vanilla_benches(
-    student: Model,
+    students: list[Model],
     benches: list[list[Model]],
     transfer: TransferSet,
     cfg: DistillConfig,
     alphas: list[float],
     seeds: list[int],
 ) -> list[Model]:
-    """Vanilla runs of one student at cfg.temperature, one per (teachers,
-    alpha, seed) cell.
+    """Vanilla runs at cfg.temperature, one per (student, teachers, alpha,
+    seed) cell.
 
-    Each teacher's soft targets, and those of the student's frozen self
-    on public data, are computed once for all cells; each cell's target
-    is the mean over its own bench. Cells that use the same loss terms
-    train together as one stack; on labeled data alpha = 0 drops the KL
-    term and alpha = 1 the CE term, so those cells form stacks of their
-    own. Every returned model is bit-identical to its one-cell
-    `distill_vanilla` run.
+    Each distinct teacher's soft targets, and on public data those of
+    each distinct student's frozen self, are computed once for all
+    cells; each cell's target is the mean over its own bench, built in
+    place in the stack's one (S, n, C) block. Cells that use the same
+    loss terms train together as one stack; on labeled data alpha = 0
+    drops the KL term and alpha = 1 the CE term, so those cells form
+    stacks of their own. Every returned model is bit-identical to its
+    one-cell `distill_vanilla` run.
     """
     if not all(benches):
         raise ConfigError("vanilla distillation needs at least one teacher")
-    if not len(alphas) == len(seeds) == len(benches):
-        raise ConfigError(f"{len(benches)} benches, {len(alphas)} alphas but {len(seeds)} seeds")
-    _check_transfer(student, transfer)
-    own = effective_teachers(student, [], transfer.origin)  # one frozen self for every cell
-    full = [[*bench, *own] for bench in benches]
-    by_id = {id(m): m for bench in full for m in bench}
+    if not len(students) == len(benches) == len(alphas) == len(seeds):
+        raise ConfigError(
+            f"{len(students)} students, {len(benches)} benches, {len(alphas)} alphas "
+            f"but {len(seeds)} seeds"
+        )
+    _check_transfer(students[0], transfer)
+    # one frozen self per distinct student, shared by all its cells
+    own = {i: effective_teachers(s, [], transfer.origin) for i, s in _distinct(students).items()}
+    full = [[*bench, *own[id(s)]] for s, bench in zip(students, benches)]
     probs = {
         i: softmax(forward_logits(m, transfer.features), cfg.temperature)
-        for i, m in by_id.items()
+        for i, m in _distinct([m for bench in full for m in bench]).items()
     }
-    keys = [tuple(map(id, bench)) for bench in full]
-    means = {key: np.mean([probs[i] for i in key], axis=0) for key in dict.fromkeys(keys)}
-    soft = np.stack([means[key] for key in keys])
-    hard = _hard_target(student, transfer)
+    hard = _hard_target(students[0], transfer)
     stacks: dict[tuple[bool, ...], list[int]] = {}
     for i, alpha in enumerate(alphas):
         terms = () if hard is None else (alpha < 1.0, alpha > 0.0)
         stacks.setdefault(terms, []).append(i)
     trained: dict[int, Model] = {}
     for cells in stacks.values():
+        soft = np.empty((len(cells), len(transfer), students[0].arch.num_classes))
+        for target, i in zip(soft, cells):
+            # the bench mean as np.mean gives it: a sum in bench order, then
+            # one division, which a bench of one skips (x / 1 is x)
+            first, *rest = full[i]
+            np.copyto(target, probs[id(first)])
+            if rest:
+                for m in rest:
+                    target += probs[id(m)]
+                target /= len(full[i])
         models = _distill(
-            student, transfer, cfg,
-            [alphas[i] for i in cells], [seeds[i] for i in cells],
-            hard=hard, soft=soft[cells],
+            [students[i] for i in cells], transfer, cfg,
+            [alphas[i] for i in cells], [seeds[i] for i in cells], hard=hard, soft=soft,
         )
         trained.update(zip(cells, models))
     return [trained[i] for i in range(len(alphas))]
@@ -403,12 +420,20 @@ def _route_masks(
 
 
 def masked_targets(
-    teacher_probs: np.ndarray, snapshot_probs: np.ndarray, masks: MaskPair
+    teacher_probs: np.ndarray,
+    snapshot_probs: np.ndarray,
+    masks: MaskPair,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-sample target distribution selected by the mask pair."""
+    """Per-sample target distribution selected by the mask pair, written
+    into `out` if given."""
     if teacher_probs.shape != snapshot_probs.shape:
         raise ShapeError("teacher and snapshot probability shapes differ")
-    return np.where(masks.teacher_mask[:, None], teacher_probs, snapshot_probs)
+    if out is None:
+        out = np.empty_like(snapshot_probs)
+    np.copyto(out, snapshot_probs)
+    np.copyto(out, teacher_probs, where=masks.teacher_mask[:, None])
+    return out
 
 
 def masked_distillation_loss(
@@ -437,7 +462,7 @@ def distill_dpkd(
     KL terms with no supervised component. This is the one-cell case of
     `distill_dpkd_cells`.
     """
-    return distill_dpkd_cells(student, [teacher], transfer, cfg, [seed], supervised)[0]
+    return distill_dpkd_cells([student], [teacher], transfer, cfg, [seed], supervised)[0]
 
 
 def _probabilities(model: Model, features: np.ndarray, temperature: float):
@@ -448,34 +473,38 @@ def _probabilities(model: Model, features: np.ndarray, temperature: float):
 
 
 def distill_dpkd_cells(
-    student: Model,
+    students: list[Model],
     teachers: list[Model],
     transfer: TransferSet,
     cfg: DistillConfig,
     seeds: list[int],
     supervised: bool = False,
 ) -> list[Model]:
-    """DPKD runs of one student, one per (teacher, seed) cell, as one stack,
+    """DPKD runs, one per (student, teacher, seed) cell, as one stack,
     every cell routing by the same rule (`supervised`, see `distill_dpkd`).
 
-    The snapshot's probabilities are computed once for all cells, and
-    each model's once for both the masks (temperature 1) and the targets
-    (cfg.temperature). Every returned model is bit-identical to its
-    one-cell `distill_dpkd` run.
+    Each distinct model's probabilities, a student's as its snapshot, are
+    computed once for all cells, and once for both the masks (temperature
+    1) and the targets (cfg.temperature); each cell's routed targets are
+    written in place into the stack's one (S, n, C) block. Every returned
+    model is bit-identical to its one-cell `distill_dpkd` run.
     """
-    if len(teachers) != len(seeds):
-        raise ConfigError(f"{len(teachers)} teachers but {len(seeds)} seeds")
-    _check_transfer(student, transfer)
-    snap_one, snap_t = _probabilities(student, transfer.features, cfg.temperature)
-    targets = []
-    for teacher in teachers:
-        _check_transfer(teacher, transfer)
-        teach_one, teach_t = _probabilities(teacher, transfer.features, cfg.temperature)
+    if not len(students) == len(teachers) == len(seeds):
+        raise ConfigError(
+            f"{len(students)} students, {len(teachers)} teachers but {len(seeds)} seeds"
+        )
+    models = _distinct([*students, *teachers])
+    for model in models.values():
+        _check_transfer(model, transfer)
+    probs = {
+        i: _probabilities(m, transfer.features, cfg.temperature) for i, m in models.items()
+    }
+    soft = np.empty((len(seeds), len(transfer), students[0].arch.num_classes))
+    for target, student, teacher in zip(soft, students, teachers):
+        (snap_one, snap_t), (teach_one, teach_t) = probs[id(student)], probs[id(teacher)]
         masks = _route_masks(teach_one, snap_one, transfer, supervised)
-        targets.append(masked_targets(teach_t, snap_t, masks))
-    return _distill(
-        student, transfer, cfg, [cfg.alpha] * len(seeds), seeds, soft=np.stack(targets)
-    )
+        masked_targets(teach_t, snap_t, masks, out=target)
+    return _distill(students, transfer, cfg, [cfg.alpha] * len(seeds), seeds, soft=soft)
 
 
 # --------------------------------------------------------------------------
@@ -608,6 +637,6 @@ def distill_multi_teacher(
     ]
     soft, total = merged_teacher_target(teacher_probs, sample_w)
     return _distill(
-        student, transfer, cfg, [cfg.alpha], [seed],
+        [student], transfer, cfg, [cfg.alpha], [seed],
         hard=_hard_target(student, transfer), soft=soft, weight=total,
     )[0]

@@ -395,8 +395,9 @@ class _Optimizer:
     `backprop_params`; the step updates in place through scratch buffers.
     A step may cover a contiguous row range of a stack, and
     `select_cells` keeps chosen rows of a stack and of all this state.
-    The views a step of the optimizer's own stack and gradient buffer
-    works on, decay prefixes included, are built once per row range.
+    The views a step works on, decay prefixes included, are built once
+    per stack and row range; `reset` returns to a fresh optimizer's
+    state for another run on the same stack.
     """
 
     def __init__(
@@ -431,12 +432,22 @@ class _Optimizer:
         self._cells_of = model.params
         self._steps: dict[tuple[int, int] | None, tuple] = {}
 
+    def reset(self) -> None:
+        """Zero the moments and the step count, as in a new optimizer."""
+        self.m.fill(0.0)
+        self.v.fill(0.0)
+        self.t = 0
+
+    def _follow(self, params: np.ndarray) -> None:
+        """Start the view caches over for another stack, `params`."""
+        self._cells, self._steps, self._cells_of = {}, {}, params
+
     def cell_views(self, stack: Model, lo: int, hi: int) -> tuple[Model, tuple]:
         """Rows lo:hi of `stack`, the stack this optimizer steps, and the
         same rows' gradient views; one row is a plain model. Each range's
         views are built once per stack."""
-        if self._cells_of is not stack.params:
-            self._cells, self._steps, self._cells_of = {}, {}, stack.params
+        if stack.params is not self._cells_of:
+            self._follow(stack.params)
         if (lo, hi) not in self._cells:
             rows = lo if hi - lo == 1 else slice(lo, hi)
             self._cells[lo, hi] = (
@@ -445,18 +456,17 @@ class _Optimizer:
             )
         return self._cells[lo, hi]
 
-    def step(self, params: np.ndarray, g: np.ndarray, rows: slice | None = None) -> None:
-        """Update `params` in place from gradients `g` shaped like them
-        (such as `grad`). With `rows`, a contiguous range of a stack's
-        cells, only those rows of the parameters, gradients and state
-        take part."""
-        if params is self._cells_of and g is self.grad:
-            key = None if rows is None else (rows.start, rows.stop)
-            views = self._steps.get(key)
-            if views is None:
-                views = self._steps[key] = self._step_views(params, g, rows)
-        else:
-            views = self._step_views(params, g, rows)
+    def step(self, params: np.ndarray, rows: slice | None = None) -> None:
+        """Update `params`, the stack this optimizer steps, in place from
+        the gradient buffer `grad`. With `rows`, a contiguous range of a
+        stack's cells, only those rows of the parameters, gradients and
+        state take part."""
+        if params is not self._cells_of:
+            self._follow(params)
+        key = None if rows is None else (rows.start, rows.stop)
+        views = self._steps.get(key)
+        if views is None:
+            views = self._steps[key] = self._step_views(params, rows)
         params, g, m, v, u, s, decay = views
         # the in-place operations keep the IEEE order of
         #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
@@ -492,11 +502,11 @@ class _Optimizer:
             update += scratch
         params -= u
 
-    def _step_views(self, params: np.ndarray, g: np.ndarray, rows: slice | None) -> tuple:
+    def _step_views(self, params: np.ndarray, rows: slice | None) -> tuple:
         """The parameters, gradient, moments and scratch buffers a step
         updates (rows `rows` of each, or all), then the decayed weight
         prefixes of the parameters, scratch and update (None without decay)."""
-        arrays = params, g, self.m, self.v, self._update, self._scratch
+        arrays = params, self.grad, self.m, self.v, self._update, self._scratch
         if rows is not None:
             arrays = tuple(a[rows] for a in arrays)
         params, _, _, _, u, s = arrays
@@ -861,7 +871,7 @@ def train_steps(
             else:
                 dlogits += gap
         backprop_params(cells, acts, dlogits, out=grad_views)
-        opt.step(model.params, opt.grad, rows)
+        opt.step(model.params, rows)
         yield
 
 

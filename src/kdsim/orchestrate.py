@@ -15,22 +15,29 @@ independent, reproducible and insensitive to execution order. Grid
 cells hash as vanilla runs at their grid point, which makes the default
 (1, 0.5) cell bit-identical to the standalone vanilla baseline.
 
-Cells that share a starting point train as one stack of models (see
+Cells that share a transfer set train as one stack of models (see
 `nn`), which changes no cell's bits; pretraining trains all K
 participants as one ragged stack, each on its own shard. In the matrix,
-the K - 1 cells of one student in one (method, option) block form a
-group: they share the student's parameters and the transfer set and
-differ only in teacher and seed, so vanilla, DML and DPKD train each
-group as one stack (`distill.distill_vanilla_benches`,
-`distill_dml_cells`, `distill_dpkd_cells`). The tuned cells of a group run their grid
-searches side by side (`grid_search_teachers`): each temperature row
-trains every teacher's cells as one stack, and the tuned method takes
-each search's winner instead of training it again. When vanilla is
-requested too, a student's vanilla and tuned cells of one option form
-one group, and a vanilla record takes the model of the search's grid
-cell at the configured (temperature, alpha): the seed policy gives that
-cell the vanilla record's seed. Only vanilla cells the search did not
-train are trained as a stack.
+vanilla, DML and DPKD train each group of cells as one stack
+(`distill.distill_vanilla_benches`, `distill_dml_cells`,
+`distill_dpkd_cells`); the cells of a group differ in student, teacher
+and seed. On student_data each student has its own transfer set, so the
+K - 1 cells of one student in one (method, option) block form a group.
+On a public option every student draws the same set, so the whole
+K * (K - 1)-cell block shares its rows and forms one group. A group is
+sorted by student and split into balanced stacks of at most
+`STACK_CELLS` cells: wider stacks no longer make a step cheaper per
+cell, while each cell's soft targets are held for the whole run.
+
+The tuned cells of one student and option run their grid searches side
+by side (`grid_search_teachers`): each temperature row trains every
+teacher's cells as one stack, and the tuned method takes each search's
+winner instead of training it again. When vanilla is requested too, a
+student's vanilla and tuned cells of one option form one group, and a
+vanilla record takes the model of the search's grid cell at the
+configured (temperature, alpha): the seed policy gives that cell the
+vanilla record's seed. Only vanilla cells the search did not train are
+trained as a stack.
 """
 
 from __future__ import annotations
@@ -80,6 +87,11 @@ from .seeding import stable_seed
 MATRIX_METHODS = ("vanilla", "dml", "dpkd", "tuned")
 START_POLICIES = ("worst", "best", "untrained")
 WEIGHTINGS = ("adaptive", "equal")
+
+# The widest stack of vanilla, DML or DPKD cells in the matrix. The
+# per-cell cost of a step stops falling at about 10 cells, and the soft
+# targets a stack holds grow with its width.
+STACK_CELLS = 16
 
 DEFAULT_GRID_TEMPERATURES = (0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0)
 DEFAULT_GRID_ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -374,17 +386,18 @@ class PairCell:
 
 
 def _train_stack(cells: list[PairCell]) -> tuple[float, float, list[Model]]:
-    """The (temperature, alpha) recorded for a stack of one student's
-    vanilla, DML or DPKD cells of one option, and the models it trains."""
+    """The (temperature, alpha) recorded for a stack of vanilla, DML or
+    DPKD cells of one method and one transfer set, and the models it
+    trains; each cell starts from its own student."""
     head = cells[0]
     cfg = head.cfg
     temperature, alpha = cfg.temperature, cfg.alpha
+    students = [cell.student for cell in cells]
     teachers = [cell.teacher for cell in cells]
     if head.method == "vanilla":
         seeds = [cell.seed("vanilla", temperature, alpha) for cell in cells]
         distilled = distill_vanilla_benches(
-            head.student, [[t] for t in teachers], head.transfer, cfg,
-            [alpha] * len(cells), seeds,
+            students, [[t] for t in teachers], head.transfer, cfg, [alpha] * len(cells), seeds
         )
     elif head.method == "dml":
         # mutual learning has no temperature/alpha knobs; record the
@@ -392,21 +405,22 @@ def _train_stack(cells: list[PairCell]) -> tuple[float, float, list[Model]]:
         temperature, alpha = 1.0, 0.5
         seeds = [cell.seed("dml", temperature, alpha) for cell in cells]
         distilled, _ = distill_dml_cells(
-            [head.student] * len(cells), teachers, head.transfer, head.transfer, cfg, seeds
+            students, teachers, head.transfer, head.transfer, cfg, seeds
         )
     else:
         seeds = [cell.seed("dpkd", temperature, alpha) for cell in cells]
         distilled = distill_dpkd_cells(
-            head.student, teachers, head.transfer, cfg, seeds,
+            students, teachers, head.transfer, cfg, seeds,
             supervised=head.option == "public_labeled",
         )
     return temperature, alpha, distilled
 
 
 def _run_group(cells: list[PairCell]) -> list[PairResult]:
-    """Records of one group: one student's cells of one option and one
-    method, or its vanilla and tuned cells together. The tuned cells'
-    searches run side by side; the rest train as one stack."""
+    """Records of one group: cells of one method and one transfer set
+    (see `run_pairwise_matrix`), or one student's vanilla and tuned cells
+    of one option together. The tuned cells' searches run side by side;
+    the rest train as one stack."""
     head = cells[0]
     cfg = head.cfg
     trained: dict[int, tuple[float, float, Model]] = {}  # by id(cell)
@@ -476,14 +490,17 @@ def run_pairwise_matrix(
     participant i's (model, report) at index or key i; it needs an entry
     for every participant in `pairs`, or for all K without `pairs`. Each
     record's pre-distillation evaluation is the stored pre-training
-    report, not a recomputation. The cells of one student in one
-    (method, option) block train as one stack, each with its own seed
+    report, not a recomputation. The vanilla, DML and DPKD cells of one
+    (method, option) block train in stacks, each cell with its own seed
     under the seed policy, so a record does not depend on which other
-    pairs run beside it. A student's tuned cells of one option search
-    side by side, and its vanilla cells of that option join them (see
-    the module docstring). Groups are independent, so `jobs` > 1 fans
-    them out over processes without changing any result. The tuned
-    method searches `grid`, in its own mode.
+    pairs run beside it. On student_data a student's cells form a
+    group, on a public option the whole block does; each group is sorted
+    by student and split into balanced stacks of at most `STACK_CELLS`
+    cells. A student's tuned cells of
+    one option search side by side, and its vanilla cells of that option
+    join them (see the module docstring). Groups are independent, so
+    `jobs` > 1 fans them out over processes without changing any result.
+    The tuned method searches `grid`, in its own mode.
     """
     if pairs is None:
         need = set(range(scenario.k))
@@ -530,17 +547,35 @@ def run_pairwise_matrix(
         for option in transfer_options
         for teacher_id, student_id in pairs
     ]
-    groups: dict[tuple, list[PairCell]] = {}
+    blocks: dict[tuple, list[PairCell]] = {}
     for cell in cells:
         # vanilla cells join the tuned searches, which train their grid cell
         method = "tuned" if cell.method == "vanilla" and "tuned" in methods else cell.method
-        groups.setdefault((method, cell.option, cell.student_id), []).append(cell)
+        # searches and student_data runs are per student; public rows are shared
+        per_student = method == "tuned" or cell.option not in public
+        key = (method, cell.option, cell.student_id if per_student else None)
+        blocks.setdefault(key, []).append(cell)
+    groups = []
+    for (method, _, _), block in blocks.items():
+        if method == "tuned":
+            groups.append(block)
+        else:
+            groups += _balanced(sorted(block, key=lambda c: c.student_id), STACK_CELLS)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_run_group, groups.values()))
+            done = list(pool.map(_run_group, groups))
     else:
-        done = [_run_group(group) for group in groups.values()]
+        done = [_run_group(group) for group in groups]
     return canonical_order([record for records in done for record in records])
+
+
+def _balanced(items: list, most: int) -> list[list]:
+    """`items` in order, split into the fewest runs of at most `most`,
+    whose lengths differ by at most one (the longer runs first)."""
+    count = -(-len(items) // most)
+    size, extra = divmod(len(items), count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 # --------------------------------------------------------------------------
@@ -643,7 +678,7 @@ def grid_search_teachers(
 
     def run_row(temperature: float, cells: list[tuple[int, float]]) -> list:
         models = distill_vanilla_benches(
-            student, [[teachers[i]] for i, _ in cells], transfer,
+            [student] * len(cells), [[teachers[i]] for i, _ in cells], transfer,
             replace(cfg, temperature=temperature), [a for _, a in cells],
             [seed_fns[i](temperature, a) for i, a in cells],
         )

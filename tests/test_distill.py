@@ -216,7 +216,7 @@ def test_diverging_stack_raises_instead_of_returning_nan(rng):
     cfg = DistillConfig(**{**FAST, "learning_rate": 1e300})
     with pytest.raises(DomainError, match="not finite"):
         distill_vanilla_benches(
-            init_model(ARCH, 1), [[init_model(ARCH, 2)]] * 3, _labeled_transfer(rng), cfg,
+            [init_model(ARCH, 1)] * 3, [[init_model(ARCH, 2)]] * 3, _labeled_transfer(rng), cfg,
             [0.1, 0.5, 0.9], [7, 8, 9],
         )
 
@@ -224,7 +224,7 @@ def test_diverging_stack_raises_instead_of_returning_nan(rng):
 def test_vanilla_cells_need_one_seed_per_alpha(rng):
     with pytest.raises(ConfigError):
         distill_vanilla_benches(
-            init_model(ARCH, 1), [[init_model(ARCH, 2)]] * 2, _labeled_transfer(rng),
+            [init_model(ARCH, 1)] * 2, [[init_model(ARCH, 2)]] * 2, _labeled_transfer(rng),
             DistillConfig(**FAST), [0.1, 0.5], [7],
         )
 

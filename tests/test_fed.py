@@ -6,6 +6,7 @@ import pytest
 from kdsim.data import LabeledDataset
 from kdsim.errors import ConfigError, DataError, DomainError, ShapeError
 from kdsim.fed import (
+    ClientWork,
     FedConfig,
     FedTrajectory,
     fedavg_aggregate,
@@ -123,6 +124,20 @@ def test_local_update_is_deterministic_and_pure(rng):
     assert models_equal(start, init_model(ARCH, 1))
     with pytest.raises(DataError):
         local_update(start, shard.subset(np.array([], dtype=np.int64)), cfg, 1, 0, 0)
+
+
+@pytest.mark.parametrize("optimizer, momentum", [("sgd", 0.9), ("adam", 0.0)])
+def test_local_update_in_reused_work_equals_a_new_one(rng, optimizer, momentum):
+    cfg = FedConfig(local_epochs=2, optimizer=optimizer, momentum=momentum)
+    start = init_model(ARCH, 1)
+    work = ClientWork.like(init_model(ARCH, 9), cfg)
+    for client, shard in enumerate([_shard(rng, n=40), _shard(rng, n=13)]):
+        reused = local_update(start, shard, cfg, 2, client, 42, work=work)
+        assert reused is work.model
+        assert reused.params.tobytes() == local_update(
+            start, shard, cfg, 2, client, 42
+        ).params.tobytes()
+    assert models_equal(start, init_model(ARCH, 1))
 
 
 def test_single_client_federation_equals_local_training(rng):

@@ -293,9 +293,8 @@ def test_sgd_single_step_hand_computed():
     model = init_model(arch, 0)
     w0 = model.weights[0].copy()
     opt = make_optimizer("sgd", 0.1, 0.5, 0.0, model)
-    g = np.zeros_like(model.params)
-    g[: model.n_weight_entries] = 1.0
-    opt.step(model.params, g)
+    opt.grad[: model.n_weight_entries] = 1.0
+    opt.step(model.params)
     # decoupled decay uses the pre-update value: w1 = w0 - lr*g - lr*wd*w0
     expected = w0 - 0.1 * 1.0 - 0.1 * 0.5 * w0
     assert np.allclose(model.weights[0], expected, atol=1e-15)
@@ -307,10 +306,9 @@ def test_sgd_momentum_accumulates():
     model = init_model(arch, 0)
     start = model.weights[0].copy()
     opt = make_optimizer("sgd", 1.0, 0.0, 0.5, model)
-    g = np.zeros_like(model.params)
-    g[: model.n_weight_entries] = 1.0
-    opt.step(model.params, g)
-    opt.step(model.params, g)
+    opt.grad[: model.n_weight_entries] = 1.0
+    opt.step(model.params)
+    opt.step(model.params)
     # velocities 1 then 1.5 -> total displacement 2.5
     assert np.allclose(model.weights[0], start - 2.5, atol=1e-15)
 
@@ -321,7 +319,8 @@ def test_adam_first_step_approximates_signed_lr(rng):
     before = model.weights[0].copy()
     opt = make_optimizer("adam", 1e-3, 0.0, 0.0, model)
     g = rng.normal(0, 1, size=before.shape)
-    opt.step(model.params, np.concatenate([g.ravel(), np.zeros_like(model.biases[0])]))
+    opt.grad[: g.size] = g.ravel()  # the biases' gradient stays 0
+    opt.step(model.params)
     step = before - model.weights[0]
     # bias-corrected first step is lr * g / (|g| + eps) ~ lr * sign(g)
     assert np.allclose(step, 1e-3 * np.sign(g), atol=1e-6)
@@ -335,7 +334,7 @@ def test_weight_decay_skips_biases():
     before_w = [w.copy() for w in model.weights]
     before_b = [b.copy() for b in model.biases]
     opt = make_optimizer("adam", 0.1, 1.0, 0.0, model)
-    opt.step(model.params, np.zeros_like(model.params))
+    opt.step(model.params)  # a new optimizer's gradient buffer is 0
     for w, w0 in zip(model.weights, before_w):
         assert np.allclose(w, w0 - 0.1 * 1.0 * w0, atol=1e-15)
     for b, b0 in zip(model.biases, before_b):
@@ -376,7 +375,8 @@ def test_flat_optimizer_is_bit_identical_to_a_per_array_loop(rng, name, momentum
     want = _per_array_steps(name, 0.05, 0.3, momentum, model, grad_seq)
     opt = make_optimizer(name, 0.05, 0.3, momentum, model)
     for grads in grad_seq:
-        opt.step(model.params, np.concatenate([g.ravel() for g in grads]))
+        opt.grad[:] = np.concatenate([g.ravel() for g in grads])
+        opt.step(model.params)
     got = model.weights + model.biases
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
@@ -392,12 +392,13 @@ def test_step_from_the_gradient_buffer_equals_the_list_form(rng, name, momentum)
         x = rng.normal(0, 1, size=(6, 3))
         logits, acts = _forward_cached(listed, x)
         dlogits = rng.normal(0, 1, size=logits.shape)
-        # backprop's per-array gradients, concatenated in a fresh array
+        # backprop's per-array gradients, concatenated into the buffer
         gw, gb = backprop_params(listed, acts, dlogits)
-        opt_l.step(listed.params, np.concatenate([g.ravel() for g in gw + gb]))
+        opt_l.grad[:] = np.concatenate([g.ravel() for g in gw + gb])
+        opt_l.step(listed.params)
         _, acts = _forward_cached(buffered, x)
         backprop_params(buffered, acts, dlogits, out=opt_b.grad_views)
-        opt_b.step(buffered.params, opt_b.grad)
+        opt_b.step(buffered.params)
         assert buffered.params.tobytes() == listed.params.tobytes()
 
 

@@ -192,9 +192,11 @@ def test_matrix_parallel_matches_serial(pretrained, scenario):
 
 @pytest.mark.filterwarnings("ignore:mutual learning without labels")
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_matrix_matches_one_pair_runs(pretrained, scenario, jobs):
-    # each student's cells of a block train as one stack; a one-pair run
-    # trains a stack of one, and every record must come out the same
+def test_matrix_matches_one_pair_runs(pretrained, scenario, jobs, monkeypatch):
+    # a block's cells train in stacks, a public block's 6 cells split into
+    # two stacks of 3 that mix students; a one-pair run trains a stack of
+    # one, and every record must come out the same
+    monkeypatch.setattr(orchestrate, "STACK_CELLS", 4)
     methods = ["vanilla", "dml", "dpkd"]
     options = ["student_data", "public_labeled", "public_unlabeled_small"]
     args = (pretrained, scenario, methods, options, QUICK, None, SIZES, 8)
@@ -209,6 +211,38 @@ def test_matrix_matches_one_pair_runs(pretrained, scenario, jobs):
     key = lambda r: (r.method, r.transfer_option, r.teacher_id, r.student_id)
     assert [r.to_json_dict() for r in full] == [
         r.to_json_dict() for r in sorted(singles, key=key)
+    ]
+
+
+def test_balanced_split_is_even_and_keeps_order():
+    for n, most, lengths in [
+        (5, 16, [5]), (16, 16, [16]), (17, 16, [9, 8]), (30, 16, [15, 15]),
+        (90, 16, [15] * 6), (20, 16, [10, 10]), (6, 4, [3, 3]),
+    ]:
+        runs = orchestrate._balanced(list(range(n)), most)
+        assert [len(r) for r in runs] == lengths
+        assert [x for r in runs for x in r] == list(range(n))
+
+
+def test_public_blocks_stack_across_students(pretrained, scenario, monkeypatch):
+    monkeypatch.setattr(orchestrate, "STACK_CELLS", 4)
+    stacks = []
+    train_stack = orchestrate._train_stack
+    monkeypatch.setattr(
+        orchestrate, "_train_stack",
+        lambda cells: stacks.append(cells) or train_stack(cells),
+    )
+    options = ["student_data", "public_unlabeled_small"]
+    run_pairwise_matrix(pretrained, scenario, ["dpkd"], options, QUICK, None, SIZES, 8)
+    pairs = lambda cells: [(c.student_id, c.teacher_id) for c in cells]
+    # public: the block sorted by student, in two balanced stacks;
+    # student_data: one stack per student
+    assert sorted((cells[0].option, pairs(cells)) for cells in stacks) == [
+        ("public_unlabeled_small", [(0, 1), (0, 2), (1, 0)]),
+        ("public_unlabeled_small", [(1, 2), (2, 0), (2, 1)]),
+        ("student_data", [(0, 1), (0, 2)]),
+        ("student_data", [(1, 0), (1, 2)]),
+        ("student_data", [(2, 0), (2, 1)]),
     ]
 
 

@@ -452,7 +452,7 @@ def test_stacked_cells_are_byte_identical_to_one_cell_runs(run):
     student, teacher, transfer, cfg, alphas, seeds = run
     before = student.params.tobytes()
     cells = distill_vanilla_benches(
-        student, [[teacher]] * len(seeds), transfer, cfg, alphas, seeds
+        [student] * len(seeds), [[teacher]] * len(seeds), transfer, cfg, alphas, seeds
     )
     assert student.params.tobytes() == before
     assert len(cells) == len(alphas)
@@ -526,7 +526,7 @@ def _plain_dml(peer_a, peer_b, transfer_a, transfer_b, cfg, seed):
                 if hard[me] is not None:
                     dlogits = dlogits + (probs - hard[me][idx]) / len(idx)
                 backprop_params(work[me], acts, dlogits, out=opts[me].grad_views)
-                opts[me].step(work[me].params, opts[me].grad)
+                opts[me].step(work[me].params)
     return work
 
 
@@ -557,7 +557,8 @@ def _bytes(models):
 def test_stacked_teacher_cells_equal_one_cell_vanilla_runs(run):
     student, teachers, transfer, cfg, seeds = run
     cells = distill_vanilla_benches(
-        student, [[t] for t in teachers], transfer, cfg, [cfg.alpha] * len(seeds), seeds
+        [student] * len(seeds), [[t] for t in teachers], transfer, cfg,
+        [cfg.alpha] * len(seeds), seeds,
     )
     assert _bytes(cells) == _bytes(
         [distill_vanilla(student, [t], transfer, cfg, s) for t, s in zip(teachers, seeds)]
@@ -573,13 +574,34 @@ def test_stacked_teacher_cells_equal_one_cell_vanilla_runs(run):
 def test_stacked_dpkd_cells_equal_one_cell_runs(run, supervised):
     student, teachers, transfer, cfg, seeds = run
     supervised = transfer.labeled and supervised
-    cells = distill_dpkd_cells(student, teachers, transfer, cfg, seeds, supervised)
+    cells = distill_dpkd_cells([student] * len(seeds), teachers, transfer, cfg, seeds, supervised)
     assert _bytes(cells) == _bytes(
         [distill_dpkd(student, t, transfer, cfg, s, supervised) for t, s in zip(teachers, seeds)]
     )
     assert cells[0].params.tobytes() == _plain_dpkd(
         student, teachers[0], transfer, cfg, seeds[0], supervised
     ).params.tobytes()
+
+
+@PROPERTY
+@given(_student_groups(), st.data())
+def test_cells_of_several_students_equal_their_one_cell_runs(run, data):
+    # as in the matrix on a public set: two students' cells in one stack,
+    # and a model that is one cell's student and another's teacher
+    student, teachers, transfer, cfg, seeds = run
+    other = data.draw(st.sampled_from([init_model(student.arch, 5), teachers[-1]]))
+    students = [data.draw(st.sampled_from([student, other])) for _ in seeds]
+    alphas = [data.draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in seeds]
+    supervised = transfer.labeled and data.draw(st.booleans())
+    vanilla = distill_vanilla_benches(
+        students, [[t] for t in teachers], transfer, cfg, alphas, seeds
+    )
+    dpkd = distill_dpkd_cells(students, teachers, transfer, cfg, seeds, supervised)
+    for s, t, alpha, seed, v, d in zip(students, teachers, alphas, seeds, vanilla, dpkd):
+        one = distill_vanilla(s, [t], transfer, replace(cfg, alpha=alpha), seed)
+        assert v.params.tobytes() == one.params.tobytes()
+        one = distill_dpkd(s, t, transfer, cfg, seed, supervised)
+        assert d.params.tobytes() == one.params.tobytes()
 
 
 @PROPERTY
