@@ -172,29 +172,24 @@ def _toy_data(dataset: tuple, seed: int) -> tuple[LabeledDataset, LabeledDataset
     return sets
 
 
-def _partition_params(cfg: RunConfig) -> dict:
-    p = cfg.partition
-    params = {
-        "beta": p.beta,
-        "dominant_fraction": p.dominant_fraction,
-        "min_chunk": p.min_chunk,
-    }
-    if p.betas is not None:
-        params["betas"] = list(p.betas)
-    return params
-
-
 def _scenario(cfg: RunConfig, out: Path, force: bool) -> Scenario:
     """Rebuild the Scenario for this run from the partition artifacts.
 
     Shards are split into train and validation sets only when a stage
-    reads them (see `orchestrate.ParticipantData`).
+    reads them (see `orchestrate.ParticipantData`). The partition
+    fingerprint leaves out `pool`, so a pool carved at another
+    `pool.size` is refused here unless `force` is set.
     """
     arts = require_stage(out, cfg, "partition", force)
     train, test = _base_data(cfg)
     plan = PartitionPlan.from_json_dict(read_json(out / arts["plan"]))
     pool = read_json(out / arts["pool"])
     pool_idx = np.asarray(pool["pool_indices"], dtype=np.int64)
+    if len(pool_idx) != cfg.pool.size and not force:
+        raise ConfigError(
+            f"the public pool in {out} holds {len(pool_idx)} samples, but pool.size "
+            f"is {cfg.pool.size}; rerun `kdsim partition` or pass --force"
+        )
     remainder_idx = np.asarray(pool["remainder_indices"], dtype=np.int64)
     return scenario_from_plan(
         train,
@@ -263,10 +258,7 @@ def cmd_partition(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train, _ = _base_data(cfg)
-    plan, pool_idx, remainder_idx = plan_partition(
-        train, cfg.partition.strategy, cfg.partition.k, _partition_params(cfg),
-        cfg.pool.size, cfg.seed,
-    )
+    plan, pool_idx, remainder_idx = plan_partition(train, cfg.partition, cfg.pool, cfg.seed)
     write_json(out / PLAN_FILE, plan.to_json_dict())
     write_json(
         out / POOL_FILE,
@@ -321,7 +313,7 @@ def cmd_distill(cfg: RunConfig, args) -> int:
         [option],
         cfg.distill,
         cfg.grid,
-        cfg.transfer_sizes(),
+        cfg.pool,
         cfg.seed,
         pairs=[(teacher, student)],
     )
@@ -343,7 +335,7 @@ def cmd_grid(cfg: RunConfig, args) -> int:
     teacher, student = _check_pair(args, scenario.k)
     pretrained = _load_pretrained(cfg, out, args.force, scenario.k, (teacher, student))
     option = args.transfer_option
-    transfer = transfer_set_for(scenario, option, student, cfg.transfer_sizes(), cfg.seed)
+    transfer = transfer_set_for(scenario, option, student, cfg.pool, cfg.seed)
     search = grid_search_tuned(
         pretrained[student][0],
         pretrained[teacher][0],
@@ -388,7 +380,7 @@ def cmd_matrix(cfg: RunConfig, args) -> int:
         list(cfg.distill.transfer_options),
         cfg.distill,
         cfg.grid,
-        cfg.transfer_sizes(),
+        cfg.pool,
         cfg.seed,
         jobs=cfg.jobs,
     )
@@ -406,17 +398,7 @@ def cmd_consolidate(cfg: RunConfig, args) -> int:
     scenario = _scenario(cfg, out, args.force)
     pretrained = list(_load_pretrained(cfg, out, args.force, scenario.k).values())
     c = cfg.consolidate
-    merged, report = consolidate_models(
-        pretrained,
-        scenario,
-        c.start_policy,
-        c.weighting,
-        c.transfer_option,
-        c.epochs,
-        cfg.distill,
-        cfg.transfer_sizes(),
-        cfg.seed,
-    )
+    merged, report = consolidate_models(pretrained, scenario, c, cfg.distill, cfg.pool, cfg.seed)
     save_model(out / CONSOLIDATED_MODEL, merged, config_fingerprint(cfg, "consolidate"))
     write_json(
         out / CONSOLIDATE_FILE,

@@ -7,12 +7,15 @@ config reports all of its mistakes in one pass. Command-line overrides
 (seed, output directory, jobs) are applied onto the tree before
 validation.
 
-The `pretrain`, `fed` and `grid` sections are library classes
-themselves, `nn.TrainConfig`, `fed.FedConfig` and `orchestrate.GridSpec`,
-and the `distill` section is `distill.DistillConfig` plus the matrix's
-`methods` and `transfer_options`: each class states its rules once, in
-its `problems()`, and validation here reports them under the section's
-name. No check counts a boolean as a number.
+The `pretrain`, `fed`, `grid`, `partition`, `pool` and `consolidate`
+sections are library classes themselves (`nn.TrainConfig`,
+`fed.FedConfig`, `orchestrate.GridSpec`, `PartitionSpec`, `PoolSpec`,
+`ConsolidateSpec`), and the `distill` section is `distill.DistillConfig`
+plus the matrix's `methods` and `transfer_options`: each class states
+its defaults and rules once, and validation here reports them under the
+section's name, adding only the rules that join two sections.
+`dataset`, `model` and `report` feed no library recipe and stay plain
+sections. No check counts a boolean as a number.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ from pathlib import Path
 
 import yaml
 
-from .data import PARTITION_STRATEGIES, TRANSFER_OPTIONS, TransferSizes
+from .data import PUBLIC_TRANSFER_OPTIONS, TRANSFER_OPTIONS
 from .distill import DistillConfig
 from .errors import ConfigError
 from .fed import FedConfig
 from .nn import TrainConfig, check, is_int, is_number
-from .orchestrate import MATRIX_METHODS, START_POLICIES, WEIGHTINGS, GridSpec
+from .orchestrate import MATRIX_METHODS, ConsolidateSpec, GridSpec, PartitionSpec, PoolSpec
 
 DATASET_KINDS = ("toy", "csv")
 REPORT_FORMATS = ("csv", "json")
@@ -47,25 +50,6 @@ class DatasetSection:
     spread: float = 2.5
     train_path: str | None = None
     test_path: str | None = None
-
-
-@dataclass
-class PartitionSection:
-    strategy: str = "uniform"
-    k: int = 10
-    beta: float = 0.5
-    dominant_fraction: float = 0.91
-    min_chunk: int = 10
-    betas: list[float] | None = None
-    val_fraction: float = 0.1
-
-
-@dataclass
-class PoolSection:
-    size: int = 600
-    labeled: int = 50
-    unlabeled_small: int = 50
-    unlabeled_large: int = 500
 
 
 @dataclass
@@ -96,14 +80,6 @@ class DistillSection(DistillConfig):
 
 
 @dataclass
-class ConsolidateSection:
-    start_policy: str = "best"
-    weighting: str = "adaptive"
-    transfer_option: str = "public_unlabeled_large"
-    epochs: int = 30
-
-
-@dataclass
 class ReportSection:
     format: str = "csv"
 
@@ -114,40 +90,22 @@ class RunConfig:
     out_dir: str = "runs/out"
     jobs: int = 1
     dataset: DatasetSection = field(default_factory=DatasetSection)
-    partition: PartitionSection = field(default_factory=PartitionSection)
-    pool: PoolSection = field(default_factory=PoolSection)
+    partition: PartitionSpec = field(default_factory=PartitionSpec)
+    pool: PoolSpec = field(default_factory=PoolSpec)
     model: ModelSection = field(default_factory=ModelSection)
     pretrain: TrainConfig = field(default_factory=TrainConfig)
     distill: DistillSection = field(default_factory=DistillSection)
     grid: GridSpec = field(default_factory=GridSpec)
-    consolidate: ConsolidateSection = field(default_factory=ConsolidateSection)
+    consolidate: ConsolidateSpec = field(default_factory=ConsolidateSpec)
     fed: FedConfig = field(default_factory=FedConfig)
     report: ReportSection = field(default_factory=ReportSection)
-
-    def transfer_sizes(self) -> TransferSizes:
-        return TransferSizes(
-            labeled=self.pool.labeled,
-            unlabeled_small=self.pool.unlabeled_small,
-            unlabeled_large=self.pool.unlabeled_large,
-        )
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-_SECTIONS = {
-    "dataset": DatasetSection,
-    "partition": PartitionSection,
-    "pool": PoolSection,
-    "model": ModelSection,
-    "pretrain": TrainConfig,
-    "distill": DistillSection,
-    "grid": GridSpec,
-    "consolidate": ConsolidateSection,
-    "fed": FedConfig,
-    "report": ReportSection,
-}
 _TOP_SCALARS = ("seed", "out_dir", "jobs")
+_SECTIONS = tuple(name for name in RunConfig.__dataclass_fields__ if name not in _TOP_SCALARS)
 
 
 def _build_tree(raw: dict, errors: list[str]) -> RunConfig:
@@ -198,41 +156,17 @@ def _validate(cfg: RunConfig, errors: list[str]) -> None:
         check(errors, isinstance(d.test_path, str) and d.test_path, "dataset.test_path",
               "required for csv datasets")
 
+    # the rules that join two sections
     p = cfg.partition
-    check(errors, p.strategy in PARTITION_STRATEGIES, "partition.strategy",
-          f"must be one of {PARTITION_STRATEGIES}")
-    check(errors, is_int(p.k) and p.k >= 1, "partition.k",
-          "must be an integer >= 1")
-    check(errors, is_number(p.beta) and p.beta > 0, "partition.beta", "must be > 0")
-    check(errors, is_number(p.dominant_fraction) and 0 < p.dominant_fraction < 1,
-          "partition.dominant_fraction", "must lie in (0, 1)")
-    check(errors, is_int(p.min_chunk) and p.min_chunk >= 1, "partition.min_chunk",
-          "must be an integer >= 1")
-    if p.betas is not None:
-        ok = isinstance(p.betas, list) and len(p.betas) == p.k and all(
-            is_number(b) and b > 0 for b in p.betas
-        )
-        check(errors, ok, "partition.betas", f"must be a list of {p.k} positive numbers")
-    check(errors, is_number(p.val_fraction) and 0 < p.val_fraction < 1,
-          "partition.val_fraction", "must lie in (0, 1)")
     if p.strategy == "specialized" and d.kind == "toy" and is_int(d.classes):
         check(errors, p.k == d.classes, "partition.k",
               f"specialized strategy needs k == dataset.classes ({d.classes})")
-
     pool = cfg.pool
-    for name in ("size", "labeled", "unlabeled_small", "unlabeled_large"):
-        val = getattr(pool, name)
-        check(errors, is_int(val) and val >= 1, f"pool.{name}",
-              "must be an integer >= 1")
     used_options = [cfg.consolidate.transfer_option]
     if isinstance(cfg.distill.transfer_options, list):
         used_options += cfg.distill.transfer_options
-    need = {
-        "public_labeled": pool.labeled,
-        "public_unlabeled_small": pool.unlabeled_small,
-        "public_unlabeled_large": pool.unlabeled_large,
-    }
-    for option, count in need.items():
+    for option in PUBLIC_TRANSFER_OPTIONS:
+        count = pool.draws(option)
         if option in used_options and is_int(count) and is_int(pool.size):
             check(errors, pool.size >= count, "pool.size",
                   f"must cover the {count} samples option {option} draws")
@@ -245,21 +179,8 @@ def _validate(cfg: RunConfig, errors: list[str]) -> None:
     check(errors, ok, "model.hidden_layers", "must be a list of integers >= 1")
 
     # the library sections state their own rules
-    for name in ("pretrain", "distill", "grid", "fed"):
+    for name in ("partition", "pool", "pretrain", "distill", "grid", "consolidate", "fed"):
         errors += [f"{name}.{msg}" for msg in getattr(cfg, name).problems()]
-
-    c = cfg.consolidate
-    check(errors, c.start_policy in START_POLICIES, "consolidate.start_policy",
-          f"must be one of {START_POLICIES}")
-    check(errors, c.weighting in WEIGHTINGS, "consolidate.weighting",
-          f"must be one of {WEIGHTINGS}")
-    check(errors, c.transfer_option in TRANSFER_OPTIONS, "consolidate.transfer_option",
-          f"must be one of {TRANSFER_OPTIONS}")
-    if c.start_policy == "untrained":
-        check(errors, c.transfer_option != "student_data", "consolidate.transfer_option",
-              "an untrained start has no own dataset; pick a public option")
-    check(errors, is_int(c.epochs) and c.epochs >= 1, "consolidate.epochs",
-          "must be an integer >= 1")
 
     check(errors, cfg.report.format in REPORT_FORMATS, "report.format",
           f"must be one of {REPORT_FORMATS}")

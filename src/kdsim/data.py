@@ -6,6 +6,10 @@ to a named heterogeneity strategy and return a PartitionPlan of index
 lists; the plan, not the materialized shards, is the artifact of record
 so runs can be reproduced and audited.
 
+`make_partition` passes a strategy the one key of the
+`orchestrate.PartitionSpec` it reads; a public transfer option draws the
+count `orchestrate.PoolSpec` gives it.
+
 All strategies draw their randomness from streams derived with
 stable_seed, so a (data, params, seed) triple always yields the same
 plan.
@@ -16,11 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError, PartitionError
 from .seeding import rng_for
+
+if TYPE_CHECKING:
+    from .orchestrate import PartitionSpec, PoolSpec
 
 PARTITION_STRATEGIES = (
     "uniform",
@@ -133,15 +141,6 @@ class TransferSet:
     @property
     def labeled(self) -> bool:
         return self.labels is not None
-
-
-@dataclass(frozen=True)
-class TransferSizes:
-    """Sample counts for the public transfer options."""
-
-    labeled: int = 500
-    unlabeled_small: int = 500
-    unlabeled_large: int = 5000
 
 
 @dataclass(eq=False)
@@ -570,22 +569,20 @@ def partition_label_skew_dirichlet(
     )
 
 
-def make_partition(
-    data: LabeledDataset, strategy: str, k: int, params: dict, seed: int
-) -> PartitionPlan:
-    """Dispatch to a strategy by name, filling strategy defaults."""
+def make_partition(data: LabeledDataset, partition: PartitionSpec, seed: int) -> PartitionPlan:
+    """Dispatch to `partition.strategy`, passing it the one field it reads
+    as a float (min_chunk as an int); betas default to `alternating_betas`."""
+    strategy, k = partition.strategy, partition.k
     if strategy == "uniform":
         return partition_uniform(data, k, seed)
     if strategy == "quantity_skew":
-        return partition_quantity_skew(data, k, float(params.get("beta", 0.5)), seed)
+        return partition_quantity_skew(data, k, float(partition.beta), seed)
     if strategy == "specialized":
-        return partition_specialized(
-            data, k, float(params.get("dominant_fraction", 0.91)), seed
-        )
+        return partition_specialized(data, k, float(partition.dominant_fraction), seed)
     if strategy == "label_skew_chunks":
-        return partition_label_skew_chunks(data, k, int(params.get("min_chunk", 100)), seed)
+        return partition_label_skew_chunks(data, k, int(partition.min_chunk), seed)
     if strategy == "label_skew_dirichlet":
-        betas = params.get("betas") or alternating_betas(k)
+        betas = partition.betas or alternating_betas(k)
         return partition_label_skew_dirichlet(data, k, [float(b) for b in betas], seed)
     raise ConfigError(
         f"unknown partition strategy {strategy!r}; choose one of {PARTITION_STRATEGIES}"
@@ -601,14 +598,14 @@ def build_transfer_set(
     option: str,
     public_pool: LabeledDataset | None,
     student_data: LabeledDataset | None,
-    sizes: TransferSizes,
+    pool: PoolSpec,
     seed: int,
 ) -> TransferSet:
     """Materialize one transfer option.
 
-    Public options sample without replacement from the reserved pool
-    (labels kept only for public_labeled); student_data passes the
-    student's own training samples through unchanged.
+    Public options sample `pool.draws(option)` rows without replacement
+    from the reserved pool (labels kept only for public_labeled);
+    student_data passes the student's own training samples through.
     """
     if option == "student_data":
         if student_data is None or len(student_data) == 0:
@@ -622,13 +619,7 @@ def build_transfer_set(
         raise ConfigError(
             f"unknown transfer option {option!r}; choose one of {TRANSFER_OPTIONS}"
         )
-    wanted = {
-        "public_labeled": sizes.labeled,
-        "public_unlabeled_small": sizes.unlabeled_small,
-        "public_unlabeled_large": sizes.unlabeled_large,
-    }[option]
-    if wanted < 1:
-        raise ConfigError(f"transfer size for {option} must be >= 1, got {wanted}")
+    wanted = pool.draws(option)
     if public_pool is None or len(public_pool) < wanted:
         have = 0 if public_pool is None else len(public_pool)
         raise ConfigError(

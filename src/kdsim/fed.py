@@ -21,14 +21,13 @@ update.
 configuration's `fed` section; its rules live in `FedConfig.problems()`
 and share the optimizer checks of `nn.optimizer_problems`.
 
-Wall-clock timings are collected per round but never persisted; result
-files must be byte-identical across reruns.
+No wall-clock time is taken: a federation's result is its accuracies,
+byte-identical across reruns.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -94,17 +93,13 @@ class FedTrajectory:
     accuracies[r - 1] is the global model's accuracy after round r;
     init_accuracy is the starting model's accuracy before any training.
     participants_per_round records which clients contributed to each
-    aggregate. wall_times (per-round seconds) and final_model stay
-    in-memory only; persisted trajectories carry neither. An arm's round
-    time covers its own local updates, aggregate and evaluation; the
-    draws the arms share (participants, row orders, one-hot targets)
-    fall outside every arm's time.
+    aggregate. final_model stays in memory only; persisted trajectories
+    do not carry it.
     """
 
     init_tag: str
     init_accuracy: float
     accuracies: list[float] = field(default_factory=list)
-    wall_times: list[float] = field(default_factory=list)
     participants_per_round: list[list[int]] = field(default_factory=list)
     final_model: Model | None = None
 
@@ -274,7 +269,6 @@ def run_federated(
             draws.append(draw)
         sizes = [len(shards[c]) for c in participants]
         for arm, traj in enumerate(trajs):
-            started = time.perf_counter()
             updates = [
                 local_update(
                     models[arm], shards[c], cfg, round_index, c, fed_seed, draw, works[arm]
@@ -283,7 +277,6 @@ def run_federated(
             ]
             models[arm] = fedavg_aggregate(updates, sizes)
             traj.accuracies.append(evaluate(models[arm], test).overall_accuracy)
-            traj.wall_times.append(time.perf_counter() - started)
             traj.participants_per_round.append(participants)
     for traj, model in zip(trajs, models):
         traj.final_model = model

@@ -238,7 +238,7 @@ def _result_csv_row(r: PairResult) -> str:
 
 
 def trajectories_payload(trajectories: list[FedTrajectory]) -> dict:
-    """JSON form of FedAvg trajectories; wall times and models stay out."""
+    """JSON form of FedAvg trajectories; the final models stay out."""
     return {
         "schema_version": RESULTS_SCHEMA_VERSION,
         "trajectories": [

@@ -9,6 +9,10 @@ participants give K * (K - 1) pairs), temperature/alpha grid searches,
 many-to-one consolidation, and turns experience into method
 recommendations via a data-encoded rule table.
 
+`PartitionSpec`, `PoolSpec`, `GridSpec` and `ConsolidateSpec` are both
+these steps' recipes and the run configuration's sections of those names:
+each states its defaults once, and its rules once, in `problems()`.
+
 Seed policy: every pairwise cell derives its seed from (master seed,
 teacher id, student id, method, temperature, alpha), so cells are
 independent, reproducible and insensitive to execution order. Grid
@@ -49,10 +53,11 @@ from functools import cached_property
 import numpy as np
 
 from .data import (
+    PARTITION_STRATEGIES,
+    TRANSFER_OPTIONS,
     LabeledDataset,
     PartitionPlan,
     TransferSet,
-    TransferSizes,
     build_transfer_set,
     make_partition,
     split_train_val,
@@ -77,6 +82,7 @@ from .nn import (
     check,
     evaluate,
     init_model,
+    is_int,
     is_number,
     overall_accuracies,
     raise_problems,
@@ -127,6 +133,103 @@ class GridSpec:
         )
         check(found, ok, "alphas", "must be a non-empty list of values in [0, 1]")
         check(found, isinstance(self.sequential, bool), "sequential", "must be a boolean")
+        return found
+
+
+@dataclass(eq=False)
+class PartitionSpec:
+    """How the data left after the pool is split into `k` shards, and each
+    shard's validation share; the `partition` config section. A strategy
+    reads one more field (see `data.make_partition`)."""
+
+    strategy: str = "uniform"
+    k: int = 10
+    beta: float = 0.5
+    dominant_fraction: float = 0.91
+    min_chunk: int = 10
+    betas: list[float] | None = None
+    val_fraction: float = 0.1
+
+    def __post_init__(self) -> None:
+        raise_problems(self)
+
+    def problems(self) -> list[str]:
+        """Every type and range finding, as "key: message"."""
+        found: list[str] = []
+        check(found, self.strategy in PARTITION_STRATEGIES, "strategy",
+              f"must be one of {PARTITION_STRATEGIES}")
+        check(found, is_int(self.k) and self.k >= 1, "k", "must be an integer >= 1")
+        check(found, is_number(self.beta) and self.beta > 0, "beta", "must be > 0")
+        check(found, is_number(self.dominant_fraction) and 0 < self.dominant_fraction < 1,
+              "dominant_fraction", "must lie in (0, 1)")
+        check(found, is_int(self.min_chunk) and self.min_chunk >= 1, "min_chunk",
+              "must be an integer >= 1")
+        if self.betas is not None:
+            ok = isinstance(self.betas, list) and len(self.betas) == self.k and all(
+                is_number(b) and b > 0 for b in self.betas
+            )
+            check(found, ok, "betas", f"must be a list of {self.k} positive numbers")
+        check(found, is_number(self.val_fraction) and 0 < self.val_fraction < 1,
+              "val_fraction", "must lie in (0, 1)")
+        return found
+
+
+@dataclass(eq=False)
+class PoolSpec:
+    """The public pool's size and each public option's draw from it; the
+    `pool` config section."""
+
+    size: int = 600
+    labeled: int = 50
+    unlabeled_small: int = 50
+    unlabeled_large: int = 500
+
+    def __post_init__(self) -> None:
+        raise_problems(self)
+
+    def problems(self) -> list[str]:
+        """Every type and range finding, as "key: message"."""
+        found: list[str] = []
+        for name in ("size", "labeled", "unlabeled_small", "unlabeled_large"):
+            value = getattr(self, name)
+            check(found, is_int(value) and value >= 1, name, "must be an integer >= 1")
+        return found
+
+    def draws(self, option: str) -> int:
+        """The samples public transfer option `option` draws from the pool."""
+        return {
+            "public_labeled": self.labeled,
+            "public_unlabeled_small": self.unlabeled_small,
+            "public_unlabeled_large": self.unlabeled_large,
+        }[option]
+
+
+@dataclass(eq=False)
+class ConsolidateSpec:
+    """How `consolidate_models` merges the participants into one model;
+    the `consolidate` config section."""
+
+    start_policy: str = "best"
+    weighting: str = "adaptive"
+    transfer_option: str = "public_unlabeled_large"
+    epochs: int = 30
+
+    def __post_init__(self) -> None:
+        raise_problems(self)
+
+    def problems(self) -> list[str]:
+        """Every type and range finding, as "key: message"."""
+        found: list[str] = []
+        check(found, self.start_policy in START_POLICIES, "start_policy",
+              f"must be one of {START_POLICIES}")
+        check(found, self.weighting in WEIGHTINGS, "weighting", f"must be one of {WEIGHTINGS}")
+        check(found, self.transfer_option in TRANSFER_OPTIONS, "transfer_option",
+              f"must be one of {TRANSFER_OPTIONS}")
+        if self.start_policy == "untrained":
+            check(found, self.transfer_option != "student_data", "transfer_option",
+                  "an untrained start has no own dataset; pick a public option")
+        check(found, is_int(self.epochs) and self.epochs >= 1, "epochs",
+              "must be an integer >= 1")
         return found
 
 
@@ -236,10 +339,8 @@ def scenario_from_plan(
 
 def plan_partition(
     train_data: LabeledDataset,
-    strategy: str,
-    k: int,
-    partition_params: dict,
-    pool_size: int,
+    partition: PartitionSpec,
+    pool: PoolSpec,
     master_seed: int,
 ) -> tuple[PartitionPlan, np.ndarray, np.ndarray]:
     """Carve the pool, then partition and validate the remainder.
@@ -247,11 +348,9 @@ def plan_partition(
     Returns (plan, pool indices, remainder indices); the plan indexes
     into the remainder.
     """
-    pool_idx, remainder_idx = carve_public_pool(train_data, pool_size, master_seed)
+    pool_idx, remainder_idx = carve_public_pool(train_data, pool.size, master_seed)
     remainder = train_data.subset(remainder_idx)
-    plan = make_partition(
-        remainder, strategy, k, partition_params, stable_seed(master_seed, "partition")
-    )
+    plan = make_partition(remainder, partition, stable_seed(master_seed, "partition"))
     validate_plan(plan, len(remainder))
     return plan, pool_idx, remainder_idx
 
@@ -259,25 +358,20 @@ def plan_partition(
 def build_scenario(
     train_data: LabeledDataset,
     test_data: LabeledDataset,
-    strategy: str,
-    k: int,
-    partition_params: dict,
-    pool_size: int,
-    val_fraction: float,
+    partition: PartitionSpec,
+    pool: PoolSpec,
     master_seed: int,
     label: str | None = None,
 ) -> Scenario:
     """`plan_partition`, then `scenario_from_plan`."""
-    plan, pool_idx, remainder_idx = plan_partition(
-        train_data, strategy, k, partition_params, pool_size, master_seed
-    )
+    plan, pool_idx, remainder_idx = plan_partition(train_data, partition, pool, master_seed)
     return scenario_from_plan(
         train_data,
         test_data,
         plan,
         pool_idx,
         remainder_idx,
-        val_fraction,
+        partition.val_fraction,
         master_seed,
         label=label,
     )
@@ -345,7 +439,7 @@ def transfer_set_for(
     scenario: Scenario,
     option: str,
     student_id: int | None,
-    sizes: TransferSizes,
+    pool: PoolSpec,
     master_seed: int,
 ) -> TransferSet:
     """One transfer option's set for one student: a copy of the student's
@@ -353,9 +447,9 @@ def transfer_set_for(
     every student shares (`student_id` is then unused)."""
     if option == "student_data":
         train = scenario.participants[student_id].train
-        return build_transfer_set(option, None, train, sizes, 0)
+        return build_transfer_set(option, None, train, pool, 0)
     return build_transfer_set(
-        option, scenario.public_pool, None, sizes, stable_seed(master_seed, "transfer-sample")
+        option, scenario.public_pool, None, pool, stable_seed(master_seed, "transfer-sample")
     )
 
 
@@ -477,7 +571,7 @@ def run_pairwise_matrix(
     transfer_options: list[str],
     cfg: DistillConfig,
     grid: GridSpec | None,
-    sizes: TransferSizes,
+    pool: PoolSpec,
     master_seed: int,
     jobs: int = 1,
     pairs: list[tuple[int, int]] | None = None,
@@ -517,7 +611,7 @@ def run_pairwise_matrix(
         if m not in MATRIX_METHODS:
             raise ConfigError(f"unknown method {m!r}; choose one of {MATRIX_METHODS}")
     public = {
-        option: transfer_set_for(scenario, option, None, sizes, master_seed)
+        option: transfer_set_for(scenario, option, None, pool, master_seed)
         for option in transfer_options
         if option != "student_data"
     }
@@ -536,7 +630,7 @@ def run_pairwise_matrix(
             transfer=(
                 public[option]
                 if option in public
-                else transfer_set_for(scenario, option, student_id, sizes, master_seed)
+                else transfer_set_for(scenario, option, student_id, pool, master_seed)
             ),
             test=scenario.test,
             cfg=cfg,
@@ -823,12 +917,9 @@ def recommend_kd_method(
 def consolidate_models(
     pretrained: list[tuple[Model, EvalReport]],
     scenario: Scenario,
-    start_policy: str,
-    weighting: str,
-    ts_option: str,
-    epochs: int,
+    spec: ConsolidateSpec,
     cfg: DistillConfig,
-    sizes: TransferSizes,
+    pool: PoolSpec,
     master_seed: int,
 ) -> tuple[Model, EvalReport]:
     """Merge every participant's knowledge into one model by distillation.
@@ -839,26 +930,16 @@ def consolidate_models(
     """
     if len(pretrained) < 2:
         raise ConfigError("consolidation needs at least two participants")
-    if start_policy not in START_POLICIES:
-        raise ConfigError(
-            f"start_policy must be one of {START_POLICIES}, got {start_policy!r}"
-        )
-    if weighting not in WEIGHTINGS:
-        raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
 
     overall = [rep.overall_accuracy for _, rep in pretrained]
-    if start_policy == "worst":
+    if spec.start_policy == "worst":
         chosen = int(np.argmin(overall))
-    elif start_policy == "best":
+    elif spec.start_policy == "best":
         chosen = int(np.argmax(overall))
     else:
         chosen = None
 
     if chosen is None:
-        if ts_option == "student_data":
-            raise ConfigError(
-                "an untrained start has no own dataset; pick a public transfer option"
-            )
         arch = pretrained[0][0].arch
         student = init_model(arch, stable_seed(master_seed, "consolidation-init"))
         student_eval = evaluate(student, scenario.test)
@@ -870,13 +951,14 @@ def consolidate_models(
         teachers = [m for i, (m, _) in enumerate(pretrained) if i != chosen]
         teacher_evals = [rep for i, (_, rep) in enumerate(pretrained) if i != chosen]
 
-    if weighting == "adaptive":
+    if spec.weighting == "adaptive":
         weights = adaptive_teacher_weights(student_eval, teacher_evals)
     else:
         weights = equal_teacher_weights(len(teachers), scenario.test.class_count)
 
-    transfer = transfer_set_for(scenario, ts_option, chosen, sizes, master_seed)
-    run_cfg = replace(cfg, epochs=epochs)
-    seed = stable_seed(master_seed, "consolidate", start_policy, weighting, ts_option)
+    option = spec.transfer_option
+    transfer = transfer_set_for(scenario, option, chosen, pool, master_seed)
+    run_cfg = replace(cfg, epochs=spec.epochs)
+    seed = stable_seed(master_seed, "consolidate", spec.start_policy, spec.weighting, option)
     merged = distill_multi_teacher(student, teachers, weights, transfer, run_cfg, seed)
     return merged, evaluate(merged, scenario.test)

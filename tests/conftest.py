@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kdsim.nn import TrainConfig
-from kdsim.orchestrate import build_scenario, pretrain_participants
+from kdsim.orchestrate import PartitionSpec, PoolSpec, build_scenario, pretrain_participants
 from kdsim.toydata import gaussian_blobs
 
 WORLD_SEED = 11
@@ -41,11 +41,8 @@ def scenario(blobs):
     return build_scenario(
         train,
         test,
-        strategy="uniform",
-        k=WORLD_K,
-        partition_params={},
-        pool_size=WORLD_POOL,
-        val_fraction=0.2,
+        partition=PartitionSpec(strategy="uniform", k=WORLD_K, val_fraction=0.2),
+        pool=PoolSpec(size=WORLD_POOL),
         master_seed=WORLD_SEED,
     )
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from kdsim.cli import main
-from kdsim.data import TransferSet, TransferSizes, alternating_betas, build_transfer_set
+from kdsim.data import TransferSet, alternating_betas, build_transfer_set
 from kdsim.distill import (
     DistillConfig,
     MaskPair,
@@ -49,7 +49,10 @@ from kdsim.nn import (
     softmax,
 )
 from kdsim.orchestrate import (
+    ConsolidateSpec,
     GridSpec,
+    PartitionSpec,
+    PoolSpec,
     build_scenario,
     consolidate_models,
     grid_search_tuned,
@@ -185,7 +188,9 @@ def test_criterion_03_tuned_gain_dominates_vanilla():
     started = time.perf_counter()
     master = 101
     train, test = gaussian_blobs(5, 6, 120, 30, 2.5, master)
-    sc = build_scenario(train, test, "uniform", 4, {}, 150, 0.2, master)
+    sc = build_scenario(
+        train, test, PartitionSpec("uniform", 4, val_fraction=0.2), PoolSpec(size=150), master
+    )
     tc = TrainConfig(
         optimizer="adam",
         learning_rate=5e-3,
@@ -199,7 +204,7 @@ def test_criterion_03_tuned_gain_dominates_vanilla():
     grid = GridSpec()
     assert (1.0, 0.5) in {(t, a) for t in grid.temperatures for a in grid.alphas}
 
-    sizes = TransferSizes()
+    sizes = PoolSpec(labeled=500, unlabeled_small=500, unlabeled_large=5000)
     pairs = dominated = 0
     for t_id in range(sc.k):
         for s_id in range(sc.k):
@@ -250,7 +255,9 @@ def test_criterion_03_tuned_gain_dominates_vanilla():
 def matrix_records():
     master = 901
     train, test = gaussian_blobs(6, 8, 60, 25, 2.2, master)
-    sc = build_scenario(train, test, "uniform", 10, {}, 80, 0.2, master)
+    sc = build_scenario(
+        train, test, PartitionSpec("uniform", 10, val_fraction=0.2), PoolSpec(size=80), master
+    )
     tc = TrainConfig(
         optimizer="adam",
         learning_rate=5e-3,
@@ -260,7 +267,7 @@ def matrix_records():
         patience=3,
     )
     pre = pretrain_participants(sc, (8,), tc, master)
-    sizes = TransferSizes(labeled=50, unlabeled_small=50, unlabeled_large=80)
+    sizes = PoolSpec(labeled=50, unlabeled_small=50, unlabeled_large=80)
     cfg = DistillConfig(epochs=1, learning_rate=5e-3)
     return run_pairwise_matrix(
         pre,
@@ -338,14 +345,17 @@ def test_criterion_05_fedavg_oracle():
 
 def test_criterion_06_consolidated_start_converges_faster():
     started = time.perf_counter()
-    sizes = TransferSizes(labeled=50, unlabeled_small=50, unlabeled_large=200)
+    sizes = PoolSpec(size=250, labeled=50, unlabeled_small=50, unlabeled_large=200)
     details = []
     wins = 0
     for seed in range(300, 305):
         train, test = gaussian_blobs(6, 8, 150, 40, 1.8, seed)
         sc = build_scenario(
-            train, test, "label_skew_dirichlet", 10,
-            {"betas": alternating_betas(10)}, 250, 0.15, seed,
+            train, test,
+            PartitionSpec(
+                "label_skew_dirichlet", 10, betas=alternating_betas(10), val_fraction=0.15
+            ),
+            sizes, seed,
         )
         tc = TrainConfig(
             optimizer="adam",
@@ -357,7 +367,7 @@ def test_criterion_06_consolidated_start_converges_faster():
         )
         pre = pretrain_participants(sc, (16,), tc, seed)
         consolidated, _ = consolidate_models(
-            pre, sc, "best", "adaptive", "public_unlabeled_large", 30,
+            pre, sc, ConsolidateSpec("best", "adaptive", "public_unlabeled_large", 30),
             DistillConfig(epochs=30, learning_rate=5e-3), sizes, seed,
         )
         shards = [train.subset(idx) for idx in sc.participant_indices]
@@ -388,13 +398,14 @@ def test_criterion_06_consolidated_start_converges_faster():
 
 
 def test_criterion_07_best_start_beats_worst_start():
-    sizes = TransferSizes(labeled=50, unlabeled_small=50, unlabeled_large=200)
+    sizes = PoolSpec(size=250, labeled=50, unlabeled_small=50, unlabeled_large=200)
     details = []
     wins = 0
     for seed in range(500, 505):
         train, test = gaussian_blobs(6, 8, 150, 40, 1.8, seed)
         sc = build_scenario(
-            train, test, "quantity_skew", 5, {"beta": 0.5}, 250, 0.15, seed
+            train, test, PartitionSpec("quantity_skew", 5, beta=0.5, val_fraction=0.15),
+            sizes, seed,
         )
         tc = TrainConfig(
             optimizer="adam",
@@ -407,10 +418,12 @@ def test_criterion_07_best_start_beats_worst_start():
         pre = pretrain_participants(sc, (16,), tc, seed)
         cfg = DistillConfig(epochs=10, learning_rate=2e-3)
         _, best_rep = consolidate_models(
-            pre, sc, "best", "adaptive", "public_unlabeled_large", 10, cfg, sizes, seed
+            pre, sc, ConsolidateSpec("best", "adaptive", "public_unlabeled_large", 10),
+            cfg, sizes, seed,
         )
         _, worst_rep = consolidate_models(
-            pre, sc, "worst", "adaptive", "public_unlabeled_large", 10, cfg, sizes, seed
+            pre, sc, ConsolidateSpec("worst", "adaptive", "public_unlabeled_large", 10),
+            cfg, sizes, seed,
         )
         win = best_rep.overall_accuracy >= worst_rep.overall_accuracy
         wins += win
@@ -430,13 +443,14 @@ def test_criterion_07_best_start_beats_worst_start():
 
 
 def test_criterion_08_large_transfer_set_beats_small():
-    sizes = TransferSizes(labeled=50, unlabeled_small=50, unlabeled_large=500)
+    sizes = PoolSpec(size=550, labeled=50, unlabeled_small=50, unlabeled_large=500)
     details = []
     wins = 0
     for seed in range(700, 705):
         train, test = gaussian_blobs(6, 8, 150, 40, 1.8, seed)
         sc = build_scenario(
-            train, test, "quantity_skew", 4, {"beta": 0.5}, 550, 0.15, seed
+            train, test, PartitionSpec("quantity_skew", 4, beta=0.5, val_fraction=0.15),
+            sizes, seed,
         )
         tc = TrainConfig(
             optimizer="adam",

@@ -26,7 +26,10 @@ from kdsim.nn import ArchSpec, TrainConfig, init_model, models_equal
 from kdsim.orchestrate import (
     DEFAULT_GRID_ALPHAS,
     DEFAULT_GRID_TEMPERATURES,
+    ConsolidateSpec,
     GridSpec,
+    PartitionSpec,
+    PoolSpec,
     build_scenario,
 )
 from kdsim.seeding import stable_seed
@@ -280,7 +283,7 @@ def test_adapters_copy_section_values(tiny_config):
     assert isinstance(cfg.pretrain, TrainConfig) and cfg.pretrain.max_epochs == 12
     assert isinstance(cfg.distill, DistillConfig) and cfg.distill.epochs == 2
     assert isinstance(cfg.grid, GridSpec) and cfg.grid.temperatures == [1.0, 2.0]
-    assert cfg.transfer_sizes().labeled == 12
+    assert cfg.pool.labeled == 12
     assert isinstance(cfg.fed, FedConfig) and cfg.fed.rounds == 2
     tree = cfg.as_dict()
     assert tree["pool"]["unlabeled_large"] == 30
@@ -333,6 +336,55 @@ def test_fingerprints_are_frozen_values():
     assert set(want) == set(STAGE_PARENTS)
     for stage, values in want.items():
         assert (config_fingerprint(base, stage), config_fingerprint(other, stage)) == values
+
+
+def test_fingerprints_of_the_partition_pool_and_consolidate_keys_are_frozen_values():
+    # these sections are library specs; their field names, order and
+    # defaults, and so every fingerprint, are those of the config sections
+    # they replaced
+    other = parse_config(None, {
+        "partition": {
+            "strategy": "label_skew_dirichlet", "k": 4, "beta": 0.3, "dominant_fraction": 0.8,
+            "min_chunk": 7, "betas": [0.2, 0.4, 0.6, 0.8], "val_fraction": 0.25,
+        },
+        "pool": {"size": 300, "labeled": 40, "unlabeled_small": 30, "unlabeled_large": 200},
+        "consolidate": {
+            "start_policy": "worst", "weighting": "equal", "transfer_option": "public_labeled",
+            "epochs": 5,
+        },
+    })
+    assert isinstance(other.partition, PartitionSpec)
+    assert isinstance(other.pool, PoolSpec)
+    assert isinstance(other.consolidate, ConsolidateSpec)
+    want = {
+        "partition": ("3af6a467b35b5076", "95374bcaecec56aa"),
+        "pretrain": ("bb52c1cff9cf77d5", "da9cc3b2b1634d60"),
+        "distill": ("620a6aaf8d524db1", "31b81fbfadc75a3e"),
+        "grid": ("1528b7eae637b401", "091aab3c8a93964e"),
+        "matrix": ("620844a07069120f", "e34a9db82aa097bd"),
+        "consolidate": ("16be5c3fa334ba9d", "298e4d58c7935b12"),
+        "fedavg": ("2787942bf8b8a39c", "e78003cca87d16b9"),
+    }
+    assert set(want) == set(STAGE_PARENTS)
+    for stage, values in want.items():
+        assert (config_fingerprint(RunConfig(), stage), config_fingerprint(other, stage)) == values
+    tree = RunConfig().as_dict()
+    assert {name: tree[name] for name in ("partition", "pool", "consolidate")} == {
+        "partition": {
+            "strategy": "uniform", "k": 10, "beta": 0.5, "dominant_fraction": 0.91,
+            "min_chunk": 10, "betas": None, "val_fraction": 0.1,
+        },
+        "pool": {"size": 600, "labeled": 50, "unlabeled_small": 50, "unlabeled_large": 500},
+        "consolidate": {
+            "start_policy": "best", "weighting": "adaptive",
+            "transfer_option": "public_unlabeled_large", "epochs": 30,
+        },
+    }
+    assert [list(tree[name]) for name in ("partition", "pool", "consolidate")] == [
+        ["strategy", "k", "beta", "dominant_fraction", "min_chunk", "betas", "val_fraction"],
+        ["size", "labeled", "unlabeled_small", "unlabeled_large"],
+        ["start_policy", "weighting", "transfer_option", "epochs"],
+    ]
 
 
 def test_fingerprint_ignores_out_dir_and_jobs():
@@ -485,6 +537,24 @@ def test_cli_stale_fingerprint_and_force(tiny_config, tmp_path, capsys):
     assert _run("pretrain", *base, "--seed", "4", "--force") == 0
 
 
+def test_cli_refuses_a_pool_carved_at_another_size(tiny_config, tmp_path, capsys):
+    # the partition fingerprint leaves out the pool section, so the carve's
+    # own size is what shows a changed pool.size
+    out = tmp_path / "run"
+    base = ("--config", str(tiny_config), "--out-dir", str(out))
+    assert _run("partition", *base) == 0
+    assert _run("pretrain", *base) == 0
+    capsys.readouterr()
+    bigger = _config_with(tmp_path, "bigger.yaml", pool={"size": 90})
+    moved = ("--config", str(bigger), "--out-dir", str(out))
+    assert _run("matrix", *moved) == 1
+    err = capsys.readouterr().err
+    assert "45 samples" in err and "pool.size is 90" in err
+    assert "kdsim partition" in err
+    assert not (out / "results.json").exists()
+    assert _run("matrix", *moved, "--force") == 0
+
+
 def test_cli_out_dir_env_and_flag_precedence(tiny_config, tmp_path, monkeypatch, capsys):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("KDSIM_OUT_DIR", str(env_dir))
@@ -558,8 +628,11 @@ def test_cli_partition_writes_the_plan_build_scenario_returns(tmp_path, capsys):
         stable_seed(cfg.seed, "dataset"),
     )
     scenario = build_scenario(
-        train, test, "quantity_skew", cfg.partition.k, {"beta": 0.4}, cfg.pool.size,
-        cfg.partition.val_fraction, cfg.seed,
+        train, test,
+        PartitionSpec(
+            "quantity_skew", cfg.partition.k, beta=0.4, val_fraction=cfg.partition.val_fraction
+        ),
+        PoolSpec(size=cfg.pool.size), cfg.seed,
     )
     assert read_json(run / "plan.json") == scenario.partition.to_json_dict()
     assert read_json(run / "pool.json") == {

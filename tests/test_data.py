@@ -9,7 +9,6 @@ from kdsim.data import (
     LabeledDataset,
     PartitionPlan,
     TransferSet,
-    TransferSizes,
     _largest_remainder,
     alternating_betas,
     build_transfer_set,
@@ -25,6 +24,7 @@ from kdsim.data import (
     validate_plan,
 )
 from kdsim.errors import ConfigError, DataError, ParseError, PartitionError
+from kdsim.orchestrate import PartitionSpec, PoolSpec
 from kdsim.toydata import gaussian_blobs
 
 
@@ -384,13 +384,13 @@ def test_dirichlet_argument_checks(rng):
 def test_make_partition_dispatch(rng):
     data = _dataset(rng, n=300, classes=5)
     for strategy in ("uniform", "quantity_skew", "label_skew_chunks", "label_skew_dirichlet"):
-        plan = make_partition(data, strategy, 3, {"min_chunk": 15}, 2)
+        plan = make_partition(data, PartitionSpec(strategy, 3, min_chunk=15), 2)
         assert plan.strategy == strategy
         validate_plan(plan, len(data))
-    plan = make_partition(data, "specialized", 5, {}, 2)
+    plan = make_partition(data, PartitionSpec("specialized", 5), 2)
     assert plan.strategy == "specialized"
     with pytest.raises(ConfigError):
-        make_partition(data, "zipf", 3, {}, 2)
+        make_partition(data, PartitionSpec("zipf", 3), 2)
 
 
 def test_plan_json_round_trip(rng):
@@ -418,7 +418,7 @@ def test_validate_plan_catches_violations():
 # -- transfer sets ----------------------------------------------------------
 
 
-SIZES = TransferSizes(labeled=30, unlabeled_small=20, unlabeled_large=60)
+SIZES = PoolSpec(labeled=30, unlabeled_small=20, unlabeled_large=60)
 
 
 def test_student_data_passes_through(rng):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 import kdsim.orchestrate as orchestrate
-from kdsim.data import TransferSet, TransferSizes
+from kdsim.data import TransferSet
 from kdsim.distill import DistillConfig, distill_vanilla
 from kdsim.errors import ConfigError, DataError
 from kdsim.metrics import build_pair_result, reconciliation_residual
 from kdsim.nn import EvalReport, evaluate, init_model, models_equal, reports_equal
 from kdsim.orchestrate import (
+    ConsolidateSpec,
     GridSpec,
+    PartitionSpec,
+    PoolSpec,
     Recommendation,
     TransferContext,
     argmax_surface,
@@ -26,7 +29,7 @@ from kdsim.orchestrate import (
 )
 from kdsim.seeding import stable_seed
 
-SIZES = TransferSizes(labeled=40, unlabeled_small=30, unlabeled_large=80)
+SIZES = PoolSpec(labeled=40, unlabeled_small=30, unlabeled_large=80)
 QUICK = DistillConfig(epochs=2, learning_rate=1e-2, batch_size=32)
 
 
@@ -519,12 +522,12 @@ def _inert_cfg():
 def test_consolidation_start_policies(pretrained, scenario):
     accs = [rep.overall_accuracy for _, rep in pretrained]
     merged, report = consolidate_models(
-        pretrained, scenario, "best", "adaptive", "public_unlabeled_small", 1,
+        pretrained, scenario, ConsolidateSpec("best", "adaptive", "public_unlabeled_small", 1),
         _inert_cfg(), SIZES, 11,
     )
     assert report.overall_accuracy == pytest.approx(max(accs), abs=1e-9)
     merged, report = consolidate_models(
-        pretrained, scenario, "worst", "adaptive", "public_unlabeled_small", 1,
+        pretrained, scenario, ConsolidateSpec("worst", "adaptive", "public_unlabeled_small", 1),
         _inert_cfg(), SIZES, 11,
     )
     assert report.overall_accuracy == pytest.approx(min(accs), abs=1e-9)
@@ -532,20 +535,23 @@ def test_consolidation_start_policies(pretrained, scenario):
 
 def test_consolidation_untrained_start(pretrained, scenario):
     merged, report = consolidate_models(
-        pretrained, scenario, "untrained", "equal", "public_unlabeled_large", 10,
+        pretrained, scenario, ConsolidateSpec("untrained", "equal", "public_unlabeled_large", 10),
         DistillConfig(epochs=10, learning_rate=5e-3), SIZES, 11,
     )
     # an untrained student taught by three competent experts must beat chance
     assert report.overall_accuracy > 1.5 / scenario.test.class_count
     with pytest.raises(ConfigError):
         consolidate_models(
-            pretrained, scenario, "untrained", "equal", "student_data", 1,
+            pretrained, scenario, ConsolidateSpec("untrained", "equal", "student_data", 1),
             QUICK, SIZES, 11,
         )
 
 
 def test_consolidation_is_deterministic(pretrained, scenario):
-    args = (pretrained, scenario, "best", "adaptive", "public_unlabeled_small", 2, QUICK, SIZES, 9)
+    args = (
+        pretrained, scenario, ConsolidateSpec("best", "adaptive", "public_unlabeled_small", 2),
+        QUICK, SIZES, 9,
+    )
     m1, r1 = consolidate_models(*args)
     m2, r2 = consolidate_models(*args)
     assert models_equal(m1, m2)
@@ -554,29 +560,45 @@ def test_consolidation_is_deterministic(pretrained, scenario):
 
 def test_consolidation_weighting_changes_the_outcome(pretrained, scenario):
     a, _ = consolidate_models(
-        pretrained, scenario, "best", "adaptive", "public_unlabeled_small", 2, QUICK, SIZES, 9
+        pretrained, scenario, ConsolidateSpec("best", "adaptive", "public_unlabeled_small", 2),
+        QUICK, SIZES, 9,
     )
     e, _ = consolidate_models(
-        pretrained, scenario, "best", "equal", "public_unlabeled_small", 2, QUICK, SIZES, 9
+        pretrained, scenario, ConsolidateSpec("best", "equal", "public_unlabeled_small", 2),
+        QUICK, SIZES, 9,
     )
     assert not models_equal(a, e)
 
 
 def test_consolidation_argument_checks(pretrained, scenario):
     with pytest.raises(ConfigError):
-        consolidate_models(pretrained[:1], scenario, "best", "equal", "public_labeled", 1, QUICK, SIZES, 0)
+        consolidate_models(
+            pretrained[:1], scenario, ConsolidateSpec("best", "equal", "public_labeled", 1),
+            QUICK, SIZES, 0,
+        )
     with pytest.raises(ConfigError):
-        consolidate_models(pretrained, scenario, "median", "equal", "public_labeled", 1, QUICK, SIZES, 0)
+        consolidate_models(
+            pretrained, scenario, ConsolidateSpec("median", "equal", "public_labeled", 1),
+            QUICK, SIZES, 0,
+        )
     with pytest.raises(ConfigError):
-        consolidate_models(pretrained, scenario, "best", "softmax", "public_labeled", 1, QUICK, SIZES, 0)
+        consolidate_models(
+            pretrained, scenario, ConsolidateSpec("best", "softmax", "public_labeled", 1),
+            QUICK, SIZES, 0,
+        )
 
 
 def test_scenario_strategy_dispatch(blobs):
     train, test = blobs
     sc = build_scenario(
-        train, test, "label_skew_dirichlet", 4, {"betas": [0.2] * 4}, 80, 0.15, 21
+        train, test,
+        PartitionSpec("label_skew_dirichlet", 4, betas=[0.2] * 4, val_fraction=0.15),
+        PoolSpec(size=80), 21,
     )
     assert sc.partition.strategy == "label_skew_dirichlet"
     assert sc.k == 4
-    sc = build_scenario(train, test, "quantity_skew", 3, {"beta": 0.4}, 80, 0.15, 21, label="qskew")
+    sc = build_scenario(
+        train, test, PartitionSpec("quantity_skew", 3, beta=0.4, val_fraction=0.15),
+        PoolSpec(size=80), 21, label="qskew",
+    )
     assert sc.label == "qskew"

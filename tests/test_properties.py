@@ -68,7 +68,10 @@ from kdsim.orchestrate import (
     MATRIX_METHODS,
     START_POLICIES,
     WEIGHTINGS,
+    ConsolidateSpec,
     GridSpec,
+    PartitionSpec,
+    PoolSpec,
     grid_search_teachers,
     grid_search_tuned,
 )
@@ -162,7 +165,8 @@ def test_partition_plans_are_disjoint_in_range_and_cover_their_share(strategy, d
         features=np.zeros((len(labels), 1)), labels=labels, class_count=classes
     )
     try:
-        plan = make_partition(dataset, strategy, k, PARAMS.get(strategy, {}), seed)
+        partition = PartitionSpec(strategy, k, **PARAMS.get(strategy, {}))
+        plan = make_partition(dataset, partition, seed)
     except PartitionError:
         return  # a documented refusal, not a broken plan
     assert plan.k == k
@@ -342,6 +346,28 @@ _RECIPES = {
         "temperatures": st.lists(_positive, min_size=1, max_size=4),
         "alphas": st.lists(_unit, min_size=1, max_size=4),
         "sequential": st.booleans(),
+    }),
+    # without specialized, which needs k == dataset.classes: a rule of
+    # the run, not of the section
+    "partition": (PartitionSpec, {
+        "strategy": st.sampled_from([s for s in PARTITION_STRATEGIES if s != "specialized"]),
+        "k": st.integers(1, 12),
+        "beta": _positive,
+        "dominant_fraction": st.floats(0, 1, exclude_min=True, exclude_max=True),
+        "min_chunk": st.integers(1, 100),
+        "betas": st.none() | st.lists(_positive, min_size=10, max_size=10),
+        "val_fraction": st.floats(0, 1, exclude_min=True, exclude_max=True),
+    }),
+    # without size, which must cover the options a run uses: a rule of
+    # the run, not of the section
+    "pool": (PoolSpec, {
+        name: st.integers(1, 600) for name in ("labeled", "unlabeled_small", "unlabeled_large")
+    }),
+    "consolidate": (ConsolidateSpec, {
+        "start_policy": st.sampled_from(START_POLICIES),
+        "weighting": st.sampled_from(WEIGHTINGS),
+        "transfer_option": st.sampled_from(TRANSFER_OPTIONS),
+        "epochs": st.integers(1, 100),
     }),
 }
 _odd_values = st.one_of(
