@@ -63,3 +63,45 @@ partition_digests() {
   (cd "$run" && sha256sum plan.json pool.json pretrain_evals.json manifest.json | cut -d' ' -f1 | paste -sd ' ')
   rm -rf "$run"
 }
+
+# SHA-256 of manifest.json and of every request result after partition,
+# pretrain and a mix of distill and grid requests (every method, two
+# transfer options, one request repeated), all run in one process through
+# kdsim.cli.main of the checkout DIR on the run configuration CONFIG at
+# SEED, in a fresh run directory, on one line.
+# Call: requests_digests DIR CONFIG SEED
+# Prints nothing and fails if a stage fails.
+requests_digests() {
+  run=$(mktemp -d)
+  if ! PYTHONPATH="$1/src" python3 - "$2" "$3" "$run" > /dev/null <<'PY'
+import sys
+
+from kdsim.cli import main
+
+config, seed, out = sys.argv[1:]
+common = ["--config", config, "--seed", seed, "--out-dir", out]
+requests = [["partition"], ["pretrain"]]
+for i, (method, option) in enumerate([
+    ("vanilla", "student_data"),
+    ("dml", "student_data"),
+    ("dpkd", "student_data"),
+    ("tuned", "student_data"),
+    ("vanilla", "public_labeled"),
+    ("dpkd", "public_labeled"),
+    ("vanilla", "student_data"),
+]):
+    pair = ["--teacher", str(i % 3), "--student", str(i % 3 + 1)]
+    requests.append(["distill", *pair, "--method", method, "--transfer-option", option])
+for option in ("student_data", "public_labeled"):
+    requests.append(["grid", "--teacher", "3", "--student", "0", "--transfer-option", option])
+for argv in requests:
+    if main([*argv, *common]) != 0:
+        sys.exit(1)
+PY
+  then
+    rm -rf "$run"
+    return 1
+  fi
+  (cd "$run" && sha256sum manifest.json distill_*.json grid_*.json | cut -d' ' -f1 | paste -sd ' ')
+  rm -rf "$run"
+}

@@ -13,10 +13,16 @@ little-endian order. Writing the same model twice produces identical
 bytes; no timestamps or environment data are embedded anywhere.
 
 Every file is written whole or not at all (`atomic_write`).
+
+A command sees its run directory through one `RunDir`, which reads the
+manifest once and computes each stage fingerprint once. A model file's
+parameters are parsed once per process for each content of the file:
+the returned Model may be shared, and its arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -27,6 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .data import read_only
 from .errors import ConfigError, ParseError
 from .nn import ArchSpec, Model
 
@@ -67,30 +74,41 @@ def _fields(section) -> dict:
     return {name: getattr(section, name) for name in section.__dataclass_fields__}
 
 
-def config_fingerprint(cfg: RunConfig, stage: str) -> str:
+def config_fingerprint(cfg: RunConfig, stage: str, known: dict[str, str] | None = None) -> str:
     """Hex fingerprint of the config slice a stage depends on.
 
     Chained through STAGE_PARENTS so upstream changes invalidate
     everything downstream: each stage's payload holds its parent's
-    fingerprint, computed first, from the root down.
+    fingerprint. `known` maps stages to their fingerprints under this
+    same `cfg`; it is read and filled in, so a caller that keeps it
+    computes each stage once (see `RunDir`).
     """
     if stage not in STAGE_PARENTS:
         raise ConfigError(f"unknown stage {stage!r}")
-    chain = [stage]
-    while STAGE_PARENTS[chain[-1]]:
-        chain.append(STAGE_PARENTS[chain[-1]])
-    fingerprint = ""
-    for name in reversed(chain):
+    known = {} if known is None else known
+    if stage not in known:
+        parent = STAGE_PARENTS[stage]
         payload = {
             "v": 1,
-            "stage": name,
-            "parent": fingerprint,
+            "stage": stage,
+            "parent": config_fingerprint(cfg, parent, known) if parent else "",
             "seed": cfg.seed,
-            "config": {section: _fields(getattr(cfg, section)) for section in STAGE_SECTIONS[name]},
+            "config": {section: _fields(getattr(cfg, section)) for section in STAGE_SECTIONS[stage]},
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        fingerprint = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-    return fingerprint
+        known[stage] = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return known[stage]
+
+
+def _downstream(stage: str) -> list[str]:
+    """The stages built on `stage`, directly or through others."""
+    found = []
+    for name, parent in STAGE_PARENTS.items():
+        while parent is not None and parent != stage:
+            parent = STAGE_PARENTS[parent]
+        if parent == stage:
+            found.append(name)
+    return found
 
 
 # -- file writing -----------------------------------------------------------
@@ -119,22 +137,27 @@ def write_json(path: str | Path, obj) -> None:
         fh.write("\n")
 
 
-def _read(path: Path, mode: str = "r"):
-    """A file's whole text or bytes; a missing or unreadable file raises
+def read_bytes(path: str | Path) -> bytes:
+    """A file's whole bytes; a missing or unreadable file raises
     ParseError naming it."""
     try:
-        with open(path, mode) as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read ({exc.strerror or exc})") from None
 
 
-def read_json(path: str | Path):
-    p = Path(path)
+def parse_json(path: str | Path, blob: bytes):
+    """The JSON value `blob` holds, read from `path`, which a ParseError
+    names."""
     try:
-        return json.loads(_read(p))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{p}: not valid JSON ({exc})") from None
+        return json.loads(blob)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ParseError(f"{path}: not valid JSON ({exc})") from None
+
+
+def read_json(path: str | Path):
+    return parse_json(path, read_bytes(path))
 
 
 # -- model binary format ----------------------------------------------------
@@ -160,10 +183,10 @@ def save_model(path: str | Path, model: Model, fingerprint: str) -> None:
 
 
 class _Reader:
-    def __init__(self, path: Path):
+    def __init__(self, path: Path, blob: bytes, pos: int = 0):
         self.path = path
-        self.blob = _read(path, "rb")
-        self.pos = 0
+        self.blob = blob
+        self.pos = pos
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.blob):
@@ -184,9 +207,13 @@ def load_model(
     """Load a model snapshot, checking its config fingerprint.
 
     A fingerprint mismatch raises ConfigError unless force is set; a
-    missing or malformed file raises ParseError.
+    missing or malformed file raises ParseError. The file is read and its
+    header checked on every call; the parameters are parsed once per
+    process for each content of the file (`_parse_model`), so the Model
+    may be shared and its arrays are read-only.
     """
-    r = _Reader(Path(path))
+    path = Path(path)
+    r = _Reader(path, read_bytes(path))
     if r.take(4) != MODEL_MAGIC:
         raise ParseError(f"{path}: not a model file (bad magic)")
     (version,) = r.unpack("<I")
@@ -200,6 +227,16 @@ def load_model(
                 f"{path}: saved under config fingerprint {fingerprint}, current "
                 f"is {expect_fingerprint}; rerun the producing stage or pass --force"
             )
+    return _parse_model(path, r.blob, r.pos)
+
+
+@functools.lru_cache(maxsize=16)
+def _parse_model(path: Path, blob: bytes, pos: int) -> Model:
+    """The read-only Model whose seed, dims and parameters `blob` holds
+    from `pos` on. A request reads two of the K participants' models, so
+    the cache holds more than the latest two: sixteen entries of about
+    20 KB each at the default model size."""
+    r = _Reader(path, blob, pos)
     (seed,) = r.unpack("<Q")
     (n_dims,) = r.unpack("<I")
     if n_dims < 2:
@@ -214,7 +251,9 @@ def load_model(
         biases.append(np.frombuffer(r.take(dout * 8), dtype="<f8"))
     if r.pos != len(r.blob):
         raise ParseError(f"{path}: trailing bytes after parameters")
-    return Model(arch=arch, weights=weights, biases=biases, seed=seed)
+    model = Model(arch=arch, weights=weights, biases=biases, seed=seed)
+    read_only(model.params, *model.weights, *model.biases)
+    return model
 
 
 # -- manifest ---------------------------------------------------------------
@@ -238,48 +277,90 @@ def load_manifest(out_dir: str | Path) -> dict | None:
     return manifest
 
 
-def record_stage(
-    out_dir: str | Path,
-    cfg: RunConfig,
-    stage: str,
-    artifacts: dict[str, str],
-) -> str:
-    """Register a finished stage in the manifest; returns its fingerprint."""
-    out = Path(out_dir)
-    manifest = load_manifest(out)
-    if manifest is None:
-        manifest = empty_manifest(cfg)
-    fingerprint = config_fingerprint(cfg, stage)
-    manifest["stages"][stage] = {
-        "fingerprint": fingerprint,
-        "artifacts": dict(sorted(artifacts.items())),
-    }
-    write_json(out / MANIFEST_NAME, manifest)
-    return fingerprint
+def _identity(path: Path) -> tuple | None:
+    """What tells one version of a file from the next (an atomic write
+    makes a new inode), or None if there is no file."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def require_stage(
-    out_dir: str | Path,
-    cfg: RunConfig,
-    stage: str,
-    force: bool = False,
-) -> dict[str, str]:
-    """Look up a prerequisite stage's artifacts, checking its fingerprint.
+class RunDir:
+    """One command's view of a run directory under one configuration.
 
-    Raises ConfigError naming the subcommand that produces the stage when
-    it has not run yet or was run under a different configuration.
+    The manifest is read on first use and again only if its file changed
+    since (another command recorded a stage), and each stage fingerprint
+    is computed once. `force` lets `require` hand out stale artifacts.
     """
-    manifest = load_manifest(out_dir)
-    entry = None if manifest is None else manifest["stages"].get(stage)
-    if entry is None:
-        raise ConfigError(
-            f"stage {stage!r} has not run in {out_dir}; run `kdsim {stage}` first"
-        )
-    expected = config_fingerprint(cfg, stage)
-    if entry["fingerprint"] != expected and not force:
-        raise ConfigError(
-            f"stage {stage!r} in {out_dir} was produced under fingerprint "
-            f"{entry['fingerprint']}, current config gives {expected}; rerun "
-            f"`kdsim {stage}` or pass --force"
-        )
-    return entry["artifacts"]
+
+    def __init__(self, out_dir: str | Path, cfg: RunConfig, force: bool = False):
+        self.out = Path(out_dir)
+        self.cfg = cfg
+        self.force = force
+        self._fingerprints: dict[str, str] = {}
+        self._seen: tuple | None = None  # (file identity, manifest) as last read
+
+    def fingerprint(self, stage: str) -> str:
+        return config_fingerprint(self.cfg, stage, self._fingerprints)
+
+    def manifest(self) -> dict | None:
+        """The run manifest, or None before any stage has recorded one."""
+        identity = _identity(self.out / MANIFEST_NAME)
+        if self._seen is None or self._seen[0] != identity:
+            self._seen = (identity, load_manifest(self.out))
+        return self._seen[1]
+
+    def record(self, stage: str, artifacts: dict[str, str], changed: bool = False) -> str:
+        """Register a finished stage in the manifest; returns its
+        fingerprint. `changed` says the stage wrote other outputs than
+        the ones it replaces, which its fingerprint need not show: every
+        stage on record that was built on them is then marked stale
+        (`stale_after`), so `require` refuses it unless forced."""
+        manifest = self.manifest()
+        if manifest is None:
+            manifest = empty_manifest(self.cfg)
+        fingerprint = self.fingerprint(stage)
+        stages = manifest["stages"]
+        stages[stage] = {
+            "fingerprint": fingerprint,
+            "artifacts": dict(sorted(artifacts.items())),
+        }
+        if changed:
+            for name in _downstream(stage):
+                if name in stages:
+                    stages[name]["stale_after"] = stage
+        path = self.out / MANIFEST_NAME
+        write_json(path, manifest)
+        self._seen = (_identity(path), manifest)
+        return fingerprint
+
+    def require(self, stage: str) -> dict[str, str]:
+        """Look up a prerequisite stage's artifacts, checking that it is
+        current.
+
+        Raises ConfigError naming the subcommand that produces the stage
+        when it has not run yet, was run under a different configuration,
+        or was built on outputs a later run replaced; the last two pass
+        under `force`.
+        """
+        manifest = self.manifest()
+        entry = None if manifest is None else manifest["stages"].get(stage)
+        if entry is None:
+            raise ConfigError(
+                f"stage {stage!r} has not run in {self.out}; run `kdsim {stage}` first"
+            )
+        expected = self.fingerprint(stage)
+        if entry["fingerprint"] != expected and not self.force:
+            raise ConfigError(
+                f"stage {stage!r} in {self.out} was produced under fingerprint "
+                f"{entry['fingerprint']}, current config gives {expected}; rerun "
+                f"`kdsim {stage}` or pass --force"
+            )
+        if "stale_after" in entry and not self.force:
+            raise ConfigError(
+                f"stage {stage!r} in {self.out} was built on the outputs of an earlier "
+                f"`kdsim {entry['stale_after']}`; rerun `kdsim {stage}` or pass --force"
+            )
+        return entry["artifacts"]

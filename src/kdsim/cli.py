@@ -15,6 +15,18 @@ Each stage records its outputs in the run manifest under a fingerprint
 of the configuration slice it depends on; downstream stages refuse stale
 artifacts unless --force is given. Exit codes: 0 success, 1 bad
 configuration or usage, 2 runtime failure.
+
+`main` may be called many times in one process, say by a driver that
+sends many small requests against one run directory. Every call reads
+the config, the manifest, `plan.json`, `pool.json`,
+`pretrain_evals.json` and the model files it needs again, and runs every
+check; what it builds from them (the YAML tree, the toy dataset, the
+Scenario with the splits drawn so far, the evaluations, each Model) is
+made once per process for each content of those files and shared by
+later calls. A shared object's arrays are read-only: a stage that wrote
+into one would fail instead of changing the next call's input. Within
+one call the manifest is read once and each stage fingerprint computed
+once (`artifacts.RunDir`).
 """
 
 from __future__ import annotations
@@ -26,21 +38,17 @@ import sys
 from dataclasses import astuple
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .artifacts import (
-    config_fingerprint,
-    load_manifest,
+    RunDir,
     load_model,
-    read_json,
-    record_stage,
-    require_stage,
+    parse_json,
+    read_bytes,
     save_model,
     write_json,
 )
 from .config import DatasetSection, RunConfig, parse_config
-from .data import LabeledDataset, PartitionPlan, load_dataset
+from .data import LabeledDataset, PartitionPlan, load_dataset, read_only
 from .errors import ConfigError, DataError, KdsimError
 from .fed import FedTrajectory, preconsolidated_fedavg, rounds_to_target
 from .metrics import (
@@ -167,39 +175,72 @@ def _toy_data(dataset: tuple, seed: int) -> tuple[LabeledDataset, LabeledDataset
         stable_seed(seed, "dataset"),
     )
     for data in sets:
-        data.features.flags.writeable = False
-        data.labels.flags.writeable = False
+        read_only(data.features, data.labels)
     return sets
 
 
-def _scenario(cfg: RunConfig, out: Path, force: bool) -> Scenario:
-    """Rebuild the Scenario for this run from the partition artifacts.
+def _file(path: Path) -> tuple[Path, bytes]:
+    return path, read_bytes(path)
 
-    Shards are split into train and validation sets only when a stage
-    reads them (see `orchestrate.ParticipantData`). The partition
-    fingerprint leaves out `pool`, so a pool carved at another
-    `pool.size` is refused here unless `force` is set.
+
+def _scenario(run: RunDir) -> Scenario:
+    """The Scenario of this run's partition artifacts, shared by every
+    call with the same plan and pool bytes, datasets, partition settings
+    and seed (see `_scenario_from`).
+
+    The partition fingerprint leaves out `pool`, so a pool carved at
+    another `pool.size` is refused here, on every call, unless --force is
+    given.
     """
-    arts = require_stage(out, cfg, "partition", force)
+    cfg = run.cfg
+    arts = run.require("partition")
     train, test = _base_data(cfg)
-    plan = PartitionPlan.from_json_dict(read_json(out / arts["plan"]))
-    pool = read_json(out / arts["pool"])
-    pool_idx = np.asarray(pool["pool_indices"], dtype=np.int64)
-    if len(pool_idx) != cfg.pool.size and not force:
+    scenario = _scenario_from(
+        _file(run.out / arts["plan"]),
+        _file(run.out / arts["pool"]),
+        train,
+        test,
+        cfg.partition.val_fraction,
+        cfg.partition.strategy,
+        cfg.seed,
+    )
+    held = len(scenario.pool_indices)
+    if held != cfg.pool.size and not run.force:
         raise ConfigError(
-            f"the public pool in {out} holds {len(pool_idx)} samples, but pool.size "
+            f"the public pool in {run.out} holds {held} samples, but pool.size "
             f"is {cfg.pool.size}; rerun `kdsim partition` or pass --force"
         )
-    remainder_idx = np.asarray(pool["remainder_indices"], dtype=np.int64)
+    return scenario
+
+
+@functools.lru_cache(maxsize=2)
+def _scenario_from(
+    plan: tuple[Path, bytes],
+    pool: tuple[Path, bytes],
+    train: LabeledDataset,
+    test: LabeledDataset,
+    val_fraction: float,
+    label: str,
+    seed: int,
+) -> Scenario:
+    """`orchestrate.scenario_from_plan` on the (path, bytes) of `plan.json`
+    and `pool.json`. Datasets key by identity: a toy draw is one object
+    per process (`_toy_data`), a CSV read a new one each time. Every array
+    is read-only, the splits drawn on first use included, and those splits
+    are kept with the Scenario."""
+    read_only(test.features, test.labels)
+    partition = PartitionPlan.from_json_dict(parse_json(*plan))
+    read_only(*partition.participants)
+    indices = parse_json(*pool)
     return scenario_from_plan(
         train,
         test,
-        plan,
-        pool_idx,
-        remainder_idx,
-        cfg.partition.val_fraction,
-        cfg.seed,
-        label=cfg.partition.strategy,
+        partition,
+        indices["pool_indices"],
+        indices["remainder_indices"],
+        val_fraction,
+        seed,
+        label=label,
     )
 
 
@@ -208,7 +249,7 @@ def _model_path(i: int) -> str:
 
 
 def _load_pretrained(
-    cfg: RunConfig, out: Path, force: bool, k: int, ids: tuple[int, ...] | None = None
+    run: RunDir, k: int, ids: tuple[int, ...] | None = None
 ) -> dict[int, tuple[Model, EvalReport]]:
     """The pretrained (model, report) of each participant in `ids` (all k
     by default), keyed by id.
@@ -217,15 +258,9 @@ def _load_pretrained(
     participant's model are checked; only the model files of `ids` are
     read.
     """
-    arts = require_stage(out, cfg, "pretrain", force)
-    fingerprint = config_fingerprint(cfg, "pretrain")
-    payload = read_json(out / arts["evals"])
-    if payload.get("schema_version") != PRETRAIN_EVALS_SCHEMA_VERSION:
-        raise DataError(
-            f"unsupported pretrain evaluations schema {payload.get('schema_version')!r}; "
-            f"rerun `kdsim pretrain`"
-        )
-    reports = [EvalReport.from_dict(item) for item in payload["reports"]]
+    arts = run.require("pretrain")
+    fingerprint = run.fingerprint("pretrain")
+    reports = _pretrain_reports(_file(run.out / arts["evals"]))
     if len(reports) != k:
         raise ConfigError(
             f"{len(reports)} pretrained models for {k} participants; rerun `kdsim pretrain`"
@@ -236,9 +271,25 @@ def _load_pretrained(
                 f"pretrained model {i} missing from manifest; rerun `kdsim pretrain`"
             )
     return {
-        i: (load_model(out / arts[f"model_{i:02d}"], fingerprint, force), reports[i])
+        i: (load_model(run.out / arts[f"model_{i:02d}"], fingerprint, run.force), reports[i])
         for i in (range(k) if ids is None else ids)
     }
+
+
+@functools.lru_cache(maxsize=2)
+def _pretrain_reports(evals: tuple[Path, bytes]) -> tuple[EvalReport, ...]:
+    """The read-only reports the (path, bytes) of `pretrain_evals.json`
+    hold, after a schema check."""
+    payload = parse_json(*evals)
+    if payload.get("schema_version") != PRETRAIN_EVALS_SCHEMA_VERSION:
+        raise DataError(
+            f"unsupported pretrain evaluations schema {payload.get('schema_version')!r}; "
+            f"rerun `kdsim pretrain`"
+        )
+    reports = tuple(EvalReport.from_dict(item) for item in payload["reports"])
+    for rep in reports:
+        read_only(rep.per_class_accuracy, rep.per_class_support)
+    return reports
 
 
 def _check_pair(args, k: int) -> tuple[int, int]:
@@ -254,17 +305,29 @@ def _check_pair(args, k: int) -> tuple[int, int]:
 # -- subcommands ------------------------------------------------------------
 
 
+def _contents(out: Path, names: tuple[str, ...]) -> list[bytes | None]:
+    return [(out / name).read_bytes() if (out / name).exists() else None for name in names]
+
+
 def cmd_partition(cfg: RunConfig, args) -> int:
-    out = Path(cfg.out_dir)
+    run = RunDir(cfg.out_dir, cfg, args.force)
+    out = run.out
     out.mkdir(parents=True, exist_ok=True)
     train, _ = _base_data(cfg)
     plan, pool_idx, remainder_idx = plan_partition(train, cfg.partition, cfg.pool, cfg.seed)
+    files = (PLAN_FILE, POOL_FILE)
+    before = _contents(out, files)
     write_json(out / PLAN_FILE, plan.to_json_dict())
     write_json(
         out / POOL_FILE,
         {"pool_indices": pool_idx.tolist(), "remainder_indices": remainder_idx.tolist()},
     )
-    record_stage(out, cfg, "partition", {"plan": PLAN_FILE, "pool": POOL_FILE})
+    # The partition fingerprint leaves out pool.size and the rows of a CSV
+    # dataset, so a rerun may carve other shards under the same
+    # fingerprint; the stages built on the old ones are then stale.
+    run.record(
+        "partition", {"plan": PLAN_FILE, "pool": POOL_FILE}, changed=_contents(out, files) != before
+    )
     sizes = plan.sizes()
     print(
         f"partitioned {sum(sizes)} samples into {plan.k} shards "
@@ -275,13 +338,14 @@ def cmd_partition(cfg: RunConfig, args) -> int:
 
 
 def cmd_pretrain(cfg: RunConfig, args) -> int:
-    out = Path(cfg.out_dir)
-    scenario = _scenario(cfg, out, args.force)
+    run = RunDir(cfg.out_dir, cfg, args.force)
+    out = run.out
+    scenario = _scenario(run)
     pretrained = pretrain_participants(
         scenario, tuple(cfg.model.hidden_layers), cfg.pretrain, cfg.seed
     )
     (out / "models").mkdir(exist_ok=True)
-    fingerprint = config_fingerprint(cfg, "pretrain")
+    fingerprint = run.fingerprint("pretrain")
     artifacts = {"evals": PRETRAIN_EVALS_FILE}
     for i, (model, _report) in enumerate(pretrained):
         rel = _model_path(i)
@@ -294,17 +358,18 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
             "reports": [rep.as_dict() for _, rep in pretrained],
         },
     )
-    record_stage(out, cfg, "pretrain", artifacts)
+    run.record("pretrain", artifacts)
     for i, (_model, rep) in enumerate(pretrained):
         print(f"participant {i}: test accuracy {rep.overall_accuracy:.4f}")
     return 0
 
 
 def cmd_distill(cfg: RunConfig, args) -> int:
-    out = Path(cfg.out_dir)
-    scenario = _scenario(cfg, out, args.force)
+    run = RunDir(cfg.out_dir, cfg, args.force)
+    out = run.out
+    scenario = _scenario(run)
     teacher, student = _check_pair(args, scenario.k)
-    pretrained = _load_pretrained(cfg, out, args.force, scenario.k, (teacher, student))
+    pretrained = _load_pretrained(run, scenario.k, (teacher, student))
     option = args.transfer_option
     (result,) = run_pairwise_matrix(
         pretrained,
@@ -319,7 +384,7 @@ def cmd_distill(cfg: RunConfig, args) -> int:
     )
     rel = f"distill_t{teacher}_s{student}_{args.method}_{option}.json"
     write_json(out / rel, result.to_json_dict())
-    record_stage(out, cfg, "distill", {"result": rel})
+    run.record("distill", {"result": rel})
     print(
         f"{args.method} transfer {teacher} -> {student} via {option}: "
         f"gain {result.gain_points:+.2f} points "
@@ -330,10 +395,11 @@ def cmd_distill(cfg: RunConfig, args) -> int:
 
 
 def cmd_grid(cfg: RunConfig, args) -> int:
-    out = Path(cfg.out_dir)
-    scenario = _scenario(cfg, out, args.force)
+    run = RunDir(cfg.out_dir, cfg, args.force)
+    out = run.out
+    scenario = _scenario(run)
     teacher, student = _check_pair(args, scenario.k)
-    pretrained = _load_pretrained(cfg, out, args.force, scenario.k, (teacher, student))
+    pretrained = _load_pretrained(run, scenario.k, (teacher, student))
     option = args.transfer_option
     transfer = transfer_set_for(scenario, option, student, cfg.pool, cfg.seed)
     search = grid_search_tuned(
@@ -360,7 +426,7 @@ def cmd_grid(cfg: RunConfig, args) -> int:
             "transfer_option": option,
         },
     )
-    record_stage(out, cfg, "grid", {"surface": rel})
+    run.record("grid", {"surface": rel})
     print(
         f"grid for {teacher} -> {student} via {option}: best T = "
         f"{search.best_temperature:g}, alpha = {search.best_alpha:g} "
@@ -370,9 +436,9 @@ def cmd_grid(cfg: RunConfig, args) -> int:
 
 
 def cmd_matrix(cfg: RunConfig, args) -> int:
-    out = Path(cfg.out_dir)
-    scenario = _scenario(cfg, out, args.force)
-    pretrained = _load_pretrained(cfg, out, args.force, scenario.k)
+    run = RunDir(cfg.out_dir, cfg, args.force)
+    scenario = _scenario(run)
+    pretrained = _load_pretrained(run, scenario.k)
     results = run_pairwise_matrix(
         pretrained,
         scenario,
@@ -384,8 +450,8 @@ def cmd_matrix(cfg: RunConfig, args) -> int:
         cfg.seed,
         jobs=cfg.jobs,
     )
-    emit_report(results, [], "json", out)
-    record_stage(out, cfg, "matrix", {"results": RESULTS_FILE})
+    emit_report(results, [], "json", run.out)
+    run.record("matrix", {"results": RESULTS_FILE})
     totals = cumulative_gain(results)
     print(f"{len(results)} pairwise records")
     for method in sorted(totals):
@@ -394,12 +460,13 @@ def cmd_matrix(cfg: RunConfig, args) -> int:
 
 
 def cmd_consolidate(cfg: RunConfig, args) -> int:
-    out = Path(cfg.out_dir)
-    scenario = _scenario(cfg, out, args.force)
-    pretrained = list(_load_pretrained(cfg, out, args.force, scenario.k).values())
+    run = RunDir(cfg.out_dir, cfg, args.force)
+    out = run.out
+    scenario = _scenario(run)
+    pretrained = list(_load_pretrained(run, scenario.k).values())
     c = cfg.consolidate
     merged, report = consolidate_models(pretrained, scenario, c, cfg.distill, cfg.pool, cfg.seed)
-    save_model(out / CONSOLIDATED_MODEL, merged, config_fingerprint(cfg, "consolidate"))
+    save_model(out / CONSOLIDATED_MODEL, merged, run.fingerprint("consolidate"))
     write_json(
         out / CONSOLIDATE_FILE,
         {
@@ -412,12 +479,7 @@ def cmd_consolidate(cfg: RunConfig, args) -> int:
             "weighting": c.weighting,
         },
     )
-    record_stage(
-        out,
-        cfg,
-        "consolidate",
-        {"model": CONSOLIDATED_MODEL, "summary": CONSOLIDATE_FILE},
-    )
+    run.record("consolidate", {"model": CONSOLIDATED_MODEL, "summary": CONSOLIDATE_FILE})
     best = max(rep.overall_accuracy for _, rep in pretrained)
     print(
         f"consolidated ({c.start_policy} start, {c.weighting} weights): "
@@ -427,12 +489,11 @@ def cmd_consolidate(cfg: RunConfig, args) -> int:
 
 
 def cmd_fedavg(cfg: RunConfig, args) -> int:
-    out = Path(cfg.out_dir)
-    scenario = _scenario(cfg, out, args.force)
-    arts = require_stage(out, cfg, "consolidate", args.force)
-    consolidated = load_model(
-        out / arts["model"], config_fingerprint(cfg, "consolidate"), args.force
-    )
+    run = RunDir(cfg.out_dir, cfg, args.force)
+    out = run.out
+    scenario = _scenario(run)
+    arts = run.require("consolidate")
+    consolidated = load_model(out / arts["model"], run.fingerprint("consolidate"), run.force)
     arch = participant_arch(scenario, tuple(cfg.model.hidden_layers))
     random_init = init_model(arch, stable_seed(cfg.seed, "fed-init"))
     random_arm, consolidated_arm = preconsolidated_fedavg(
@@ -444,7 +505,7 @@ def cmd_fedavg(cfg: RunConfig, args) -> int:
         stable_seed(cfg.seed, "fed"),
     )
     write_json(out / TRAJECTORIES_FILE, trajectories_payload([random_arm, consolidated_arm]))
-    record_stage(out, cfg, "fedavg", {"trajectories": TRAJECTORIES_FILE})
+    run.record("fedavg", {"trajectories": TRAJECTORIES_FILE})
     for traj in (random_arm, consolidated_arm):
         final = traj.accuracies[-1]
         print(
@@ -463,12 +524,13 @@ def cmd_fedavg(cfg: RunConfig, args) -> int:
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
-    out = Path(cfg.out_dir)
-    arts = require_stage(out, cfg, "matrix", args.force)
+    run = RunDir(cfg.out_dir, cfg, args.force)
+    out = run.out
+    arts = run.require("matrix")
     results = parse_results_json(out / arts["results"])
     trajectories: list[FedTrajectory] = []
-    if "fedavg" in load_manifest(out)["stages"]:
-        fed_arts = require_stage(out, cfg, "fedavg", args.force)
+    if "fedavg" in run.manifest()["stages"]:
+        fed_arts = run.require("fedavg")
         trajectories = parse_trajectories_json(out / fed_arts["trajectories"])
     written = emit_report(results, trajectories, cfg.report.format, out)
     totals = cumulative_gain(results)

@@ -20,6 +20,7 @@ sections. No check counts a boolean as a number.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -123,7 +124,9 @@ def _build_tree(raw: dict, errors: list[str]) -> RunConfig:
                 if sub not in known:
                     errors.append(f"{key}.{sub}: unknown key")
                 else:
-                    setattr(section, sub, subval)
+                    # `raw` may be a shared tree (see `_yaml_tree`); a valid
+                    # list holds only scalars
+                    setattr(section, sub, list(subval) if isinstance(subval, list) else subval)
         else:
             errors.append(f"{key}: unknown key")
     return cfg
@@ -186,29 +189,36 @@ def _validate(cfg: RunConfig, errors: list[str]) -> None:
           f"must be one of {REPORT_FORMATS}")
 
 
+@functools.lru_cache(maxsize=2)
+def _yaml_tree(path: str, text: str) -> dict:
+    """The top-level mapping of the YAML `text`, read from `path`. Every
+    caller shares it, so it is read, never written."""
+    try:
+        loaded = yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        # the parser's line and column, 1-based, when it reports them
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ConfigError(f"{path}: malformed YAML{where}: {problem}") from None
+    if loaded is None:
+        loaded = {}
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"{path}: top level must be a mapping")
+    return loaded
+
+
 def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
     """Load, override and validate a run configuration.
 
     Raises ConfigError listing every violation, or naming the line and
     column of malformed YAML; an absent path or empty file yields pure
-    defaults.
+    defaults. The file is read on every call and its YAML parsed once per
+    process for each text (`_yaml_tree`).
     """
     raw: dict = {}
     if path is not None:
-        text = Path(path).read_text()
-        try:
-            loaded = yaml.load(text, Loader=_YAML_LOADER)
-        except yaml.YAMLError as exc:
-            # the parser's line and column, 1-based, when it reports them
-            mark = getattr(exc, "problem_mark", None)
-            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-            problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
-            raise ConfigError(f"{path}: malformed YAML{where}: {problem}") from None
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{path}: top level must be a mapping")
-        raw = loaded
+        raw = _yaml_tree(str(path), Path(path).read_text())
     if overrides:
         raw = dict(raw)
         for key, value in overrides.items():

@@ -54,6 +54,14 @@ PUBLIC_TRANSFER_OPTIONS = (
 _MAX_REDRAWS = 100
 
 
+def read_only(*arrays: np.ndarray) -> None:
+    """Forbid writes into arrays that several readers share, so a reader
+    that writes into one fails loudly instead of changing what the next
+    one reads."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 @dataclass(eq=False)
 class LabeledDataset:
     """Feature matrix with integer class labels.

@@ -60,6 +60,7 @@ from .data import (
     TransferSet,
     build_transfer_set,
     make_partition,
+    read_only,
     split_train_val,
     validate_plan,
 )
@@ -238,7 +239,8 @@ class ParticipantData:
     """One participant's full shard and its stratified train/validation
     split, drawn from `seed` on first access to `train` or `val` and kept.
     Federated runs train on the whole `shard`; a stage that never reads a
-    participant's split never draws it."""
+    participant's split never draws it. The split's arrays are read-only,
+    like the shard's (see `scenario_from_plan`)."""
 
     shard: LabeledDataset
     val_fraction: float
@@ -246,7 +248,10 @@ class ParticipantData:
 
     @cached_property
     def _split(self) -> tuple[LabeledDataset, LabeledDataset]:
-        return split_train_val(self.shard, self.val_fraction, self.seed)
+        split = split_train_val(self.shard, self.val_fraction, self.seed)
+        for part in split:
+            read_only(part.features, part.labels)
+        return split
 
     @property
     def train(self) -> LabeledDataset:
@@ -311,17 +316,23 @@ def scenario_from_plan(
 ) -> Scenario:
     """Assemble a Scenario from a persisted plan and pool reservation.
 
-    No shard is split here; each participant splits on first use.
+    No shard is split here; each participant splits on first use. Every
+    array made here is read-only: a Scenario is a stage's input, and the
+    command line shares one between the commands of a process.
     """
-    pool_indices = np.asarray(pool_indices, dtype=np.int64)
-    remainder_indices = np.asarray(remainder_indices, dtype=np.int64)
+    pool_indices = np.array(pool_indices, dtype=np.int64)
+    remainder_indices = np.array(remainder_indices, dtype=np.int64)
+    public_pool = train_data.subset(pool_indices)
+    read_only(pool_indices, remainder_indices, public_pool.features, public_pool.labels)
     participants = []
     participant_indices = []
     for i, shard in enumerate(plan.participants):
         global_idx = remainder_indices[shard]
         participant_indices.append(global_idx)
+        data = train_data.subset(global_idx)
+        read_only(global_idx, data.features, data.labels)
         participants.append(ParticipantData(
-            shard=train_data.subset(global_idx),
+            shard=data,
             val_fraction=val_fraction,
             seed=stable_seed(master_seed, "participant-split", i),
         ))
@@ -329,7 +340,7 @@ def scenario_from_plan(
         label=label if label is not None else plan.strategy,
         participants=participants,
         test=test_data,
-        public_pool=train_data.subset(pool_indices),
+        public_pool=public_pool,
         pool_indices=pool_indices,
         remainder_indices=remainder_indices,
         participant_indices=participant_indices,

@@ -1,5 +1,6 @@
 """Run configuration parsing, artifact files, and the command line."""
 
+import os
 import re
 from pathlib import Path
 
@@ -9,11 +10,10 @@ import yaml
 
 from kdsim.artifacts import (
     STAGE_PARENTS,
+    RunDir,
     config_fingerprint,
     load_model,
     read_json,
-    record_stage,
-    require_stage,
     save_model,
     write_json,
 )
@@ -445,14 +445,14 @@ def test_model_file_corruption_detected(tmp_path):
 
 def test_stage_bookkeeping(tmp_path):
     cfg = RunConfig()
-    record_stage(tmp_path, cfg, "partition", {"plan": "plan.json"})
-    assert require_stage(tmp_path, cfg, "partition") == {"plan": "plan.json"}
+    RunDir(tmp_path, cfg).record("partition", {"plan": "plan.json"})
+    assert RunDir(tmp_path, cfg).require("partition") == {"plan": "plan.json"}
     with pytest.raises(ConfigError, match="run `kdsim pretrain` first"):
-        require_stage(tmp_path, cfg, "pretrain")
+        RunDir(tmp_path, cfg).require("pretrain")
     other = RunConfig(seed=5)
     with pytest.raises(ConfigError, match="fingerprint"):
-        require_stage(tmp_path, other, "partition")
-    assert require_stage(tmp_path, other, "partition", force=True) == {"plan": "plan.json"}
+        RunDir(tmp_path, other).require("partition")
+    assert RunDir(tmp_path, other, force=True).require("partition") == {"plan": "plan.json"}
 
 
 # -- command line -----------------------------------------------------------
@@ -553,6 +553,28 @@ def test_cli_refuses_a_pool_carved_at_another_size(tiny_config, tmp_path, capsys
     assert "kdsim partition" in err
     assert not (out / "results.json").exists()
     assert _run("matrix", *moved, "--force") == 0
+
+
+def test_cli_refuses_models_pretrained_on_an_earlier_carve(tiny_config, tmp_path, capsys):
+    # a rerun of partition at another pool.size keeps the partition
+    # fingerprint but carves other shards: the models of the old ones are stale
+    out = tmp_path / "run"
+    base = ("--config", str(tiny_config), "--out-dir", str(out))
+    assert _run("partition", *base) == 0
+    assert _run("pretrain", *base) == 0
+    bigger = _config_with(tmp_path, "bigger.yaml", pool={"size": 90})
+    moved = ("--config", str(bigger), "--out-dir", str(out))
+    assert _run("partition", *moved) == 0
+    assert read_json(out / "manifest.json")["stages"]["pretrain"]["stale_after"] == "partition"
+    capsys.readouterr()
+    assert _run("matrix", *moved) == 1
+    err = capsys.readouterr().err
+    assert "stage 'pretrain'" in err and "kdsim pretrain" in err
+    assert not (out / "results.json").exists()
+    assert _run("matrix", *moved, "--force") == 0
+    assert _run("pretrain", *moved) == 0
+    assert "stale_after" not in read_json(out / "manifest.json")["stages"]["pretrain"]
+    assert _run("matrix", *moved) == 0
 
 
 def test_cli_out_dir_env_and_flag_precedence(tiny_config, tmp_path, monkeypatch, capsys):
@@ -743,6 +765,7 @@ def test_cli_distill_builds_only_its_pair(tiny_config, tmp_path, monkeypatch, ca
     loads = _counting(monkeypatch, cli, "load_model")
     splits = _counting(monkeypatch, orchestrate, "split_train_val")
     pair = ("--teacher", "2", "--student", "0")
+    cli._scenario_from.cache_clear()  # count the splits of a fresh process
     assert _run("distill", *base, *pair) == 0
     assert sorted(path.name for path in loads) == ["participant_00.kdsm", "participant_02.kdsm"]
     assert len(splits) == 1
@@ -791,6 +814,7 @@ def test_cli_stages_that_use_every_participant_split_or_read_every_shard(
     splits = _counting(monkeypatch, orchestrate, "split_train_val")
     for cmd in ("pretrain", "matrix"):
         splits.clear()
+        cli._scenario_from.cache_clear()  # count the splits of a fresh process
         assert _run(cmd, *base) == 0
         assert len(splits) == 3, cmd
     assert _run("consolidate", *base) == 0
@@ -1060,3 +1084,128 @@ def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert main(argv) == 0, argv
     assert Path("runs/demo/results.csv").exists()
+
+
+# -- reuse within one process -------------------------------------------------
+
+
+def _pretrained_run(tiny_config, tmp_path):
+    out = tmp_path / "run"
+    base = ("--config", str(tiny_config), "--out-dir", str(out))
+    for cmd in ("partition", "pretrain"):
+        assert _run(cmd, *base) == 0
+    return out, base
+
+
+def test_cli_draws_each_split_once_per_process(tiny_config, tmp_path, monkeypatch, capsys):
+    import kdsim.cli as cli
+    import kdsim.orchestrate as orchestrate
+
+    out = tmp_path / "run"
+    base = ("--config", str(tiny_config), "--out-dir", str(out))
+    assert _run("partition", *base) == 0
+    splits = _counting(monkeypatch, orchestrate, "split_train_val")
+    assert _run("pretrain", *base) == 0
+    assert len(splits) == 3
+    for cmd in (("distill", "--teacher", "1", "--student", "0"), ("matrix",)):
+        assert _run(*cmd, *base) == 0
+    assert len(splits) == 3
+    cfg = parse_config(tiny_config, {"out_dir": str(out)})
+    assert cli._scenario(RunDir(out, cfg)) is cli._scenario(RunDir(out, cfg))
+
+
+def test_cli_parses_a_rewritten_pool_again(tiny_config, tmp_path, capsys):
+    import kdsim.cli as cli
+
+    out, base = _pretrained_run(tiny_config, tmp_path)
+    cfg = parse_config(tiny_config, {"out_dir": str(out)})
+    assert len(cli._scenario(RunDir(out, cfg)).pool_indices) == 45
+    bigger = _config_with(tmp_path, "bigger.yaml", pool={"size": 90})
+    assert _run("partition", "--config", str(bigger), "--out-dir", str(out)) == 0
+    with pytest.raises(ConfigError, match="holds 90 samples"):
+        cli._scenario(RunDir(out, cfg))
+    scenario = cli._scenario(RunDir(out, cfg, force=True))
+    assert scenario.pool_indices.tolist() == read_json(out / "pool.json")["pool_indices"]
+    assert len(scenario.pool_indices) == 90
+    assert _run("distill", *base, "--teacher", "0", "--student", "1", "--force") == 0
+
+
+def test_a_rewritten_model_file_is_parsed_again(tmp_path):
+    arch = ArchSpec(input_dim=3, hidden_layers=(4,), num_classes=2)
+    path = tmp_path / "m.kdsm"
+    first, second = init_model(arch, 1), init_model(arch, 2)
+    save_model(path, first, "ab12cd34")
+    assert models_equal(load_model(path, "ab12cd34"), first)
+    assert load_model(path) is load_model(path, "ab12cd34")
+    save_model(path, second, "ab12cd34")
+    assert models_equal(load_model(path, "ab12cd34"), second)
+    with pytest.raises(ConfigError, match="fingerprint"):
+        load_model(path, "dead0002")
+
+
+def _assert_read_only(*arrays):
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_shared_scenario_models_and_reports_are_read_only(tiny_config, tmp_path, capsys):
+    import kdsim.cli as cli
+
+    out, _ = _pretrained_run(tiny_config, tmp_path)
+    run = RunDir(out, parse_config(tiny_config, {"out_dir": str(out)}))
+    scenario = cli._scenario(run)
+    part = scenario.participants[0]
+    _assert_read_only(
+        scenario.test.features, scenario.test.labels,
+        scenario.public_pool.features, scenario.public_pool.labels,
+        scenario.pool_indices, scenario.remainder_indices,
+        scenario.participant_indices[0], scenario.partition.participants[0],
+        part.shard.features, part.shard.labels,
+        part.train.features, part.train.labels, part.val.features, part.val.labels,
+    )
+    model, report = cli._load_pretrained(run, scenario.k, (1,))[1]
+    _assert_read_only(
+        model.params, model.weights[0], model.biases[0],
+        report.per_class_accuracy, report.per_class_support,
+    )
+
+
+# every kind of request a driver may send, one repeated
+_REQUESTS = [
+    ("distill", "--teacher", "0", "--student", "1"),
+    ("distill", "--teacher", "1", "--student", "2", "--method", "dml"),
+    ("distill", "--teacher", "2", "--student", "0", "--method", "dpkd"),
+    ("distill", "--teacher", "0", "--student", "2", "--method", "tuned"),
+    ("distill", "--teacher", "1", "--student", "0", "--transfer-option", "public_labeled"),
+    ("distill", "--teacher", "2", "--student", "1", "--method", "dpkd",
+     "--transfer-option", "public_labeled"),
+    ("grid", "--teacher", "0", "--student", "1"),
+    ("grid", "--teacher", "2", "--student", "0", "--transfer-option", "public_labeled"),
+    ("distill", "--teacher", "0", "--student", "1"),
+]
+
+
+def test_requests_in_one_process_match_a_fresh_process_each(tiny_config, tmp_path, capsys):
+    import shutil
+    import subprocess
+    import sys
+
+    shared, base = _pretrained_run(tiny_config, tmp_path)
+    fresh = tmp_path / "fresh"
+    shutil.copytree(shared, fresh)
+    src = Path(__file__).resolve().parents[1] / "src"
+    for request in _REQUESTS:
+        assert _run(*request, *base) == 0
+        subprocess.run(
+            [sys.executable, "-m", "kdsim", *request,
+             "--config", str(tiny_config), "--out-dir", str(fresh)],
+            check=True, capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    written = files(shared)
+    assert len(written) == len(files(fresh)) == 4 + 3 + 6 + 2
+    assert written == files(fresh)
