@@ -1,10 +1,19 @@
 # Artifact digests of one perfbench run, for comparing runs or commits.
-# Source this file, then call: digests DIR WORKLOAD SEED
+# Source this file, then call: digests DIR WORKLOAD SEED [RSS_FILE]
 # matrix, grid and federate print their combined SHA-256. requests prints
 # its per-file digests as JSON without manifest.json, which depends on the
-# repetition count, and fails if no other file is left.
+# repetition count, and fails if no other file is left. Given RSS_FILE,
+# the run's peak_rss_mb and its repetition count are written there, on
+# one line.
 digests() {
-  line=$(cd "$1" && python3 perfbench/run.py --workload "$2" --seed "$3" --seconds 1 --trace 0 | grep '^artifacts sha256=')
+  report=$(cd "$1" && python3 perfbench/run.py --workload "$2" --seed "$3" --seconds 1 --trace 0)
+  if [ -n "$4" ]; then
+    echo "$report" | awk '
+      /^metric peak_rss_mb = / { rss = $4 }
+      /^metric wall_s = / { sub(/.*median of /, ""); reps = $1 }
+      END { print rss, reps }' > "$4"
+  fi
+  line=$(echo "$report" | grep '^artifacts sha256=')
   if [ "$2" = requests ]; then
     echo "$line" | cut -d' ' -f3- \
       | python3 -c 'import json, sys; d = json.load(sys.stdin); d.pop("manifest.json"); assert d; print(json.dumps(d, sort_keys=True))'

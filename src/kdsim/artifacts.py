@@ -160,6 +160,17 @@ def read_json(path: str | Path):
     return parse_json(path, read_bytes(path))
 
 
+@contextmanager
+def decoding(path: str | Path):
+    """Report what a decoder of the JSON value read from `path` meets in a
+    value of the wrong layout (a missing key, a list for a mapping, text
+    for a number) as a ParseError naming `path`."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: unexpected layout ({type(exc).__name__}: {exc})") from None
+
+
 # -- model binary format ----------------------------------------------------
 
 
@@ -268,12 +279,23 @@ def empty_manifest(cfg: RunConfig) -> dict:
 
 
 def load_manifest(out_dir: str | Path) -> dict | None:
+    """The run manifest, or None if there is none. One whose layout is
+    not a manifest's, down to each stage's fingerprint and artifact
+    paths, raises ParseError naming it."""
     path = Path(out_dir) / MANIFEST_NAME
     if not path.exists():
         return None
     manifest = read_json(path)
-    if not isinstance(manifest, dict) or "stages" not in manifest:
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
         raise ParseError(f"{path}: not a run manifest")
+    for stage, entry in manifest["stages"].items():
+        if not isinstance(entry, dict) or not isinstance(entry.get("fingerprint"), str):
+            raise ParseError(f"{path}: stage {stage!r} has no fingerprint")
+        artifacts = entry.get("artifacts")
+        if not isinstance(artifacts, dict) or not all(
+            isinstance(rel, str) for rel in artifacts.values()
+        ):
+            raise ParseError(f"{path}: stage {stage!r} does not map its artifacts to paths")
     return manifest
 
 

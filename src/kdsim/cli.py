@@ -38,9 +38,12 @@ import sys
 from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .artifacts import (
     RunDir,
+    decoding,
     load_model,
     parse_json,
     read_bytes,
@@ -229,15 +232,20 @@ def _scenario_from(
     is read-only, the splits drawn on first use included, and those splits
     are kept with the Scenario."""
     read_only(test.features, test.labels)
-    partition = PartitionPlan.from_json_dict(parse_json(*plan))
+    payload = parse_json(*plan)
+    with decoding(plan[0]):
+        partition = PartitionPlan.from_json_dict(payload)
     read_only(*partition.participants)
-    indices = parse_json(*pool)
+    payload = parse_json(*pool)
+    with decoding(pool[0]):
+        pool_indices = np.array(payload["pool_indices"], dtype=np.int64)
+        remainder_indices = np.array(payload["remainder_indices"], dtype=np.int64)
     return scenario_from_plan(
         train,
         test,
         partition,
-        indices["pool_indices"],
-        indices["remainder_indices"],
+        pool_indices,
+        remainder_indices,
         val_fraction,
         seed,
         label=label,
@@ -280,13 +288,16 @@ def _load_pretrained(
 def _pretrain_reports(evals: tuple[Path, bytes]) -> tuple[EvalReport, ...]:
     """The read-only reports the (path, bytes) of `pretrain_evals.json`
     hold, after a schema check."""
-    payload = parse_json(*evals)
-    if payload.get("schema_version") != PRETRAIN_EVALS_SCHEMA_VERSION:
-        raise DataError(
-            f"unsupported pretrain evaluations schema {payload.get('schema_version')!r}; "
-            f"rerun `kdsim pretrain`"
-        )
-    reports = tuple(EvalReport.from_dict(item) for item in payload["reports"])
+    path, blob = evals
+    payload = parse_json(path, blob)
+    with decoding(path):
+        version = payload.get("schema_version")
+        if version != PRETRAIN_EVALS_SCHEMA_VERSION:
+            raise DataError(
+                f"{path}: unsupported pretrain evaluations schema {version!r}; "
+                f"rerun `kdsim pretrain`"
+            )
+        reports = tuple(EvalReport.from_dict(item) for item in payload["reports"])
     for rep in reports:
         read_only(rep.per_class_accuracy, rep.per_class_support)
     return reports

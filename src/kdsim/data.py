@@ -609,20 +609,19 @@ def build_transfer_set(
     pool: PoolSpec,
     seed: int,
 ) -> TransferSet:
-    """Materialize one transfer option.
+    """Materialize one transfer option. The set's arrays are read-only.
 
     Public options sample `pool.draws(option)` rows without replacement
     from the reserved pool (labels kept only for public_labeled);
-    student_data passes the student's own training samples through.
+    student_data passes the student's own training samples through as
+    views, without a copy.
     """
     if option == "student_data":
         if student_data is None or len(student_data) == 0:
             raise ConfigError("student_data transfer option needs the student's dataset")
-        return TransferSet(
-            features=student_data.features.copy(),
-            labels=student_data.labels.copy(),
-            origin="student_data",
-        )
+        features, labels = student_data.features.view(), student_data.labels.view()
+        read_only(features, labels)
+        return TransferSet(features=features, labels=labels, origin="student_data")
     if option not in PUBLIC_TRANSFER_OPTIONS:
         raise ConfigError(
             f"unknown transfer option {option!r}; choose one of {TRANSFER_OPTIONS}"
@@ -635,6 +634,10 @@ def build_transfer_set(
         )
     rng = rng_for(seed, "transfer", option)
     pick = rng.choice(len(public_pool), size=wanted, replace=False)
-    features = public_pool.features[pick].copy()
-    labels = public_pool.labels[pick].copy() if option == "public_labeled" else None
+    features = public_pool.features[pick]
+    read_only(features)
+    labels = None
+    if option == "public_labeled":
+        labels = public_pool.labels[pick]
+        read_only(labels)
     return TransferSet(features=features, labels=labels, origin=option)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_write, read_json, write_json
+from .artifacts import atomic_write, decoding, read_json, write_json
 from .errors import ConfigError, DataError
 from .fed import FedTrajectory
 from .nn import EvalReport
@@ -306,30 +306,30 @@ def emit_report(
 
 def parse_results_json(path: str | Path) -> list[PairResult]:
     payload = read_json(path)
-    if payload.get("schema_version") != RESULTS_SCHEMA_VERSION:
-        raise DataError(
-            f"unsupported results schema {payload.get('schema_version')!r}"
-        )
-    return [PairResult.from_json_dict(item) for item in payload["results"]]
+    with decoding(path):
+        version = payload.get("schema_version")
+        if version != RESULTS_SCHEMA_VERSION:
+            raise DataError(f"{path}: unsupported results schema {version!r}")
+        return [PairResult.from_json_dict(item) for item in payload["results"]]
 
 
 def parse_trajectories_json(path: str | Path) -> list[FedTrajectory]:
     payload = read_json(path)
-    if payload.get("schema_version") != RESULTS_SCHEMA_VERSION:
-        raise DataError(
-            f"unsupported trajectories schema {payload.get('schema_version')!r}"
-        )
-    return [
-        FedTrajectory(
-            init_tag=item["init_tag"],
-            init_accuracy=float(item["init_accuracy"]),
-            accuracies=[float(a) for a in item["accuracies"]],
-            participants_per_round=[
-                [int(c) for c in row] for row in item["participants_per_round"]
-            ],
-        )
-        for item in payload["trajectories"]
-    ]
+    with decoding(path):
+        version = payload.get("schema_version")
+        if version != RESULTS_SCHEMA_VERSION:
+            raise DataError(f"{path}: unsupported trajectories schema {version!r}")
+        return [
+            FedTrajectory(
+                init_tag=item["init_tag"],
+                init_accuracy=float(item["init_accuracy"]),
+                accuracies=[float(a) for a in item["accuracies"]],
+                participants_per_round=[
+                    [int(c) for c in row] for row in item["participants_per_round"]
+                ],
+            )
+            for item in payload["trajectories"]
+        ]
 
 
 def reconciliation_residual(result: PairResult) -> float:

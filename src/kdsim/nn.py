@@ -951,7 +951,8 @@ def train_supervised_cells(
     features = Ragged.of([trains[i].features for i in live])
     hard = Ragged.of([onehot(trains[i].labels, arch.num_classes) for i in live])
     best = [m.params.copy() for m in models]
-    best_acc = [evaluate(m, val).overall_accuracy for m, val in zip(models, vals)]
+    # `evaluate`'s overall accuracy, without its per-class report
+    best_acc = [float(_hits(m, val).sum() / len(val)) for m, val in zip(models, vals)]
     stale = [0] * len(models)
     for epoch in range(1, cfg.max_epochs + 1):
         train_epoch(
@@ -961,7 +962,7 @@ def train_supervised_cells(
         keep = []
         for j, i in enumerate(live):
             row, _ = opt.cell_views(work, j, j + 1)
-            acc = evaluate(row, vals[i]).overall_accuracy
+            acc = float(_hits(row, vals[i]).sum() / len(vals[i]))
             if acc > best_acc[i]:
                 best_acc[i] = acc
                 best[i] = work.params[j].copy()

@@ -46,7 +46,6 @@ trained as a stack.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -453,9 +452,9 @@ def transfer_set_for(
     pool: PoolSpec,
     master_seed: int,
 ) -> TransferSet:
-    """One transfer option's set for one student: a copy of the student's
-    own training data for student_data, otherwise the public-pool draw
-    every student shares (`student_id` is then unused)."""
+    """One transfer option's set for one student: read-only views of the
+    student's own training split for student_data, otherwise the
+    public-pool draw every student shares (`student_id` is then unused)."""
     if option == "student_data":
         train = scenario.participants[student_id].train
         return build_transfer_set(option, None, train, pool, 0)
@@ -621,10 +620,17 @@ def run_pairwise_matrix(
     for m in methods:
         if m not in MATRIX_METHODS:
             raise ConfigError(f"unknown method {m!r}; choose one of {MATRIX_METHODS}")
+    # one set per public option, which every student draws, and one per
+    # student on student_data, which all of that student's cells share
     public = {
         option: transfer_set_for(scenario, option, None, pool, master_seed)
         for option in transfer_options
         if option != "student_data"
+    }
+    own = {
+        student_id: transfer_set_for(scenario, "student_data", student_id, pool, master_seed)
+        for student_id in sorted({s for _, s in pairs})
+        if "student_data" in transfer_options
     }
     cells = [
         PairCell(
@@ -638,11 +644,7 @@ def run_pairwise_matrix(
             student=pretrained[student_id][0],
             student_eval=pretrained[student_id][1],
             student_val=scenario.participants[student_id].val,
-            transfer=(
-                public[option]
-                if option in public
-                else transfer_set_for(scenario, option, student_id, pool, master_seed)
-            ),
+            transfer=public[option] if option in public else own[student_id],
             test=scenario.test,
             cfg=cfg,
             grid=grid,
@@ -667,6 +669,9 @@ def run_pairwise_matrix(
         else:
             groups += _balanced(sorted(block, key=lambda c: c.student_id), STACK_CELLS)
     if jobs > 1:
+        # imported here: a run at jobs = 1 never loads the worker pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(_run_group, groups))
     else:

@@ -2,6 +2,9 @@
 
 import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1046,6 +1049,93 @@ def test_cli_missing_model_fails_the_stages_that_read_it(tiny_config, tmp_path, 
     assert _run("distill", *base, "--teacher", "1", "--student", "0") == 2
 
 
+def _pop(payload, *keys):
+    """`payload` without the entry at the end of the path `keys`."""
+    *path, last = keys
+    target = payload
+    for key in path:
+        target = target[key]
+    del target[last]
+    return payload
+
+
+def _put(payload, value, *keys):
+    """`payload` with `value` at the end of the path `keys`."""
+    *path, last = keys
+    target = payload
+    for key in path:
+        target = target[key]
+    target[last] = value
+    return payload
+
+
+_MALFORMED = [
+    pytest.param(
+        ("partition",), "manifest.json", lambda m: _put(m, ["partition"], "stages"),
+        "pretrain", id="stages-a-list",
+    ),
+    pytest.param(
+        ("partition",), "manifest.json",
+        lambda m: _pop(m, "stages", "partition", "fingerprint"),
+        "pretrain", id="entry-without-fingerprint",
+    ),
+    pytest.param(
+        ("partition",), "manifest.json",
+        lambda m: _put(m, ["plan.json", "pool.json"], "stages", "partition", "artifacts"),
+        "pretrain", id="artifacts-a-list",
+    ),
+    pytest.param(
+        ("partition",), "pool.json", lambda p: _pop(p, "remainder_indices"),
+        "pretrain", id="pool-without-remainder",
+    ),
+    pytest.param(
+        ("partition",), "plan.json", lambda p: p["participants"], "pretrain", id="plan-a-list",
+    ),
+    pytest.param(
+        ("partition", "pretrain"), "pretrain_evals.json",
+        lambda e: _pop(e, "reports", 0, "per_class_accuracy"),
+        "matrix", id="report-without-per-class-accuracy",
+    ),
+    pytest.param(
+        ("partition", "pretrain", "matrix"), "results.json", lambda r: r["results"],
+        "report", id="results-a-list",
+    ),
+    pytest.param(
+        ("partition", "pretrain", "matrix", "consolidate", "fedavg"), "trajectories.json",
+        lambda t: _pop(t, "trajectories", 0, "accuracies"),
+        "report", id="trajectory-without-accuracies",
+    ),
+]
+
+
+@pytest.mark.parametrize("stages, name, edit, command", _MALFORMED)
+def test_cli_malformed_artifact_fails_the_stage_naming_the_file(
+    tiny_config, tmp_path, capsys, stages, name, edit, command
+):
+    out = tmp_path / "run"
+    base = ("--config", str(tiny_config), "--out-dir", str(out))
+    for cmd in stages:
+        assert _run(cmd, *base) == 0
+    path = out / name
+    write_json(path, edit(read_json(path)))
+    capsys.readouterr()
+    assert _run(command, *base) == 2
+    assert capsys.readouterr().err.startswith(f"kdsim: {path}: ")
+
+
+def test_importing_the_cli_loads_no_worker_pool():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, kdsim.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        check=True, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout == "[]\n"
+
+
 def test_integer_grid_values_write_the_bytes_of_their_float_spelling(tmp_path, capsys):
     methods = {"methods": ["vanilla", "tuned"], "transfer_options": ["student_data"]}
     written = []
@@ -1187,10 +1277,6 @@ _REQUESTS = [
 
 
 def test_requests_in_one_process_match_a_fresh_process_each(tiny_config, tmp_path, capsys):
-    import shutil
-    import subprocess
-    import sys
-
     shared, base = _pretrained_run(tiny_config, tmp_path)
     fresh = tmp_path / "fresh"
     shutil.copytree(shared, fresh)

@@ -428,6 +428,11 @@ def test_student_data_passes_through(rng):
     assert ts.labeled
     assert np.array_equal(ts.features, data.features)
     assert np.array_equal(ts.labels, data.labels)
+    # read-only views, not copies; the dataset's own arrays stay writeable
+    assert np.shares_memory(ts.features, data.features)
+    assert np.shares_memory(ts.labels, data.labels)
+    assert not ts.features.flags.writeable and not ts.labels.flags.writeable
+    assert data.features.flags.writeable and data.labels.flags.writeable
 
 
 def test_public_options_sample_from_pool(rng):
@@ -442,6 +447,8 @@ def test_public_options_sample_from_pool(rng):
         assert len(ts) == expect
         assert ts.labeled == (option == "public_labeled")
         assert {tuple(r) for r in ts.features} <= pool_rows
+        assert not ts.features.flags.writeable
+        assert not ts.labeled or not ts.labels.flags.writeable
         again = build_transfer_set(option, pool, None, SIZES, 5)
         assert np.array_equal(ts.features, again.features)
 

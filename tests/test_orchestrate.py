@@ -217,6 +217,33 @@ def test_matrix_matches_one_pair_runs(pretrained, scenario, jobs, monkeypatch):
     ]
 
 
+def test_student_data_is_a_read_only_view_of_the_students_split(scenario):
+    ts = orchestrate.transfer_set_for(scenario, "student_data", 1, SIZES, 3)
+    train = scenario.participants[1].train
+    assert np.shares_memory(ts.features, train.features)
+    assert np.shares_memory(ts.labels, train.labels)
+    assert not ts.features.flags.writeable and not ts.labels.flags.writeable
+
+
+def test_a_students_cells_share_one_transfer_set(pretrained, scenario, monkeypatch):
+    groups = []
+    run_group = orchestrate._run_group
+    monkeypatch.setattr(
+        orchestrate, "_run_group", lambda cells: groups.append(cells) or run_group(cells)
+    )
+    methods = ["vanilla", "dpkd"]
+    options = ["student_data", "public_labeled"]
+    run_pairwise_matrix(pretrained, scenario, methods, options, QUICK, None, SIZES, 8)
+    cells = [cell for group in groups for cell in group]
+    k = scenario.k
+    for student in range(k):
+        sets = [c.transfer for c in cells if c.student_id == student and c.option == "student_data"]
+        assert len(sets) == len(methods) * (k - 1)
+        assert all(ts is sets[0] for ts in sets)
+        assert np.shares_memory(sets[0].features, scenario.participants[student].train.features)
+    assert len({id(c.transfer) for c in cells if c.option == "public_labeled"}) == 1
+
+
 def test_balanced_split_is_even_and_keeps_order():
     for n, most, lengths in [
         (5, 16, [5]), (16, 16, [16]), (17, 16, [9, 8]), (30, 16, [15, 15]),
