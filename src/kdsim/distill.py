@@ -28,7 +28,9 @@ Runs on one transfer set that differ only in start model, teachers,
 alpha and seed are cells: `distill_vanilla_benches` (one teacher bench
 per cell), `distill_dpkd_cells` and `distill_dml_cells` train them as
 one stack of models (see `nn`), each cell with its own generators, and
-every cell comes out bit-identical to its own one-cell run. Work the
+every cell comes out bit-identical to its own one-cell run. A stack
+trains under one optimizer, built from the run's `DistillConfig`
+(`nn.make_optimizer`), which owns the stack it steps. Work the
 cells share is done once: each distinct model's soft targets, the
 frozen self of each distinct student, and DPKD's snapshot probabilities
 of each distinct student. `distill_vanilla`, `distill_dpkd` and
@@ -106,10 +108,6 @@ class DistillConfig:
         return found
 
 
-def _student_optimizer(cfg: DistillConfig, model: Model):
-    return make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, model)
-
-
 def _check_transfer(model: Model, transfer: TransferSet) -> None:
     if len(transfer) == 0:
         raise DataError("transfer set is empty")
@@ -164,8 +162,8 @@ def _distill(
     one block per cell, (S, n, C). With hard targets each cell weighs the
     CE and KL terms (1 - alpha, alpha); without them the KL term trains
     alone."""
-    work = _stack(students)
-    opt = _student_optimizer(cfg, work)
+    opt = make_optimizer(cfg, _stack(students))
+    work = opt.model
     if soft.ndim == 3:
         soft = _per_cell(work, soft)
     weights = {}
@@ -176,7 +174,7 @@ def _distill(
         )
     for epoch in range(1, cfg.epochs + 1):
         train_epoch(
-            work, opt, transfer.features, cfg.batch_size,
+            opt, transfer.features, cfg.batch_size,
             _per_cell(work, [rng_for(seed, "epoch", epoch) for seed in seeds]),
             hard=hard, soft=soft, weight=weight, temperature=cfg.temperature, **weights,
         )
@@ -342,17 +340,16 @@ def distill_dml_cells(
             stacklevel=2,
         )
     sets = [transfer_a, transfer_b]
-    work = [_stack(peers_a), _stack(peers_b)]
-    opts = [_student_optimizer(cfg, w) for w in work]
-    hard = [_hard_target(w, t) for w, t in zip(work, sets)]
+    opts = [make_optimizer(cfg, _stack(peers)) for peers in (peers_a, peers_b)]
+    hard = [_hard_target(opt.model, t) for opt, t in zip(opts, sets)]
     steps = -(-min(map(len, sets)) // cfg.batch_size)  # the shorter batch schedule
     for epoch in range(1, cfg.epochs + 1):
         # each peer's target is the other's current prediction
         passes = [
             train_steps(
-                work[me], opts[me], sets[me].features, cfg.batch_size,
-                _per_cell(work[me], [rng_for(s, peer, epoch) for s in seeds]),
-                hard=hard[me], soft=work[1 - me],
+                opts[me], sets[me].features, cfg.batch_size,
+                _per_cell(opts[me].model, [rng_for(s, peer, epoch) for s in seeds]),
+                hard=hard[me], soft=opts[1 - me].model,
             )
             for me, peer in enumerate(("peer-a", "peer-b"))
         ]
@@ -360,9 +357,9 @@ def distill_dml_cells(
         # before zip could step A once more past B's last minibatch
         for _ in islice(zip(*passes), steps):
             pass
-        for w in work:
-            check_finite(w, "after a mutual-learning pass")
-    return _unstack(work[0], peers_a), _unstack(work[1], peers_b)
+        for opt in opts:
+            check_finite(opt.model, "after a mutual-learning pass")
+    return _unstack(opts[0].model, peers_a), _unstack(opts[1].model, peers_b)
 
 
 # --------------------------------------------------------------------------

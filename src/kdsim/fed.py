@@ -13,9 +13,10 @@ What the arms share is drawn once: each round's participants, each
 participant's local-epoch row orders (`client_round`) and, once per
 federation, each shard's one-hot targets. Every arm's clients then train
 on those same draws, so an arm's trajectory is bit-identical to a
-federation run alone from its initial model. Each arm builds its client
-model and optimizer once (`ClientWork`) and resets them for every local
-update.
+federation run alone from its initial model. Each arm builds one client
+optimizer from the `FedConfig` (`nn.make_optimizer`), which owns the
+client model it steps; every local update resets it to the global model
+and a new optimizer's state.
 
 `FedConfig` is both the library's federation recipe and the run
 configuration's `fed` section; its rules live in `FedConfig.problems()`
@@ -160,22 +161,6 @@ def client_round(
     return ClientRound(targets, orders)
 
 
-class ClientWork(NamedTuple):
-    """A client model and its optimizer, which `local_update` resets to
-    the global parameters and a new optimizer's state before it trains."""
-
-    model: Model
-    opt: _Optimizer
-
-    @classmethod
-    def like(cls, model: Model, cfg: FedConfig) -> "ClientWork":
-        work = model.copy()
-        return cls(
-            work,
-            make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work),
-        )
-
-
 def local_update(
     global_model: Model,
     shard: LabeledDataset,
@@ -184,15 +169,16 @@ def local_update(
     client_id: int,
     fed_seed: int,
     draws: ClientRound | None = None,
-    work: ClientWork | None = None,
+    opt: _Optimizer | None = None,
 ) -> Model:
     """One client's local training for a round, from the global model.
 
     `draws` are the client's draws for this round (`client_round`), made
     here when not given; a federation passes the same draws to every arm.
-    With `work` the client trains in its model, after a reset, and that
-    model is returned, to be overwritten by the next update; without it
-    a new model and optimizer are built.
+    With `opt` the client trains in the model that optimizer steps, after
+    `opt.reset` copies the global model in, and that model is returned, to
+    be overwritten by the next update; without it a new model and
+    optimizer are built.
     """
     if len(shard) == 0:
         raise DataError(f"client {client_id} has an empty shard")
@@ -200,14 +186,13 @@ def local_update(
         draws = client_round(
             shard, global_model.arch.num_classes, cfg, round_index, client_id, fed_seed
         )
-    if work is None:
-        work = ClientWork.like(global_model, cfg)
+    if opt is None:
+        opt = make_optimizer(cfg, global_model.copy())
     else:
-        np.copyto(work.model.params, global_model.params)
-        work.opt.reset()
+        opt.reset(global_model.params)
     for order in draws.orders:
-        train_epoch(work.model, work.opt, shard.features, cfg.batch_size, order, hard=draws.targets)
-    return work.model
+        train_epoch(opt, shard.features, cfg.batch_size, order, hard=draws.targets)
+    return opt.model
 
 
 def _round_participants(
@@ -234,7 +219,7 @@ def run_federated(
     The arms advance round by round side by side. A round's participants
     and each participant's draws (`client_round`) are made once and
     serve every arm; each shard's one-hot targets are built once, and
-    each arm's client model and optimizer (`ClientWork`) once.
+    each arm's client optimizer, with the client model it steps, once.
     """
     if not inits or len(inits) != len(tags):
         raise ConfigError(
@@ -254,7 +239,7 @@ def run_federated(
         for init, tag in zip(inits, tags)
     ]
     models = [init.copy() for init in inits]
-    works = [ClientWork.like(init, cfg) for init in inits]
+    opts = [make_optimizer(cfg, init.copy()) for init in inits]
     targets: dict[int, np.ndarray] = {}
     for round_index in range(1, cfg.rounds + 1):
         participants = _round_participants(
@@ -271,7 +256,7 @@ def run_federated(
         for arm, traj in enumerate(trajs):
             updates = [
                 local_update(
-                    models[arm], shards[c], cfg, round_index, c, fed_seed, draw, works[arm]
+                    models[arm], shards[c], cfg, round_index, c, fed_seed, draw, opts[arm]
                 ).copy()
                 for c, draw in zip(participants, draws)
             ]

@@ -31,12 +31,15 @@ a prefix of the stack, and each run of them with the same batch size
 steps as one sub-stack of row views (a run of one as a plain model).
 Nothing is padded, so every cell still sees its own run's arithmetic.
 The optimizer keeps one Adam step count per cell once the cells step
-apart, and can step a row range; `select_cells` keeps chosen cells of a
-stack together with their optimizer state, which is how early-stopped
-cells leave a stack.
+apart, and can step a row range; `_Optimizer.select` narrows its stack
+to chosen cells together with their optimizer state, which is how
+early-stopped cells leave a stack.
 
-All training runs through one minibatch loop, `train_steps`, which makes
-one optimizer step per `next()`; `train_epoch` runs a whole pass of it.
+An optimizer is built from a training recipe (`make_optimizer`) and
+owns the model or stack it steps, so the trainer takes the optimizer
+alone. All training runs through one minibatch loop, `train_steps`,
+which makes one optimizer step per `next()`; `train_epoch` runs a whole
+pass of it.
 Supervised pre-training (early-stopped on validation accuracy;
 `train_supervised` for one model, `train_supervised_cells` for every
 participant in one ragged stack) and FedAvg local updates pass hard
@@ -383,7 +386,8 @@ def kl_loss(student_probs: np.ndarray, target_probs: np.ndarray) -> float:
 
 
 class _Optimizer:
-    """Adam or momentum-SGD with decoupled weight decay on `Model.params`.
+    """Adam or momentum-SGD with decoupled weight decay on the parameters
+    of `model`, the model or stack it steps.
 
     Decay applies to the weight entries only, never the biases after
     them, and uses the pre-update parameter value (decay is not folded
@@ -393,62 +397,66 @@ class _Optimizer:
     a step has covered only some rows. `grad` is a gradient
     buffer in the same layout, with per-array views `grad_views` for
     `backprop_params`; the step updates in place through scratch buffers.
-    A step may cover a contiguous row range of a stack, and
-    `select_cells` keeps chosen rows of a stack and of all this state.
-    The views a step works on, decay prefixes included, are built once
-    per stack and row range; `reset` returns to a fresh optimizer's
-    state for another run on the same stack.
+    A step may cover a contiguous row range of the stack, and `select`
+    narrows the stack, and all this state, to chosen rows. The views a
+    step works on, decay prefixes included, are built once per stack and
+    row range; `reset` copies other parameters in and returns to a fresh
+    optimizer's state for another run on the same stack.
     """
 
-    def __init__(
-        self, name: str, learning_rate: float, weight_decay: float, momentum: float, model: Model
-    ) -> None:
-        if name not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {name!r}; choose one of {OPTIMIZERS}")
-        self.name = name
-        self.lr = learning_rate
-        self.wd = weight_decay
-        self.momentum = momentum
-        self.n_decay = model.n_weight_entries
+    def __init__(self, recipe, model: Model) -> None:
+        self.name = recipe.optimizer
+        if self.name not in OPTIMIZERS:
+            raise ConfigError(f"unknown optimizer {self.name!r}; choose one of {OPTIMIZERS}")
+        self.wd = recipe.weight_decay
         # every scalar of the step as a 0-d operand (see `_operand`); the
         # bias corrections are refilled each step
-        self._lr = _operand(learning_rate)
-        self._momentum = _operand(momentum)
-        self._decay_rate = _operand(learning_rate * weight_decay)
+        self._lr = _operand(recipe.learning_rate)
+        self._momentum = _operand(recipe.momentum)
+        self._decay_rate = _operand(recipe.learning_rate * recipe.weight_decay)
         self._bias = np.zeros(()), np.zeros(())
         self.t: int | list[int] = 0
         self.m = np.zeros_like(model.params)  # Adam's first moment, SGD's velocity
         self.v = np.zeros_like(model.params)
-        self._buffers(model)
+        self._bind(model)
 
-    def _buffers(self, model: Model) -> None:
-        """The gradient buffer, its views, the scratch buffers and the
-        `cell_views` and step-view caches, for the stack `model`."""
+    def _bind(self, model: Model) -> None:
+        """Step `model` from now on: the gradient buffer, its views, the
+        scratch buffers and empty `cell_views` and step-view caches."""
+        self.model = model
         self.grad = np.zeros_like(model.params)
         self.grad_views = model.arch.param_views(self.grad)
         self._update = np.empty_like(model.params)
         self._scratch = np.empty_like(model.params)
         self._cells: dict[tuple[int, int], tuple] = {}
-        self._cells_of = model.params
         self._steps: dict[tuple[int, int] | None, tuple] = {}
 
-    def reset(self) -> None:
-        """Zero the moments and the step count, as in a new optimizer."""
+    def reset(self, params: np.ndarray) -> None:
+        """Copy `params` into the stack and zero the moments and the step
+        count, as in a new optimizer."""
+        np.copyto(self.model.params, params)
         self.m.fill(0.0)
         self.v.fill(0.0)
         self.t = 0
 
-    def _follow(self, params: np.ndarray) -> None:
-        """Start the view caches over for another stack, `params`."""
-        self._cells, self._steps, self._cells_of = {}, {}, params
+    def select(self, rows: list[int]) -> Model:
+        """Narrow the stack to the given cells, in the given order, keeping
+        the same rows of the moments and step counts, and return it.
+        Training then resumes bit for bit as if the other cells had never
+        been there."""
+        keep = np.asarray(rows, dtype=np.int64)
+        if isinstance(self.t, list):
+            self.t = [self.t[i] for i in rows]
+        self.m, self.v = self.m[keep], self.v[keep]
+        stack = self.model
+        self._bind(Model.from_params(stack.arch, stack.params[keep], stack.seed))
+        return self.model
 
-    def cell_views(self, stack: Model, lo: int, hi: int) -> tuple[Model, tuple]:
-        """Rows lo:hi of `stack`, the stack this optimizer steps, and the
-        same rows' gradient views; one row is a plain model. Each range's
-        views are built once per stack."""
-        if stack.params is not self._cells_of:
-            self._follow(stack.params)
+    def cell_views(self, lo: int, hi: int) -> tuple[Model, tuple]:
+        """Rows lo:hi of the stack and the same rows' gradient views; one
+        row is a plain model. Each range's views are built once."""
         if (lo, hi) not in self._cells:
+            stack = self.model
             rows = lo if hi - lo == 1 else slice(lo, hi)
             self._cells[lo, hi] = (
                 Model.from_params(stack.arch, stack.params[rows], stack.seed),
@@ -456,17 +464,14 @@ class _Optimizer:
             )
         return self._cells[lo, hi]
 
-    def step(self, params: np.ndarray, rows: slice | None = None) -> None:
-        """Update `params`, the stack this optimizer steps, in place from
-        the gradient buffer `grad`. With `rows`, a contiguous range of a
-        stack's cells, only those rows of the parameters, gradients and
-        state take part."""
-        if params is not self._cells_of:
-            self._follow(params)
+    def step(self, rows: slice | None = None) -> None:
+        """Update the stack in place from the gradient buffer `grad`. With
+        `rows`, a contiguous range of the stack's cells, only those rows of
+        the parameters, gradients and state take part."""
         key = None if rows is None else (rows.start, rows.stop)
         views = self._steps.get(key)
         if views is None:
-            views = self._steps[key] = self._step_views(params, rows)
+            views = self._steps[key] = self._step_views(rows)
         params, g, m, v, u, s, decay = views
         # the in-place operations keep the IEEE order of
         #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
@@ -502,15 +507,15 @@ class _Optimizer:
             update += scratch
         params -= u
 
-    def _step_views(self, params: np.ndarray, rows: slice | None) -> tuple:
+    def _step_views(self, rows: slice | None) -> tuple:
         """The parameters, gradient, moments and scratch buffers a step
         updates (rows `rows` of each, or all), then the decayed weight
         prefixes of the parameters, scratch and update (None without decay)."""
-        arrays = params, self.grad, self.m, self.v, self._update, self._scratch
+        arrays = self.model.params, self.grad, self.m, self.v, self._update, self._scratch
         if rows is not None:
             arrays = tuple(a[rows] for a in arrays)
         params, _, _, _, u, s = arrays
-        n = self.n_decay
+        n = self.model.n_weight_entries
         decay = (params[..., :n], s[..., :n], u[..., :n]) if self.wd else None
         return *arrays, decay
 
@@ -532,21 +537,6 @@ class _Optimizer:
             np.array([[1.0 - ADAM_BETA1**t] for t in counts]),
             np.array([[1.0 - ADAM_BETA2**t] for t in counts]),
         )
-
-
-def select_cells(stack: Model, opt: _Optimizer, rows: list[int]) -> Model:
-    """The stack of only the given cells, in the given order; `opt` keeps
-    the same rows of its state (moments and step counts) and steps the
-    returned stack from then on. Training then resumes bit for bit as if
-    the other cells had never been there.
-    """
-    keep = np.asarray(rows, dtype=np.int64)
-    if isinstance(opt.t, list):
-        opt.t = [opt.t[i] for i in rows]
-    opt.m, opt.v = opt.m[keep], opt.v[keep]
-    narrowed = Model.from_params(stack.arch, stack.params[keep], stack.seed)
-    opt._buffers(narrowed)
-    return narrowed
 
 
 # --------------------------------------------------------------------------
@@ -628,15 +618,11 @@ class TrainConfig:
         return found
 
 
-def make_optimizer(
-    name: str,
-    learning_rate: float,
-    weight_decay: float,
-    momentum: float,
-    model: Model,
-) -> _Optimizer:
-    """Optimizer over a model's parameters, `model.params`."""
-    return _Optimizer(name, learning_rate, weight_decay, momentum, model)
+def make_optimizer(recipe, model: Model) -> _Optimizer:
+    """The optimizer that steps `model`, a model or stack, by the
+    `optimizer`, `learning_rate`, `weight_decay` and `momentum` of any
+    training recipe."""
+    return _Optimizer(recipe, model)
 
 
 def _shuffle(n: int, rng: np.random.Generator | list[np.random.Generator]) -> np.ndarray:
@@ -683,7 +669,7 @@ def _ragged_order(
     return order
 
 
-def _ragged_steps(model: Model, opt: _Optimizer, sizes: list[int], batch_size: int):
+def _ragged_steps(opt: _Optimizer, sizes: list[int], batch_size: int):
     """The sub-steps of one pass over ragged cells, as (cells, their
     gradient views, their rows, their index along the row order's first
     axis, the minibatch start, its size).
@@ -704,7 +690,7 @@ def _ragged_steps(model: Model, opt: _Optimizer, sizes: list[int], batch_size: i
             hi = lo + batches.count(nb)
             # a run of one cell steps as a plain model, on 2-d rows
             cells = lo if hi - lo == 1 else slice(lo, hi)
-            yield *opt.cell_views(model, lo, hi), slice(lo, hi), cells, start, nb
+            yield *opt.cell_views(lo, hi), slice(lo, hi), cells, start, nb
             lo = hi
 
 
@@ -727,7 +713,6 @@ def _in_use(weight: float | list[float]) -> bool:
 
 
 def train_steps(
-    model: Model,
     opt: _Optimizer,
     features: np.ndarray | Ragged | list[np.ndarray],
     batch_size: int,
@@ -740,16 +725,17 @@ def train_steps(
     temperature: float = 1.0,
     weight: np.ndarray | None = None,
 ) -> Iterator[None]:
-    """One shuffled minibatch pass that makes one optimizer step per
+    """One shuffled minibatch pass that makes one step of `opt` per
     `next()`; `train_epoch` runs it to the end.
 
-    Trains in place on ce_weight * CE(hard) + kd_weight * T^2 * weight *
-    KL(soft || student at T) per sample (Hinton et al. 2015): the CE
-    term at temperature 1, each weight one float or one per cell of a
-    stack. A term without targets, or whose weights are all 0, is
-    skipped; the cells of a stack should agree on which terms they use
-    (see `distill.distill_vanilla_benches`). A stack takes one generator
-    per cell as `rng`. Its soft targets are either shared, (n, C), or
+    Trains `opt.model`, the model or stack `opt` steps, in place on
+    ce_weight * CE(hard) + kd_weight * T^2 * weight * KL(soft || student
+    at T) per sample (Hinton et al. 2015): the CE term at temperature 1,
+    each weight one float or one per cell of a stack. A term without
+    targets, or whose weights are all 0, is skipped; the cells of a stack
+    should agree on which terms they use (see
+    `distill.distill_vanilla_benches`). A stack takes one generator per
+    cell as `rng`. Its soft targets are either shared, (n, C), or
     one block per cell, (S, n, C); each cell's minibatch rows are then
     gathered from its own block.
 
@@ -760,7 +746,7 @@ def train_steps(
     stack, ragged cells, or an order whose length is not the row count
     raise ShapeError before any step.
 
-    `soft` may also be a live model with the same cells as `model`
+    `soft` may also be a live model with the same cells as `opt.model`
     (plain for plain, S for S): each minibatch's target is then its
     current prediction at `temperature` on the minibatch's rows, which
     is how two mutual-learning peers, each stepping in turn, teach each
@@ -779,6 +765,7 @@ def train_steps(
     stack one minibatch at a time. The arguments are checked at the
     first `next()`, before the first step.
     """
+    model = opt.model
     live = isinstance(soft, Model)
     if live and soft.params.shape[:-1] != model.params.shape[:-1]:
         raise ShapeError(
@@ -799,7 +786,7 @@ def train_steps(
         if hard is not None and hard.sizes != features.sizes:
             raise ShapeError(f"ragged hard targets of {hard.sizes} rows for {features.sizes}")
         order = _ragged_order(model, features.sizes, rng)
-        steps = _ragged_steps(model, opt, features.sizes, batch_size)
+        steps = _ragged_steps(opt, features.sizes, batch_size)
         features = features.block
         hard = None if hard is None else hard.block
     else:
@@ -871,16 +858,16 @@ def train_steps(
             else:
                 dlogits += gap
         backprop_params(cells, acts, dlogits, out=grad_views)
-        opt.step(model.params, rows)
+        opt.step(rows)
         yield
 
 
-def train_epoch(model: Model, opt: _Optimizer, *args, **kwargs) -> None:
+def train_epoch(opt: _Optimizer, *args, **kwargs) -> None:
     """Every step of one `train_steps` pass (same arguments); raises
     DomainError if the pass leaves a parameter non-finite."""
-    for _ in train_steps(model, opt, *args, **kwargs):
+    for _ in train_steps(opt, *args, **kwargs):
         pass
-    check_finite(model, "after a training pass")
+    check_finite(opt.model, "after a training pass")
 
 
 def train_supervised(
@@ -900,8 +887,8 @@ def train_supervised(
     """
     if len(train) == 0 or len(val) == 0:
         raise DataError("train and validation sets must both be non-empty")
-    work = model.copy()
-    opt = make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work)
+    opt = make_optimizer(cfg, model.copy())
+    work = opt.model
     targets = onehot(train.labels, work.arch.num_classes)
     best = work.copy()
     best_acc = evaluate(work, val).overall_accuracy
@@ -909,7 +896,7 @@ def train_supervised(
     stale = 0
     for epoch in range(1, cfg.max_epochs + 1):
         rng = rng_for(model.seed, "epoch", epoch)
-        train_epoch(work, opt, train.features, cfg.batch_size, rng, hard=targets)
+        train_epoch(opt, train.features, cfg.batch_size, rng, hard=targets)
         acc = evaluate(work, val).overall_accuracy
         history.append({"epoch": epoch, "val_accuracy": acc})
         if acc > best_acc:
@@ -935,7 +922,7 @@ def train_supervised_cells(
     The models, which share one architecture, train as one ragged stack
     (longest training set first, see `train_steps`). Each cell keeps its
     own epoch stream, stale count and best snapshot; a cell whose
-    patience runs out leaves the stack (`select_cells`) and the others
+    patience runs out leaves the stack (`_Optimizer.select`) and the others
     go on. Every returned model is bit-identical to its
     `train_supervised` run.
     """
@@ -945,8 +932,8 @@ def train_supervised_cells(
     arch = models[0].arch
     # longest first; live[j] is the model that row j of the stack trains
     live = sorted(range(len(models)), key=lambda i: -len(trains[i]))
-    work = Model.from_params(arch, np.stack([models[i].params for i in live]), 0)
-    opt = make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work)
+    stack = Model.from_params(arch, np.stack([models[i].params for i in live]), 0)
+    opt = make_optimizer(cfg, stack)
     # the live cells' rows, narrowed when a cell leaves
     features = Ragged.of([trains[i].features for i in live])
     hard = Ragged.of([onehot(trains[i].labels, arch.num_classes) for i in live])
@@ -956,16 +943,16 @@ def train_supervised_cells(
     stale = [0] * len(models)
     for epoch in range(1, cfg.max_epochs + 1):
         train_epoch(
-            work, opt, features, cfg.batch_size,
+            opt, features, cfg.batch_size,
             [rng_for(models[i].seed, "epoch", epoch) for i in live], hard=hard,
         )
         keep = []
         for j, i in enumerate(live):
-            row, _ = opt.cell_views(work, j, j + 1)
+            row, _ = opt.cell_views(j, j + 1)
             acc = float(_hits(row, vals[i]).sum() / len(vals[i]))
             if acc > best_acc[i]:
                 best_acc[i] = acc
-                best[i] = work.params[j].copy()
+                best[i] = opt.model.params[j].copy()
                 stale[i] = 0
             else:
                 stale[i] += 1
@@ -974,7 +961,7 @@ def train_supervised_cells(
         if not keep:
             break
         if len(keep) < len(live):
-            work = select_cells(work, opt, keep)
+            opt.select(keep)
             live = [live[j] for j in keep]
             features, hard = features.select(keep), hard.select(keep)
     return [Model.from_params(arch, p, m.seed) for p, m in zip(best, models)]

@@ -10,7 +10,7 @@ parameters, `Model.params`.
 
 import numpy as np
 
-from kdsim.nn import Model, make_optimizer, train_epoch
+from kdsim.nn import Model, TrainConfig, make_optimizer, train_epoch
 
 
 def step_gradient(model: Model, features, rng=None, **targets) -> np.ndarray:
@@ -20,11 +20,11 @@ def step_gradient(model: Model, features, rng=None, **targets) -> np.ndarray:
     stack or ragged cells (features as a list) pass one generator per
     cell as `rng`."""
     work = model.copy()
-    opt = make_optimizer("sgd", 1.0, 0.0, 0.0, work)
+    opt = make_optimizer(TrainConfig(optimizer="sgd", learning_rate=1.0, weight_decay=0.0), work)
     if rng is None:
         rng = np.arange(len(features))
     batch = max(map(len, features)) if isinstance(features, list) else len(features)
-    train_epoch(work, opt, features, batch, rng, **targets)
+    train_epoch(opt, features, batch, rng, **targets)
     return model.params - work.params
 
 

@@ -6,7 +6,6 @@ import pytest
 from kdsim.data import LabeledDataset
 from kdsim.errors import ConfigError, DataError, DomainError, ShapeError
 from kdsim.fed import (
-    ClientWork,
     FedConfig,
     FedTrajectory,
     fedavg_aggregate,
@@ -15,7 +14,7 @@ from kdsim.fed import (
     rounds_to_target,
     run_federated,
 )
-from kdsim.nn import ArchSpec, init_model, models_equal, onehot
+from kdsim.nn import ArchSpec, init_model, make_optimizer, models_equal, onehot
 from kdsim.seeding import rng_for
 
 ARCH = ArchSpec(input_dim=3, hidden_layers=(6,), num_classes=4)
@@ -130,10 +129,10 @@ def test_local_update_is_deterministic_and_pure(rng):
 def test_local_update_in_reused_work_equals_a_new_one(rng, optimizer, momentum):
     cfg = FedConfig(local_epochs=2, optimizer=optimizer, momentum=momentum)
     start = init_model(ARCH, 1)
-    work = ClientWork.like(init_model(ARCH, 9), cfg)
+    opt = make_optimizer(cfg, init_model(ARCH, 9))
     for client, shard in enumerate([_shard(rng, n=40), _shard(rng, n=13)]):
-        reused = local_update(start, shard, cfg, 2, client, 42, work=work)
-        assert reused is work.model
+        reused = local_update(start, shard, cfg, 2, client, 42, opt=opt)
+        assert reused is opt.model
         assert reused.params.tobytes() == local_update(
             start, shard, cfg, 2, client, 42
         ).params.tobytes()

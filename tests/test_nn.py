@@ -8,6 +8,7 @@ a live soft model; every method trains through that step.
 
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from kdsim.nn import (
     onehot,
     predict,
     reports_equal,
-    select_cells,
     softmax,
     train_epoch,
     train_supervised,
@@ -288,13 +288,20 @@ def test_backprop_two_hidden_layers(rng):
 # -- optimizers -------------------------------------------------------------
 
 
+def _recipe(name, learning_rate, weight_decay, momentum):
+    """A training recipe with these four optimizer settings."""
+    return TrainConfig(
+        optimizer=name, learning_rate=learning_rate, weight_decay=weight_decay, momentum=momentum
+    )
+
+
 def test_sgd_single_step_hand_computed():
     arch = ArchSpec(input_dim=2, hidden_layers=(), num_classes=2)
     model = init_model(arch, 0)
     w0 = model.weights[0].copy()
-    opt = make_optimizer("sgd", 0.1, 0.5, 0.0, model)
+    opt = make_optimizer(_recipe("sgd", 0.1, 0.5, 0.0), model)
     opt.grad[: model.n_weight_entries] = 1.0
-    opt.step(model.params)
+    opt.step()
     # decoupled decay uses the pre-update value: w1 = w0 - lr*g - lr*wd*w0
     expected = w0 - 0.1 * 1.0 - 0.1 * 0.5 * w0
     assert np.allclose(model.weights[0], expected, atol=1e-15)
@@ -305,10 +312,10 @@ def test_sgd_momentum_accumulates():
     arch = ArchSpec(input_dim=1, hidden_layers=(), num_classes=2)
     model = init_model(arch, 0)
     start = model.weights[0].copy()
-    opt = make_optimizer("sgd", 1.0, 0.0, 0.5, model)
+    opt = make_optimizer(_recipe("sgd", 1.0, 0.0, 0.5), model)
     opt.grad[: model.n_weight_entries] = 1.0
-    opt.step(model.params)
-    opt.step(model.params)
+    opt.step()
+    opt.step()
     # velocities 1 then 1.5 -> total displacement 2.5
     assert np.allclose(model.weights[0], start - 2.5, atol=1e-15)
 
@@ -317,10 +324,10 @@ def test_adam_first_step_approximates_signed_lr(rng):
     arch = ArchSpec(input_dim=3, hidden_layers=(), num_classes=2)
     model = init_model(arch, 1)
     before = model.weights[0].copy()
-    opt = make_optimizer("adam", 1e-3, 0.0, 0.0, model)
+    opt = make_optimizer(_recipe("adam", 1e-3, 0.0, 0.0), model)
     g = rng.normal(0, 1, size=before.shape)
     opt.grad[: g.size] = g.ravel()  # the biases' gradient stays 0
-    opt.step(model.params)
+    opt.step()
     step = before - model.weights[0]
     # bias-corrected first step is lr * g / (|g| + eps) ~ lr * sign(g)
     assert np.allclose(step, 1e-3 * np.sign(g), atol=1e-6)
@@ -333,8 +340,8 @@ def test_weight_decay_skips_biases():
         b += 1.0
     before_w = [w.copy() for w in model.weights]
     before_b = [b.copy() for b in model.biases]
-    opt = make_optimizer("adam", 0.1, 1.0, 0.0, model)
-    opt.step(model.params)  # a new optimizer's gradient buffer is 0
+    opt = make_optimizer(_recipe("adam", 0.1, 1.0, 0.0), model)
+    opt.step()  # a new optimizer's gradient buffer is 0
     for w, w0 in zip(model.weights, before_w):
         assert np.allclose(w, w0 - 0.1 * 1.0 * w0, atol=1e-15)
     for b, b0 in zip(model.biases, before_b):
@@ -373,10 +380,10 @@ def test_flat_optimizer_is_bit_identical_to_a_per_array_loop(rng, name, momentum
     shapes = [w.shape for w in model.weights] + [b.shape for b in model.biases]
     grad_seq = [[rng.normal(0, 1, size=s) for s in shapes] for _ in range(6)]
     want = _per_array_steps(name, 0.05, 0.3, momentum, model, grad_seq)
-    opt = make_optimizer(name, 0.05, 0.3, momentum, model)
+    opt = make_optimizer(_recipe(name, 0.05, 0.3, momentum), model)
     for grads in grad_seq:
         opt.grad[:] = np.concatenate([g.ravel() for g in grads])
-        opt.step(model.params)
+        opt.step()
     got = model.weights + model.biases
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
@@ -386,8 +393,8 @@ def test_step_from_the_gradient_buffer_equals_the_list_form(rng, name, momentum)
     arch = ArchSpec(input_dim=3, hidden_layers=(5, 4), num_classes=3)
     listed = init_model(arch, 8)
     buffered = listed.copy()
-    opt_l = make_optimizer(name, 0.05, 0.3, momentum, listed)
-    opt_b = make_optimizer(name, 0.05, 0.3, momentum, buffered)
+    opt_l = make_optimizer(_recipe(name, 0.05, 0.3, momentum), listed)
+    opt_b = make_optimizer(_recipe(name, 0.05, 0.3, momentum), buffered)
     for _ in range(4):
         x = rng.normal(0, 1, size=(6, 3))
         logits, acts = _forward_cached(listed, x)
@@ -395,10 +402,10 @@ def test_step_from_the_gradient_buffer_equals_the_list_form(rng, name, momentum)
         # backprop's per-array gradients, concatenated into the buffer
         gw, gb = backprop_params(listed, acts, dlogits)
         opt_l.grad[:] = np.concatenate([g.ravel() for g in gw + gb])
-        opt_l.step(listed.params)
+        opt_l.step()
         _, acts = _forward_cached(buffered, x)
         backprop_params(buffered, acts, dlogits, out=opt_b.grad_views)
-        opt_b.step(buffered.params)
+        opt_b.step()
         assert buffered.params.tobytes() == listed.params.tobytes()
 
 
@@ -406,7 +413,10 @@ def test_unknown_optimizer_rejected():
     arch = ArchSpec(input_dim=2, hidden_layers=(), num_classes=2)
     model = init_model(arch, 0)
     with pytest.raises(ConfigError):
-        make_optimizer("rmsprop", 0.1, 0.0, 0.0, model)
+        recipe = SimpleNamespace(
+            optimizer="rmsprop", learning_rate=0.1, weight_decay=0.0, momentum=0.0
+        )
+        make_optimizer(recipe, model)
 
 
 # -- init and model plumbing ------------------------------------------------
@@ -484,10 +494,10 @@ def test_train_epoch_refuses_to_leave_parameters_non_finite(rng):
     model = init_model(arch, 1)
     model.weights[0][0, 0] = np.inf
     features = rng.normal(0, 1, size=(8, 2))
-    opt = make_optimizer("sgd", 0.1, 0.0, 0.0, model)
+    opt = make_optimizer(_recipe("sgd", 0.1, 0.0, 0.0), model)
     hard = onehot(rng.integers(0, 2, size=8), 2)
     with pytest.raises(DomainError, match="not finite after a training pass"):
-        train_epoch(model, opt, features, 4, rng, hard=hard)
+        train_epoch(opt, features, 4, rng, hard=hard)
 
 
 # -- training ---------------------------------------------------------------
@@ -581,14 +591,15 @@ def test_selected_cells_resume_as_if_never_selected(rng, optimizer):
     def run(epochs, keep_after=None):
         start = np.stack([init_model(arch, s).params for s in seeds])
         work = Model.from_params(arch, start, 0)
-        opt = make_optimizer(optimizer, 0.05, 0.3, 0.9 if optimizer == "sgd" else 0.0, work)
+        momentum = 0.9 if optimizer == "sgd" else 0.0
+        opt = make_optimizer(_recipe(optimizer, 0.05, 0.3, momentum), work)
         cells = list(range(len(seeds)))
         for epoch in range(1, epochs + 1):
             if epoch == keep_after:
-                work = select_cells(work, opt, [0, 2, 3])
+                work = opt.select([0, 2, 3])
                 cells = [0, 2, 3]
             train_epoch(
-                work, opt, [features[i] for i in cells], 4,
+                opt, [features[i] for i in cells], 4,
                 [rng_for(seeds[i], "epoch", epoch) for i in cells],
                 hard=[hard[i] for i in cells],
             )
@@ -611,19 +622,19 @@ def test_ragged_cells_refuse_what_they_cannot_train(rng):
     features = [rng.normal(0, 1, size=(n, 3)) for n in sizes]
     hard = [onehot(rng.integers(0, 2, size=n), 2) for n in sizes]
     work = Model.from_params(arch, np.stack([init_model(arch, s).params for s in (1, 2)]), 0)
-    opt = make_optimizer("adam", 0.1, 0.0, 0.0, work)
+    opt = make_optimizer(_recipe("adam", 0.1, 0.0, 0.0), work)
     start = work.params.tobytes()
     rngs = [rng_for(s, "epoch", 1) for s in (1, 2)]
     # fixed soft targets, and a live model with the stack's cells
     for soft in (np.full((9, 2), 0.5), Model.from_params(arch, work.params.copy(), 0)):
         with pytest.raises(ShapeError, match="hard targets alone"):
-            train_epoch(work, opt, features, 4, rngs, hard=hard, soft=soft)
+            train_epoch(opt, features, 4, rngs, hard=hard, soft=soft)
     with pytest.raises(ShapeError):
-        train_epoch(work, opt, features[::-1], 4, rngs, hard=hard[::-1])
+        train_epoch(opt, features[::-1], 4, rngs, hard=hard[::-1])
     with pytest.raises(ShapeError):
-        train_epoch(work, opt, features, 4, rngs[:1], hard=hard)
+        train_epoch(opt, features, 4, rngs[:1], hard=hard)
     with pytest.raises(ShapeError):
-        train_epoch(work, opt, features, 4, rngs, hard=[hard[0], hard[1][:2]])
+        train_epoch(opt, features, 4, rngs, hard=[hard[0], hard[1][:2]])
     assert work.params.tobytes() == start
 
 
@@ -639,10 +650,10 @@ def test_a_row_order_is_for_a_plain_model_of_its_length(rng):
         (stack, [features, features[:3]], [hard, hard[:3]], order),
         (plain, features, hard, order[:5]),
     ):
-        opt = make_optimizer("adam", 0.1, 0.0, 0.0, work)
+        opt = make_optimizer(_recipe("adam", 0.1, 0.0, 0.0), work)
         start = work.params.tobytes()
         with pytest.raises(ShapeError):
-            train_epoch(work, opt, x, 4, given, hard=y)
+            train_epoch(opt, x, 4, given, hard=y)
         assert work.params.tobytes() == start
         assert opt.t == 0
 
@@ -658,10 +669,10 @@ def test_live_soft_model_needs_the_same_cells(rng):
         (stack, plain, [rng_for(s, "epoch", 1) for s in (1, 2)]),
         (stack, three, [rng_for(s, "epoch", 1) for s in (1, 2)]),
     ):
-        opt = make_optimizer("adam", 0.1, 0.0, 0.0, work)
+        opt = make_optimizer(_recipe("adam", 0.1, 0.0, 0.0), work)
         start = work.params.tobytes()
         with pytest.raises(ShapeError, match="live soft model"):
-            train_epoch(work, opt, features, 4, rng_arg, soft=soft)
+            train_epoch(opt, features, 4, rng_arg, soft=soft)
         assert work.params.tobytes() == start
         assert opt.t == 0
 

@@ -463,10 +463,10 @@ def _plain_vanilla(student, teacher, transfer, cfg, seed):
         hard = onehot(transfer.labels, student.arch.num_classes)
     weights = _alpha_weights(cfg.alpha, transfer.labeled)
     work = student.copy()
-    opt = make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work)
+    opt = make_optimizer(cfg, work)
     for epoch in range(1, cfg.epochs + 1):
         train_epoch(
-            work, opt, transfer.features, cfg.batch_size, rng_for(seed, "epoch", epoch),
+            opt, transfer.features, cfg.batch_size, rng_for(seed, "epoch", epoch),
             hard=hard, soft=soft, temperature=cfg.temperature, **weights,
         )
     return work
@@ -532,10 +532,7 @@ def _plain_dml(peer_a, peer_b, transfer_a, transfer_b, cfg, seed):
     classes = peer_a.arch.num_classes
     hard = [onehot(t.labels, classes) if t.labeled else None for t in sets]
     work = [peer_a.copy(), peer_b.copy()]
-    opts = [
-        make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, w)
-        for w in work
-    ]
+    opts = [make_optimizer(cfg, w) for w in work]
     for epoch in range(1, cfg.epochs + 1):
         orders = [
             rng_for(seed, peer, epoch).permutation(len(t))
@@ -552,7 +549,7 @@ def _plain_dml(peer_a, peer_b, transfer_a, transfer_b, cfg, seed):
                 if hard[me] is not None:
                     dlogits = dlogits + (probs - hard[me][idx]) / len(idx)
                 backprop_params(work[me], acts, dlogits, out=opts[me].grad_views)
-                opts[me].step(work[me].params)
+                opts[me].step()
     return work
 
 
@@ -565,10 +562,10 @@ def _plain_dpkd(student, teacher, transfer, cfg, seed, supervised):
         masks,
     )
     work = student.copy()
-    opt = make_optimizer(cfg.optimizer, cfg.learning_rate, cfg.weight_decay, cfg.momentum, work)
+    opt = make_optimizer(cfg, work)
     for epoch in range(1, cfg.epochs + 1):
         train_epoch(
-            work, opt, transfer.features, cfg.batch_size, rng_for(seed, "epoch", epoch),
+            opt, transfer.features, cfg.batch_size, rng_for(seed, "epoch", epoch),
             soft=soft, temperature=cfg.temperature,
         )
     return work
@@ -808,6 +805,13 @@ def test_ragged_supervised_cells_equal_one_cell_runs(run):
 # -- the minibatch step against a literal reference -------------------------
 
 
+def _recipe(name, learning_rate, weight_decay, momentum):
+    """A training recipe with the optimizer settings of an `opt_cfg`."""
+    return TrainConfig(
+        optimizer=name, learning_rate=learning_rate, weight_decay=weight_decay, momentum=momentum
+    )
+
+
 def _reference_cell(params, arch, features, batch_size, rngs, opt_cfg, terms, *,
                     hard=None, soft=None, weight=None, alpha=0.0, temperature=1.0):
     """One cell trained by a literal minibatch loop, one epoch per generator.
@@ -952,7 +956,7 @@ def test_plain_and_stacked_steps_equal_a_literal_reference(case):
         rows = slice(0, 1 if plain else cells)
         params = starts[0].copy() if plain else np.stack(starts[rows])
         work = Model.from_params(arch, params, 0)
-        opt = make_optimizer(*opt_cfg, work)
+        opt = make_optimizer(_recipe(*opt_cfg), work)
         soft = None
         if softs is not None:
             soft = np.stack(softs[rows]) if per_cell_soft and not plain else softs[0]
@@ -961,7 +965,7 @@ def test_plain_and_stacked_steps_equal_a_literal_reference(case):
             if given_order:
                 rng = [rng[0].permutation(len(features))]
             train_epoch(
-                work, opt, features, batch, rng[0] if plain else rng,
+                opt, features, batch, rng[0] if plain else rng,
                 hard=hard, soft=soft, weight=weight, temperature=temperature,
                 **_alpha_weights(alphas[0] if plain else alphas[rows], hard is not None),
             )
@@ -1009,11 +1013,11 @@ def _ragged_cases(draw):
 def test_ragged_steps_equal_a_literal_reference(case):
     arch, features, hard, batch, opt_cfg, epochs, seeds, starts, gather = case
     work = Model.from_params(arch, np.stack(starts), 0)
-    opt = make_optimizer(*opt_cfg, work)
+    opt = make_optimizer(_recipe(*opt_cfg), work)
     with patch.object(nn, "_GATHER_BYTES", gather):
         for epoch in range(1, epochs + 1):
             train_epoch(
-                work, opt, features, batch, [rng_for(s, "epoch", epoch) for s in seeds], hard=hard
+                opt, features, batch, [rng_for(s, "epoch", epoch) for s in seeds], hard=hard
             )
     for i, seed in enumerate(seeds):
         want = _reference_cell(
