@@ -279,15 +279,18 @@ def empty_manifest(cfg: RunConfig) -> dict:
 
 
 def load_manifest(out_dir: str | Path) -> dict | None:
-    """The run manifest, or None if there is none. One whose layout is
-    not a manifest's, down to each stage's fingerprint and artifact
-    paths, raises ParseError naming it."""
+    """The run manifest, or None if there is none. One of another schema
+    version, or whose layout is not a manifest's, down to each stage's
+    fingerprint and artifact paths, raises ParseError naming it."""
     path = Path(out_dir) / MANIFEST_NAME
     if not path.exists():
         return None
     manifest = read_json(path)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
         raise ParseError(f"{path}: not a run manifest")
+    version = manifest.get("schema_version")
+    if version != MANIFEST_SCHEMA_VERSION:
+        raise ParseError(f"{path}: unsupported manifest schema {version!r}; start a new run")
     for stage, entry in manifest["stages"].items():
         if not isinstance(entry, dict) or not isinstance(entry.get("fingerprint"), str):
             raise ParseError(f"{path}: stage {stage!r} has no fingerprint")

@@ -51,8 +51,8 @@ from .artifacts import (
     write_json,
 )
 from .config import DatasetSection, RunConfig, parse_config
-from .data import LabeledDataset, PartitionPlan, load_dataset, read_only
-from .errors import ConfigError, DataError, KdsimError
+from .data import LabeledDataset, PartitionPlan, load_dataset, read_only, validate_plan
+from .errors import ConfigError, DataError, KdsimError, ParseError, PartitionError
 from .fed import FedTrajectory, preconsolidated_fedavg, rounds_to_target
 from .metrics import (
     cumulative_gain,
@@ -230,7 +230,12 @@ def _scenario_from(
     and `pool.json`. Datasets key by identity: a toy draw is one object
     per process (`_toy_data`), a CSV read a new one each time. Every array
     is read-only, the splits drawn on first use included, and those splits
-    are kept with the Scenario."""
+    are kept with the Scenario.
+
+    The pool and remainder indices must be unique, disjoint rows of
+    `train`, and the plan's shards must be disjoint, non-empty sets of
+    remainder positions (`data.validate_plan`); else a ParseError names
+    the file."""
     read_only(test.features, test.labels)
     payload = parse_json(*plan)
     with decoding(plan[0]):
@@ -240,6 +245,20 @@ def _scenario_from(
     with decoding(pool[0]):
         pool_indices = np.array(payload["pool_indices"], dtype=np.int64)
         remainder_indices = np.array(payload["remainder_indices"], dtype=np.int64)
+        rows = np.concatenate([pool_indices, remainder_indices])
+        if rows.ndim != 1 or (len(rows) and (rows.min() < 0 or rows.max() >= len(train))):
+            raise ParseError(
+                f"{pool[0]}: pool and remainder indices must be rows in [0, {len(train)})"
+            )
+        if len(np.unique(rows)) != len(rows):
+            raise ParseError(f"{pool[0]}: pool and remainder indices must be unique and disjoint")
+    with decoding(plan[0]):
+        try:
+            validate_plan(partition, len(remainder_indices))
+        except PartitionError as exc:
+            raise ParseError(
+                f"{plan[0]}: {exc} (the remainder holds {len(remainder_indices)} rows)"
+            ) from None
     return scenario_from_plan(
         train,
         test,
@@ -257,18 +276,19 @@ def _model_path(i: int) -> str:
 
 
 def _load_pretrained(
-    run: RunDir, k: int, ids: tuple[int, ...] | None = None
+    run: RunDir, scenario: Scenario, ids: tuple[int, ...] | None = None
 ) -> dict[int, tuple[Model, EvalReport]]:
-    """The pretrained (model, report) of each participant in `ids` (all k
-    by default), keyed by id.
+    """The pretrained (model, report) of each participant in `ids` (all of
+    the scenario's k by default), keyed by id.
 
-    The evaluations' schema and count and the manifest entry of every
-    participant's model are checked; only the model files of `ids` are
-    read.
+    The evaluations' schema, count and shape (see `_pretrain_reports`)
+    and the manifest entry of every participant's model are checked; only
+    the model files of `ids` are read.
     """
     arts = run.require("pretrain")
     fingerprint = run.fingerprint("pretrain")
-    reports = _pretrain_reports(_file(run.out / arts["evals"]))
+    k, test = scenario.k, scenario.test
+    reports = _pretrain_reports(_file(run.out / arts["evals"]), test.class_count, len(test))
     if len(reports) != k:
         raise ConfigError(
             f"{len(reports)} pretrained models for {k} participants; rerun `kdsim pretrain`"
@@ -285,9 +305,13 @@ def _load_pretrained(
 
 
 @functools.lru_cache(maxsize=2)
-def _pretrain_reports(evals: tuple[Path, bytes]) -> tuple[EvalReport, ...]:
+def _pretrain_reports(
+    evals: tuple[Path, bytes], classes: int, test_size: int
+) -> tuple[EvalReport, ...]:
     """The read-only reports the (path, bytes) of `pretrain_evals.json`
-    hold, after a schema check."""
+    hold, after a schema check and a check that each report has one
+    accuracy and one support per class of the test set, `classes`, with
+    supports summing to its `test_size` rows."""
     path, blob = evals
     payload = parse_json(path, blob)
     with decoding(path):
@@ -298,6 +322,14 @@ def _pretrain_reports(evals: tuple[Path, bytes]) -> tuple[EvalReport, ...]:
                 f"rerun `kdsim pretrain`"
             )
         reports = tuple(EvalReport.from_dict(item) for item in payload["reports"])
+        for i, rep in enumerate(reports):
+            lengths = len(rep.per_class_accuracy), len(rep.per_class_support)
+            if lengths != (classes, classes) or rep.per_class_support.sum() != test_size:
+                raise ParseError(
+                    f"{path}: participant {i}'s report has {lengths[0]} accuracies and "
+                    f"{lengths[1]} supports summing to {rep.per_class_support.sum()}, for a "
+                    f"test set of {test_size} rows in {classes} classes; rerun `kdsim pretrain`"
+                )
     for rep in reports:
         read_only(rep.per_class_accuracy, rep.per_class_support)
     return reports
@@ -380,7 +412,7 @@ def cmd_distill(cfg: RunConfig, args) -> int:
     out = run.out
     scenario = _scenario(run)
     teacher, student = _check_pair(args, scenario.k)
-    pretrained = _load_pretrained(run, scenario.k, (teacher, student))
+    pretrained = _load_pretrained(run, scenario, (teacher, student))
     option = args.transfer_option
     (result,) = run_pairwise_matrix(
         pretrained,
@@ -410,7 +442,7 @@ def cmd_grid(cfg: RunConfig, args) -> int:
     out = run.out
     scenario = _scenario(run)
     teacher, student = _check_pair(args, scenario.k)
-    pretrained = _load_pretrained(run, scenario.k, (teacher, student))
+    pretrained = _load_pretrained(run, scenario, (teacher, student))
     option = args.transfer_option
     transfer = transfer_set_for(scenario, option, student, cfg.pool, cfg.seed)
     search = grid_search_tuned(
@@ -449,7 +481,7 @@ def cmd_grid(cfg: RunConfig, args) -> int:
 def cmd_matrix(cfg: RunConfig, args) -> int:
     run = RunDir(cfg.out_dir, cfg, args.force)
     scenario = _scenario(run)
-    pretrained = _load_pretrained(run, scenario.k)
+    pretrained = _load_pretrained(run, scenario)
     results = run_pairwise_matrix(
         pretrained,
         scenario,
@@ -474,7 +506,7 @@ def cmd_consolidate(cfg: RunConfig, args) -> int:
     run = RunDir(cfg.out_dir, cfg, args.force)
     out = run.out
     scenario = _scenario(run)
-    pretrained = list(_load_pretrained(run, scenario.k).values())
+    pretrained = list(_load_pretrained(run, scenario).values())
     c = cfg.consolidate
     merged, report = consolidate_models(pretrained, scenario, c, cfg.distill, cfg.pool, cfg.seed)
     save_model(out / CONSOLIDATED_MODEL, merged, run.fingerprint("consolidate"))

@@ -1092,9 +1092,52 @@ _MALFORMED = [
         ("partition",), "plan.json", lambda p: p["participants"], "pretrain", id="plan-a-list",
     ),
     pytest.param(
+        ("partition",), "plan.json", lambda p: _put(p, -1, "participants", 0, 0),
+        "pretrain", id="plan-index-negative",
+    ),
+    pytest.param(
+        ("partition",), "plan.json", lambda p: _put(p, 10**6, "participants", 0, 0),
+        "pretrain", id="plan-index-past-the-remainder",
+    ),
+    pytest.param(
+        ("partition",), "plan.json",
+        lambda p: _put(p, p["participants"][1][0], "participants", 0, 0),
+        "pretrain", id="plan-shards-overlap",
+    ),
+    pytest.param(
+        ("partition",), "pool.json", lambda p: _put(p, 10**6, "pool_indices", 0),
+        "pretrain", id="pool-index-past-the-train-set",
+    ),
+    pytest.param(
+        ("partition",), "pool.json", lambda p: _put(p, -1, "remainder_indices", 0),
+        "pretrain", id="remainder-index-negative",
+    ),
+    pytest.param(
+        ("partition",), "pool.json",
+        lambda p: _put(p, p["remainder_indices"][0], "pool_indices", 0),
+        "pretrain", id="pool-overlaps-the-remainder",
+    ),
+    pytest.param(
         ("partition", "pretrain"), "pretrain_evals.json",
         lambda e: _pop(e, "reports", 0, "per_class_accuracy"),
         "matrix", id="report-without-per-class-accuracy",
+    ),
+    pytest.param(
+        ("partition", "pretrain"), "pretrain_evals.json",
+        lambda e: _put(e, [1.0], "reports", 1, "per_class_accuracy"),
+        "matrix", id="report-of-one-class",
+    ),
+    pytest.param(
+        ("partition", "pretrain"), "pretrain_evals.json",
+        lambda e: _put(
+            e, [n + 1 for n in e["reports"][0]["per_class_support"]],
+            "reports", 0, "per_class_support",
+        ),
+        "matrix", id="report-supports-past-the-test-set",
+    ),
+    pytest.param(
+        ("partition",), "manifest.json", lambda m: _put(m, 99, "schema_version"),
+        "pretrain", id="manifest-schema-99",
     ),
     pytest.param(
         ("partition", "pretrain", "matrix"), "results.json", lambda r: r["results"],
@@ -1254,7 +1297,7 @@ def test_shared_scenario_models_and_reports_are_read_only(tiny_config, tmp_path,
         part.shard.features, part.shard.labels,
         part.train.features, part.train.labels, part.val.features, part.val.labels,
     )
-    model, report = cli._load_pretrained(run, scenario.k, (1,))[1]
+    model, report = cli._load_pretrained(run, scenario, (1,))[1]
     _assert_read_only(
         model.params, model.weights[0], model.biases[0],
         report.per_class_accuracy, report.per_class_support,
