@@ -56,6 +56,23 @@ matrix_digest() {
   rm -rf "$run"
 }
 
+# SHA-256 of every pretrained model file and of results.json after
+# running partition, pretrain and matrix through the CLI of the checkout
+# DIR on the run configuration CONFIG at SEED, in a fresh run directory,
+# on one line. Call: pretrain_matrix_digests DIR CONFIG SEED
+# Prints nothing and fails if a stage fails.
+pretrain_matrix_digests() {
+  run=$(mktemp -d)
+  for stage in partition pretrain matrix; do
+    if ! PYTHONPATH="$1/src" python3 -m kdsim "$stage" --config "$2" --seed "$3" --out-dir "$run" > /dev/null; then
+      rm -rf "$run"
+      return 1
+    fi
+  done
+  (cd "$run" && sha256sum models/*.kdsm results.json | cut -d' ' -f1 | paste -sd ' ')
+  rm -rf "$run"
+}
+
 # SHA-256 of plan.json, pool.json, pretrain_evals.json and manifest.json
 # after running partition and pretrain through the CLI of the checkout
 # DIR on the run configuration CONFIG at SEED, in a fresh run directory,
