@@ -246,11 +246,12 @@ def _scenario_from(
         pool_indices = np.array(payload["pool_indices"], dtype=np.int64)
         remainder_indices = np.array(payload["remainder_indices"], dtype=np.int64)
         rows = np.concatenate([pool_indices, remainder_indices])
-        if rows.ndim != 1 or (len(rows) and (rows.min() < 0 or rows.max() >= len(train))):
+        if rows.ndim != 1 or not np.all((rows >= 0) & (rows < len(train))):
             raise ParseError(
                 f"{pool[0]}: pool and remainder indices must be rows in [0, {len(train)})"
             )
-        if len(np.unique(rows)) != len(rows):
+        # np.unique would import numpy.ma, 2 MiB of peak memory
+        if np.bincount(rows, minlength=1).max() > 1:
             raise ParseError(f"{pool[0]}: pool and remainder indices must be unique and disjoint")
     with decoding(plan[0]):
         try:

@@ -932,8 +932,9 @@ def train_supervised_cells(
     arch = models[0].arch
     # longest first; live[j] is the model that row j of the stack trains
     live = sorted(range(len(models)), key=lambda i: -len(trains[i]))
-    stack = Model.from_params(arch, np.stack([models[i].params for i in live]), 0)
-    opt = make_optimizer(cfg, stack)
+    opt = make_optimizer(
+        cfg, Model.from_params(arch, np.stack([models[i].params for i in live]), 0)
+    )
     # the live cells' rows, narrowed when a cell leaves
     features = Ragged.of([trains[i].features for i in live])
     hard = Ragged.of([onehot(trains[i].labels, arch.num_classes) for i in live])
