@@ -237,10 +237,6 @@ def _scenario_from(
     remainder positions (`data.validate_plan`); else a ParseError names
     the file."""
     read_only(test.features, test.labels)
-    payload = parse_json(*plan)
-    with decoding(plan[0]):
-        partition = PartitionPlan.from_json_dict(payload)
-    read_only(*partition.participants)
     payload = parse_json(*pool)
     with decoding(pool[0]):
         pool_indices = np.array(payload["pool_indices"], dtype=np.int64)
@@ -253,13 +249,16 @@ def _scenario_from(
         # np.unique would import numpy.ma, 2 MiB of peak memory
         if np.bincount(rows, minlength=1).max() > 1:
             raise ParseError(f"{pool[0]}: pool and remainder indices must be unique and disjoint")
+    payload = parse_json(*plan)
     with decoding(plan[0]):
+        partition = PartitionPlan.from_json_dict(payload)
         try:
             validate_plan(partition, len(remainder_indices))
         except PartitionError as exc:
             raise ParseError(
                 f"{plan[0]}: {exc} (the remainder holds {len(remainder_indices)} rows)"
             ) from None
+    read_only(*partition.participants)
     return scenario_from_plan(
         train,
         test,
