@@ -164,10 +164,10 @@ def read_json(path: str | Path):
 def decoding(path: str | Path):
     """Report what a decoder of the JSON value read from `path` meets in a
     value of the wrong layout (a missing key, a list for a mapping, text
-    for a number) as a ParseError naming `path`."""
+    for a number, an integer past int64) as a ParseError naming `path`."""
     try:
         yield
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: unexpected layout ({type(exc).__name__}: {exc})") from None
 
 

@@ -51,7 +51,7 @@ from .artifacts import (
     write_json,
 )
 from .config import DatasetSection, RunConfig, parse_config
-from .data import LabeledDataset, PartitionPlan, load_dataset, read_only, validate_plan
+from .data import LabeledDataset, PartitionPlan, index_array, load_dataset, read_only, validate_plan
 from .errors import ConfigError, DataError, KdsimError, ParseError, PartitionError
 from .fed import FedTrajectory, preconsolidated_fedavg, rounds_to_target
 from .metrics import (
@@ -232,17 +232,17 @@ def _scenario_from(
     is read-only, the splits drawn on first use included, and those splits
     are kept with the Scenario.
 
-    The pool and remainder indices must be unique, disjoint rows of
-    `train`, and the plan's shards must be disjoint, non-empty sets of
-    remainder positions (`data.validate_plan`); else a ParseError names
-    the file."""
+    Every index must be a JSON integer (`data.index_array`). The pool
+    and remainder indices must be unique, disjoint rows of `train`, and
+    the plan's shards must be disjoint, non-empty sets of remainder
+    positions (`data.validate_plan`); else a ParseError names the file."""
     read_only(test.features, test.labels)
     payload = parse_json(*pool)
     with decoding(pool[0]):
-        pool_indices = np.array(payload["pool_indices"], dtype=np.int64)
-        remainder_indices = np.array(payload["remainder_indices"], dtype=np.int64)
+        pool_indices = index_array(payload["pool_indices"])
+        remainder_indices = index_array(payload["remainder_indices"])
         rows = np.concatenate([pool_indices, remainder_indices])
-        if rows.ndim != 1 or not np.all((rows >= 0) & (rows < len(train))):
+        if not np.all((rows >= 0) & (rows < len(train))):
             raise ParseError(
                 f"{pool[0]}: pool and remainder indices must be rows in [0, {len(train)})"
             )

@@ -186,8 +186,18 @@ class PartitionPlan:
             strategy=payload["strategy"],
             seed=payload["seed"],
             params=dict(payload["params"]),
-            participants=[np.asarray(p, dtype=np.int64) for p in payload["participants"]],
+            participants=[index_array(p) for p in payload["participants"]],
         )
+
+
+def index_array(values: list) -> np.ndarray:
+    """A JSON list of row indices as an int64 array. np.array would
+    truncate a float and read a boolean as 0 or 1, so an entry of any type
+    but int raises ValueError."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"index {v!r} is not an integer")
+    return np.array(values, dtype=np.int64)
 
 
 def validate_plan(plan: PartitionPlan, source_size: int) -> None:

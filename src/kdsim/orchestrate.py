@@ -17,7 +17,10 @@ Seed policy: every pairwise cell derives its seed from (master seed,
 teacher id, student id, method, temperature, alpha), so cells are
 independent, reproducible and insensitive to execution order. Grid
 cells hash as vanilla runs at their grid point, which makes the default
-(1, 0.5) cell bit-identical to the standalone vanilla baseline.
+(1, 0.5) cell bit-identical to the standalone vanilla baseline. On a
+transfer set without labels, where alpha never enters the loss, the
+search trains only the configured alpha's cells, each bit-identical to
+that cell of the full grid.
 
 Cells that share a transfer set train as one stack of models (see
 `nn`), which changes no cell's bits; pretraining trains all K
@@ -110,7 +113,9 @@ class GridSpec:
 
     Exhaustive mode trains every (temperature, alpha) cell; `sequential`
     tunes alpha at one anchor temperature first, then temperature at the
-    chosen alpha (see `grid_search_tuned`). The axes may be lists or
+    chosen alpha (see `grid_search_tuned`). On a transfer set without
+    labels the search reads no `alphas`: it runs every temperature at the
+    run's configured alpha, in either mode. The axes may be lists or
     tuples and keep the values given; the search reads them as floats.
     """
 
@@ -783,7 +788,14 @@ def grid_search_teachers(
     `distill_vanilla` run, so each result equals the one-teacher search.
     A result's `kept_model` is the model of its `keep` cell, if the
     search trained that cell.
+
+    Without labels the KL term trains alone and alpha never enters the
+    loss, so each alpha would train the same cell under another seed, and
+    the search would pick a seed, not an alpha. On such a set only the
+    temperatures are searched, every cell at `cfg.alpha`.
     """
+    if not transfer.labeled:
+        grid = replace(grid, alphas=[cfg.alpha])
     pre_acc = evaluate(student, select_data).overall_accuracy
 
     def run_row(temperature: float, cells: list[tuple[int, float]]) -> list:
@@ -816,7 +828,9 @@ def grid_search_tuned(
     full Cartesian product; sequential mode (`grid.sequential`) tunes
     alpha first at temperature 1, or at the median temperature when 1 is
     off the grid, then temperature at the chosen alpha, trading
-    optimality for a linear number of cells.
+    optimality for a linear number of cells. On a transfer set without
+    labels alpha never enters the loss, so both modes scan the
+    temperatures at cfg.alpha alone and the result reports cfg.alpha.
 
     This is the one-teacher case of `grid_search_teachers`: the cells of
     one temperature row share their soft targets and train as stacks,

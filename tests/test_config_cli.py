@@ -1069,6 +1069,14 @@ def _put(payload, value, *keys):
     return payload
 
 
+def _pool_takes_row_one(pool, spelled):
+    """`pool` with remainder row 1 and the first pool row swapped, row 1
+    written as `spelled`; written as 1, the pool would be valid."""
+    i = pool["remainder_indices"].index(1)
+    pool["remainder_indices"][i], pool["pool_indices"][0] = pool["pool_indices"][0], spelled
+    return pool
+
+
 _MALFORMED = [
     pytest.param(
         ("partition",), "manifest.json", lambda m: _put(m, ["partition"], "stages"),
@@ -1103,6 +1111,24 @@ _MALFORMED = [
         ("partition",), "plan.json",
         lambda p: _put(p, p["participants"][1][0], "participants", 0, 0),
         "pretrain", id="plan-shards-overlap",
+    ),
+    pytest.param(
+        ("partition",), "plan.json",
+        lambda p: _put(p, p["participants"][0][0] + 0.6, "participants", 0, 0),
+        "pretrain", id="plan-index-a-float",
+    ),
+    pytest.param(
+        ("partition",), "plan.json", lambda p: _put(p, 2**64, "participants", 0, 0),
+        "pretrain", id="plan-index-past-int64",
+    ),
+    pytest.param(
+        ("partition",), "pool.json", lambda p: _pool_takes_row_one(p, True),
+        "pretrain", id="pool-index-true",
+    ),
+    pytest.param(
+        ("partition",), "pool.json",
+        lambda p: _put(p, float(p["remainder_indices"][1]), "remainder_indices", 1),
+        "pretrain", id="remainder-index-one-point-zero",
     ),
     pytest.param(
         ("partition",), "pool.json", lambda p: _put(p, 10**6, "pool_indices", 0),

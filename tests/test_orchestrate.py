@@ -399,6 +399,28 @@ def test_side_by_side_searches_follow_their_own_best_alpha():
     assert [len(r.surface) for r in results] == [3 + 3 - 1] * 2
 
 
+@pytest.mark.parametrize("option, sequential, cells", [
+    ("public_unlabeled_small", False, 11),  # 55 before: one seed replica per alpha
+    ("public_unlabeled_small", True, 11),
+    ("student_data", False, 55),
+])
+def test_tuned_matrix_trains_one_alpha_per_temperature_without_labels(
+    pretrained, scenario, monkeypatch, option, sequential, cells
+):
+    trained = []  # the alpha of every cell trained
+    benches = orchestrate.distill_vanilla_benches
+    monkeypatch.setattr(
+        orchestrate, "distill_vanilla_benches",
+        lambda *args: trained.extend(args[4]) or benches(*args),
+    )
+    grid = GridSpec(sequential=sequential)
+    run_pairwise_matrix(pretrained, scenario, ["tuned"], [option], QUICK, grid, SIZES, 8)
+    searches = scenario.k * (scenario.k - 1)
+    assert len(trained) == cells * searches
+    if option != "student_data":
+        assert set(trained) == {QUICK.alpha}
+
+
 def test_grid_search_rejects_empty_axes():
     with pytest.raises(ConfigError):
         GridSpec(temperatures=())

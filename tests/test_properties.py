@@ -750,6 +750,61 @@ def test_cross_teacher_search_equals_one_pair_searches(run):
 
 
 @st.composite
+def _unlabeled_searches(draw):
+    """A one-teacher search on public_unlabeled_small over small
+    temperature and alpha axes, with the configured alpha on the alpha
+    axis or, at 0.75, off it."""
+    student, (teacher, *_), _, cfg, _ = draw(_student_groups())
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arch = student.arch
+    rows = draw(st.integers(1, 3 * cfg.batch_size))
+    transfer = TransferSet(
+        features=data.normal(0, 1, size=(rows, arch.input_dim)),
+        labels=None,
+        origin="public_unlabeled_small",
+    )
+    n = draw(st.integers(1, 30))
+    select = LabeledDataset(
+        features=data.normal(0, 1, size=(n, arch.input_dim)),
+        labels=data.integers(0, arch.num_classes, size=n),
+        class_count=arch.num_classes,
+    )
+    grid = GridSpec(
+        temperatures=draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=1, unique=True)),
+        alphas=draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, unique=True)),
+    )
+    cfg = replace(cfg, alpha=draw(st.sampled_from([*grid.alphas, 0.75])))
+    return student, teacher, transfer, cfg, grid, select
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(_unlabeled_searches())
+def test_unlabeled_search_scans_temperatures_at_the_configured_alpha(run):
+    # without labels alpha never enters the loss: each temperature trains
+    # one cell, the configured alpha's, under that cell's seed
+    student, teacher, transfer, cfg, grid, select = run
+    seed_fn = lambda t, a: stable_seed(7, "pair", t, a)
+    got, full = [
+        grid_search_tuned(
+            student, teacher, transfer, replace(grid, sequential=sequential), cfg, select,
+            seed_fn,
+        )
+        for sequential in (True, False)
+    ]
+    assert set(got.surface) == {(float(t), cfg.alpha) for t in grid.temperatures}
+    assert got.best_alpha == cfg.alpha
+    t = got.best_temperature
+    want = distill_vanilla(
+        student, [teacher], transfer, replace(cfg, temperature=t), seed_fn(t, cfg.alpha)
+    )
+    assert got.best_model.params.tobytes() == want.params.tobytes()
+    # with one alpha the two modes train the same cells
+    assert full.surface == got.surface
+    assert (full.best_temperature, full.best_alpha) == (t, cfg.alpha)
+    assert full.best_model.params.tobytes() == want.params.tobytes()
+
+
+@st.composite
 def _supervised_cells(draw):
     """One to five participants with training sets below, equal to and
     multiples of the batch size, Adam or momentum SGD with or without
