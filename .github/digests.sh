@@ -131,3 +131,27 @@ PY
   (cd "$run" && sha256sum manifest.json distill_*.json grid_*.json | cut -d' ' -f1 | paste -sd ' ')
   rm -rf "$run"
 }
+
+# SHA-256 of every distill result, consolidate.json, consolidated.kdsm
+# and trajectories.json after running partition and pretrain, then
+# vanilla and DPKD distill requests on public_labeled and a tuned one on
+# public_unlabeled_small, then consolidate and fedavg, through the CLI of
+# the checkout DIR on the run configuration CONFIG at SEED, in a fresh
+# run directory, on one line. Call: plain_digests DIR CONFIG SEED
+# Prints nothing and fails if a stage fails.
+plain_digests() {
+  run=$(mktemp -d)
+  for argv in partition pretrain \
+    "distill --teacher 0 --student 1 --method vanilla --transfer-option public_labeled" \
+    "distill --teacher 1 --student 2 --method dpkd --transfer-option public_labeled" \
+    "distill --teacher 2 --student 3 --method tuned --transfer-option public_unlabeled_small" \
+    consolidate fedavg; do
+    # $argv is split into the stage and its arguments on purpose
+    if ! PYTHONPATH="$1/src" python3 -m kdsim $argv --config "$2" --seed "$3" --out-dir "$run" > /dev/null; then
+      rm -rf "$run"
+      return 1
+    fi
+  done
+  (cd "$run" && sha256sum distill_*.json consolidate.json consolidated.kdsm trajectories.json | cut -d' ' -f1 | paste -sd ' ')
+  rm -rf "$run"
+}

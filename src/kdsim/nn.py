@@ -37,25 +37,34 @@ early-stopped cells leave a stack.
 
 An optimizer is built from a training recipe (`make_optimizer`) and
 owns the model or stack it steps, so the trainer takes the optimizer
-alone. All training runs through one minibatch loop, `train_steps`,
-which makes one optimizer step per `next()`; `train_epoch` runs a whole
-pass of it.
+alone. `train_epoch` runs one shuffled minibatch pass. Stacks, ragged
+cells and live partners train through the generic minibatch loop,
+`train_steps`, which makes one optimizer step per `next()`; a plain
+model on fixed targets trains through its own loop, `_train_plain`,
+which steps the same bits.
 Supervised pre-training (early-stopped on validation accuracy;
 `train_supervised` for one model, `train_supervised_cells` for every
 participant in one ragged stack) and FedAvg local updates pass hard
 targets; distillation passes the targets it builds, weighing the CE and
 KL terms as it chooses. Mutual learning passes each peer the other, a
 live model whose current prediction is the target, and advances the
-two peers' passes in lockstep. A run of
-one cell passes a plain model, not a one-cell stack: the step is the
-same arithmetic on fewer axes, and cheaper. An epoch gathers its
-shuffled rows of every input with one `take` each (a wide stack a few
-minibatches at a time), checks them once, and every minibatch steps on
-a slice; what does not change between minibatches (loss weights, the
-optimizer's views and constants) is computed once, and scalar operands
-are 0-d arrays. The optimizer owns a flat gradient buffer that
-`backprop_params` fills, and it steps in place. A pass that leaves a
-parameter NaN or infinite raises DomainError.
+two peers' passes in lockstep.
+
+A run of one cell passes a plain model, not a one-cell stack: the step
+is the same arithmetic on fewer axes. On such small models a minibatch
+step of `train_steps` is some 25 numpy calls on tiny arrays, whose
+dispatch costs more than their arithmetic, so `_train_plain` writes the
+forward pass, softmax, logit gradient and backprop out in place, into
+buffers kept per optimizer and minibatch size, with ufunc outputs
+passed positionally; it gathers the epoch's rows of every input once.
+`train_steps` gathers its shuffled rows of every input with one `take`
+each, a chunk of minibatches at a time (a wide stack one minibatch at a
+time), checks them once per chunk, and every minibatch steps on a
+slice. In both loops what does not change between minibatches (loss
+weights, the optimizer's views and constants) is computed once, and
+scalar operands are 0-d arrays. The optimizer owns a flat gradient
+buffer that backprop fills, and it steps in place, once per minibatch.
+A pass that leaves a parameter NaN or infinite raises DomainError.
 
 A training recipe (`TrainConfig` here, `distill.DistillConfig` and
 `fed.FedConfig`) states its rules once, in `problems()`, which lists
@@ -422,7 +431,8 @@ class _Optimizer:
 
     def _bind(self, model: Model) -> None:
         """Step `model` from now on: the gradient buffer, its views, the
-        scratch buffers and empty `cell_views` and step-view caches."""
+        scratch buffers, the transposed weight views and empty
+        `cell_views`, step-view and `_plain_buffers` caches."""
         self.model = model
         self.grad = np.zeros_like(model.params)
         self.grad_views = model.arch.param_views(self.grad)
@@ -430,6 +440,10 @@ class _Optimizer:
         self._scratch = np.empty_like(model.params)
         self._cells: dict[tuple[int, int], tuple] = {}
         self._steps: dict[tuple[int, int] | None, tuple] = {}
+        # what `_train_plain` reads: the weights transposed, and its buffers
+        # per minibatch size
+        self._weights_t = [w.swapaxes(-1, -2) for w in model.weights]
+        self._plain: dict[int, tuple] = {}
 
     def reset(self, params: np.ndarray) -> None:
         """Copy `params` into the stack and zero the moments and the step
@@ -737,14 +751,8 @@ def train_steps(
     `distill.distill_vanilla_benches`). A stack takes one generator per
     cell as `rng`. Its soft targets are either shared, (n, C), or
     one block per cell, (S, n, C); each cell's minibatch rows are then
-    gathered from its own block.
-
-    A plain model may take, in place of its generator, the pass's row
-    order itself: the (n,) array `rng.permutation(n)` would have drawn,
-    which lets callers that train several models on one order draw it
-    once (see `fed.run_federated`). The order is read, never written. A
-    stack, ragged cells, or an order whose length is not the row count
-    raise ShapeError before any step.
+    gathered from its own block. A row order in place of the generators
+    (see `train_epoch`) raises ShapeError.
 
     `soft` may also be a live model with the same cells as `opt.model`
     (plain for plain, S for S): each minibatch's target is then its
@@ -761,9 +769,9 @@ def train_steps(
     minibatches at a time, one `take` per input, and each minibatch
     steps on a slice of its chunk; the features are checked per chunk,
     before its first step. A chunk's arrays stay near `_GATHER_BYTES`,
-    so a plain model usually gathers its whole epoch at once and a wide
-    stack one minibatch at a time. The arguments are checked at the
-    first `next()`, before the first step.
+    so a narrow stack gathers many minibatches at once and a wide one a
+    single minibatch. The arguments are checked at the first `next()`,
+    before the first step.
     """
     model = opt.model
     live = isinstance(soft, Model)
@@ -773,14 +781,16 @@ def train_steps(
         )
     use_ce = hard is not None and _in_use(ce_weight)
     use_kd = soft is not None and _in_use(kd_weight)
+    if isinstance(rng, np.ndarray):
+        raise ShapeError(
+            f"a row order for params of {model.params.shape}; only `train_epoch` of a plain "
+            f"model on fixed targets takes one"
+        )
     if isinstance(features, list):
         features = Ragged.of(features)
     if isinstance(hard, list):
         hard = Ragged.of(hard)
-    given = isinstance(rng, np.ndarray)
     if isinstance(features, Ragged):
-        if given:
-            raise ShapeError("ragged cells take one generator per cell, not a row order")
         if soft is not None:
             raise ShapeError("ragged cells train on hard targets alone")
         if hard is not None and hard.sizes != features.sizes:
@@ -791,12 +801,7 @@ def train_steps(
         hard = None if hard is None else hard.block
     else:
         n = len(features)
-        if given and (model.params.ndim != 1 or rng.shape != (n,)):
-            raise ShapeError(
-                f"a row order of shape {rng.shape} for {n} rows and params of "
-                f"{model.params.shape}; only a plain model takes one, of length {n}"
-            )
-        order = rng if given else _shuffle(n, rng)
+        order = _shuffle(n, rng)
         steps = (
             (model, opt.grad_views, None, ..., start, min(batch_size, n - start))
             for start in range(0, n, batch_size)
@@ -862,11 +867,171 @@ def train_steps(
         yield
 
 
-def train_epoch(opt: _Optimizer, *args, **kwargs) -> None:
+def _softmax_into(
+    logits: np.ndarray, t_factor: np.ndarray | None, out: np.ndarray, col: np.ndarray
+) -> np.ndarray:
+    """`softmax(logits, T)` of 2-d logits, written into `out` with `col`
+    (rows, 1) as scratch, by softmax's operations in softmax's order;
+    `t_factor` is `_factor(T)`, None at T = 1."""
+    if t_factor is None:
+        np.maximum.reduce(logits, -1, None, col, True)
+        np.subtract(logits, col, out)
+    else:
+        np.divide(logits, t_factor, out)
+        np.maximum.reduce(out, -1, None, col, True)
+        np.subtract(out, col, out)
+    np.exp(out, out)
+    np.add.reduce(out, -1, None, col, True)
+    np.divide(out, col, out)
+    return out
+
+
+def _plain_buffers(opt: _Optimizer, nb: int) -> tuple:
+    """The arrays `_train_plain` steps a minibatch of `nb` rows in, made
+    once per optimizer and size: every layer's output, the transposes of
+    the hidden ones, the hidden layers' ReLU masks and backprop deltas,
+    two probability blocks, the logit gradient, a (rows, 1) column for
+    the softmax reductions, and `nb` as an operand."""
+    dims = opt.model.arch.layer_dims()
+    outs = [np.empty((nb, d)) for d in dims[1:]]
+    classes = dims[-1]
+    bufs = opt._plain[nb] = (
+        outs,
+        [h.T for h in outs[:-1]],
+        [np.empty((nb, d), dtype=bool) for d in dims[1:-1]],
+        [np.empty((nb, d)) for d in dims[1:-1]],
+        np.empty((nb, classes)),
+        np.empty((nb, classes)),
+        np.empty((nb, classes)),
+        np.empty((nb, 1)),
+        _operand(nb),
+    )
+    return bufs
+
+
+def _train_plain(
+    opt: _Optimizer,
+    features: np.ndarray,
+    batch_size: int,
+    rng: np.random.Generator | np.ndarray,
+    *,
+    hard: np.ndarray | None = None,
+    soft: np.ndarray | None = None,
+    ce_weight: float = 1.0,
+    kd_weight: float = 1.0,
+    temperature: float = 1.0,
+    weight: np.ndarray | None = None,
+) -> None:
+    """One `train_steps` pass of a plain model on fixed targets, bit for
+    bit, with the forward pass, softmax, logit gradient and backprop
+    written out in the buffers of `_plain_buffers`; see `train_epoch`.
+
+    Each minibatch makes exactly the floating-point operations of
+    `_forward_cached`, `softmax` and `backprop_params`, in their order,
+    and one `opt.step()`. The epoch's rows of every input are gathered
+    once, and the arguments are checked before the first step.
+    """
+    model = opt.model
+    n = len(features)
+    if isinstance(rng, np.ndarray):
+        if rng.shape != (n,):
+            raise ShapeError(
+                f"a row order of shape {rng.shape} for {n} rows; a plain model takes one "
+                f"of length {n}"
+            )
+        order = rng
+    else:
+        order = rng.permutation(n)
+    use_ce = hard is not None and _in_use(ce_weight)
+    use_kd = soft is not None and _in_use(kd_weight)
+    if not (use_ce or use_kd):
+        raise ConfigError("nothing to train on: no targets at a loss weight other than 0")
+    if use_kd and temperature <= 0:
+        raise DomainError(f"temperature must be > 0, got {temperature}")
+    x = _check_input(model, features.take(order, axis=0))
+    y = hard.take(order, axis=0) if use_ce else None
+    q = soft.take(order, axis=0) if use_kd else None
+    w = weight.take(order)[:, None] if use_kd and weight is not None else None
+    ce_factor, kd_factor, t_factor = _factor(ce_weight), _factor(kd_weight), _factor(temperature)
+    weights, biases, weights_t = model.weights, model.biases, opt._weights_t
+    grads_w, grads_b = opt.grad_views
+    last = len(weights) - 1
+    layers = range(last + 1)
+    matmul, add, subtract, multiply, divide = (
+        np.matmul, np.add, np.subtract, np.multiply, np.divide
+    )
+    for start in range(0, n, batch_size):
+        stop = min(start + batch_size, n)
+        bufs = opt._plain.get(stop - start) or _plain_buffers(opt, stop - start)
+        outs, outs_t, masks, deltas, probs, kd_probs, dlogits, col, size = bufs
+        h = rows = x[start:stop]
+        for i in layers:
+            matmul(h, weights[i], outs[i])
+            h = outs[i]
+            add(h, biases[i], h)
+            if i < last:
+                # numpy deprecates a positional output for maximum alone
+                np.maximum(h, _ZERO, out=h)
+        if use_ce:
+            subtract(_softmax_into(h, None, probs, col), y[start:stop], dlogits)
+            if ce_factor is not None:
+                multiply(dlogits, ce_factor, dlogits)
+            divide(dlogits, size, dlogits)
+        if use_kd:
+            # at T = 1 the CE term's softmax serves the KL term too
+            if use_ce and t_factor is None:
+                gap = probs
+            else:
+                gap = _softmax_into(h, t_factor, kd_probs, col)
+            subtract(gap, q[start:stop], gap)
+            if w is not None:
+                multiply(gap, w[start:stop], gap)
+            # d/dlogits of T^2 * mean KL = T * (student - target) / n
+            if t_factor is not None:
+                multiply(gap, t_factor, gap)
+            divide(gap, size, gap)
+            if kd_factor is not None:
+                multiply(gap, kd_factor, gap)
+            if use_ce:
+                add(dlogits, gap, dlogits)
+            else:
+                dlogits = gap
+        delta = dlogits
+        for i in reversed(layers):
+            matmul(outs_t[i - 1] if i else rows.T, delta, grads_w[i])
+            add.reduce(delta, 0, None, grads_b[i])
+            if i:
+                # ReLU derivative from the layer's post-activation output
+                matmul(delta, weights_t[i], deltas[i - 1])
+                delta = deltas[i - 1]
+                np.greater(outs[i - 1], _ZERO, masks[i - 1])
+                multiply(delta, masks[i - 1], delta)
+        opt.step()
+
+
+def train_epoch(opt: _Optimizer, features, batch_size: int, rng, **targets) -> None:
     """Every step of one `train_steps` pass (same arguments); raises
-    DomainError if the pass leaves a parameter non-finite."""
-    for _ in train_steps(opt, *args, **kwargs):
-        pass
+    DomainError if the pass leaves a parameter non-finite.
+
+    A plain model on array features and fixed targets (no live `soft`
+    model) trains through its own loop, `_train_plain`, which takes the
+    same arguments and steps the same bits at a fraction of the numpy
+    calls. It may take, in place of its generator, the pass's row order
+    itself: the (n,) array `rng.permutation(n)` would have drawn, which
+    lets callers that train several models on one order draw it once
+    (see `fed.run_federated`). The order is read, never written; one of
+    another length, or any order for a stack, ragged cells or a live
+    `soft` model, raises ShapeError before any step.
+    """
+    if (
+        opt.model.params.ndim == 1
+        and isinstance(features, np.ndarray)
+        and not isinstance(targets.get("soft"), Model)
+    ):
+        _train_plain(opt, features, batch_size, rng, **targets)
+    else:
+        for _ in train_steps(opt, features, batch_size, rng, **targets):
+            pass
     check_finite(opt.model, "after a training pass")
 
 

@@ -213,7 +213,8 @@ def _live_case(rng):
 
     targets = dict(hard=onehot(labels, 3), soft=peer, ce_weight=0.4, kd_weight=0.6,
                    temperature=t)
-    return init_model(ARCH, 0), x, None, targets, loss
+    # a live soft model takes a generator, not a row order
+    return init_model(ARCH, 0), x, rng_for(0, "order"), targets, loss
 
 
 @pytest.mark.parametrize("case", [_stack_case, _ragged_case, _live_case],
@@ -649,6 +650,11 @@ def test_a_row_order_is_for_a_plain_model_of_its_length(rng):
         (stack, features, hard, order),
         (stack, [features, features[:3]], [hard, hard[:3]], order),
         (plain, features, hard, order[:5]),
+        # the plain model's own loop checks its features before any step
+        (plain, features[:, :2], hard, order),
+        (plain, features[:, 0], hard, order),
+        (plain, features[:, :2], hard, rng_for(1, "epoch", 1)),
+        (plain, features[:, 0], hard, rng_for(1, "epoch", 1)),
     ):
         opt = make_optimizer(_recipe("adam", 0.1, 0.0, 0.0), work)
         start = work.params.tobytes()
