@@ -39,6 +39,15 @@ fed_digests() {
   rm -rf "$run"
 }
 
+# Run partition, pretrain and matrix through the CLI of the checkout DIR
+# on the run configuration CONFIG at SEED with JOBS worker processes in
+# the run directory RUN. Call: _matrix_stages DIR RUN CONFIG SEED JOBS
+_matrix_stages() {
+  for stage in partition pretrain matrix; do
+    PYTHONPATH="$1/src" python3 -m kdsim "$stage" --config "$3" --seed "$4" --jobs "$5" --out-dir "$2" > /dev/null || return 1
+  done
+}
+
 # SHA-256 of results.json after running partition, pretrain and matrix
 # through the CLI of the checkout DIR on the run configuration CONFIG at
 # SEED with JOBS worker processes, in a fresh run directory.
@@ -46,12 +55,10 @@ fed_digests() {
 # Prints nothing and fails if a stage fails.
 matrix_digest() {
   run=$(mktemp -d)
-  for stage in partition pretrain matrix; do
-    if ! PYTHONPATH="$1/src" python3 -m kdsim "$stage" --config "$2" --seed "$3" --jobs "$4" --out-dir "$run" > /dev/null; then
-      rm -rf "$run"
-      return 1
-    fi
-  done
+  if ! _matrix_stages "$1" "$run" "$2" "$3" "$4"; then
+    rm -rf "$run"
+    return 1
+  fi
   (cd "$run" && sha256sum results.json | cut -d' ' -f1)
   rm -rf "$run"
 }
@@ -154,4 +161,45 @@ plain_digests() {
   done
   (cd "$run" && sha256sum distill_*.json consolidate.json consolidated.kdsm trajectories.json | cut -d' ' -f1 | paste -sd ' ')
   rm -rf "$run"
+}
+
+# Compare results.json record by record after running partition, pretrain
+# and matrix through the CLI of the checkouts BASE and HEAD on the run
+# configuration CONFIG at SEED with JOBS worker processes, each in a
+# fresh run directory. Records are matched by (scenario, method, transfer
+# option, teacher, student). Prints one line: how many records differ,
+# and how many of those are DML records on a public option whose teacher
+# id is below the student id, which take peer B of their pair's shared
+# run. Fails if a stage fails, if the two files hold other records, or
+# if any other record differs.
+# Call: matrix_record_changes BASE HEAD CONFIG SEED JOBS
+matrix_record_changes() {
+  base_run=$(mktemp -d)
+  head_run=$(mktemp -d)
+  if ! _matrix_stages "$1" "$base_run" "$3" "$4" "$5" || ! _matrix_stages "$2" "$head_run" "$3" "$4" "$5"; then
+    rm -rf "$base_run" "$head_run"
+    return 1
+  fi
+  python3 - "$base_run/results.json" "$head_run/results.json" <<'PY'
+import json
+import sys
+
+base, head = (
+    {
+        (r["scenario"], r["method"], r["transfer_option"], r["teacher_id"], r["student_id"]): r
+        for r in json.load(open(path))["results"]
+    }
+    for path in sys.argv[1:]
+)
+if base.keys() != head.keys():
+    print(f"the record keys differ: {len(base)} records at base, {len(head)} at head")
+    sys.exit(1)
+changed = [key for key in base if base[key] != head[key]]
+shared = [k for k in changed if k[1] == "dml" and k[2] != "student_data" and k[3] < k[4]]
+print(f"{len(changed)} of {len(base)} records differ, {len(shared)} of them DML on a public option with teacher < student")
+sys.exit(len(changed) != len(shared))
+PY
+  status=$?
+  rm -rf "$base_run" "$head_run"
+  return $status
 }

@@ -18,7 +18,10 @@ alpha) on labeled data, the KL term alone at weight 1 without labels.
 * mutual learning between two live peers (`distill_dml`), on CE + KL
   at unit weights and temperature 1: each peer's target is the other
   peer itself, whose current prediction the loop reads at every
-  minibatch, and the two peers' passes step in turn.
+  minibatch, and the two peers' passes step in turn. Both trained peers
+  are returned: when both peers train on one set, the run serves the
+  transfer in either direction (the matrix reads both peers of a public
+  pair's run, see `orchestrate.run_pairwise_matrix`).
 
 Teacher models are never mutated: targets are read from them once up
 front and only the student copy is ever stepped. Every run is

@@ -31,10 +31,14 @@ vanilla, DML and DPKD train each group of cells as one stack
 and seed. On student_data each student has its own transfer set, so the
 K - 1 cells of one student in one (method, option) block form a group.
 On a public option every student draws the same set, so the whole
-K * (K - 1)-cell block shares its rows and forms one group. A group is
-sorted by student and split into balanced stacks of at most
-`STACK_CELLS` cells: wider stacks no longer make a step cheaper per
-cell, while each cell's soft targets are held for the whole run.
+K * (K - 1)-cell block shares its rows and forms one group. There DML's
+two ordered cells of a pair {lo, hi} would train the same two peers on
+the same rows, so they share one run, that of cell (hi -> lo) and its
+seed: peer A is model lo and gives that cell's record, peer B is model
+hi and gives the record of (lo -> hi). A group is sorted by student and
+split into balanced stacks of at most `STACK_CELLS` runs, both cells of
+a pair in one stack: wider stacks no longer make a step cheaper per
+run, while each run's soft targets are held for the whole run.
 
 The tuned cells of one student and option run their grid searches side
 by side (`grid_search_teachers`): each temperature row trains every
@@ -97,8 +101,9 @@ MATRIX_METHODS = ("vanilla", "dml", "dpkd", "tuned")
 START_POLICIES = ("worst", "best", "untrained")
 WEIGHTINGS = ("adaptive", "equal")
 
-# The widest stack of vanilla, DML or DPKD cells in the matrix. The
-# per-cell cost of a step stops falling at about 10 cells, and the soft
+# The widest stack of vanilla, DML or DPKD runs in the matrix: one run per
+# cell, except one DML run per unordered pair on a public option. The
+# per-run cost of a step stops falling at about 10 runs, and the soft
 # targets a stack holds grow with its width.
 STACK_CELLS = 16
 
@@ -494,10 +499,25 @@ class PairCell:
         )
 
 
+def _dml_run(cell: PairCell) -> tuple[tuple[int, int], tuple[Model, Model]]:
+    """The mutual-learning run whose peer is `cell`'s record: its (peer A,
+    peer B) ids and models. On student_data that is the cell's own run,
+    peer A its student. On a public option the cells (hi -> lo) and
+    (lo -> hi) train the same two models on one set, so both read the run
+    of cell (hi -> lo), peer A model lo."""
+    if cell.option != "student_data" and cell.teacher_id < cell.student_id:
+        return (cell.teacher_id, cell.student_id), (cell.teacher, cell.student)
+    return (cell.student_id, cell.teacher_id), (cell.student, cell.teacher)
+
+
 def _train_stack(cells: list[PairCell]) -> tuple[float, float, list[Model]]:
     """The (temperature, alpha) recorded for a stack of vanilla, DML or
     DPKD cells of one method and one transfer set, and the models it
-    trains; each cell starts from its own student."""
+    trains; each cell starts from its own student. DML trains one run
+    per `_dml_run` in the stack, and each cell takes the run's peer that
+    started from its student: on a public option the cell (lo -> hi)
+    takes peer B of the run of (hi -> lo), both cells of a pair sharing
+    that run."""
     head = cells[0]
     cfg = head.cfg
     temperature, alpha = cfg.temperature, cfg.alpha
@@ -512,10 +532,24 @@ def _train_stack(cells: list[PairCell]) -> tuple[float, float, list[Model]]:
         # mutual learning has no temperature/alpha knobs; record the
         # canonical baseline values
         temperature, alpha = 1.0, 0.5
-        seeds = [cell.seed("dml", temperature, alpha) for cell in cells]
-        distilled, _ = distill_dml_cells(
-            students, teachers, head.transfer, head.transfer, cfg, seeds
+        runs = {}  # (peer A's id, peer B's id) -> (peer A, peer B)
+        keys = []
+        for cell in cells:
+            key, peers = _dml_run(cell)
+            runs.setdefault(key, peers)
+            keys.append(key)
+        seeds = [
+            pair_seed(head.master_seed, b, a, "dml", temperature, alpha) for a, b in runs
+        ]
+        peers_a, peers_b = distill_dml_cells(
+            [a for a, _ in runs.values()], [b for _, b in runs.values()],
+            head.transfer, head.transfer, cfg, seeds,
         )
+        trained = dict(zip(runs, zip(peers_a, peers_b)))
+        # peer A started from model key[0], peer B from model key[1]
+        distilled = [
+            trained[key][key[0] != cell.student_id] for cell, key in zip(cells, keys)
+        ]
     else:
         seeds = [cell.seed("dpkd", temperature, alpha) for cell in cells]
         distilled = distill_dpkd_cells(
@@ -600,16 +634,21 @@ def run_pairwise_matrix(
     for every participant in `pairs`, or for all K without `pairs`. Each
     record's pre-distillation evaluation is the stored pre-training
     report, not a recomputation. The vanilla, DML and DPKD cells of one
-    (method, option) block train in stacks, each cell with its own seed
+    (method, option) block train in stacks, each run with its own seed
     under the seed policy, so a record does not depend on which other
-    pairs run beside it. On student_data a student's cells form a
-    group, on a public option the whole block does; each group is sorted
-    by student and split into balanced stacks of at most `STACK_CELLS`
-    cells. A student's tuned cells of
-    one option search side by side, and its vanilla cells of that option
-    join them (see the module docstring). Groups are independent, so
-    `jobs` > 1 fans them out over processes without changing any result.
-    The tuned method searches `grid`, in its own mode.
+    pairs run beside it. Each cell is one run, except on a public option
+    under DML: there the cells (hi -> lo) and (lo -> hi) train the same
+    two models on one set, so they share the run of cell (hi -> lo),
+    whose peer A (model lo) is that cell's record and whose peer B
+    (model hi) is the record of (lo -> hi). On student_data a student's
+    cells form a group, on a public option the whole block does; each
+    group is sorted by student and split into balanced stacks of at most
+    `STACK_CELLS` runs, both cells of a pair in one stack, so a one-pair
+    run trains the same run as the full matrix. A student's tuned cells
+    of one option search side by side, and its vanilla cells of that
+    option join them (see the module docstring). Groups are independent,
+    so `jobs` > 1 fans them out over processes without changing any
+    result. The tuned method searches `grid`, in its own mode.
     """
     if pairs is None:
         need = set(range(scenario.k))
@@ -671,8 +710,16 @@ def run_pairwise_matrix(
     for (method, _, _), block in blocks.items():
         if method == "tuned":
             groups.append(block)
-        else:
-            groups += _balanced(sorted(block, key=lambda c: c.student_id), STACK_CELLS)
+            continue
+        # a stack is split by runs: one per cell, except that both cells
+        # of a pair in a public DML block share one run and one stack
+        runs: dict = {}
+        for cell in sorted(block, key=lambda c: c.student_id):
+            runs.setdefault(_dml_run(cell)[0] if method == "dml" else id(cell), []).append(cell)
+        groups += [
+            [cell for run in stack for cell in run]
+            for stack in _balanced(list(runs.values()), STACK_CELLS)
+        ]
     if jobs > 1:
         # imported here: a run at jobs = 1 never loads the worker pool
         from concurrent.futures import ProcessPoolExecutor

@@ -5,7 +5,7 @@ import pytest
 
 import kdsim.orchestrate as orchestrate
 from kdsim.data import TransferSet
-from kdsim.distill import DistillConfig, distill_vanilla
+from kdsim.distill import DistillConfig, distill_dml, distill_vanilla
 from kdsim.errors import ConfigError, DataError
 from kdsim.metrics import build_pair_result, reconciliation_residual
 from kdsim.nn import EvalReport, evaluate, init_model, models_equal, reports_equal
@@ -274,6 +274,49 @@ def test_public_blocks_stack_across_students(pretrained, scenario, monkeypatch):
         ("student_data", [(1, 0), (1, 2)]),
         ("student_data", [(2, 0), (2, 1)]),
     ]
+
+
+def test_public_dml_trains_one_run_per_unordered_pair(pretrained, scenario, monkeypatch):
+    # on a public option the cells (hi -> lo) and (lo -> hi) train the
+    # same two peers on one set: one run serves both records
+    trained = []
+    dml_cells = orchestrate.distill_dml_cells
+    monkeypatch.setattr(
+        orchestrate, "distill_dml_cells",
+        lambda a, b, ta, *rest: trained.append((ta.origin, len(a))) or dml_cells(a, b, ta, *rest),
+    )
+    options = ["student_data", "public_labeled"]
+    master = 8
+    results = run_pairwise_matrix(
+        pretrained, scenario, ["dml"], options, QUICK, None, SIZES, master
+    )
+    k = scenario.k
+    runs = {option: sum(n for origin, n in trained if origin == option) for option in options}
+    assert runs == {"student_data": k * (k - 1), "public_labeled": k * (k - 1) // 2}
+    # record (hi -> lo) is peer A of the run of cell (hi -> lo), record
+    # (lo -> hi) its peer B; on student_data each record is peer A of its own run
+    public = orchestrate.transfer_set_for(scenario, "public_labeled", None, SIZES, master)
+    record = {
+        (r.teacher_id, r.student_id): r for r in results if r.transfer_option == "public_labeled"
+    }
+    for lo in range(k):
+        for hi in range(lo + 1, k):
+            peer_a, peer_b = distill_dml(
+                pretrained[lo][0], pretrained[hi][0], public, public, QUICK,
+                pair_seed(master, hi, lo, "dml", 1.0, 0.5),
+            )
+            assert reports_equal(record[hi, lo].post_eval, evaluate(peer_a, scenario.test))
+            assert reports_equal(record[lo, hi].post_eval, evaluate(peer_b, scenario.test))
+    for r in results:
+        if r.transfer_option == "student_data":
+            own = orchestrate.transfer_set_for(
+                scenario, "student_data", r.student_id, SIZES, master
+            )
+            peer, _ = distill_dml(
+                pretrained[r.student_id][0], pretrained[r.teacher_id][0], own, own, QUICK,
+                pair_seed(master, r.teacher_id, r.student_id, "dml", 1.0, 0.5),
+            )
+            assert reports_equal(r.post_eval, evaluate(peer, scenario.test))
 
 
 @pytest.mark.parametrize("sequential, point, retrained", [
