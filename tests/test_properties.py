@@ -496,7 +496,7 @@ def _student_groups(draw):
     is often ragged, and a run config (Adam or momentum SGD, T in {1, 3})."""
     hidden = tuple(draw(st.lists(st.integers(1, 6), min_size=0, max_size=2)))
     dim = draw(st.integers(1, 4))
-    classes = draw(st.integers(2, 4))
+    classes = draw(st.integers(2, 10))
     arch = ArchSpec(input_dim=dim, hidden_layers=hidden, num_classes=classes)
     batch = draw(st.integers(1, 8))
     n = batch * draw(st.integers(0, 2)) + draw(st.integers(1, batch))
@@ -951,7 +951,7 @@ def _step_cases(draw):
     targets, and per-sample weights or none."""
     hidden = tuple(draw(st.lists(st.integers(1, 6), min_size=0, max_size=2)))
     dim = draw(st.integers(1, 4))
-    classes = draw(st.integers(2, 4))
+    classes = draw(st.integers(2, 10))
     arch = ArchSpec(input_dim=dim, hidden_layers=hidden, num_classes=classes)
     batch = draw(st.integers(1, 8))
     n = batch * draw(st.integers(0, 2)) + draw(st.integers(1, batch))
@@ -1047,7 +1047,7 @@ def _ragged_cases(draw):
     decay, and every gather budget."""
     hidden = tuple(draw(st.lists(st.integers(1, 6), min_size=0, max_size=2)))
     dim = draw(st.integers(1, 4))
-    classes = draw(st.integers(2, 4))
+    classes = draw(st.integers(2, 10))
     arch = ArchSpec(input_dim=dim, hidden_layers=hidden, num_classes=classes)
     batch = draw(st.integers(1, 8))
     sizes = sorted(draw(st.lists(st.integers(1, 3 * batch), min_size=1, max_size=4)), reverse=True)
