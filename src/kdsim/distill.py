@@ -39,7 +39,7 @@ frozen self of each distinct student, and DPKD's snapshot probabilities
 of each distinct student. `distill_vanilla`, `distill_dpkd` and
 `distill_dml` are the one-cell cases; a run of one cell, these and
 `distill_multi_teacher` included, trains as a plain model rather than a
-one-cell stack, which gives the same bits at a cheaper step.
+one-cell stack: the loop's one step on fewer axes, with the same bits.
 
 Temperatures above 1 shrink softened-softmax gradients by roughly T^2,
 so the KL objectives here carry an explicit T^2 factor to keep gradient

@@ -13,10 +13,9 @@ What the arms share is drawn once: each round's participants, each
 participant's local-epoch row orders (`client_round`) and, once per
 federation, each shard's one-hot targets. Every arm's clients then train
 on those same draws, so an arm's trajectory is bit-identical to a
-federation run alone from its initial model. A client model is plain
-and trains on fixed hard targets, so `nn.train_epoch` steps it through
-its plain-model loop, the one loop that takes a drawn row order in
-place of a generator. Each arm builds one client
+federation run alone from its initial model. A client model is plain,
+so `nn.train_epoch` takes its drawn row order in place of a generator.
+Each arm builds one client
 optimizer from the `FedConfig` (`nn.make_optimizer`), which owns the
 client model it steps; every local update resets it to the global model
 and a new optimizer's state.

@@ -37,11 +37,9 @@ early-stopped cells leave a stack.
 
 An optimizer is built from a training recipe (`make_optimizer`) and
 owns the model or stack it steps, so the trainer takes the optimizer
-alone. `train_epoch` runs one shuffled minibatch pass. Stacks, ragged
-cells and live partners train through the generic minibatch loop,
-`train_steps`, which makes one optimizer step per `next()`; a plain
-model on fixed targets trains through its own loop, `_train_plain`,
-which steps the same bits.
+alone. Every model trains through the one minibatch loop, `train_steps`,
+which makes one optimizer step per `next()`; `train_epoch` runs one
+shuffled pass of it.
 Supervised pre-training (early-stopped on validation accuracy;
 `train_supervised` for one model, `train_supervised_cells` for every
 participant in one ragged stack) and FedAvg local updates pass hard
@@ -51,19 +49,18 @@ live model whose current prediction is the target, and advances the
 two peers' passes in lockstep.
 
 A run of one cell passes a plain model, not a one-cell stack: the step
-is the same arithmetic on fewer axes. On such small models a minibatch
-step of `train_steps` is some 25 numpy calls on tiny arrays, whose
-dispatch costs more than their arithmetic, so `_train_plain` writes the
-forward pass, softmax, logit gradient and backprop out in place, into
-buffers kept per optimizer and minibatch size, with ufunc outputs
-passed positionally; it gathers the epoch's rows of every input once.
-`train_steps` gathers its shuffled rows of every input with one `take`
-each, a chunk of minibatches at a time (a wide stack one minibatch at a
-time), checks them once per chunk, and every minibatch steps on a
-slice. In both loops what does not change between minibatches (loss
-weights, the optimizer's views and constants) is computed once, and
-scalar operands are 0-d arrays. The optimizer owns a flat gradient
-buffer that backprop fills, and it steps in place, once per minibatch.
+is the same arithmetic on fewer axes. On such small models a step's
+numpy calls cost more in dispatch than in arithmetic, so each step,
+`_Kernel.step`, writes the forward pass, softmax, logit gradient and
+backprop in place, for any leading cell axis, into arrays the optimizer
+keeps per row range and minibatch size, with ufunc outputs passed
+positionally. `train_steps` gathers its shuffled rows of every input
+with one `take` each, a chunk of minibatches at a time (a wide stack
+one minibatch at a time), checks them once per chunk, and every
+minibatch steps on a slice. What does not change between minibatches
+(loss weights, the optimizer's views and constants) is computed once,
+and scalar operands are 0-d arrays. The optimizer owns a flat gradient
+buffer that the step fills, and it steps in place, once per minibatch.
 A pass that leaves a parameter NaN or infinite raises DomainError.
 
 A training recipe (`TrainConfig` here, `distill.DistillConfig` and
@@ -80,7 +77,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -326,16 +323,29 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     if temperature <= 0:
         raise DomainError(f"temperature must be > 0, got {temperature}")
     z = np.asarray(logits, dtype=np.float64)
-    # the ufunc reductions are what ndarray.max and sum call, minus a wrapper
-    if temperature == 1.0:
-        # x / 1.0 == x bit for bit, so the division is skipped
-        z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    t_factor = None if temperature == 1.0 else _operand(temperature)
+    return _softmax_rows(z, t_factor, np.empty_like(z), np.empty(z.shape[:-1] + (1,)))
+
+
+def _softmax_rows(
+    logits: np.ndarray, t_factor: np.ndarray | None, out: np.ndarray, col: np.ndarray
+) -> np.ndarray:
+    """Softmax of `logits` over the last axis, written into `out` (which
+    may be `logits`) with `col`, shaped like `logits` but for one column,
+    as scratch; `t_factor` is `_factor(T)`, None at T = 1 (x / 1.0 == x
+    bit for bit, so the division is skipped). Every ufunc gets its
+    output positionally."""
+    if t_factor is None:
+        np.maximum.reduce(logits, -1, None, col, True)
+        np.subtract(logits, col, out)
     else:
-        z = z / temperature
-        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=-1, keepdims=True)
-    return z
+        np.divide(logits, t_factor, out)
+        np.maximum.reduce(out, -1, None, col, True)
+        np.subtract(out, col, out)
+    np.exp(out, out)
+    np.add.reduce(out, -1, None, col, True)
+    np.divide(out, col, out)
+    return out
 
 
 def _clamped_log(probs: np.ndarray) -> np.ndarray:
@@ -404,13 +414,15 @@ class _Optimizer:
     stack's cells step independently. The Adam step count `t` is one int
     while every step has covered every cell, and one entry per cell once
     a step has covered only some rows. `grad` is a gradient
-    buffer in the same layout, with per-array views `grad_views` for
-    `backprop_params`; the step updates in place through scratch buffers.
+    buffer in the same layout, with per-array views `grad_views`, that
+    backprop fills; the step updates in place through scratch buffers.
     A step may cover a contiguous row range of the stack, and `select`
     narrows the stack, and all this state, to chosen rows. The views a
     step works on, decay prefixes included, are built once per stack and
     row range; `reset` copies other parameters in and returns to a fresh
-    optimizer's state for another run on the same stack.
+    optimizer's state for another run on the same stack. The optimizer
+    also keeps the `_Kernel` that steps each row range at each minibatch
+    size (`kernel`), all on one scratch block.
     """
 
     def __init__(self, recipe, model: Model) -> None:
@@ -431,19 +443,15 @@ class _Optimizer:
 
     def _bind(self, model: Model) -> None:
         """Step `model` from now on: the gradient buffer, its views, the
-        scratch buffers, the transposed weight views and empty
-        `cell_views`, step-view and `_plain_buffers` caches."""
+        scratch buffers and empty step-view and `kernel` caches."""
         self.model = model
         self.grad = np.zeros_like(model.params)
         self.grad_views = model.arch.param_views(self.grad)
         self._update = np.empty_like(model.params)
         self._scratch = np.empty_like(model.params)
-        self._cells: dict[tuple[int, int], tuple] = {}
         self._steps: dict[tuple[int, int] | None, tuple] = {}
-        # what `_train_plain` reads: the weights transposed, and its buffers
-        # per minibatch size
-        self._weights_t = [w.swapaxes(-1, -2) for w in model.weights]
-        self._plain: dict[int, tuple] = {}
+        self._kernels: dict[tuple, _Kernel] = {}
+        self._block = np.empty(0)
 
     def reset(self, params: np.ndarray) -> None:
         """Copy `params` into the stack and zero the moments and the step
@@ -466,17 +474,29 @@ class _Optimizer:
         self._bind(Model.from_params(stack.arch, stack.params[keep], stack.seed))
         return self.model
 
-    def cell_views(self, lo: int, hi: int) -> tuple[Model, tuple]:
-        """Rows lo:hi of the stack and the same rows' gradient views; one
-        row is a plain model. Each range's views are built once."""
-        if (lo, hi) not in self._cells:
-            stack = self.model
-            rows = lo if hi - lo == 1 else slice(lo, hi)
-            self._cells[lo, hi] = (
-                Model.from_params(stack.arch, stack.params[rows], stack.seed),
-                stack.arch.param_views(self.grad[rows]),
-            )
-        return self._cells[lo, hi]
+    def kernel(self, span: tuple[int, int] | None, nb: int) -> "_Kernel":
+        """The `_Kernel` of rows lo:hi = `span` of the stack (all rows if
+        None; one row is a plain model) for minibatches of `nb` rows. Each
+        is built once."""
+        key = span, nb
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            model, grad_views = self.model, self.grad_views
+            if span is not None:
+                lo, hi = span
+                rows = lo if hi - lo == 1 else slice(lo, hi)
+                model = Model.from_params(model.arch, model.params[rows], model.seed)
+                grad_views = model.arch.param_views(self.grad[rows])
+            kernel = self._kernels[key] = _Kernel(model, grad_views, nb, self._scratch_block)
+        return kernel
+
+    def _scratch_block(self, size: int) -> np.ndarray:
+        """`size` entries of the block the kernels share; a larger block
+        replaces a smaller one, and the kernels on the old one are dropped."""
+        if len(self._block) < size:
+            self._block = np.empty(size)
+            self._kernels.clear()
+        return self._block[:size]
 
     def step(self, rows: slice | None = None) -> None:
         """Update the stack in place from the gradient buffer `grad`. With
@@ -684,9 +704,9 @@ def _ragged_order(
 
 
 def _ragged_steps(opt: _Optimizer, sizes: list[int], batch_size: int):
-    """The sub-steps of one pass over ragged cells, as (cells, their
-    gradient views, their rows, their index along the row order's first
-    axis, the minibatch start, its size).
+    """The sub-steps of one pass over ragged cells, as (their kernel, their
+    rows, their index along the row order's first axis, the minibatch
+    start, its size).
 
     The cells come longest first, so those still holding rows at a
     minibatch start form a prefix of the stack; each maximal run of
@@ -704,7 +724,7 @@ def _ragged_steps(opt: _Optimizer, sizes: list[int], batch_size: int):
             hi = lo + batches.count(nb)
             # a run of one cell steps as a plain model, on 2-d rows
             cells = lo if hi - lo == 1 else slice(lo, hi)
-            yield *opt.cell_views(lo, hi), slice(lo, hi), cells, start, nb
+            yield opt.kernel((lo, hi), nb), slice(lo, hi), cells, start, nb
             lo = hi
 
 
@@ -724,6 +744,127 @@ def _in_use(weight: float | list[float]) -> bool:
     """Whether a loss term at this weight, one or one per cell, is used:
     some weight is not 0."""
     return weight != 0.0 if isinstance(weight, (int, float)) else any(w != 0.0 for w in weight)
+
+
+def _forward_into(
+    x: np.ndarray, weights: list[np.ndarray], biases: list[np.ndarray], outs: list[np.ndarray]
+) -> np.ndarray:
+    """`_forward_cached`'s operations on the rows `x`, each layer's output
+    written into `outs`, with `biases` broadcast over the rows; returns
+    the logits, `outs[-1]`."""
+    h = x
+    last = len(outs) - 1
+    for i, out in enumerate(outs):
+        np.matmul(h, weights[i], out)
+        np.add(out, biases[i], out)
+        if i < last:
+            # numpy deprecates a positional output for maximum alone
+            np.maximum(out, _ZERO, out=out)
+        h = out
+    return h
+
+
+class _Kernel:
+    """One minibatch step of a model or stack, `step`, and the arrays it
+    writes in, made once per optimizer, row range and minibatch size
+    (`_Optimizer.kernel`).
+
+    The arrays keep the model's leading cell axes: every layer's output
+    with the hidden ones transposed, the hidden layers' backprop deltas,
+    probabilities at T = 1 and at T, the logit gradient and a (rows, 1)
+    column for the softmax reductions. They are pieces of one scratch
+    block that all kernels of an optimizer share, since one steps at a
+    time and each step writes every array before it reads it. A live
+    partner's forward pass borrows the deltas and a probability block.
+    The model's weights, transposed weights and biases (broadcast over
+    the rows) and its gradient views are bound once too.
+    """
+
+    __slots__ = (
+        "weights", "weights_t", "biases", "grads_w", "grads_b", "outs", "outs_t", "deltas",
+        "probs", "kd_probs", "dlogits", "col", "size",
+    )
+
+    def __init__(
+        self, model: Model, grad_views: tuple, nb: int, block: Callable[[int], np.ndarray]
+    ) -> None:
+        lead = model.params.shape[:-1]
+        dims = model.arch.layer_dims()
+        self.weights = model.weights
+        self.weights_t = [w.swapaxes(-1, -2) for w in model.weights]
+        self.biases = [b[..., None, :] for b in model.biases]
+        self.grads_w, self.grads_b = grad_views
+        # every array is a piece of the scratch block `block(size)` returns
+        widths = [*dims[1:], *dims[1:-1], dims[-1], dims[-1], dims[-1], 1]
+        rows = math.prod(lead) * nb
+        flat = block(rows * sum(widths))
+        arrays = []
+        for w in widths:
+            arrays.append(flat[: rows * w].reshape(lead + (nb, w)))
+            flat = flat[rows * w :]
+        layers = len(dims) - 1
+        self.outs = arrays[:layers]
+        self.outs_t = [h.swapaxes(-1, -2) for h in self.outs[:-1]]
+        self.deltas = arrays[layers : 2 * layers - 1]
+        self.probs, self.kd_probs, self.dlogits, self.col = arrays[2 * layers - 1 :]
+        self.size = _operand(nb)
+
+    def step(self, x, y, q, w, partner, ce_factor, kd_factor, t_factor) -> None:
+        """Fill the gradient views from the minibatch rows `x` with the
+        operations of `_forward_cached`, `softmax` and `backprop_params`,
+        in their order, and nothing allocated.
+
+        The CE term is used when there are hard targets `y`; the KL term
+        when there are soft targets `q`, or a live `partner` (its weights
+        and broadcast biases) whose prediction at T is the target; `w`
+        is the per-row KL weight or None; each factor is `_factor` of
+        its weight.
+        """
+        outs = self.outs
+        h = _forward_into(x, self.weights, self.biases, outs)
+        dlogits = self.dlogits
+        if y is not None:
+            np.subtract(_softmax_rows(h, None, self.probs, self.col), y, dlogits)
+            if ce_factor is not None:
+                np.multiply(dlogits, ce_factor, dlogits)
+            np.divide(dlogits, self.size, dlogits)
+        if q is not None or partner is not None:
+            # at T = 1 the CE term's softmax serves the KL term too
+            if y is not None and t_factor is None:
+                gap = self.probs
+            else:
+                gap = _softmax_rows(h, t_factor, self.kd_probs, self.col)
+            if partner is not None:
+                # the partner's layers go into the deltas, free until
+                # backprop, and its logits into the probability block
+                # that `gap` leaves free
+                spare = self.kd_probs if gap is self.probs else self.probs
+                p = _forward_into(x, *partner, [*self.deltas, spare])
+                q = _softmax_rows(p, t_factor, p, self.col)
+            np.subtract(gap, q, gap)
+            if w is not None:
+                np.multiply(gap, w, gap)
+            # d/dlogits of T^2 * mean KL = T * (student - target) / n
+            if t_factor is not None:
+                np.multiply(gap, t_factor, gap)
+            np.divide(gap, self.size, gap)
+            if kd_factor is not None:
+                np.multiply(gap, kd_factor, gap)
+            if y is not None:
+                np.add(dlogits, gap, dlogits)
+            else:
+                dlogits = gap
+        delta = dlogits
+        for i in range(len(outs) - 1, -1, -1):
+            np.matmul(self.outs_t[i - 1] if i else x.swapaxes(-1, -2), delta, self.grads_w[i])
+            np.add.reduce(delta, -2, None, self.grads_b[i])
+            if i:
+                # ReLU derivative from the layer's post-activation output,
+                # whose last use this is: its mask, 1.0 or 0.0, overwrites it
+                np.matmul(delta, self.weights_t[i], self.deltas[i - 1])
+                delta = self.deltas[i - 1]
+                mask = np.greater(outs[i - 1], _ZERO, outs[i - 1])
+                np.multiply(delta, mask, delta)
 
 
 def train_steps(
@@ -746,50 +887,67 @@ def train_steps(
     ce_weight * CE(hard) + kd_weight * T^2 * weight * KL(soft || student
     at T) per sample (Hinton et al. 2015): the CE term at temperature 1,
     each weight one float or one per cell of a stack. A term without
-    targets, or whose weights are all 0, is skipped; the cells of a stack
-    should agree on which terms they use (see
-    `distill.distill_vanilla_benches`). A stack takes one generator per
-    cell as `rng`. Its soft targets are either shared, (n, C), or
-    one block per cell, (S, n, C); each cell's minibatch rows are then
-    gathered from its own block. A row order in place of the generators
-    (see `train_epoch`) raises ShapeError.
+    targets, or whose weights are all 0, is skipped; with no term left
+    the pass raises ConfigError. The cells of a stack should agree on
+    which terms they use (see `distill.distill_vanilla_benches`). A
+    stack takes one generator per cell as `rng`. Its soft targets are
+    either shared, (n, C), or one block per cell, (S, n, C); each cell's
+    minibatch rows are then gathered from its own block.
 
-    `soft` may also be a live model with the same cells as `opt.model`
-    (plain for plain, S for S): each minibatch's target is then its
-    current prediction at `temperature` on the minibatch's rows, which
-    is how two mutual-learning peers, each stepping in turn, teach each
-    other (see `distill.distill_dml_cells`).
+    A plain model on array features may take, in place of its generator,
+    the pass's row order itself: the (n,) array `rng.permutation(n)`
+    would have drawn, which lets callers that train several models on
+    one order draw it once (see `fed.run_federated`). The order is read,
+    never written; one of another length, or any order for a stack or
+    ragged cells, raises ShapeError.
+
+    `soft` may also be a live model with the architecture and cells of
+    `opt.model` (plain for plain, S for S): each minibatch's target is
+    then its current prediction at `temperature` on the minibatch's
+    rows, which is how two mutual-learning peers, each stepping in turn,
+    teach each other (see `distill.distill_dml_cells`).
 
     Ragged cells, each with its own rows, pass `features` and `hard` as
     `Ragged` blocks (or lists, one array per cell), longest first, and
     train on hard targets alone; each minibatch is then one step per run
     of cells with the same batch size (see `_ragged_steps`).
 
-    The epoch's shuffled rows of every input are gathered a chunk of
-    minibatches at a time, one `take` per input, and each minibatch
-    steps on a slice of its chunk; the features are checked per chunk,
-    before its first step. A chunk's arrays stay near `_GATHER_BYTES`,
-    so a narrow stack gathers many minibatches at once and a wide one a
-    single minibatch. The arguments are checked at the first `next()`,
-    before the first step.
+    Every step is `_Kernel.step` of the cells it covers, then one
+    `opt.step`. The epoch's shuffled rows of every input are gathered a
+    chunk of minibatches at a time, one `take` per input, and each
+    minibatch steps on a slice of its chunk; the features are checked
+    per chunk, before its first step. A chunk's arrays stay near
+    `_GATHER_BYTES`, so a plain model or a narrow stack gathers many
+    minibatches at once and a wide stack a single minibatch. The
+    arguments are checked at the first `next()`, before the first step.
     """
     model = opt.model
     live = isinstance(soft, Model)
-    if live and soft.params.shape[:-1] != model.params.shape[:-1]:
+    if live and (soft.arch != model.arch or soft.params.shape != model.params.shape):
         raise ShapeError(
             f"a live soft model of params {soft.params.shape} for a model of {model.params.shape}"
         )
     use_ce = hard is not None and _in_use(ce_weight)
     use_kd = soft is not None and _in_use(kd_weight)
-    if isinstance(rng, np.ndarray):
-        raise ShapeError(
-            f"a row order for params of {model.params.shape}; only `train_epoch` of a plain "
-            f"model on fixed targets takes one"
-        )
+    if not (use_ce or use_kd):
+        raise ConfigError("nothing to train on: no targets at a loss weight other than 0")
+    if use_kd and temperature <= 0:
+        raise DomainError(f"temperature must be > 0, got {temperature}")
     if isinstance(features, list):
         features = Ragged.of(features)
     if isinstance(hard, list):
         hard = Ragged.of(hard)
+    if isinstance(rng, np.ndarray) and (
+        model.params.ndim != 1 or isinstance(features, Ragged) or rng.shape != (len(features),)
+    ):
+        raise ShapeError(
+            f"a row order of shape {rng.shape} for params of {model.params.shape}; only a plain "
+            f"model on array features takes one, with one entry per row"
+        )
+    # a live soft model's weights and broadcast biases
+    partner = None
+    if live and use_kd:
+        partner = soft.weights, [b[..., None, :] for b in soft.biases]
     if isinstance(features, Ragged):
         if soft is not None:
             raise ShapeError("ragged cells train on hard targets alone")
@@ -801,10 +959,11 @@ def train_steps(
         hard = None if hard is None else hard.block
     else:
         n = len(features)
-        order = _shuffle(n, rng)
+        order = rng if isinstance(rng, np.ndarray) else _shuffle(n, rng)
         steps = (
-            (model, opt.grad_views, None, ..., start, min(batch_size, n - start))
+            (opt.kernel(None, nb), None, ..., start, nb)
             for start in range(0, n, batch_size)
+            for nb in (min(batch_size, n - start),)
         )
     # per-cell soft targets are read as one (S * n, C) block, in which
     # cell s finds row i at s * n + i
@@ -816,222 +975,40 @@ def train_steps(
     cells_per_row = 1 if order.ndim == 1 else len(order)
     row_bytes = 8 * cells_per_row * max(model.arch.input_dim, model.arch.num_classes)
     chunk = max(1, _GATHER_BYTES // (row_bytes * batch_size)) * batch_size
-    ce_factor = _factor(ce_weight)
-    kd_factor = _factor(kd_weight)
-    t_factor = _factor(temperature)
-    sizes: dict[int, np.ndarray] = {}  # each minibatch size as an operand
+    factors = _factor(ce_weight), _factor(kd_weight), _factor(temperature)
+    y = q = w = None
     first = stop = 0
-    for cells, grad_views, rows, at, start, nb in steps:
+    for kernel, rows, at, start, nb in steps:
         if start >= stop:
             # the next chunk's rows of every input, (rows, .) or (S, rows, .):
             # take is a copy several times faster than fancy indexing
             first, stop = start, start + chunk
             part = order[..., first:stop]
             x = _check_input(model, features.take(part, axis=0))
-            y = hard.take(part, axis=0) if use_ce else None
-            if use_kd:
-                if not live:
-                    q = soft.take(part if offsets is None else part + offsets, axis=0)
-                w = None if weight is None else weight.take(part)[..., None]
-        batch = slice(start - first, start - first + nb)
-        key = at, batch, slice(None)
-        size = sizes.get(nb)
-        if size is None:
-            size = sizes[nb] = _operand(nb)
-        logits, acts = _forward_cached(cells, x[key])
-        dlogits = probs = None
-        if use_ce:
-            probs = softmax(logits, 1.0)
-            dlogits = probs - y[key]
-            if ce_factor is not None:
-                dlogits *= ce_factor
-            dlogits /= size
-        if use_kd:
-            # at T = 1 the CE term's softmax serves the KL term too
-            gap = probs if probs is not None and temperature == 1.0 else softmax(logits, temperature)
-            gap -= softmax(_forward_cached(soft, x[key])[0], temperature) if live else q[key]
-            if w is not None:
-                gap *= w[key]
-            # d/dlogits of T^2 * mean KL = T * (student - target) / n
-            if t_factor is not None:
-                gap *= t_factor
-            gap /= size
-            if kd_factor is not None:
-                gap *= kd_factor
-            if dlogits is None:
-                dlogits = gap
-            else:
-                dlogits += gap
-        backprop_params(cells, acts, dlogits, out=grad_views)
+            if use_ce:
+                y = hard.take(part, axis=0)
+            if use_kd and not live:
+                q = soft.take(part if offsets is None else part + offsets, axis=0)
+            if use_kd and weight is not None:
+                w = weight.take(part)[..., None]
+        key = at, slice(start - first, start - first + nb), slice(None)
+        kernel.step(
+            x[key],
+            None if y is None else y[key],
+            None if q is None else q[key],
+            None if w is None else w[key],
+            partner,
+            *factors,
+        )
         opt.step(rows)
         yield
 
 
-def _softmax_into(
-    logits: np.ndarray, t_factor: np.ndarray | None, out: np.ndarray, col: np.ndarray
-) -> np.ndarray:
-    """`softmax(logits, T)` of 2-d logits, written into `out` with `col`
-    (rows, 1) as scratch, by softmax's operations in softmax's order;
-    `t_factor` is `_factor(T)`, None at T = 1."""
-    if t_factor is None:
-        np.maximum.reduce(logits, -1, None, col, True)
-        np.subtract(logits, col, out)
-    else:
-        np.divide(logits, t_factor, out)
-        np.maximum.reduce(out, -1, None, col, True)
-        np.subtract(out, col, out)
-    np.exp(out, out)
-    np.add.reduce(out, -1, None, col, True)
-    np.divide(out, col, out)
-    return out
-
-
-def _plain_buffers(opt: _Optimizer, nb: int) -> tuple:
-    """The arrays `_train_plain` steps a minibatch of `nb` rows in, made
-    once per optimizer and size: every layer's output, the transposes of
-    the hidden ones, the hidden layers' ReLU masks and backprop deltas,
-    two probability blocks, the logit gradient, a (rows, 1) column for
-    the softmax reductions, and `nb` as an operand."""
-    dims = opt.model.arch.layer_dims()
-    outs = [np.empty((nb, d)) for d in dims[1:]]
-    classes = dims[-1]
-    bufs = opt._plain[nb] = (
-        outs,
-        [h.T for h in outs[:-1]],
-        [np.empty((nb, d), dtype=bool) for d in dims[1:-1]],
-        [np.empty((nb, d)) for d in dims[1:-1]],
-        np.empty((nb, classes)),
-        np.empty((nb, classes)),
-        np.empty((nb, classes)),
-        np.empty((nb, 1)),
-        _operand(nb),
-    )
-    return bufs
-
-
-def _train_plain(
-    opt: _Optimizer,
-    features: np.ndarray,
-    batch_size: int,
-    rng: np.random.Generator | np.ndarray,
-    *,
-    hard: np.ndarray | None = None,
-    soft: np.ndarray | None = None,
-    ce_weight: float = 1.0,
-    kd_weight: float = 1.0,
-    temperature: float = 1.0,
-    weight: np.ndarray | None = None,
-) -> None:
-    """One `train_steps` pass of a plain model on fixed targets, bit for
-    bit, with the forward pass, softmax, logit gradient and backprop
-    written out in the buffers of `_plain_buffers`; see `train_epoch`.
-
-    Each minibatch makes exactly the floating-point operations of
-    `_forward_cached`, `softmax` and `backprop_params`, in their order,
-    and one `opt.step()`. The epoch's rows of every input are gathered
-    once, and the arguments are checked before the first step.
-    """
-    model = opt.model
-    n = len(features)
-    if isinstance(rng, np.ndarray):
-        if rng.shape != (n,):
-            raise ShapeError(
-                f"a row order of shape {rng.shape} for {n} rows; a plain model takes one "
-                f"of length {n}"
-            )
-        order = rng
-    else:
-        order = rng.permutation(n)
-    use_ce = hard is not None and _in_use(ce_weight)
-    use_kd = soft is not None and _in_use(kd_weight)
-    if not (use_ce or use_kd):
-        raise ConfigError("nothing to train on: no targets at a loss weight other than 0")
-    if use_kd and temperature <= 0:
-        raise DomainError(f"temperature must be > 0, got {temperature}")
-    x = _check_input(model, features.take(order, axis=0))
-    y = hard.take(order, axis=0) if use_ce else None
-    q = soft.take(order, axis=0) if use_kd else None
-    w = weight.take(order)[:, None] if use_kd and weight is not None else None
-    ce_factor, kd_factor, t_factor = _factor(ce_weight), _factor(kd_weight), _factor(temperature)
-    weights, biases, weights_t = model.weights, model.biases, opt._weights_t
-    grads_w, grads_b = opt.grad_views
-    last = len(weights) - 1
-    layers = range(last + 1)
-    matmul, add, subtract, multiply, divide = (
-        np.matmul, np.add, np.subtract, np.multiply, np.divide
-    )
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        bufs = opt._plain.get(stop - start) or _plain_buffers(opt, stop - start)
-        outs, outs_t, masks, deltas, probs, kd_probs, dlogits, col, size = bufs
-        h = rows = x[start:stop]
-        for i in layers:
-            matmul(h, weights[i], outs[i])
-            h = outs[i]
-            add(h, biases[i], h)
-            if i < last:
-                # numpy deprecates a positional output for maximum alone
-                np.maximum(h, _ZERO, out=h)
-        if use_ce:
-            subtract(_softmax_into(h, None, probs, col), y[start:stop], dlogits)
-            if ce_factor is not None:
-                multiply(dlogits, ce_factor, dlogits)
-            divide(dlogits, size, dlogits)
-        if use_kd:
-            # at T = 1 the CE term's softmax serves the KL term too
-            if use_ce and t_factor is None:
-                gap = probs
-            else:
-                gap = _softmax_into(h, t_factor, kd_probs, col)
-            subtract(gap, q[start:stop], gap)
-            if w is not None:
-                multiply(gap, w[start:stop], gap)
-            # d/dlogits of T^2 * mean KL = T * (student - target) / n
-            if t_factor is not None:
-                multiply(gap, t_factor, gap)
-            divide(gap, size, gap)
-            if kd_factor is not None:
-                multiply(gap, kd_factor, gap)
-            if use_ce:
-                add(dlogits, gap, dlogits)
-            else:
-                dlogits = gap
-        delta = dlogits
-        for i in reversed(layers):
-            matmul(outs_t[i - 1] if i else rows.T, delta, grads_w[i])
-            add.reduce(delta, 0, None, grads_b[i])
-            if i:
-                # ReLU derivative from the layer's post-activation output
-                matmul(delta, weights_t[i], deltas[i - 1])
-                delta = deltas[i - 1]
-                np.greater(outs[i - 1], _ZERO, masks[i - 1])
-                multiply(delta, masks[i - 1], delta)
-        opt.step()
-
-
 def train_epoch(opt: _Optimizer, features, batch_size: int, rng, **targets) -> None:
     """Every step of one `train_steps` pass (same arguments); raises
-    DomainError if the pass leaves a parameter non-finite.
-
-    A plain model on array features and fixed targets (no live `soft`
-    model) trains through its own loop, `_train_plain`, which takes the
-    same arguments and steps the same bits at a fraction of the numpy
-    calls. It may take, in place of its generator, the pass's row order
-    itself: the (n,) array `rng.permutation(n)` would have drawn, which
-    lets callers that train several models on one order draw it once
-    (see `fed.run_federated`). The order is read, never written; one of
-    another length, or any order for a stack, ragged cells or a live
-    `soft` model, raises ShapeError before any step.
-    """
-    if (
-        opt.model.params.ndim == 1
-        and isinstance(features, np.ndarray)
-        and not isinstance(targets.get("soft"), Model)
-    ):
-        _train_plain(opt, features, batch_size, rng, **targets)
-    else:
-        for _ in train_steps(opt, features, batch_size, rng, **targets):
-            pass
+    DomainError if the pass leaves a parameter non-finite."""
+    for _ in train_steps(opt, features, batch_size, rng, **targets):
+        pass
     check_finite(opt.model, "after a training pass")
 
 
@@ -1114,7 +1091,7 @@ def train_supervised_cells(
         )
         keep = []
         for j, i in enumerate(live):
-            row, _ = opt.cell_views(j, j + 1)
+            row = Model.from_params(arch, opt.model.params[j], 0)
             acc = float(_hits(row, vals[i]).sum() / len(vals[i]))
             if acc > best_acc[i]:
                 best_acc[i] = acc

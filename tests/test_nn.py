@@ -650,7 +650,7 @@ def test_a_row_order_is_for_a_plain_model_of_its_length(rng):
         (stack, features, hard, order),
         (stack, [features, features[:3]], [hard, hard[:3]], order),
         (plain, features, hard, order[:5]),
-        # the plain model's own loop checks its features before any step
+        # a plain model's features are checked before any step
         (plain, features[:, :2], hard, order),
         (plain, features[:, 0], hard, order),
         (plain, features[:, :2], hard, rng_for(1, "epoch", 1)),

@@ -15,6 +15,7 @@ PACKAGE = Path(kdsim.__file__).parent
 KEPT = {
     # spans of perfbench/tracer.py bind these names
     "ce_loss": "traced; the CE loss the gradient checks differentiate",
+    "backprop_params": "traced; the reference backprop the tests compare the step against",
     "train_supervised": "traced; the one-model run train_supervised_cells equals",
     "distill_vanilla": "traced; the one-cell run distill_vanilla_benches equals",
     "distill_dml": "traced; the one-cell run distill_dml_cells equals",
