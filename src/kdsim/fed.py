@@ -49,6 +49,7 @@ from .nn import (
     make_optimizer,
     onehot,
     optimizer_problems,
+    overall_accuracies,
     raise_problems,
     train_epoch,
 )
@@ -222,6 +223,8 @@ def run_federated(
     and each participant's draws (`client_round`) are made once and
     serve every arm; each shard's one-hot targets are built once, and
     each arm's client optimizer, with the client model it steps, once.
+    Every arm's round model is scored in one stacked forward pass
+    (`nn.overall_accuracies`).
     """
     if not inits or len(inits) != len(tags):
         raise ConfigError(
@@ -263,8 +266,9 @@ def run_federated(
                 for c, draw in zip(participants, draws)
             ]
             models[arm] = fedavg_aggregate(updates, sizes)
-            traj.accuracies.append(evaluate(models[arm], test).overall_accuracy)
             traj.participants_per_round.append(participants)
+        for traj, acc in zip(trajs, overall_accuracies(models, test)):
+            traj.accuracies.append(acc)
     for traj, model in zip(trajs, models):
         traj.final_model = model
     return trajs

@@ -54,14 +54,18 @@ numpy calls cost more in dispatch than in arithmetic, so each step,
 `_Kernel.step`, writes the forward pass, softmax, logit gradient and
 backprop in place, for any leading cell axis, into arrays the optimizer
 keeps per row range and minibatch size, with ufunc outputs passed
-positionally. `train_steps` gathers its shuffled rows of every input
-with one `take` each, a chunk of minibatches at a time (a wide stack
-one minibatch at a time), checks them once per chunk, and every
-minibatch steps on a slice. What does not change between minibatches
-(loss weights, the optimizer's views and constants) is computed once,
-and scalar operands are 0-d arrays. The optimizer owns a flat gradient
-buffer that the step fills, and it steps in place, once per minibatch.
-A pass that leaves a parameter NaN or infinite raises DomainError.
+positionally; a plain model multiplies with `np.dot`, which makes the
+BLAS call `np.matmul` makes with less dispatch. `train_steps` gathers
+its shuffled rows of every input with one `take` each, a chunk of
+minibatches at a time (a wide stack one minibatch at a time), checks
+them once per chunk, and every minibatch steps on a slice. What does
+not change between minibatches (loss weights, the optimizer's views and
+constants) is computed once per pass, what does not change between
+passes (which kernel and rows each minibatch steps, where the chunks
+start) once per optimizer, and scalar operands are 0-d arrays. The
+optimizer owns a flat gradient buffer that the step fills, and it steps
+in place, once per minibatch. A pass that leaves a parameter NaN or
+infinite raises DomainError.
 
 A training recipe (`TrainConfig` here, `distill.DistillConfig` and
 `fed.FedConfig`) states its rules once, in `problems()`, which lists
@@ -422,7 +426,8 @@ class _Optimizer:
     row range; `reset` copies other parameters in and returns to a fresh
     optimizer's state for another run on the same stack. The optimizer
     also keeps the `_Kernel` that steps each row range at each minibatch
-    size (`kernel`), all on one scratch block.
+    size (`kernel`), all on one scratch block, and the steps of a pass
+    over each row count at each batch size (`schedule`).
     """
 
     def __init__(self, recipe, model: Model) -> None:
@@ -443,7 +448,8 @@ class _Optimizer:
 
     def _bind(self, model: Model) -> None:
         """Step `model` from now on: the gradient buffer, its views, the
-        scratch buffers and empty step-view and `kernel` caches."""
+        scratch buffers and empty step-view, `kernel` and `schedule`
+        caches."""
         self.model = model
         self.grad = np.zeros_like(model.params)
         self.grad_views = model.arch.param_views(self.grad)
@@ -451,6 +457,7 @@ class _Optimizer:
         self._scratch = np.empty_like(model.params)
         self._steps: dict[tuple[int, int] | None, tuple] = {}
         self._kernels: dict[tuple, _Kernel] = {}
+        self._schedules: dict[tuple, list[tuple]] = {}
         self._block = np.empty(0)
 
     def reset(self, params: np.ndarray) -> None:
@@ -492,11 +499,30 @@ class _Optimizer:
 
     def _scratch_block(self, size: int) -> np.ndarray:
         """`size` entries of the block the kernels share; a larger block
-        replaces a smaller one, and the kernels on the old one are dropped."""
+        replaces a smaller one, and the kernels on the old one, with the
+        schedules that hold them, are dropped."""
         if len(self._block) < size:
             self._block = np.empty(size)
             self._kernels.clear()
+            self._schedules.clear()
         return self._block[:size]
+
+    def schedule(self, sizes: int | tuple[int, ...], batch_size: int) -> list[tuple]:
+        """The steps of one pass in minibatches of `batch_size` over `sizes`
+        rows per cell (one count for all, or the counts of ragged cells,
+        longest first), built once per optimizer and dropped with its
+        kernels; see `_schedule`."""
+        key = sizes, batch_size
+        steps = self._schedules.get(key)
+        if steps is None:
+            steps = _schedule(self, sizes, batch_size)
+            kernels = self._kernels.values()
+            if any(kernel not in kernels for kernel in {step[0] for step in steps}):
+                # a kernel outgrew the shared block and dropped the kernels
+                # built before it; build again on the block that now fits all
+                steps = _schedule(self, sizes, batch_size)
+            self._schedules[key] = steps
+        return steps
 
     def step(self, rows: slice | None = None) -> None:
         """Update the stack in place from the gradient buffer `grad`. With
@@ -703,19 +729,38 @@ def _ragged_order(
     return order
 
 
-def _ragged_steps(opt: _Optimizer, sizes: list[int], batch_size: int):
-    """The sub-steps of one pass over ragged cells, as (their kernel, their
-    rows, their index along the row order's first axis, the minibatch
-    start, its size).
+def _schedule(opt: _Optimizer, sizes: int | tuple[int, ...], batch_size: int) -> list[tuple]:
+    """The steps of one pass over `sizes` rows, each as (its kernel, its
+    rows of the stack for `opt.step`, the slice of the row order whose
+    rows the pass gathers before it or None, its index into what was
+    gathered).
 
-    The cells come longest first, so those still holding rows at a
+    A pass gathers a chunk of minibatches at a time, a multiple of
+    `batch_size` rows of about `_GATHER_BYTES` per input at most. Ragged
+    cells come longest first, so those still holding rows at a
     minibatch start form a prefix of the stack; each maximal run of
-    consecutive cells with the same batch size is one sub-step on row
+    consecutive cells with the same batch size is one step on row
     views, and a run of one cell steps as a plain model. Nothing is
-    padded: padding would change the reduction shapes, and with them the
-    bits.
+    padded: padding would change the reduction shapes, and with them
+    the bits.
     """
-    for start in range(0, sizes[0], batch_size):
+    ragged = isinstance(sizes, tuple)
+    model = opt.model
+    plain = model.params.ndim == 1
+    cells = 1 if plain else len(model.params)
+    # float64 bytes of the widest gathered input per minibatch row
+    row_bytes = 8 * cells * max(model.arch.input_dim, model.arch.num_classes)
+    chunk = max(1, _GATHER_BYTES // (row_bytes * batch_size)) * batch_size
+    steps = []
+    for start in range(0, sizes[0] if ragged else sizes, batch_size):
+        at = start % chunk
+        part = slice(start, start + chunk) if at == 0 else None
+        if not ragged:
+            nb = min(batch_size, sizes - start)
+            # a plain model slices its 2-d rows with a plain slice
+            key = slice(at, at + nb) if plain else (..., slice(at, at + nb), slice(None))
+            steps.append((opt.kernel(None, nb), None, part, key))
+            continue
         # non-increasing, so equal batch sizes are neighbours
         batches = [min(batch_size, n - start) for n in sizes if n > start]
         lo = 0
@@ -723,9 +768,11 @@ def _ragged_steps(opt: _Optimizer, sizes: list[int], batch_size: int):
             nb = batches[lo]
             hi = lo + batches.count(nb)
             # a run of one cell steps as a plain model, on 2-d rows
-            cells = lo if hi - lo == 1 else slice(lo, hi)
-            yield opt.kernel((lo, hi), nb), slice(lo, hi), cells, start, nb
+            key = (lo if hi - lo == 1 else slice(lo, hi)), slice(at, at + nb), slice(None)
+            steps.append((opt.kernel((lo, hi), nb), slice(lo, hi), part, key))
+            part = None
             lo = hi
+    return steps
 
 
 def _factor(weight: float | list[float]) -> np.ndarray | None:
@@ -747,15 +794,19 @@ def _in_use(weight: float | list[float]) -> bool:
 
 
 def _forward_into(
-    x: np.ndarray, weights: list[np.ndarray], biases: list[np.ndarray], outs: list[np.ndarray]
+    x: np.ndarray,
+    weights: list[np.ndarray],
+    biases: list[np.ndarray],
+    outs: list[np.ndarray],
+    product: Callable,
 ) -> np.ndarray:
     """`_forward_cached`'s operations on the rows `x`, each layer's output
-    written into `outs`, with `biases` broadcast over the rows; returns
-    the logits, `outs[-1]`."""
+    written into `outs` by `product` (see `_Kernel`), with `biases`
+    broadcast over the rows; returns the logits, `outs[-1]`."""
     h = x
     last = len(outs) - 1
     for i, out in enumerate(outs):
-        np.matmul(h, weights[i], out)
+        product(h, weights[i], out)
         np.add(out, biases[i], out)
         if i < last:
             # numpy deprecates a positional output for maximum alone
@@ -778,11 +829,16 @@ class _Kernel:
     partner's forward pass borrows the deltas and a probability block.
     The model's weights, transposed weights and biases (broadcast over
     the rows) and its gradient views are bound once too.
+
+    A plain model multiplies with `np.dot` and a stack with `np.matmul`.
+    On 2-d float64 operands both make the same BLAS call, so the bits are
+    the same (transposed and one-row operands included), and `np.dot`
+    dispatches faster.
     """
 
     __slots__ = (
         "weights", "weights_t", "biases", "grads_w", "grads_b", "outs", "outs_t", "deltas",
-        "probs", "kd_probs", "dlogits", "col", "size",
+        "probs", "kd_probs", "dlogits", "col", "size", "product",
     )
 
     def __init__(
@@ -808,6 +864,7 @@ class _Kernel:
         self.deltas = arrays[layers : 2 * layers - 1]
         self.probs, self.kd_probs, self.dlogits, self.col = arrays[2 * layers - 1 :]
         self.size = _operand(nb)
+        self.product = np.matmul if lead else np.dot
 
     def step(self, x, y, q, w, partner, ce_factor, kd_factor, t_factor) -> None:
         """Fill the gradient views from the minibatch rows `x` with the
@@ -820,8 +877,8 @@ class _Kernel:
         is the per-row KL weight or None; each factor is `_factor` of
         its weight.
         """
-        outs = self.outs
-        h = _forward_into(x, self.weights, self.biases, outs)
+        outs, product = self.outs, self.product
+        h = _forward_into(x, self.weights, self.biases, outs, product)
         dlogits = self.dlogits
         if y is not None:
             np.subtract(_softmax_rows(h, None, self.probs, self.col), y, dlogits)
@@ -839,7 +896,7 @@ class _Kernel:
                 # backprop, and its logits into the probability block
                 # that `gap` leaves free
                 spare = self.kd_probs if gap is self.probs else self.probs
-                p = _forward_into(x, *partner, [*self.deltas, spare])
+                p = _forward_into(x, *partner, [*self.deltas, spare], product)
                 q = _softmax_rows(p, t_factor, p, self.col)
             np.subtract(gap, q, gap)
             if w is not None:
@@ -856,12 +913,12 @@ class _Kernel:
                 dlogits = gap
         delta = dlogits
         for i in range(len(outs) - 1, -1, -1):
-            np.matmul(self.outs_t[i - 1] if i else x.swapaxes(-1, -2), delta, self.grads_w[i])
+            product(self.outs_t[i - 1] if i else x.swapaxes(-1, -2), delta, self.grads_w[i])
             np.add.reduce(delta, -2, None, self.grads_b[i])
             if i:
                 # ReLU derivative from the layer's post-activation output,
                 # whose last use this is: its mask, 1.0 or 0.0, overwrites it
-                np.matmul(delta, self.weights_t[i], self.deltas[i - 1])
+                product(delta, self.weights_t[i], self.deltas[i - 1])
                 delta = self.deltas[i - 1]
                 mask = np.greater(outs[i - 1], _ZERO, outs[i - 1])
                 np.multiply(delta, mask, delta)
@@ -909,17 +966,19 @@ def train_steps(
 
     Ragged cells, each with its own rows, pass `features` and `hard` as
     `Ragged` blocks (or lists, one array per cell), longest first, and
-    train on hard targets alone; each minibatch is then one step per run
-    of cells with the same batch size (see `_ragged_steps`).
+    train on hard targets alone, each loss weight one float for all
+    cells; each minibatch is then one step per run of cells with the
+    same batch size (see `_schedule`).
 
     Every step is `_Kernel.step` of the cells it covers, then one
-    `opt.step`. The epoch's shuffled rows of every input are gathered a
-    chunk of minibatches at a time, one `take` per input, and each
-    minibatch steps on a slice of its chunk; the features are checked
-    per chunk, before its first step. A chunk's arrays stay near
-    `_GATHER_BYTES`, so a plain model or a narrow stack gathers many
-    minibatches at once and a wide stack a single minibatch. The
-    arguments are checked at the first `next()`, before the first step.
+    `opt.step`, as `opt.schedule` lists them. The epoch's shuffled rows
+    of every input are gathered a chunk of minibatches at a time, one
+    `take` per input, and each minibatch steps on a slice of its chunk;
+    the features are checked per chunk, before its first step. A
+    chunk's arrays stay near `_GATHER_BYTES`, so a plain model or a
+    narrow stack gathers many minibatches at once and a wide stack a
+    single minibatch. The arguments are checked at the first `next()`,
+    before the first step.
     """
     model = opt.model
     live = isinstance(soft, Model)
@@ -951,39 +1010,31 @@ def train_steps(
     if isinstance(features, Ragged):
         if soft is not None:
             raise ShapeError("ragged cells train on hard targets alone")
+        if not isinstance(ce_weight, (int, float)) or not isinstance(kd_weight, (int, float)):
+            # a step of fewer cells than the stack could not take them
+            raise ShapeError("ragged cells take one loss weight for all cells, not one per cell")
         if hard is not None and hard.sizes != features.sizes:
             raise ShapeError(f"ragged hard targets of {hard.sizes} rows for {features.sizes}")
         order = _ragged_order(model, features.sizes, rng)
-        steps = _ragged_steps(opt, features.sizes, batch_size)
+        steps = opt.schedule(tuple(features.sizes), batch_size)
         features = features.block
         hard = None if hard is None else hard.block
     else:
-        n = len(features)
-        order = rng if isinstance(rng, np.ndarray) else _shuffle(n, rng)
-        steps = (
-            (opt.kernel(None, nb), None, ..., start, nb)
-            for start in range(0, n, batch_size)
-            for nb in (min(batch_size, n - start),)
-        )
+        order = rng if isinstance(rng, np.ndarray) else _shuffle(len(features), rng)
+        steps = opt.schedule(len(features), batch_size)
     # per-cell soft targets are read as one (S * n, C) block, in which
     # cell s finds row i at s * n + i
     offsets = None
     if use_kd and not live and soft.ndim == 3:
         offsets = np.arange(len(soft))[:, None] * soft.shape[1]
         soft = soft.reshape(-1, soft.shape[-1])
-    # float64 bytes of the widest gathered input per minibatch row
-    cells_per_row = 1 if order.ndim == 1 else len(order)
-    row_bytes = 8 * cells_per_row * max(model.arch.input_dim, model.arch.num_classes)
-    chunk = max(1, _GATHER_BYTES // (row_bytes * batch_size)) * batch_size
     factors = _factor(ce_weight), _factor(kd_weight), _factor(temperature)
     y = q = w = None
-    first = stop = 0
-    for kernel, rows, at, start, nb in steps:
-        if start >= stop:
+    for kernel, rows, part, key in steps:
+        if part is not None:
             # the next chunk's rows of every input, (rows, .) or (S, rows, .):
             # take is a copy several times faster than fancy indexing
-            first, stop = start, start + chunk
-            part = order[..., first:stop]
+            part = order[..., part]
             x = _check_input(model, features.take(part, axis=0))
             if use_ce:
                 y = hard.take(part, axis=0)
@@ -991,7 +1042,6 @@ def train_steps(
                 q = soft.take(part if offsets is None else part + offsets, axis=0)
             if use_kd and weight is not None:
                 w = weight.take(part)[..., None]
-        key = at, slice(start - first, start - first + nb), slice(None)
         kernel.step(
             x[key],
             None if y is None else y[key],

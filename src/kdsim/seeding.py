@@ -18,8 +18,9 @@ _MASK = (1 << 63) - 1
 
 def stable_seed(*parts: int | float | str | bool) -> int:
     """Hash a tuple of ints, floats, bools and strings (without NUL,
-    the token separator) into a 63-bit seed."""
-    digest = hashlib.sha256()
+    the token separator) into a 63-bit seed: the SHA-256 of every
+    part's token, each followed by NUL, in one call."""
+    tokens = []
     for part in parts:
         if isinstance(part, bool):
             # bool is an int subclass; tag it separately so True != 1
@@ -34,13 +35,14 @@ def stable_seed(*parts: int | float | str | bool) -> int:
             token = f"s:{part}"
         else:
             raise TypeError(f"cannot derive a seed from {part!r}")
-        # surrogatepass keeps lone surrogates encodable (and distinct); other
-        # strings encode exactly as plain UTF-8
-        digest.update(token.encode("utf-8", "surrogatepass"))
-        digest.update(b"\x00")
-    return int.from_bytes(digest.digest()[:8], "little") & _MASK
+        tokens += token, "\x00"
+    # surrogatepass keeps lone surrogates encodable (and distinct); other
+    # strings encode exactly as plain UTF-8
+    digest = hashlib.sha256("".join(tokens).encode("utf-8", "surrogatepass")).digest()
+    return int.from_bytes(digest[:8], "little") & _MASK
 
 
 def rng_for(*parts: int | float | str | bool) -> np.random.Generator:
-    """A fresh Generator for the stream named by `parts`."""
-    return np.random.default_rng(stable_seed(*parts))
+    """A fresh Generator for the stream named by `parts`: the one
+    `np.random.default_rng` builds from its seed, without the dispatch."""
+    return np.random.Generator(np.random.PCG64(stable_seed(*parts)))

@@ -639,6 +639,38 @@ def test_ragged_cells_refuse_what_they_cannot_train(rng):
     assert work.params.tobytes() == start
 
 
+def test_ragged_cells_refuse_per_cell_loss_weights(rng):
+    # the second minibatch covers one cell of two, so a step could not
+    # take both weights; nothing may step before the refusal
+    arch = ArchSpec(input_dim=3, hidden_layers=(4,), num_classes=2)
+    sizes = [6, 3]
+    features = [rng.normal(0, 1, size=(n, 3)) for n in sizes]
+    hard = [onehot(rng.integers(0, 2, size=n), 2) for n in sizes]
+    work = Model.from_params(arch, np.stack([init_model(arch, s).params for s in (1, 2)]), 0)
+    opt = make_optimizer(_recipe("adam", 0.1, 0.0, 0.0), work)
+    start = work.params.tobytes()
+    for weights in ({"ce_weight": [0.5, 0.7]}, {"kd_weight": [0.5, 0.7]}):
+        rngs = [rng_for(s, "epoch", 1) for s in (1, 2)]
+        with pytest.raises(ShapeError, match="one loss weight"):
+            train_epoch(opt, features, 4, rngs, hard=hard, **weights)
+        assert work.params.tobytes() == start
+        assert opt.t == 0
+
+
+def test_a_pass_schedule_holds_only_kernels_the_optimizer_keeps(rng):
+    # at the first minibatch start the run of three 20-row cells needs a
+    # larger scratch block than the 33-row cell's step built before it
+    arch = ArchSpec(input_dim=3, hidden_layers=(4,), num_classes=2)
+    sizes = [33, 20, 20, 20]
+    features = [rng.normal(0, 1, size=(n, 3)) for n in sizes]
+    hard = [onehot(rng.integers(0, 2, size=n), 2) for n in sizes]
+    work = Model.from_params(arch, np.stack([init_model(arch, s).params for s in range(4)]), 0)
+    opt = make_optimizer(_recipe("adam", 0.1, 0.0, 0.0), work)
+    train_epoch(opt, features, 32, [rng_for(s, "epoch", 1) for s in range(4)], hard=hard)
+    kept = opt._kernels.values()
+    assert all(kernel in kept for kernel, *_ in opt.schedule(tuple(sizes), 32))
+
+
 def test_a_row_order_is_for_a_plain_model_of_its_length(rng):
     arch = ArchSpec(input_dim=3, hidden_layers=(), num_classes=2)
     features = rng.normal(0, 1, size=(6, 3))

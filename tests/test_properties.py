@@ -1083,6 +1083,37 @@ def test_ragged_steps_equal_a_literal_reference(case):
         assert work.params[i].tobytes() == want.tobytes(), i
 
 
+@pytest.mark.parametrize("hidden", [(64,), (64, 32)])
+@pytest.mark.parametrize("optimizer, momentum", [("adam", 0.0), ("sgd", 0.9)])
+@pytest.mark.parametrize("temperature", [1.0, 2.0])
+def test_plain_steps_at_bench_widths_equal_a_literal_reference(
+    hidden, optimizer, momentum, temperature
+):
+    # the properties above draw widths up to 6 and batches up to 8, where
+    # BLAS takes other kernels than at these widths; the last minibatches
+    # hold 1, 2 and 31 rows
+    arch = ArchSpec(input_dim=8, hidden_layers=hidden, num_classes=10)
+    opt_cfg = (optimizer, 0.05, 4e-4, momentum)
+    data = np.random.default_rng(2024)
+    for n in (65, 66, 95):
+        features = data.normal(0, 1, size=(n, 8))
+        hard = onehot(data.integers(0, 10, size=n), 10)
+        soft = softmax(data.normal(0, 2, size=(n, 10)), 1.0)
+        start = init_model(arch, n).params
+        work = Model.from_params(arch, start.copy(), 0)
+        opt = make_optimizer(_recipe(*opt_cfg), work)
+        for epoch in (1, 2):
+            train_epoch(
+                opt, features, 32, rng_for(n, "epoch", epoch), hard=hard, soft=soft,
+                temperature=temperature, **_alpha_weights(0.5, True),
+            )
+        want = _reference_cell(
+            start, arch, features, 32, [rng_for(n, "epoch", e) for e in (1, 2)], opt_cfg,
+            (True, True), hard=hard, soft=soft, alpha=0.5, temperature=temperature,
+        )
+        assert work.params.tobytes() == want.tobytes(), n
+
+
 @pytest.mark.parametrize("labeled", [True, False])
 def test_one_cell_runs_return_plain_models(labeled):
     arch = ArchSpec(input_dim=3, hidden_layers=(4,), num_classes=3)
