@@ -60,12 +60,12 @@ its shuffled rows of every input with one `take` each, a chunk of
 minibatches at a time (a wide stack one minibatch at a time), checks
 them once per chunk, and every minibatch steps on a slice. What does
 not change between minibatches (loss weights, the optimizer's views and
-constants) is computed once per pass, what does not change between
-passes (which kernel and rows each minibatch steps, where the chunks
-start) once per optimizer, and scalar operands are 0-d arrays. The
-optimizer owns a flat gradient buffer that the step fills, and it steps
-in place, once per minibatch. A pass that leaves a parameter NaN or
-infinite raises DomainError.
+constants) is computed once per pass, the steps of a pass (which
+kernel and rows each minibatch steps, where the chunks start) once per
+run of passes over the same rows, and scalar operands are 0-d arrays.
+The optimizer owns a flat gradient buffer that the step fills, and it
+steps in place, once per minibatch. A pass that leaves a parameter NaN
+or infinite raises DomainError.
 
 A training recipe (`TrainConfig` here, `distill.DistillConfig` and
 `fed.FedConfig`) states its rules once, in `problems()`, which lists
@@ -426,8 +426,8 @@ class _Optimizer:
     row range; `reset` copies other parameters in and returns to a fresh
     optimizer's state for another run on the same stack. The optimizer
     also keeps the `_Kernel` that steps each row range at each minibatch
-    size (`kernel`), all on one scratch block, and the steps of a pass
-    over each row count at each batch size (`schedule`).
+    size (`kernel`), all on one scratch block, and the steps of its last
+    pass (`schedule`).
     """
 
     def __init__(self, recipe, model: Model) -> None:
@@ -457,7 +457,8 @@ class _Optimizer:
         self._scratch = np.empty_like(model.params)
         self._steps: dict[tuple[int, int] | None, tuple] = {}
         self._kernels: dict[tuple, _Kernel] = {}
-        self._schedules: dict[tuple, list[tuple]] = {}
+        # the last pass's (row counts, batch size) and steps
+        self._pass: tuple = (None, [])
         self._block = np.empty(0)
 
     def reset(self, params: np.ndarray) -> None:
@@ -500,29 +501,22 @@ class _Optimizer:
     def _scratch_block(self, size: int) -> np.ndarray:
         """`size` entries of the block the kernels share; a larger block
         replaces a smaller one, and the kernels on the old one, with the
-        schedules that hold them, are dropped."""
+        last pass's steps, are dropped."""
         if len(self._block) < size:
             self._block = np.empty(size)
             self._kernels.clear()
-            self._schedules.clear()
+            self._pass = (None, [])
         return self._block[:size]
 
     def schedule(self, sizes: int | tuple[int, ...], batch_size: int) -> list[tuple]:
-        """The steps of one pass in minibatches of `batch_size` over `sizes`
-        rows per cell (one count for all, or the counts of ragged cells,
-        longest first), built once per optimizer and dropped with its
-        kernels; see `_schedule`."""
+        """The steps of a pass in minibatches of `batch_size` over `sizes`
+        rows (one count for all cells, or the counts of ragged cells,
+        longest first); see `_schedule`. The last pass's steps are kept,
+        so the epochs of a run on the same rows build them once."""
         key = sizes, batch_size
-        steps = self._schedules.get(key)
-        if steps is None:
-            steps = _schedule(self, sizes, batch_size)
-            kernels = self._kernels.values()
-            if any(kernel not in kernels for kernel in {step[0] for step in steps}):
-                # a kernel outgrew the shared block and dropped the kernels
-                # built before it; build again on the block that now fits all
-                steps = _schedule(self, sizes, batch_size)
-            self._schedules[key] = steps
-        return steps
+        if self._pass[0] != key:
+            self._pass = key, _schedule(self, sizes, batch_size)
+        return self._pass[1]
 
     def step(self, rows: slice | None = None) -> None:
         """Update the stack in place from the gradient buffer `grad`. With
@@ -730,10 +724,11 @@ def _ragged_order(
 
 
 def _schedule(opt: _Optimizer, sizes: int | tuple[int, ...], batch_size: int) -> list[tuple]:
-    """The steps of one pass over `sizes` rows, each as (its kernel, its
-    rows of the stack for `opt.step`, the slice of the row order whose
-    rows the pass gathers before it or None, its index into what was
-    gathered).
+    """The steps of one pass over `sizes` rows (one count for all cells,
+    or the counts of ragged cells, longest first), each as (its kernel,
+    its rows of the stack for `opt.step`, the slice of the row order
+    whose rows the pass gathers before it or None, its index into what
+    was gathered).
 
     A pass gathers a chunk of minibatches at a time, a multiple of
     `batch_size` rows of about `_GATHER_BYTES` per input at most. Ragged
@@ -751,7 +746,8 @@ def _schedule(opt: _Optimizer, sizes: int | tuple[int, ...], batch_size: int) ->
     # float64 bytes of the widest gathered input per minibatch row
     row_bytes = 8 * cells * max(model.arch.input_dim, model.arch.num_classes)
     chunk = max(1, _GATHER_BYTES // (row_bytes * batch_size)) * batch_size
-    steps = []
+    # (row range or None, minibatch size, part, key) per step
+    plan = []
     for start in range(0, sizes[0] if ragged else sizes, batch_size):
         at = start % chunk
         part = slice(start, start + chunk) if at == 0 else None
@@ -759,7 +755,7 @@ def _schedule(opt: _Optimizer, sizes: int | tuple[int, ...], batch_size: int) ->
             nb = min(batch_size, sizes - start)
             # a plain model slices its 2-d rows with a plain slice
             key = slice(at, at + nb) if plain else (..., slice(at, at + nb), slice(None))
-            steps.append((opt.kernel(None, nb), None, part, key))
+            plan.append((None, nb, part, key))
             continue
         # non-increasing, so equal batch sizes are neighbours
         batches = [min(batch_size, n - start) for n in sizes if n > start]
@@ -769,10 +765,18 @@ def _schedule(opt: _Optimizer, sizes: int | tuple[int, ...], batch_size: int) ->
             hi = lo + batches.count(nb)
             # a run of one cell steps as a plain model, on 2-d rows
             key = (lo if hi - lo == 1 else slice(lo, hi)), slice(at, at + nb), slice(None)
-            steps.append((opt.kernel((lo, hi), nb), slice(lo, hi), part, key))
+            plan.append(((lo, hi), nb, part, key))
             part = None
             lo = hi
-    return steps
+    if plan:
+        # the largest kernel, on the most rows, first: a kernel built later
+        # then fits the shared block and drops none built before it
+        span, nb, *_ = max(plan, key=lambda p: p[1] * (1 if p[0] is None else p[0][1] - p[0][0]))
+        opt.kernel(span, nb)
+    return [
+        (opt.kernel(span, nb), None if span is None else slice(*span), part, key)
+        for span, nb, part, key in plan
+    ]
 
 
 def _factor(weight: float | list[float]) -> np.ndarray | None:
@@ -966,9 +970,9 @@ def train_steps(
 
     Ragged cells, each with its own rows, pass `features` and `hard` as
     `Ragged` blocks (or lists, one array per cell), longest first, and
-    train on hard targets alone, each loss weight one float for all
-    cells; each minibatch is then one step per run of cells with the
-    same batch size (see `_schedule`).
+    train on hard targets alone, with one CE weight for all cells unless
+    every cell has as many rows; each minibatch is then one step per run
+    of cells with the same batch size (see `_schedule`).
 
     Every step is `_Kernel.step` of the cells it covers, then one
     `opt.step`, as `opt.schedule` lists them. The epoch's shuffled rows
@@ -1010,9 +1014,15 @@ def train_steps(
     if isinstance(features, Ragged):
         if soft is not None:
             raise ShapeError("ragged cells train on hard targets alone")
-        if not isinstance(ce_weight, (int, float)) or not isinstance(kd_weight, (int, float)):
-            # a step of fewer cells than the stack could not take them
-            raise ShapeError("ragged cells take one loss weight for all cells, not one per cell")
+        if not isinstance(ce_weight, (int, float)):
+            if all(w == ce_weight[0] for w in ce_weight):
+                # equal weights are one weight, which every step can take
+                ce_weight = float(ce_weight[0])
+            elif len(set(features.sizes)) > 1:
+                # a step of fewer cells than the stack could not take one per cell
+                raise ShapeError(
+                    "ragged cells of different row counts take one CE weight for all cells"
+                )
         if hard is not None and hard.sizes != features.sizes:
             raise ShapeError(f"ragged hard targets of {hard.sizes} rows for {features.sizes}")
         order = _ragged_order(model, features.sizes, rng)

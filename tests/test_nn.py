@@ -639,27 +639,47 @@ def test_ragged_cells_refuse_what_they_cannot_train(rng):
     assert work.params.tobytes() == start
 
 
-def test_ragged_cells_refuse_per_cell_loss_weights(rng):
-    # the second minibatch covers one cell of two, so a step could not
-    # take both weights; nothing may step before the refusal
+def test_ragged_cells_refuse_only_per_cell_loss_weights_they_cannot_take(rng):
     arch = ArchSpec(input_dim=3, hidden_layers=(4,), num_classes=2)
-    sizes = [6, 3]
-    features = [rng.normal(0, 1, size=(n, 3)) for n in sizes]
-    hard = [onehot(rng.integers(0, 2, size=n), 2) for n in sizes]
-    work = Model.from_params(arch, np.stack([init_model(arch, s).params for s in (1, 2)]), 0)
-    opt = make_optimizer(_recipe("adam", 0.1, 0.0, 0.0), work)
+    data = [rng.normal(0, 1, size=(6, 3)) for _ in range(2)]
+    labels = [onehot(rng.integers(0, 2, size=6), 2) for _ in range(2)]
+
+    def run(sizes, cells=(0, 1), **weights):
+        features = [data[i][: sizes[i]] for i in cells]
+        hard = [labels[i][: sizes[i]] for i in cells]
+        params = np.stack([init_model(arch, s + 1).params for s in cells])
+        work = Model.from_params(arch, params, 0)
+        opt = make_optimizer(_recipe("adam", 0.1, 0.0, 0.0), work)
+        rngs = [rng_for(s + 1, "epoch", 1) for s in cells]
+        return work, opt, lambda: train_epoch(opt, features, 4, rngs, hard=hard, **weights)
+
+    # cells of 6 and 3 rows: the second minibatch covers one cell of two,
+    # so a step could not take both weights; nothing may step before the refusal
+    work, opt, train = run([6, 3], ce_weight=[0.5, 0.7])
     start = work.params.tobytes()
-    for weights in ({"ce_weight": [0.5, 0.7]}, {"kd_weight": [0.5, 0.7]}):
-        rngs = [rng_for(s, "epoch", 1) for s in (1, 2)]
-        with pytest.raises(ShapeError, match="one loss weight"):
-            train_epoch(opt, features, 4, rngs, hard=hard, **weights)
-        assert work.params.tobytes() == start
-        assert opt.t == 0
+    with pytest.raises(ShapeError, match="one CE weight"):
+        train()
+    assert work.params.tobytes() == start
+    assert opt.t == 0
+
+    def trained(sizes, cells=(0, 1), **weights):
+        work, _, train = run(sizes, cells, **weights)
+        train()
+        return work.params.tobytes()
+
+    # equal weights are one weight, and the KD weight of a run without
+    # soft targets is not used
+    assert trained([6, 3], ce_weight=[0.5, 0.5]) == trained([6, 3], ce_weight=0.5)
+    assert trained([6, 3], kd_weight=[0.5, 0.7]) == trained([6, 3])
+    # cells of as many rows step together at every minibatch, each on its weight
+    both = np.frombuffer(trained([6, 6], ce_weight=[0.5, 0.7]))
+    alone = [trained([6, 6], (i,), ce_weight=w) for i, w in ((0, 0.5), (1, 0.7))]
+    assert both.tobytes() == b"".join(alone)
 
 
 def test_a_pass_schedule_holds_only_kernels_the_optimizer_keeps(rng):
     # at the first minibatch start the run of three 20-row cells needs a
-    # larger scratch block than the 33-row cell's step built before it
+    # larger scratch block than the 33-row cell's step before it
     arch = ArchSpec(input_dim=3, hidden_layers=(4,), num_classes=2)
     sizes = [33, 20, 20, 20]
     features = [rng.normal(0, 1, size=(n, 3)) for n in sizes]
@@ -669,6 +689,16 @@ def test_a_pass_schedule_holds_only_kernels_the_optimizer_keeps(rng):
     train_epoch(opt, features, 32, [rng_for(s, "epoch", 1) for s in range(4)], hard=hard)
     kept = opt._kernels.values()
     assert all(kernel in kept for kernel, *_ in opt.schedule(tuple(sizes), 32))
+
+
+def test_an_optimizer_keeps_the_steps_of_its_last_pass_alone():
+    arch = ArchSpec(input_dim=3, hidden_layers=(4,), num_classes=2)
+    opt = make_optimizer(_recipe("sgd", 0.1, 0.0, 0.0), init_model(arch, 1))
+    steps = opt.schedule(10, 4)
+    assert [kernel.outs[0].shape[0] for kernel, *_ in steps] == [4, 4, 2]
+    assert opt.schedule(10, 4) is steps
+    opt.schedule(7, 4)
+    assert opt.schedule(10, 4) is not steps
 
 
 def test_a_row_order_is_for_a_plain_model_of_its_length(rng):
