@@ -204,6 +204,22 @@ CASES = [
         files=("manifest.json", "distill_*.json", "grid_*.json"),
         one_process=True,
     ),
+    # The report stage's CSV files, which print each record's gain and
+    # teacher-minus-student delta and each FedAvg round's accuracy.
+    Case(
+        "report-csv",
+        small(
+            distill={"methods": ["vanilla", "tuned"],
+                     "transfer_options": ["student_data", "public_unlabeled_small"],
+                     "epochs": 2, "batch_size": 8},
+            grid={"temperatures": [1, 2], "alphas": [0.25, 0.5]},
+            consolidate={"epochs": 2},
+            fed={"rounds": 3, "batch_size": 8},
+            report={"format": "csv"},
+        ),
+        stages("partition", "pretrain", "matrix", "consolidate", "fedavg", "report"),
+        files=("results.csv", "gain_scatter.csv", "trajectories.csv"),
+    ),
     # Plain models on fixed targets: CE plus KD at T = 2, supervised masks,
     # one-cell search rows, consolidation from an untrained start and Adam
     # FedAvg; plain-b1 gives every product of those steps a one-row operand.

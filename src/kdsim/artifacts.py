@@ -270,14 +270,6 @@ def _parse_model(path: Path, blob: bytes, pos: int) -> Model:
 # -- manifest ---------------------------------------------------------------
 
 
-def empty_manifest(cfg: RunConfig) -> dict:
-    return {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "seed": cfg.seed,
-        "stages": {},
-    }
-
-
 def load_manifest(out_dir: str | Path) -> dict | None:
     """The run manifest, or None if there is none. One of another schema
     version, or whose layout is not a manifest's, down to each stage's
@@ -343,9 +335,9 @@ class RunDir:
         the ones it replaces, which its fingerprint need not show: every
         stage on record that was built on them is then marked stale
         (`stale_after`), so `require` refuses it unless forced."""
-        manifest = self.manifest()
-        if manifest is None:
-            manifest = empty_manifest(self.cfg)
+        manifest = self.manifest() or {"schema_version": MANIFEST_SCHEMA_VERSION, "stages": {}}
+        # the seed of the command that recorded last
+        manifest["seed"] = self.cfg.seed
         fingerprint = self.fingerprint(stage)
         stages = manifest["stages"]
         stages[stage] = {

@@ -1,11 +1,17 @@
 """Result records, accuracy deltas and report files.
 
 Accuracy gains are expressed in percentage points throughout: a model
-moving from 0.60 to 0.65 overall gained +5.0 points. Per-class movement
-splits into learning (classes that improved) and forgetting (classes
-that regressed); their support-weighted difference reconciles exactly
-with the overall gain because both sides are computed on the same
-evaluation set.
+moving from 0.60 to 0.65 overall gained +5.0 points. Each number has
+one definition. Overall accuracy is hits over rows (`nn._accuracy`).
+`points` turns two accuracies into points: a record's gain, its
+teacher-minus-student `strength_delta` (`teacher_strength`, which also
+labels it) and each cell of the tuned search's surface
+(`orchestrate.grid_search_teachers`). Per-class movement
+(`learning_forgetting`) splits into learning (classes that improved)
+and forgetting (classes that regressed); their support-weighted
+difference reconciles exactly with the overall gain because both sides
+are computed on the same evaluation set. `build_pair_result` assembles
+a record from these alone.
 
 `emit_report` writes the canonical result files. CSV output rounds
 percentage values to 2 decimal places for reading; the JSON mirror keeps
@@ -42,22 +48,6 @@ RESULT_COLUMNS = (
     "teacher_acc",
     "strength_delta",
 )
-
-
-@dataclass(eq=False)
-class GainRecord:
-    """Signed accuracy movement of one student, in percentage points."""
-
-    gain_points: float
-    strength_delta: float = 0.0
-
-
-@dataclass(eq=False)
-class LearnForget:
-    """Per-class accuracy movement split into its two signs."""
-
-    learning: np.ndarray
-    forgetting: np.ndarray
 
 
 @dataclass(eq=False)
@@ -120,24 +110,18 @@ class PairResult:
         )
 
 
-def accuracy_gain(
-    pre: EvalReport, post: EvalReport, teacher: EvalReport | None = None
-) -> GainRecord:
-    """Overall gain in points; strength_delta is teacher minus student."""
-    gain = (post.overall_accuracy - pre.overall_accuracy) * 100.0
-    delta = 0.0
-    if teacher is not None:
-        delta = (teacher.overall_accuracy - pre.overall_accuracy) * 100.0
-    return GainRecord(gain_points=gain, strength_delta=delta)
+def points(before: float, after: float) -> float:
+    """The move from accuracy `before` to `after`, in percentage points."""
+    return (after - before) * 100.0
 
 
 def teacher_strength(pre: EvalReport, teacher: EvalReport) -> tuple[str, float]:
     """Label the teacher relative to the student's starting accuracy.
 
-    Positive delta means a stronger teacher, negative a weaker one, an
-    exact tie is labeled comparable.
+    Positive delta (teacher minus student, in points) means a stronger
+    teacher, negative a weaker one, an exact tie is labeled comparable.
     """
-    delta = (teacher.overall_accuracy - pre.overall_accuracy) * 100.0
+    delta = points(pre.overall_accuracy, teacher.overall_accuracy)
     if delta > 0:
         label = "strong"
     elif delta < 0:
@@ -147,14 +131,13 @@ def teacher_strength(pre: EvalReport, teacher: EvalReport) -> tuple[str, float]:
     return label, delta
 
 
-def learning_forgetting(pre: EvalReport, post: EvalReport) -> LearnForget:
-    """Per-class improvement and regression, both clipped at zero."""
+def learning_forgetting(pre: EvalReport, post: EvalReport) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class (learning, forgetting): improvement and regression, both
+    clipped at zero."""
     if len(pre.per_class_accuracy) != len(post.per_class_accuracy):
         raise DataError("pre and post reports disagree on class count")
     diff = post.per_class_accuracy - pre.per_class_accuracy
-    return LearnForget(
-        learning=np.maximum(diff, 0.0), forgetting=np.maximum(-diff, 0.0)
-    )
+    return np.maximum(diff, 0.0), np.maximum(-diff, 0.0)
 
 
 def cumulative_gain(results: list[PairResult]) -> dict[str, float]:
@@ -177,9 +160,8 @@ def build_pair_result(
     post_eval: EvalReport,
     teacher_eval: EvalReport,
 ) -> PairResult:
-    gain = accuracy_gain(pre_eval, post_eval, teacher_eval)
     strength, delta = teacher_strength(pre_eval, teacher_eval)
-    moved = learning_forgetting(pre_eval, post_eval)
+    learning, forgetting = learning_forgetting(pre_eval, post_eval)
     return PairResult(
         scenario=scenario,
         method=method,
@@ -191,11 +173,11 @@ def build_pair_result(
         pre_eval=pre_eval,
         post_eval=post_eval,
         teacher_eval=teacher_eval,
-        gain_points=gain.gain_points,
+        gain_points=points(pre_eval.overall_accuracy, post_eval.overall_accuracy),
         strength_delta=delta,
         strength=strength,
-        learning=moved.learning,
-        forgetting=moved.forgetting,
+        learning=learning,
+        forgetting=forgetting,
     )
 
 

@@ -1141,8 +1141,7 @@ def train_supervised_cells(
     features = Ragged.of([trains[i].features for i in live])
     hard = Ragged.of([onehot(trains[i].labels, arch.num_classes) for i in live])
     best = [m.params.copy() for m in models]
-    # `evaluate`'s overall accuracy, without its per-class report
-    best_acc = [float(_hits(m, val).sum() / len(val)) for m, val in zip(models, vals)]
+    best_acc = [_accuracy(_hits(m, val)) for m, val in zip(models, vals)]
     stale = [0] * len(models)
     for epoch in range(1, cfg.max_epochs + 1):
         train_epoch(
@@ -1152,7 +1151,7 @@ def train_supervised_cells(
         keep = []
         for j, i in enumerate(live):
             row = Model.from_params(arch, opt.model.params[j], 0)
-            acc = float(_hits(row, vals[i]).sum() / len(vals[i]))
+            acc = _accuracy(_hits(row, vals[i]))
             if acc > best_acc[i]:
                 best_acc[i] = acc
                 best[i] = opt.model.params[j].copy()
@@ -1233,11 +1232,17 @@ def _hits(model: Model, data: LabeledDataset) -> np.ndarray:
     return np.argmax(logits, axis=-1) == data.labels
 
 
+def _accuracy(hits: np.ndarray) -> float:
+    """Overall accuracy: the share of one model's rows it classified right.
+    Every overall accuracy kdsim reports or selects by is this."""
+    return float(hits.sum() / len(hits))
+
+
 def overall_accuracies(models: list[Model], data: LabeledDataset) -> list[float]:
     """`evaluate(m, data).overall_accuracy` of every model, bit for bit,
     from one forward pass of the models as a stack."""
     stack = Model.from_params(models[0].arch, np.stack([m.params for m in models]), 0)
-    return [float(row.sum() / len(data)) for row in _hits(stack, data)]
+    return [_accuracy(row) for row in _hits(stack, data)]
 
 
 def evaluate(model: Model, data: LabeledDataset) -> EvalReport:
@@ -1249,7 +1254,7 @@ def evaluate(model: Model, data: LabeledDataset) -> EvalReport:
     nonzero = support > 0
     per_class[nonzero] = correct[nonzero] / support[nonzero]
     return EvalReport(
-        overall_accuracy=float(hits.sum() / len(data)),
+        overall_accuracy=_accuracy(hits),
         per_class_accuracy=per_class,
         per_class_support=support,
     )

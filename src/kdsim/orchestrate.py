@@ -80,7 +80,7 @@ from .distill import (
     equal_teacher_weights,
 )
 from .errors import ConfigError, DataError
-from .metrics import PairResult, build_pair_result, canonical_order
+from .metrics import PairResult, build_pair_result, canonical_order, points
 from .nn import (
     ArchSpec,
     EvalReport,
@@ -758,17 +758,17 @@ class GridSearchResult:
     kept_model: Model | None = None
 
 
+def _rank(key: tuple[float, float], gain: float) -> tuple:
+    """(-gain, key): the search's order of cells, lowest first, is highest
+    gain, then smaller temperature, then smaller alpha."""
+    return (-gain, key)
+
+
 def argmax_surface(surface: dict[tuple[float, float], float]) -> tuple[float, float]:
-    """Highest-gain cell; ties resolve to smaller temperature, then alpha."""
+    """The surface's first cell in the order of `_rank`."""
     if not surface:
         raise ConfigError("empty gain surface")
-    best_key = None
-    best_gain = -np.inf
-    for key in sorted(surface):
-        if surface[key] > best_gain:
-            best_gain = surface[key]
-            best_key = key
-    return best_key
+    return min(surface, key=lambda key: _rank(key, surface[key]))
 
 
 def _search(count: int, grid: GridSpec, run_row, keep=None) -> list[GridSearchResult]:
@@ -779,20 +779,20 @@ def _search(count: int, grid: GridSpec, run_row, keep=None) -> list[GridSearchRe
     temperature row, whose values are floats whatever the grid holds:
     `run_row(temperature, cells)` gets the row's (search, alpha) cells,
     search-major, and returns one (gain, model or None) per cell. Only
-    each search's best model so far is kept, and the model of its `keep`
-    cell.
+    each search's best cell so far (by `_rank`) and its model are kept,
+    and the model of its `keep` cell.
     """
     surfaces: list[dict[tuple[float, float], float]] = [{} for _ in range(count)]
-    best: list[tuple | None] = [None] * count
+    best: list[tuple | None] = [None] * count  # (rank, model) of the best cell so far
     kept: list[Model | None] = [None] * count
 
     def search_row(temperature: float, cells: list[tuple[int, float]]) -> None:
         for (i, a), (gain, model) in zip(cells, run_row(temperature, cells)):
             key = (temperature, a)
             surfaces[i][key] = gain
-            # the order argmax_surface picks by: highest gain, then lowest key
-            if best[i] is None or (-gain, key) < best[i][0]:
-                best[i] = ((-gain, key), model)
+            rank = _rank(key, gain)
+            if best[i] is None or rank < best[i][0]:
+                best[i] = (rank, model)
             if key == keep:
                 kept[i] = model
 
@@ -811,8 +811,8 @@ def _search(count: int, grid: GridSpec, run_row, keep=None) -> list[GridSearchRe
         for t in temperatures:
             search_row(t, every_alpha)
     return [
-        GridSearchResult(*argmax_surface(surface), surface, top[1], model)
-        for surface, top, model in zip(surfaces, best, kept)
+        GridSearchResult(*key, surface, model, kept_model)
+        for surface, ((_, key), model), kept_model in zip(surfaces, best, kept)
     ]
 
 
@@ -852,7 +852,7 @@ def grid_search_teachers(
             [seed_fns[i](temperature, a) for i, a in cells],
         )
         accs = overall_accuracies(models, select_data)
-        return [((acc - pre_acc) * 100.0, model) for acc, model in zip(accs, models)]
+        return [(points(pre_acc, acc), model) for acc, model in zip(accs, models)]
 
     return _search(len(teachers), grid, run_row, keep)
 

@@ -540,6 +540,16 @@ def test_cli_stale_fingerprint_and_force(tiny_config, tmp_path, capsys):
     assert _run("pretrain", *base, "--seed", "4", "--force") == 0
 
 
+def test_manifest_seed_is_that_of_the_command_that_recorded_last(tiny_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    base = ("--config", str(tiny_config), "--out-dir", str(out))
+    assert _run("partition", *base, "--seed", "1") == 0
+    assert read_json(out / "manifest.json")["seed"] == 1
+    assert _run("partition", *base, "--seed", "2") == 0
+    assert _run("pretrain", *base, "--seed", "2") == 0
+    assert read_json(out / "manifest.json")["seed"] == 2
+
+
 def test_cli_refuses_a_pool_carved_at_another_size(tiny_config, tmp_path, capsys):
     # the partition fingerprint leaves out the pool section, so the carve's
     # own size is what shows a changed pool.size

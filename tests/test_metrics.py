@@ -9,7 +9,6 @@ from kdsim.errors import ConfigError, DataError
 from kdsim.fed import FedTrajectory
 from kdsim.metrics import (
     PairResult,
-    accuracy_gain,
     build_pair_result,
     canonical_order,
     cumulative_gain,
@@ -17,6 +16,7 @@ from kdsim.metrics import (
     learning_forgetting,
     parse_results_json,
     parse_trajectories_json,
+    points,
     reconciliation_residual,
     teacher_strength,
 )
@@ -67,10 +67,18 @@ def _result(rng, **overrides):
 
 
 def test_gain_is_in_percentage_points():
-    rec = accuracy_gain(_flat_report(0.60), _flat_report(0.65), _flat_report(0.80))
+    assert points(0.60, 0.65) == pytest.approx(5.0)
+    assert points(0.5, 0.4) == pytest.approx(-10.0)
+    assert points(0.5, 0.5) == 0.0
+
+    def record(pre, post, teacher):
+        return build_pair_result("uniform", "vanilla", "student_data", 0, 1, 1.0, 0.5,
+                                 _flat_report(pre), _flat_report(post), _flat_report(teacher))
+
+    rec = record(0.60, 0.65, 0.80)
     assert rec.gain_points == pytest.approx(5.0)
     assert rec.strength_delta == pytest.approx(20.0)
-    rec = accuracy_gain(_flat_report(0.5), _flat_report(0.4))
+    rec = record(0.5, 0.4, 0.5)
     assert rec.gain_points == pytest.approx(-10.0)
     assert rec.strength_delta == 0.0
 
@@ -85,9 +93,9 @@ def test_teacher_strength_labels():
 def test_learning_forgetting_split():
     pre = EvalReport(0.5, np.array([0.5, 0.9, 0.2]), np.array([5, 5, 5]))
     post = EvalReport(0.5, np.array([0.6, 0.7, 0.2]), np.array([5, 5, 5]))
-    moved = learning_forgetting(pre, post)
-    assert np.allclose(moved.learning, [0.1, 0.0, 0.0])
-    assert np.allclose(moved.forgetting, [0.0, 0.2, 0.0])
+    learning, forgetting = learning_forgetting(pre, post)
+    assert np.allclose(learning, [0.1, 0.0, 0.0])
+    assert np.allclose(forgetting, [0.0, 0.2, 0.0])
     with pytest.raises(DataError):
         learning_forgetting(pre, EvalReport(0.5, np.zeros(2), np.zeros(2, dtype=np.int64)))
 

@@ -805,6 +805,46 @@ def test_unlabeled_search_scans_temperatures_at_the_configured_alpha(run):
 
 
 @st.composite
+def _tied_searches(draw):
+    """1-3 side-by-side searches over a small grid in either mode, whose
+    cells score gains drawn from 2-3 values, so that ties are common, and
+    a cell to keep."""
+    temperatures = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]), min_size=1, unique=True))
+    alphas = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=3,
+                           unique=True))
+    grid = GridSpec(temperatures=temperatures, alphas=alphas, sequential=draw(st.booleans()))
+    count = draw(st.integers(1, 3))
+    values = draw(st.lists(st.sampled_from([-25.0, 0.0, 12.5, 50.0]), min_size=2, max_size=3,
+                           unique=True))
+    gains = {
+        (i, t, a): draw(st.sampled_from(values))
+        for i in range(count) for t in temperatures for a in alphas
+    }
+    keep = (draw(st.sampled_from(temperatures)), draw(st.sampled_from(alphas)))
+    return count, grid, gains, keep
+
+
+@PROPERTY
+@given(_tied_searches())
+def test_each_search_picks_its_surface_argmax_and_keeps_that_cell_s_model(run):
+    count, grid, gains, keep = run
+    sentinels = {cell: object() for cell in gains}
+    run_row = lambda t, cells: [(gains[i, t, a], sentinels[i, t, a]) for i, a in cells]
+    results = orchestrate._search(count, grid, run_row, keep)
+    assert len(results) == count
+    for i, result in enumerate(results):
+        assert result.surface == {(t, a): gains[i, t, a] for t, a in result.surface}
+        best = (result.best_temperature, result.best_alpha)
+        assert best == orchestrate.argmax_surface(result.surface)
+        # the highest gain, and among the cells tied at it the lowest (T, alpha)
+        top = max(result.surface.values())
+        assert best == min(cell for cell, gain in result.surface.items() if gain == top)
+        assert result.best_model is sentinels[(i, *best)]
+        want_kept = sentinels[(i, *keep)] if keep in result.surface else None
+        assert result.kept_model is want_kept
+
+
+@st.composite
 def _supervised_cells(draw):
     """One to five participants with training sets below, equal to and
     multiples of the batch size, Adam or momentum SGD with or without
