@@ -133,6 +133,10 @@ CASES = [
         jobs=2,
     ),
     Case("matrix-workload", "matrix", MATRIX),
+    # bench-grid compares files only: a cell whose model changed but whose
+    # evaluations did not would go unseen there. This digests the grid
+    # workload's tuned and vanilla models.
+    Case("grid-workload", "grid", MATRIX),
     # Every other config pretrains with patience == max_epochs. Here cells
     # leave the pretraining stack at different epochs (4 -> 3 -> 2 -> 1
     # cells at seed 11, 4 -> 3 -> 1 at seed 23) before a sequential search.

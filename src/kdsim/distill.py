@@ -28,18 +28,20 @@ front and only the student copy is ever stepped. Every run is
 deterministic per (models, transfer set, config, seed).
 
 Runs on one transfer set that differ only in start model, teachers,
-alpha and seed are cells: `distill_vanilla_benches` (one teacher bench
-per cell), `distill_dpkd_cells` and `distill_dml_cells` train them as
-one stack of models (see `nn`), each cell with its own generators, and
-every cell comes out bit-identical to its own one-cell run. A stack
-trains under one optimizer, built from the run's `DistillConfig`
-(`nn.make_optimizer`), which owns the stack it steps. Work the
-cells share is done once: each distinct model's soft targets, the
-frozen self of each distinct student, and DPKD's snapshot probabilities
-of each distinct student. `distill_vanilla`, `distill_dpkd` and
-`distill_dml` are the one-cell cases; a run of one cell, these and
-`distill_multi_teacher` included, trains as a plain model rather than a
-one-cell stack: the loop's one step on fewer axes, with the same bits.
+alpha and seed (and, for vanilla runs, temperature) are cells:
+`distill_vanilla_benches` (one teacher bench per cell),
+`distill_dpkd_cells` and `distill_dml_cells` train them as one stack of
+models (see `nn`), each cell with its own generators, and every cell
+comes out bit-identical to its own one-cell run. A stack trains under
+one optimizer, built from the run's `DistillConfig`
+(`nn.make_optimizer`), which owns the stack it steps. Work the cells
+share is done once: each distinct model's logits and its soft targets
+at each temperature its cells use, the frozen self of each distinct
+student, and DPKD's snapshot probabilities of each distinct student.
+`distill_vanilla`, `distill_dpkd` and `distill_dml` are the one-cell
+cases; a run of one cell, these and `distill_multi_teacher` included,
+trains as a plain model rather than a one-cell stack: the loop's one
+step on fewer axes, with the same bits.
 
 Temperatures above 1 shrink softened-softmax gradients by roughly T^2,
 so the KL objectives here carry an explicit T^2 factor to keep gradient
@@ -153,6 +155,7 @@ def _distill(
     transfer: TransferSet,
     cfg: DistillConfig,
     alphas: list[float],
+    temperatures: list[float],
     seeds: list[int],
     *,
     soft: np.ndarray,
@@ -160,11 +163,11 @@ def _distill(
     weight: np.ndarray | None = None,
 ) -> list[Model]:
     """Train one copy of each cell's start model, one cell per (student,
-    alpha, seed), all as one stack (one cell as a plain model), on the
-    fixed targets `nn.train_epoch` takes; `soft` is shared, (n, C), or
-    one block per cell, (S, n, C). With hard targets each cell weighs the
-    CE and KL terms (1 - alpha, alpha); without them the KL term trains
-    alone."""
+    alpha, temperature, seed), all as one stack (one cell as a plain
+    model), on the fixed targets `nn.train_epoch` takes; `soft` is
+    shared, (n, C), or one block per cell, (S, n, C). With hard targets
+    each cell weighs the CE and KL terms (1 - alpha, alpha); without them
+    the KL term trains alone."""
     opt = make_optimizer(cfg, _stack(students))
     work = opt.model
     if soft.ndim == 3:
@@ -179,7 +182,8 @@ def _distill(
         train_epoch(
             opt, transfer.features, cfg.batch_size,
             _per_cell(work, [rng_for(seed, "epoch", epoch) for seed in seeds]),
-            hard=hard, soft=soft, weight=weight, temperature=cfg.temperature, **weights,
+            hard=hard, soft=soft, weight=weight, temperature=_per_cell(work, temperatures),
+            **weights,
         )
     return _unstack(work, students)
 
@@ -232,34 +236,45 @@ def distill_vanilla_benches(
     cfg: DistillConfig,
     alphas: list[float],
     seeds: list[int],
+    temperatures: list[float] | None = None,
 ) -> list[Model]:
-    """Vanilla runs at cfg.temperature, one per (student, teachers, alpha,
-    seed) cell.
+    """Vanilla runs, one per (student, teachers, alpha, seed) cell, each
+    at its own temperature, or at cfg.temperature without `temperatures`.
 
-    Each distinct teacher's soft targets, and on public data those of
-    each distinct student's frozen self, are computed once for all
-    cells; each cell's target is the mean over its own bench, built in
-    place in the stack's one (S, n, C) block. Cells that use the same
-    loss terms train together as one stack; on labeled data alpha = 0
-    drops the KL term and alpha = 1 the CE term, so those cells form
-    stacks of their own. Every returned model is bit-identical to its
-    one-cell `distill_vanilla` run.
+    Each distinct model's logits, a teacher's and on public data those of
+    each distinct student's frozen self, are computed once for all cells,
+    and its soft targets once per temperature its cells use; a model's
+    logits are dropped once those are made. Each cell's target is the
+    mean over its own bench, built in place in the stack's one (S, n, C)
+    block. Cells that use the same loss terms train together as one
+    stack, whatever their temperatures; on labeled data alpha = 0 drops
+    the KL term and alpha = 1 the CE term, so those cells form stacks of
+    their own. Every returned model is bit-identical to its one-cell
+    `distill_vanilla` run at its temperature.
     """
+    if temperatures is None:
+        temperatures = [cfg.temperature] * len(seeds)
     if not all(benches):
         raise ConfigError("vanilla distillation needs at least one teacher")
-    if not len(students) == len(benches) == len(alphas) == len(seeds):
+    if not len(students) == len(benches) == len(alphas) == len(temperatures) == len(seeds):
         raise ConfigError(
-            f"{len(students)} students, {len(benches)} benches, {len(alphas)} alphas "
-            f"but {len(seeds)} seeds"
+            f"{len(students)} students, {len(benches)} benches, {len(alphas)} alphas, "
+            f"{len(temperatures)} temperatures but {len(seeds)} seeds"
         )
     _check_transfer(students[0], transfer)
     # one frozen self per distinct student, shared by all its cells
     own = {i: effective_teachers(s, [], transfer.origin) for i, s in _distinct(students).items()}
     full = [[*bench, *own[id(s)]] for s, bench in zip(students, benches)]
-    probs = {
-        i: softmax(forward_logits(m, transfer.features), cfg.temperature)
-        for i, m in _distinct([m for bench in full for m in bench]).items()
-    }
+    # the temperatures at which each distinct model's soft targets are used
+    used: dict[int, tuple[Model, set[float]]] = {}
+    for bench, temperature in zip(full, temperatures):
+        for m in bench:
+            used.setdefault(id(m), (m, set()))[1].add(temperature)
+    probs = {}  # (id of a model, temperature) -> its soft targets
+    for i, (m, temps) in used.items():
+        logits = forward_logits(m, transfer.features)
+        for temperature in temps:
+            probs[i, temperature] = softmax(logits, temperature)
     hard = _hard_target(students[0], transfer)
     stacks: dict[tuple[bool, ...], list[int]] = {}
     for i, alpha in enumerate(alphas):
@@ -272,14 +287,14 @@ def distill_vanilla_benches(
             # the bench mean as np.mean gives it: a sum in bench order, then
             # one division, which a bench of one skips (x / 1 is x)
             first, *rest = full[i]
-            np.copyto(target, probs[id(first)])
+            np.copyto(target, probs[id(first), temperatures[i]])
             if rest:
                 for m in rest:
-                    target += probs[id(m)]
+                    target += probs[id(m), temperatures[i]]
                 target /= len(full[i])
         models = _distill(
-            [students[i] for i in cells], transfer, cfg,
-            [alphas[i] for i in cells], [seeds[i] for i in cells], hard=hard, soft=soft,
+            [students[i] for i in cells], transfer, cfg, [alphas[i] for i in cells],
+            [temperatures[i] for i in cells], [seeds[i] for i in cells], hard=hard, soft=soft,
         )
         trained.update(zip(cells, models))
     return [trained[i] for i in range(len(alphas))]
@@ -504,7 +519,10 @@ def distill_dpkd_cells(
         (snap_one, snap_t), (teach_one, teach_t) = probs[id(student)], probs[id(teacher)]
         masks = _route_masks(teach_one, snap_one, transfer, supervised)
         masked_targets(teach_t, snap_t, masks, out=target)
-    return _distill(students, transfer, cfg, [cfg.alpha] * len(seeds), seeds, soft=soft)
+    return _distill(
+        students, transfer, cfg, [cfg.alpha] * len(seeds), [cfg.temperature] * len(seeds), seeds,
+        soft=soft,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -637,6 +655,6 @@ def distill_multi_teacher(
     ]
     soft, total = merged_teacher_target(teacher_probs, sample_w)
     return _distill(
-        [student], transfer, cfg, [cfg.alpha], [seed],
+        [student], transfer, cfg, [cfg.alpha], [cfg.temperature], [seed],
         hard=_hard_target(student, transfer), soft=soft, weight=total,
     )[0]

@@ -336,9 +336,9 @@ def _softmax_rows(
 ) -> np.ndarray:
     """Softmax of `logits` over the last axis, written into `out` (which
     may be `logits`) with `col`, shaped like `logits` but for one column,
-    as scratch; `t_factor` is `_factor(T)`, None at T = 1 (x / 1.0 == x
-    bit for bit, so the division is skipped). Every ufunc gets its
-    output positionally."""
+    as scratch; `t_factor` is `_factor(T)` of one T or one per cell,
+    None when every T is 1 (x / 1.0 == x bit for bit, so the division is
+    skipped). Every ufunc gets its output positionally."""
     if t_factor is None:
         np.maximum.reduce(logits, -1, None, col, True)
         np.subtract(logits, col, out)
@@ -780,15 +780,16 @@ def _schedule(opt: _Optimizer, sizes: int | tuple[int, ...], batch_size: int) ->
 
 
 def _factor(weight: float | list[float]) -> np.ndarray | None:
-    """A loss weight as an operand: 0-d for one float, and for one per
-    cell broadcast over each cell's (rows, classes); None when every
-    weight is 1 (x * 1.0 is x, so the multiply is skipped). Plain Python
-    decides: numpy's reductions cost microseconds on a short pass."""
-    if isinstance(weight, (int, float)):
-        return None if weight == 1.0 else _operand(weight)
-    if all(w == 1.0 for w in weight):
-        return None
-    return np.array(weight, dtype=np.float64)[:, None, None]
+    """A loss weight or temperature as an operand: 0-d for one float, or
+    for one per cell that are all equal, and otherwise broadcast over
+    each cell's (rows, classes); None when every value is 1 (x * 1.0 and
+    x / 1.0 are x, so the operation is skipped). Plain Python decides:
+    numpy's reductions cost microseconds on a short pass."""
+    if not isinstance(weight, (int, float)):
+        if any(w != weight[0] for w in weight):
+            return np.array(weight, dtype=np.float64)[:, None, None]
+        weight = weight[0]
+    return None if weight == 1.0 else _operand(weight)
 
 
 def _in_use(weight: float | list[float]) -> bool:
@@ -890,7 +891,9 @@ class _Kernel:
                 np.multiply(dlogits, ce_factor, dlogits)
             np.divide(dlogits, self.size, dlogits)
         if q is not None or partner is not None:
-            # at T = 1 the CE term's softmax serves the KL term too
+            # at T = 1 (every cell's) the CE term's softmax serves the KL
+            # term too; a cell at T = 1 in a stack of other temperatures
+            # divides by 1.0, which keeps its bits
             if y is not None and t_factor is None:
                 gap = self.probs
             else:
@@ -938,7 +941,7 @@ def train_steps(
     soft: np.ndarray | Model | None = None,
     ce_weight: float | list[float] = 1.0,
     kd_weight: float | list[float] = 1.0,
-    temperature: float = 1.0,
+    temperature: float | list[float] = 1.0,
     weight: np.ndarray | None = None,
 ) -> Iterator[None]:
     """One shuffled minibatch pass that makes one step of `opt` per
@@ -947,11 +950,14 @@ def train_steps(
     Trains `opt.model`, the model or stack `opt` steps, in place on
     ce_weight * CE(hard) + kd_weight * T^2 * weight * KL(soft || student
     at T) per sample (Hinton et al. 2015): the CE term at temperature 1,
-    each weight one float or one per cell of a stack. A term without
-    targets, or whose weights are all 0, is skipped; with no term left
-    the pass raises ConfigError. The cells of a stack should agree on
-    which terms they use (see `distill.distill_vanilla_benches`). A
-    stack takes one generator per cell as `rng`. Its soft targets are
+    each weight and T one float or one per cell of a stack; a list of
+    another length raises ShapeError, and a used KL term at any T <= 0
+    DomainError. A term without targets, or whose weights are all 0, is
+    skipped; with no term left the pass raises ConfigError. The cells of
+    a stack should agree on which terms they use (see
+    `distill.distill_vanilla_benches`), not on T: a cell at T = 1 among
+    others divides by 1.0, which keeps its bits. A stack takes one
+    generator per cell as `rng`. Its soft targets are
     either shared, (n, C), or one block per cell, (S, n, C); each cell's
     minibatch rows are then gathered from its own block.
 
@@ -990,11 +996,20 @@ def train_steps(
         raise ShapeError(
             f"a live soft model of params {soft.params.shape} for a model of {model.params.shape}"
         )
+    cells = None if model.params.ndim == 1 else len(model.params)
+    for name, value in (("ce_weight", ce_weight), ("kd_weight", kd_weight),
+                        ("temperature", temperature)):
+        if not isinstance(value, (int, float)) and len(value) != cells:
+            raise ShapeError(
+                f"{len(value)} values of {name} for params of {model.params.shape}; give one "
+                f"float, or one value per cell of a stack"
+            )
     use_ce = hard is not None and _in_use(ce_weight)
     use_kd = soft is not None and _in_use(kd_weight)
     if not (use_ce or use_kd):
         raise ConfigError("nothing to train on: no targets at a loss weight other than 0")
-    if use_kd and temperature <= 0:
+    temperatures = [temperature] if isinstance(temperature, (int, float)) else temperature
+    if use_kd and any(t <= 0 for t in temperatures):
         raise DomainError(f"temperature must be > 0, got {temperature}")
     if isinstance(features, list):
         features = Ragged.of(features)
@@ -1014,15 +1029,13 @@ def train_steps(
     if isinstance(features, Ragged):
         if soft is not None:
             raise ShapeError("ragged cells train on hard targets alone")
-        if not isinstance(ce_weight, (int, float)):
-            if all(w == ce_weight[0] for w in ce_weight):
-                # equal weights are one weight, which every step can take
-                ce_weight = float(ce_weight[0])
-            elif len(set(features.sizes)) > 1:
-                # a step of fewer cells than the stack could not take one per cell
-                raise ShapeError(
-                    "ragged cells of different row counts take one CE weight for all cells"
-                )
+        # equal weights are one weight (see `_factor`), which every step can
+        # take; a step of fewer cells than the stack could not take one per cell
+        per_cell = not isinstance(ce_weight, (int, float)) and len(set(ce_weight)) > 1
+        if per_cell and len(set(features.sizes)) > 1:
+            raise ShapeError(
+                "ragged cells of different row counts take one CE weight for all cells"
+            )
         if hard is not None and hard.sizes != features.sizes:
             raise ShapeError(f"ragged hard targets of {hard.sizes} rows for {features.sizes}")
         order = _ragged_order(model, features.sizes, rng)

@@ -37,15 +37,15 @@ the same rows, so they share one run, that of cell (hi -> lo) and its
 seed: peer A is model lo and gives that cell's record, peer B is model
 hi and gives the record of (lo -> hi). A group is sorted by student and
 split into balanced stacks of at most `STACK_CELLS` runs, both cells of
-a pair in one stack: wider stacks no longer make a step cheaper per
-run, while each run's soft targets are held for the whole run.
+a pair in one stack (see `STACK_CELLS` for why that width).
 
 The tuned cells of one student and option run their grid searches side
-by side (`grid_search_teachers`): each temperature row trains every
-teacher's cells as one stack, and the tuned method takes each search's
-winner instead of training it again. When vanilla is requested too, a
-student's vanilla and tuned cells of one option form one group, and a
-vanilla record takes the model of the search's grid cell at the
+by side (`grid_search_teachers`): the cells each phase of the searches
+needs, of every teacher and temperature, train in balanced stacks of at
+most `STACK_CELLS`, temperatures mixed, and the tuned method takes each
+search's winner instead of training it again. When vanilla is requested
+too, a student's vanilla and tuned cells of one option form one group,
+and a vanilla record takes the model of the search's grid cell at the
 configured (temperature, alpha): the seed policy gives that cell the
 vanilla record's seed. Only vanilla cells the search did not train are
 trained as a stack.
@@ -101,10 +101,13 @@ MATRIX_METHODS = ("vanilla", "dml", "dpkd", "tuned")
 START_POLICIES = ("worst", "best", "untrained")
 WEIGHTINGS = ("adaptive", "equal")
 
-# The widest stack of vanilla, DML or DPKD runs in the matrix: one run per
-# cell, except one DML run per unordered pair on a public option. The
-# per-run cost of a step stops falling at about 10 runs, and the soft
-# targets a stack holds grow with its width.
+# The widest stack of vanilla, DML or DPKD runs in the matrix (one run per
+# cell, except one DML run per unordered pair on a public option) and of
+# a grid search's cells. One minibatch step, kernel and Adam step at
+# T = 2 (8 inputs, 64 hidden units, 10 classes, 32 rows; 2 vCPUs, numpy
+# 2.4.6 with OpenBLAS), costs about 47 us per cell at 2 cells, 31-32 us at
+# 10, 16 and 22, and 35 us at 110; each stack also pays its set-up once,
+# and the soft targets it holds grow with its width.
 STACK_CELLS = 16
 
 DEFAULT_GRID_TEMPERATURES = (0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0)
@@ -749,7 +752,8 @@ def _balanced(items: list, most: int) -> list[list]:
 class GridSearchResult:
     """The searched surface, its argmax, the model the argmax cell trained
     and that of the cell the search was asked to keep, if it trained that
-    cell. The models are None where `_search`'s row runner returns none."""
+    cell. The models are None where `_search`'s cell callback returns
+    none."""
 
     best_temperature: float
     best_alpha: float
@@ -771,24 +775,28 @@ def argmax_surface(surface: dict[tuple[float, float], float]) -> tuple[float, fl
     return min(surface, key=lambda key: _rank(key, surface[key]))
 
 
-def _search(count: int, grid: GridSpec, run_row, keep=None) -> list[GridSearchResult]:
+def _search(count: int, grid: GridSpec, run_cells, keep=None) -> list[GridSearchResult]:
     """The one search loop: `count` searches over `grid`, side by side.
 
-    Each search visits its cells in the order `grid_search_tuned`
-    describes, in the grid's mode, and all searches share each
-    temperature row, whose values are floats whatever the grid holds:
-    `run_row(temperature, cells)` gets the row's (search, alpha) cells,
-    search-major, and returns one (gain, model or None) per cell. Only
-    each search's best cell so far (by `_rank`) and its model are kept,
-    and the model of its `keep` cell.
+    Each search visits the cells `grid_search_tuned` describes, in the
+    grid's mode: exhaustive mode in one phase, every (temperature, alpha)
+    cell; sequential mode in two, the anchor temperature's row, then each
+    other temperature at the search's chosen alpha. One call
+    `run_cells(cells)` per phase gets that phase's cells of every
+    search, temperatures mixed, as (search, temperature, alpha) with
+    float values whatever the grid holds, ordered by temperature, then
+    search, then alpha; it returns or yields one (gain, model or None)
+    per cell, in order, and each is read before the next is asked for.
+    Only each search's best cell so far (by `_rank`) and its model are
+    kept, and the model of its `keep` cell.
     """
     surfaces: list[dict[tuple[float, float], float]] = [{} for _ in range(count)]
     best: list[tuple | None] = [None] * count  # (rank, model) of the best cell so far
     kept: list[Model | None] = [None] * count
 
-    def search_row(temperature: float, cells: list[tuple[int, float]]) -> None:
-        for (i, a), (gain, model) in zip(cells, run_row(temperature, cells)):
-            key = (temperature, a)
+    def search(cells: list[tuple[int, float, float]]) -> None:
+        for (i, t, a), (gain, model) in zip(cells, run_cells(cells)):
+            key = (t, a)
             surfaces[i][key] = gain
             rank = _rank(key, gain)
             if best[i] is None or rank < best[i][0]:
@@ -798,18 +806,20 @@ def _search(count: int, grid: GridSpec, run_row, keep=None) -> list[GridSearchRe
 
     temperatures = sorted({float(t) for t in grid.temperatures})
     alphas = sorted({float(a) for a in grid.alphas})
-    every_alpha = [(i, a) for i in range(count) for a in alphas]
     if grid.sequential:
         anchor = 1.0 if 1.0 in temperatures else temperatures[len(temperatures) // 2]
-        search_row(anchor, every_alpha)
+        search([(i, anchor, a) for i in range(count) for a in alphas])
         best_alphas = [argmax_surface(surface)[1] for surface in surfaces]
-        for t in temperatures:
-            cells = [(i, a) for i, a in enumerate(best_alphas) if (t, a) not in surfaces[i]]
-            if cells:
-                search_row(t, cells)
+        rest = [
+            (i, t, a)
+            for t in temperatures
+            for i, a in enumerate(best_alphas)
+            if (t, a) not in surfaces[i]
+        ]
+        if rest:
+            search(rest)
     else:
-        for t in temperatures:
-            search_row(t, every_alpha)
+        search([(i, t, a) for t in temperatures for i in range(count) for a in alphas])
     return [
         GridSearchResult(*key, surface, model, kept_model)
         for surface, ((_, key), model), kept_model in zip(surfaces, best, kept)
@@ -828,13 +838,15 @@ def grid_search_teachers(
 ) -> list[GridSearchResult]:
     """`grid_search_tuned` for each teacher of one student, side by side.
 
-    Teacher i's cells take their seeds from seed_fns[i]. Each
-    temperature row trains every teacher's cells of that row as one
-    stack (`distill_vanilla_benches`) and evaluates them with one
-    stacked forward pass; every cell is bit-identical to its own
-    `distill_vanilla` run, so each result equals the one-teacher search.
-    A result's `kept_model` is the model of its `keep` cell, if the
-    search trained that cell.
+    Teacher i's cells take their seeds from seed_fns[i]. The cells each
+    phase of `_search` needs, of every teacher and temperature, train in
+    order in balanced stacks of at most `STACK_CELLS`, temperatures mixed
+    (`distill_vanilla_benches` with one temperature per cell), and each
+    stack is scored with one stacked forward pass and handed back before
+    the next trains, so a phase holds one stack's models at a time. Every
+    cell is bit-identical to its own `distill_vanilla` run, so each
+    result equals the one-teacher search. A result's `kept_model` is the
+    model of its `keep` cell, if the search trained that cell.
 
     Without labels the KL term trains alone and alpha never enters the
     loss, so each alpha would train the same cell under another seed, and
@@ -845,16 +857,22 @@ def grid_search_teachers(
         grid = replace(grid, alphas=[cfg.alpha])
     pre_acc = evaluate(student, select_data).overall_accuracy
 
-    def run_row(temperature: float, cells: list[tuple[int, float]]) -> list:
+    def train(stack: list[tuple[int, float, float]]) -> list[tuple[float, Model]]:
         models = distill_vanilla_benches(
-            [student] * len(cells), [[teachers[i]] for i, _ in cells], transfer,
-            replace(cfg, temperature=temperature), [a for _, a in cells],
-            [seed_fns[i](temperature, a) for i, a in cells],
+            [student] * len(stack), [[teachers[i]] for i, _, _ in stack], transfer, cfg,
+            [a for _, _, a in stack], [seed_fns[i](t, a) for i, t, a in stack],
+            [t for _, t, _ in stack],
         )
         accs = overall_accuracies(models, select_data)
         return [(points(pre_acc, acc), model) for acc, model in zip(accs, models)]
 
-    return _search(len(teachers), grid, run_row, keep)
+    def run_cells(cells: list[tuple[int, float, float]]):
+        # no name holds a stack's models once they are read, so the next
+        # stack trains beside only the models `_search` keeps
+        for stack in _balanced(cells, STACK_CELLS):
+            yield from train(stack)
+
+    return _search(len(teachers), grid, run_cells, keep)
 
 
 def grid_search_tuned(
@@ -880,9 +898,10 @@ def grid_search_tuned(
     temperatures at cfg.alpha alone and the result reports cfg.alpha.
 
     This is the one-teacher case of `grid_search_teachers`: the cells of
-    one temperature row share their soft targets and train as stacks,
-    each bit-identical to its own `distill_vanilla` run. Only the best
-    model so far is kept, and returned as `best_model`.
+    each phase train in stacks across temperatures, sharing each model's
+    logits and its soft targets per temperature, each cell bit-identical
+    to its own `distill_vanilla` run. Only the best model so far is kept,
+    and returned as `best_model`.
     """
     return grid_search_teachers(
         student, [teacher], transfer, grid, cfg, select_data, [seed_fn]

@@ -639,6 +639,29 @@ def test_ragged_cells_refuse_what_they_cannot_train(rng):
     assert work.params.tobytes() == start
 
 
+def test_per_cell_temperatures_are_checked_before_any_step(rng):
+    x = rng.normal(0, 1, size=(6, 4))
+    soft = softmax(rng.normal(0, 2, size=(6, 3)))
+    work = _three_cells()
+    opt = make_optimizer(_recipe("adam", 0.1, 0.0, 0.0), work)
+    start = work.params.tobytes()
+    rngs = [rng_for(s, "order") for s in range(3)]
+    with pytest.raises(DomainError, match="temperature must be > 0"):
+        train_epoch(opt, x, 4, rngs, soft=soft, temperature=[1.0, 0.0, 2.0])
+    with pytest.raises(DomainError, match="temperature must be > 0"):
+        train_epoch(opt, x, 4, rngs, soft=soft, temperature=[3.0, 2.0, -1.0])
+    # one temperature per cell of the stack, or one float
+    for temperatures in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+        with pytest.raises(ShapeError, match="values of temperature"):
+            train_epoch(opt, x, 4, rngs, soft=soft, temperature=temperatures)
+    assert work.params.tobytes() == start
+    assert opt.t == 0
+    plain = init_model(ARCH, 0)
+    with pytest.raises(ShapeError, match="values of temperature"):
+        train_epoch(make_optimizer(_recipe("adam", 0.1, 0.0, 0.0), plain), x, 4,
+                    rng_for(0, "order"), soft=soft, temperature=[2.0])
+
+
 def test_ragged_cells_refuse_only_per_cell_loss_weights_they_cannot_take(rng):
     arch = ArchSpec(input_dim=3, hidden_layers=(4,), num_classes=2)
     data = [rng.normal(0, 1, size=(6, 3)) for _ in range(2)]

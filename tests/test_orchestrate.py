@@ -380,9 +380,9 @@ def test_argmax_prefers_low_temperature_then_low_alpha():
 
 def _probe(grid, gain_of):
     """A one-search `_search` over `grid` scoring each cell gain_of(t, a),
-    cell by cell, row by row, with no model."""
-    run_row = lambda t, cells: [(gain_of(t, a), None) for _, a in cells]
-    return orchestrate._search(1, grid, run_row)[0]
+    cell by cell, with no model."""
+    run_cells = lambda cells: [(gain_of(t, a), None) for _, t, a in cells]
+    return orchestrate._search(1, grid, run_cells)[0]
 
 
 def test_grid_search_finds_the_synthetic_peak():
@@ -423,21 +423,20 @@ def test_sequential_anchor_falls_back_to_median_temperature():
 
 def test_side_by_side_searches_follow_their_own_best_alpha():
     peaks = [(4.0, 0.9), (2.0, 0.1)]
-    rows = []
+    phases = []
 
-    def run_row(t, cells):
-        rows.append((t, cells))
-        return [(-(abs(t - peaks[i][0]) + abs(a - peaks[i][1])), None) for i, a in cells]
+    def run_cells(cells):
+        phases.append(cells)
+        return [(-(abs(t - peaks[i][0]) + abs(a - peaks[i][1])), None) for i, t, a in cells]
 
     grid = GridSpec(temperatures=(4.0, 1.0, 2.0), alphas=(0.9, 0.1, 0.5), sequential=True)
-    results = orchestrate._search(2, grid, run_row)
+    results = orchestrate._search(2, grid, run_cells)
     assert [(r.best_temperature, r.best_alpha) for r in results] == peaks
     # one anchor row of every search's alphas, search-major, then one
-    # cell per search at its own best alpha
-    assert rows == [
-        (1.0, [(0, 0.1), (0, 0.5), (0, 0.9), (1, 0.1), (1, 0.5), (1, 0.9)]),
-        (2.0, [(0, 0.9), (1, 0.1)]),
-        (4.0, [(0, 0.9), (1, 0.1)]),
+    # cell per search and temperature at its own best alpha, in one call
+    assert phases == [
+        [(0, 1.0, 0.1), (0, 1.0, 0.5), (0, 1.0, 0.9), (1, 1.0, 0.1), (1, 1.0, 0.5), (1, 1.0, 0.9)],
+        [(0, 2.0, 0.9), (1, 2.0, 0.1), (0, 4.0, 0.9), (1, 4.0, 0.1)],
     ]
     assert [len(r.surface) for r in results] == [3 + 3 - 1] * 2
 

@@ -1,6 +1,7 @@
 """Property tests: invariants that must hold for every input, not just a few."""
 
 import math
+from itertools import groupby
 from unittest.mock import patch
 
 import numpy as np
@@ -720,10 +721,9 @@ def test_cross_teacher_search_equals_one_pair_searches(run):
 
     def recording(*args):
         models = benches(*args)
-        _, row_benches, _, row_cfg, alphas, _ = args
-        for (teacher,), alpha, model in zip(row_benches, alphas, models):
-            key = (teachers.index(teacher), row_cfg.temperature, alpha)
-            trained[key] = model.params.tobytes()
+        _, stack_benches, _, _, alphas, _, temperatures = args
+        for (teacher,), t, alpha, model in zip(stack_benches, temperatures, alphas, models):
+            trained[teachers.index(teacher), t, alpha] = model.params.tobytes()
         return models
 
     with patch.object(orchestrate, "distill_vanilla_benches", recording):
@@ -829,8 +829,8 @@ def _tied_searches(draw):
 def test_each_search_picks_its_surface_argmax_and_keeps_that_cell_s_model(run):
     count, grid, gains, keep = run
     sentinels = {cell: object() for cell in gains}
-    run_row = lambda t, cells: [(gains[i, t, a], sentinels[i, t, a]) for i, a in cells]
-    results = orchestrate._search(count, grid, run_row, keep)
+    run_cells = lambda cells: [(gains[cell], sentinels[cell]) for cell in cells]
+    results = orchestrate._search(count, grid, run_cells, keep)
     assert len(results) == count
     for i, result in enumerate(results):
         assert result.surface == {(t, a): gains[i, t, a] for t, a in result.surface}
@@ -842,6 +842,96 @@ def test_each_search_picks_its_surface_argmax_and_keeps_that_cell_s_model(run):
         assert result.best_model is sentinels[(i, *best)]
         want_kept = sentinels[(i, *keep)] if keep in result.surface else None
         assert result.kept_model is want_kept
+
+
+@st.composite
+def _mixed_temperature_cells(draw):
+    """Two or more vanilla cells of one student on one set, labeled or
+    not, each with one of two teachers, alpha in {0, 0.5, 1} (with labels
+    0 and 1 drop a loss term) and a temperature; the temperatures mix 1.0
+    and other values."""
+    student, teacher, transfer, cfg, _, _ = draw(_vanilla_cells())
+    other = init_model(student.arch, draw(st.integers(0, 2**32)))
+    temperatures = draw(st.permutations([
+        1.0,
+        draw(st.sampled_from([0.5, 3.0])),
+        *draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), max_size=4)),
+    ]))
+    n = len(temperatures)
+    benches = [[draw(st.sampled_from([teacher, other]))] for _ in range(n)]
+    alphas = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=n, max_size=n))
+    return student, benches, transfer, cfg, alphas, seeds, temperatures
+
+
+@PROPERTY
+@given(_mixed_temperature_cells())
+def test_cells_at_mixed_temperatures_equal_one_cell_runs_at_their_own(run):
+    student, benches, transfer, cfg, alphas, seeds, temperatures = run
+    cells = distill_vanilla_benches(
+        [student] * len(seeds), benches, transfer, cfg, alphas, seeds, temperatures
+    )
+    for model, bench, alpha, seed, t in zip(cells, benches, alphas, seeds, temperatures):
+        cell_cfg = replace(cfg, temperature=t, alpha=alpha)
+        want = distill_vanilla(student, bench, transfer, cell_cfg, seed).params.tobytes()
+        assert model.params.tobytes() == want
+        assert _plain_vanilla(student, bench[0], transfer, cell_cfg, seed).params.tobytes() == want
+
+
+def _row_at_a_time(student, teachers, transfer, grid, cfg, select, seed_fns, keep):
+    """Reference for `grid_search_teachers`: the same searches, with each
+    temperature's cells of a phase trained as one stack at that
+    temperature, each scored on its own."""
+    if not transfer.labeled:
+        grid = replace(grid, alphas=[cfg.alpha])
+    pre = evaluate(student, select).overall_accuracy
+
+    def run_cells(cells):
+        for t, row in groupby(cells, key=lambda cell: cell[1]):
+            row = list(row)
+            models = distill_vanilla_benches(
+                [student] * len(row), [[teachers[i]] for i, _, _ in row], transfer,
+                replace(cfg, temperature=t), [a for _, _, a in row],
+                [seed_fns[i](t, a) for i, _, a in row],
+            )
+            for model in models:
+                yield (evaluate(model, select).overall_accuracy - pre) * 100.0, model
+
+    return orchestrate._search(len(teachers), grid, run_cells, keep)
+
+
+@st.composite
+def _mixed_stack_searches(draw):
+    """`_cross_teacher_searches` on one to three temperatures out of
+    {0.5, 1, 3}, with up to twelve teachers, so that a phase spans
+    several stacks."""
+    student, teachers, transfer, cfg, grid, select, keep = draw(_cross_teacher_searches())
+    teachers += [
+        init_model(student.arch, seed)
+        for seed in draw(st.lists(st.integers(0, 2**32), max_size=12 - len(teachers)))
+    ]
+    temperatures = draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=1, unique=True))
+    return student, teachers, transfer, cfg, replace(grid, temperatures=temperatures), select, keep
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(_mixed_stack_searches())
+def test_searches_stacked_across_temperatures_equal_row_at_a_time_searches(run):
+    student, teachers, transfer, cfg, grid, select, keep = run
+    seed_fns = [lambda t, a, i=i: stable_seed(7, "pair", i, t, a) for i in range(len(teachers))]
+    got = grid_search_teachers(student, teachers, transfer, grid, cfg, select, seed_fns, keep)
+    want = _row_at_a_time(student, teachers, transfer, grid, cfg, select, seed_fns, keep)
+    for search, ref in zip(got, want, strict=True):
+        assert search.surface == ref.surface
+        assert list(search.surface) == list(ref.surface)
+        assert (search.best_temperature, search.best_alpha) == (
+            ref.best_temperature, ref.best_alpha
+        )
+        assert search.best_model.params.tobytes() == ref.best_model.params.tobytes()
+        if ref.kept_model is None:
+            assert search.kept_model is None
+        else:
+            assert search.kept_model.params.tobytes() == ref.kept_model.params.tobytes()
 
 
 @st.composite
