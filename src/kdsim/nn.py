@@ -107,9 +107,10 @@ def _operand(value: float) -> np.ndarray:
 
 
 _ZERO = _operand(0.0)
-_BETA1, _BETA2, _EPS = _operand(ADAM_BETA1), _operand(ADAM_BETA2), _operand(ADAM_EPS)
-# each moment's share of a new gradient
-_SHARE1, _SHARE2 = _operand(1.0 - ADAM_BETA1), _operand(1.0 - ADAM_BETA2)
+_BETA1, _BETA2 = _operand(ADAM_BETA1), _operand(ADAM_BETA2)
+# what Adam's step size and eps gain from its pre-scaled moments
+_FOLD = (1.0 - ADAM_BETA1) / math.sqrt(1.0 - ADAM_BETA2)
+_EPS_FOLD = ADAM_EPS / math.sqrt(1.0 - ADAM_BETA2)
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -412,18 +413,25 @@ class _Optimizer:
     """Adam or momentum-SGD with decoupled weight decay on the parameters
     of `model`, the model or stack it steps.
 
-    Decay applies to the weight entries only, never the biases after
-    them, and uses the pre-update parameter value (decay is not folded
-    into the gradient). Every array is shaped like the parameters, so a
-    stack's cells step independently. The Adam step count `t` is one int
-    while every step has covered every cell, and one entry per cell once
-    a step has covered only some rows. `grad` is a gradient
-    buffer in the same layout, with per-array views `grad_views`, that
-    backprop fills; the step updates in place through scratch buffers.
-    A step may cover a contiguous row range of the stack, and `select`
-    narrows the stack, and all this state, to chosen rows. The views a
-    step works on, decay prefixes included, are built once per stack and
-    row range; `reset` copies other parameters in and returns to a fresh
+    Adam keeps its moments pre-scaled: `m` is Kingma & Ba's first moment
+    over 1 - b1 and `v` their second over 1 - b2. At step count t a step is
+        m = b1 * m + g;  v = b2 * v + g * g;  update = m / (sqrt(v) + eps_hat) * size
+    with two Python floats, size = lr * sqrt(1 - b2^t) / (1 - b1^t) *
+    ((1 - b1) / sqrt(1 - b2)) and eps_hat = (eps / sqrt(1 - b2)) *
+    sqrt(1 - b2^t): their bias-corrected update, rounded in another order.
+    For SGD `m` is the velocity: m = momentum * m + g, update = lr * m.
+    Decay scales the weight entries, never the biases after them, by
+    1 - lr * wd before the update is subtracted, so it uses the pre-update
+    value (it is not folded into the gradient). Every array is shaped
+    like the parameters, so a stack's cells step independently. The Adam
+    step count `t` is one int while every step has covered every cell,
+    and one entry per cell once a step has covered only some rows. `grad`
+    is a gradient buffer in the same layout, with per-array views
+    `grad_views`, that backprop fills; the step updates in place through
+    one scratch buffer. A step may cover a contiguous row range of the
+    stack, and `select` narrows the stack, and all this state, to chosen
+    rows. The views a step works on are built once per stack and row
+    range; `reset` copies other parameters in and returns to a fresh
     optimizer's state for another run on the same stack. The optimizer
     also keeps the `_Kernel` that steps each row range at each minibatch
     size (`kernel`), all on one scratch block, and the steps of its last
@@ -434,13 +442,14 @@ class _Optimizer:
         self.name = recipe.optimizer
         if self.name not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.name!r}; choose one of {OPTIMIZERS}")
+        self.lr = recipe.learning_rate
         self.wd = recipe.weight_decay
-        # every scalar of the step as a 0-d operand (see `_operand`); the
-        # bias corrections are refilled each step
+        # every scalar of the step as a 0-d operand (see `_operand`); Adam's
+        # step size and eps_hat are refilled each step
         self._lr = _operand(recipe.learning_rate)
         self._momentum = _operand(recipe.momentum)
-        self._decay_rate = _operand(recipe.learning_rate * recipe.weight_decay)
-        self._bias = np.zeros(()), np.zeros(())
+        self._keep = _operand(1.0 - recipe.learning_rate * recipe.weight_decay)
+        self._scalars = np.zeros(()), np.zeros(())
         self.t: int | list[int] = 0
         self.m = np.zeros_like(model.params)  # Adam's first moment, SGD's velocity
         self.v = np.zeros_like(model.params)
@@ -453,7 +462,6 @@ class _Optimizer:
         self.model = model
         self.grad = np.zeros_like(model.params)
         self.grad_views = model.arch.param_views(self.grad)
-        self._update = np.empty_like(model.params)
         self._scratch = np.empty_like(model.params)
         self._steps: dict[tuple[int, int] | None, tuple] = {}
         self._kernels: dict[tuple, _Kernel] = {}
@@ -526,71 +534,62 @@ class _Optimizer:
         views = self._steps.get(key)
         if views is None:
             views = self._steps[key] = self._step_views(rows)
-        params, g, m, v, u, s, decay = views
-        # the in-place operations keep the IEEE order of
-        #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
-        #   update = lr * (m / bias1) / (sqrt(v / bias2) + eps)
-        # and of SGD's m = momentum * m + g;  update = lr * m
+        params, g, m, v, u, weights = views
+        # Adam's m and v are its pre-scaled moments (see the class docstring):
+        #   Adam: m = b1 * m + g;  v = b2 * v + g * g;  u = m / (sqrt(v) + eps_hat) * size
+        #   SGD:  m = momentum * m + g;  u = m * lr
+        #   then weights *= 1 - lr * wd;  params -= u
         if self.name == "adam":
-            if rows is None and isinstance(self.t, int):
-                self.t += 1
-                bias1, bias2 = self._bias
-                bias1[()], bias2[()] = 1.0 - ADAM_BETA1**self.t, 1.0 - ADAM_BETA2**self.t
-            else:
-                bias1, bias2 = self._cell_corrections(rows)
+            size, eps_hat = self._adam_scalars(rows)
             m *= _BETA1
-            np.multiply(g, _SHARE1, out=s)
-            m += s
+            m += g
             v *= _BETA2
-            np.multiply(g, g, out=s)
-            s *= _SHARE2
-            v += s
-            np.divide(m, bias1, out=u)
-            u *= self._lr
-            np.divide(v, bias2, out=s)
-            np.sqrt(s, out=s)
-            s += _EPS
-            u /= s
+            np.multiply(g, g, out=u)
+            v += u
+            np.sqrt(v, out=u)
+            u += eps_hat
+            np.divide(m, u, out=u)
+            u *= size
         else:
             m *= self._momentum
             m += g
             np.multiply(m, self._lr, out=u)
-        if decay is not None:
-            weights, scratch, update = decay
-            np.multiply(weights, self._decay_rate, out=scratch)
-            update += scratch
+        if weights is not None:
+            weights *= self._keep
         params -= u
 
     def _step_views(self, rows: slice | None) -> tuple:
-        """The parameters, gradient, moments and scratch buffers a step
-        updates (rows `rows` of each, or all), then the decayed weight
-        prefixes of the parameters, scratch and update (None without decay)."""
-        arrays = self.model.params, self.grad, self.m, self.v, self._update, self._scratch
+        """The parameters, gradient, moments and scratch buffer a step
+        updates (rows `rows` of each, or all), and the decayed weights or None."""
+        arrays = self.model.params, self.grad, self.m, self.v, self._scratch
         if rows is not None:
             arrays = tuple(a[rows] for a in arrays)
-        params, _, _, _, u, s = arrays
-        n = self.model.n_weight_entries
-        decay = (params[..., :n], s[..., :n], u[..., :n]) if self.wd else None
-        return *arrays, decay
+        return *arrays, arrays[0][..., : self.model.n_weight_entries] if self.wd else None
 
-    def _cell_corrections(self, rows: slice | None) -> tuple:
-        """Advance the per-cell step counts of `rows` (every cell if None)
-        and return Adam's two bias corrections for them: each cell's
-        Python-float expression, broadcast over its row, or one 0-d
-        operand each when the cells agree."""
-        if isinstance(self.t, int):
-            self.t = [self.t] * len(self.m)
-        span = rows or slice(None)
-        counts = [t + 1 for t in self.t[span]]
-        self.t[span] = counts
+    def _adam_scalars(self, rows: slice | None) -> tuple:
+        """Advance the step counts of `rows` (every cell if None) and return
+        Adam's step size and eps_hat for them: 0-d operands when the cells
+        agree, else one column of per-cell values each."""
+        if rows is None and isinstance(self.t, int):
+            self.t += 1
+            counts = [self.t]
+        else:
+            if isinstance(self.t, int):
+                self.t = [self.t] * len(self.m)
+            span = rows or slice(None)
+            counts = self.t[span] = [t + 1 for t in self.t[span]]
         if counts.count(counts[0]) == len(counts):
-            bias1, bias2 = self._bias
-            bias1[()], bias2[()] = 1.0 - ADAM_BETA1 ** counts[0], 1.0 - ADAM_BETA2 ** counts[0]
-            return bias1, bias2
-        return (
-            np.array([[1.0 - ADAM_BETA1**t] for t in counts]),
-            np.array([[1.0 - ADAM_BETA2**t] for t in counts]),
-        )
+            size, eps_hat = self._scalars
+            size[()], eps_hat[()] = _adam_size_eps(self.lr, counts[0])
+            return size, eps_hat
+        pairs = np.array([_adam_size_eps(self.lr, t) for t in counts])
+        return pairs[:, :1], pairs[:, 1:]
+
+
+def _adam_size_eps(lr: float, t: int) -> tuple[float, float]:
+    """Adam's step size and eps_hat at step `t` for pre-scaled moments."""
+    root = math.sqrt(1.0 - ADAM_BETA2**t)
+    return lr * root / (1.0 - ADAM_BETA1**t) * _FOLD, _EPS_FOLD * root
 
 
 # --------------------------------------------------------------------------

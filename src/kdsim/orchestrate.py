@@ -105,8 +105,8 @@ WEIGHTINGS = ("adaptive", "equal")
 # cell, except one DML run per unordered pair on a public option) and of
 # a grid search's cells. One minibatch step, kernel and Adam step at
 # T = 2 (8 inputs, 64 hidden units, 10 classes, 32 rows; 2 vCPUs, numpy
-# 2.4.6 with OpenBLAS), costs about 47 us per cell at 2 cells, 31-32 us at
-# 10, 16 and 22, and 35 us at 110; each stack also pays its set-up once,
+# 2.4.6 with OpenBLAS), costs about 41 us per cell at 2 cells, 27-30 us at
+# 10, 16 and 22, and 32-34 us at 110; each stack also pays its set-up once,
 # and the soft targets it holds grow with its width.
 STACK_CELLS = 16
 

@@ -350,24 +350,27 @@ def test_weight_decay_skips_biases():
 
 
 def _per_array_steps(name, lr, wd, momentum, model, grad_seq):
-    """Reference optimizer: one loop over the weight and bias arrays."""
+    """Reference optimizer: one loop over the weight and bias arrays, with
+    Adam's moments pre-scaled by 1 / (1 - beta) and decay as a scale."""
     params = [w.copy() for w in model.weights] + [b.copy() for b in model.biases]
     decay = [True] * len(model.weights) + [False] * len(model.biases)
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     for t, grads in enumerate(grad_seq, start=1):
+        root = math.sqrt(1.0 - ADAM_BETA2**t)
+        scale = math.sqrt(1.0 - ADAM_BETA2)
+        size = lr * root / (1.0 - ADAM_BETA1**t) * ((1.0 - ADAM_BETA1) / scale)
+        eps_hat = (ADAM_EPS / scale) * root
         for i, (p, g) in enumerate(zip(params, grads)):
             if name == "adam":
-                m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
-                v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * (g * g)
-                update = lr * (m[i] / (1.0 - ADAM_BETA1**t)) / (
-                    np.sqrt(v[i] / (1.0 - ADAM_BETA2**t)) + ADAM_EPS
-                )
+                m[i] = ADAM_BETA1 * m[i] + g
+                v[i] = ADAM_BETA2 * v[i] + g * g
+                update = size * (m[i] / (np.sqrt(v[i]) + eps_hat))
             else:
                 m[i] = momentum * m[i] + g
                 update = lr * m[i]
             if decay[i]:
-                update = update + lr * wd * p
+                p *= 1.0 - lr * wd
             p -= update
     return params
 
@@ -387,6 +390,42 @@ def test_flat_optimizer_is_bit_identical_to_a_per_array_loop(rng, name, momentum
         opt.step()
     got = model.weights + model.biases
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("layout", ["plain", "stack", "uneven"])
+def test_adam_steps_follow_the_textbook_update_with_decoupled_decay(rng, layout):
+    # Kingma & Ba's Adam (moments unscaled, bias-corrected m-hat and v-hat)
+    # with decoupled decay (Loshchilov & Hutter) on the weights, per cell.
+    # Gradients span 1e-10..10, so eps matters for some entries. In the
+    # uneven layout the first 30 steps cover rows 2:9 only, and step 100
+    # selects six cells in a new order, so the cells' step counts differ.
+    arch = ArchSpec(input_dim=8, hidden_layers=(64,), num_classes=10)
+    lr, wd, n = 0.01, 0.3, arch.n_weight_entries
+    cells = 1 if layout == "plain" else 16
+    p = np.stack([init_model(arch, seed).params for seed in range(cells)])
+    m, v, t = np.zeros_like(p), np.zeros_like(p), np.zeros((cells, 1))
+    work = Model.from_params(arch, p[0].copy() if layout == "plain" else p.copy(), 0)
+    opt = make_optimizer(_recipe("adam", lr, wd, 0.0), work)
+    for step in range(200):
+        if layout == "uneven" and step == 100:
+            keep = [10, 3, 4, 0, 15, 7]
+            work = opt.select(keep)
+            p, m, v, t = p[keep], m[keep], v[keep], t[keep]
+        rows = slice(2, 9) if layout == "uneven" and step < 30 else slice(None)
+        g = rng.normal(0, 1, size=p.shape) * 10.0 ** rng.uniform(-10, 1, size=p.shape)
+        opt.grad[...] = g.reshape(opt.grad.shape)
+        opt.step(None if rows == slice(None) else rows)
+        t[rows] += 1
+        m[rows] = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * g[rows]
+        v[rows] = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * g[rows] ** 2
+        m_hat = m[rows] / (1.0 - ADAM_BETA1 ** t[rows])
+        v_hat = v[rows] / (1.0 - ADAM_BETA2 ** t[rows])
+        decay = np.zeros_like(p[rows])
+        decay[:, :n] = lr * wd * p[rows, :n]
+        p[rows] = p[rows] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) - decay
+    if layout == "uneven":
+        assert opt.t == t.ravel().astype(int).tolist() and len(set(opt.t)) > 1
+    np.testing.assert_allclose(work.params.reshape(p.shape), p, rtol=1e-10, atol=1e-15)
 
 
 @pytest.mark.parametrize("name, momentum", [("adam", 0.0), ("sgd", 0.9)])

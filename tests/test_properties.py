@@ -1004,7 +1004,8 @@ def _reference_cell(params, arch, features, batch_size, rngs, opt_cfg, terms, *,
     Every minibatch gathers its rows with its own `take`, reduces with
     `ndarray.max`/`sum` and keeps the operand order of the objective
     (1 - alpha) * CE + alpha * T^2 * weight * KL and of the optimizer
-    step (Adam or momentum SGD, decoupled weight decay on the weights).
+    step (Adam with pre-scaled moments or momentum SGD, decoupled weight
+    decay as a scale of the weights).
     `terms` = (use CE, use KL) is decided by the whole stack, as in
     `nn.train_epoch`.
     """
@@ -1055,15 +1056,19 @@ def _reference_cell(params, arch, features, batch_size, rngs, opt_cfg, terms, *,
                     delta = (delta @ weights[i].T) * (acts[i] > 0.0)
             g = np.concatenate([x.ravel() for x in grads_w + grads_b])
             if name == "adam":
+                # the moments pre-scaled by 1 / (1 - beta)
                 t += 1
-                m = m * 0.9 + g * (1.0 - 0.9)
-                v = v * 0.999 + (g * g) * (1.0 - 0.999)
-                update = (m / (1.0 - 0.9**t)) * lr / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+                root = math.sqrt(1.0 - 0.999**t)
+                size = lr * root / (1.0 - 0.9**t) * ((1.0 - 0.9) / math.sqrt(1.0 - 0.999))
+                eps_hat = (1e-8 / math.sqrt(1.0 - 0.999)) * root
+                m = m * 0.9 + g
+                v = v * 0.999 + g * g
+                update = m / (np.sqrt(v) + eps_hat) * size
             else:
                 m = m * momentum + g
                 update = m * lr
             if wd:
-                update[:n_decay] = update[:n_decay] + p[:n_decay] * (lr * wd)
+                p[:n_decay] = p[:n_decay] * (1.0 - lr * wd)
             p = p - update
     return p
 
