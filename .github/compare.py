@@ -10,7 +10,8 @@ its seeds, in a fresh run directory, and compares:
 * ``results.json`` record by record, matched by (scenario, method,
   transfer option, teacher, student);
 * a digest of every model the matrix trains, keyed by (method, option,
-  teacher, student). The run takes them from outside the package: it
+  teacher, student, temperature, alpha), so a difference names the
+  cell that moved. The run takes them from outside the package: it
   wraps ``orchestrate.evaluate`` and ``orchestrate.build_pair_result``,
   and each record takes the model evaluated just before it is built.
   Worker processes cannot report to that wrapper, so a case at ``--jobs``
@@ -259,7 +260,8 @@ def case_config(case: Case, seed: int) -> dict:
 class Run:
     files: dict = field(default_factory=dict)  # name -> SHA-256
     records: dict | None = None  # results.json's records by key
-    models: dict | None = None  # (method, option, teacher, student) -> [digest, ...]
+    # (method, option, teacher, student, temperature, alpha) -> [digest, ...]
+    models: dict | None = None
     wall: float = 0.0
     rss: float | None = None  # a benchmark run's peak MiB
     repetitions: int | None = None
@@ -314,8 +316,9 @@ def drive(spec: dict) -> None:
             return evaluate(model, *args)
 
         def build_hook(*args):
-            # build_pair_result(scenario, method, option, teacher, student, ...)
-            models.append([*args[1:5], model_digest(evaluated.pop("model"))])
+            # build_pair_result(scenario, method, option, teacher, student,
+            # temperature, alpha, ...)
+            models.append([*args[1:7], model_digest(evaluated.pop("model"))])
             return build(*args)
 
         orchestrate.evaluate, orchestrate.build_pair_result = evaluate_hook, build_hook

@@ -2,9 +2,11 @@
 
 Every mechanism trains on the soft-target objective (1 - alpha) * CE +
 alpha * T^2 * KL of Hinton et al. (2015), or on a part of it, and only
-builds per-sample targets for the one minibatch loop, `nn.train_steps`.
-Alpha becomes that loop's two loss weights in `_distill`: (1 - alpha,
-alpha) on labeled data, the KL term alone at weight 1 without labels.
+builds per-sample targets for the one minibatch loop, `nn.train_steps`,
+which trains each stack in one run. Alpha becomes that loop's two loss
+weights in `_distill`: (1 - alpha, alpha) on labeled data, the KL term
+alone at weight 1 without labels. At T = 1 vanilla KD folds alpha into
+one blended target instead (see `distill_vanilla_benches`).
 
 * fixed-parameter distillation against one or more frozen teachers
   (`distill_vanilla`): the mean teacher distribution, the (temperature=1,
@@ -15,13 +17,13 @@ alpha) on labeled data, the KL term alone at weight 1 without labels.
 * many-to-one consolidation with per-class accuracy weights
   (`distill_multi_teacher`): the weighted teacher mean, with the total
   weight scaling each sample's KL term;
-* mutual learning between two live peers (`distill_dml`), on CE + KL
-  at unit weights and temperature 1: each peer's target is the other
-  peer itself, whose current prediction the loop reads at every
-  minibatch, and the two peers' passes step in turn. Both trained peers
-  are returned: when both peers train on one set, the run serves the
-  transfer in either direction (the matrix reads both peers of a public
-  pair's run, see `orchestrate.run_pairwise_matrix`).
+* mutual learning between two live peers on one transfer set
+  (`distill_dml`), on CE + KL at unit weights and temperature 1: each
+  peer's target is the other peer itself, whose current prediction the
+  loop reads at every minibatch, and the two peers' runs step in turn.
+  Both trained peers are returned, so the run serves the transfer in
+  either direction (the matrix reads both peers of a public pair's run,
+  see `orchestrate.run_pairwise_matrix`).
 
 Teacher models are never mutated: targets are read from them once up
 front and only the student copy is ever stepped. Every run is
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import islice
+from itertools import zip_longest
 
 import numpy as np
 
@@ -63,7 +65,6 @@ from .nn import (
     Model,
     _clamped_log,
     check,
-    check_finite,
     forward_logits,
     is_int,
     is_number,
@@ -73,7 +74,7 @@ from .nn import (
     optimizer_problems,
     raise_problems,
     softmax,
-    train_epoch,
+    train_run,
     train_steps,
 )
 from .seeding import rng_for
@@ -145,9 +146,14 @@ def _unstack(stack: Model, like: list[Model]) -> list[Model]:
 
 
 def _per_cell(work: Model, values: list):
-    """What `nn.train_epoch` takes per cell of `work`: the list for a
+    """What `nn.train_steps` takes per cell of `work`: the list for a
     stack, its one entry for a plain model."""
     return values if work.params.ndim == 2 else values[0]
+
+
+def _streams(work: Model, seeds: list[int], name: str, epochs: int):
+    """A run's row sources: each epoch's generators, one per cell of `work`, (seed, name, epoch)."""
+    return (_per_cell(work, [rng_for(s, name, e) for s in seeds]) for e in range(1, epochs + 1))
 
 
 def _distill(
@@ -164,10 +170,10 @@ def _distill(
 ) -> list[Model]:
     """Train one copy of each cell's start model, one cell per (student,
     alpha, temperature, seed), all as one stack (one cell as a plain
-    model), on the fixed targets `nn.train_epoch` takes; `soft` is
-    shared, (n, C), or one block per cell, (S, n, C). With hard targets
-    each cell weighs the CE and KL terms (1 - alpha, alpha); without them
-    the KL term trains alone."""
+    model), in one `nn.train_run` on the fixed targets it takes; `soft`
+    is shared, (n, C), or one block per cell, (S, n, C). With hard
+    targets each cell weighs the CE and KL terms (1 - alpha, alpha);
+    without them the KL term trains alone."""
     opt = make_optimizer(cfg, _stack(students))
     work = opt.model
     if soft.ndim == 3:
@@ -178,13 +184,10 @@ def _distill(
             ce_weight=_per_cell(work, [1.0 - a for a in alphas]),
             kd_weight=_per_cell(work, alphas),
         )
-    for epoch in range(1, cfg.epochs + 1):
-        train_epoch(
-            opt, transfer.features, cfg.batch_size,
-            _per_cell(work, [rng_for(seed, "epoch", epoch) for seed in seeds]),
-            hard=hard, soft=soft, weight=weight, temperature=_per_cell(work, temperatures),
-            **weights,
-        )
+    train_run(
+        opt, transfer.features, cfg.batch_size, _streams(work, seeds, "epoch", cfg.epochs),
+        hard=hard, soft=soft, weight=weight, temperature=_per_cell(work, temperatures), **weights,
+    )
     return _unstack(work, students)
 
 
@@ -245,11 +248,15 @@ def distill_vanilla_benches(
     each distinct student's frozen self, are computed once for all cells,
     and its soft targets once per temperature its cells use; a model's
     logits are dropped once those are made. Each cell's target is the
-    mean over its own bench, built in place in the stack's one (S, n, C)
-    block. Cells that use the same loss terms train together as one
-    stack, whatever their temperatures; on labeled data alpha = 0 drops
-    the KL term and alpha = 1 the CE term, so those cells form stacks of
-    their own. Every returned model is bit-identical to its one-cell
+    mean q over its own bench, built in place in the stack's one (S, n, C)
+    block. At T = 1 on labeled data, where the two terms have the
+    gradient of KL alone toward t = alpha * q + (1 - alpha) * y, the block
+    holds t and the cell trains on the KL term alone (t is exactly y or q
+    at alpha = 0 or 1, so those cells keep their bytes). Cells that use
+    the same loss terms train together as one stack, whatever their
+    temperatures; at T != 1 on labeled data alpha = 0 drops the KL term
+    and alpha = 1 the CE term, so those cells form stacks of their own.
+    Every returned model is bit-identical to its one-cell
     `distill_vanilla` run at its temperature.
     """
     if temperatures is None:
@@ -276,12 +283,13 @@ def distill_vanilla_benches(
         for temperature in temps:
             probs[i, temperature] = softmax(logits, temperature)
     hard = _hard_target(students[0], transfer)
+    # () is the KL term alone: without labels, or at T = 1 toward the blend
     stacks: dict[tuple[bool, ...], list[int]] = {}
-    for i, alpha in enumerate(alphas):
-        terms = () if hard is None else (alpha < 1.0, alpha > 0.0)
+    for i, (alpha, temperature) in enumerate(zip(alphas, temperatures)):
+        terms = () if hard is None or temperature == 1.0 else (alpha < 1.0, alpha > 0.0)
         stacks.setdefault(terms, []).append(i)
     trained: dict[int, Model] = {}
-    for cells in stacks.values():
+    for terms, cells in stacks.items():
         soft = np.empty((len(cells), len(transfer), students[0].arch.num_classes))
         for target, i in zip(soft, cells):
             # the bench mean as np.mean gives it: a sum in bench order, then
@@ -292,9 +300,14 @@ def distill_vanilla_benches(
                 for m in rest:
                     target += probs[id(m), temperatures[i]]
                 target /= len(full[i])
+            if hard is not None and not terms:
+                # the blend alpha * q + (1 - alpha) * y
+                target *= alphas[i]
+                target += hard * (1.0 - alphas[i])
         models = _distill(
             [students[i] for i in cells], transfer, cfg, [alphas[i] for i in cells],
-            [temperatures[i] for i in cells], [seeds[i] for i in cells], hard=hard, soft=soft,
+            [temperatures[i] for i in cells], [seeds[i] for i in cells],
+            hard=hard if terms else None, soft=soft,
         )
         trained.update(zip(cells, models))
     return [trained[i] for i in range(len(alphas))]
@@ -306,77 +319,64 @@ def distill_vanilla_benches(
 
 
 def distill_dml(
-    peer_a: Model,
-    peer_b: Model,
-    transfer_a: TransferSet,
-    transfer_b: TransferSet,
-    cfg: DistillConfig,
-    seed: int,
+    peer_a: Model, peer_b: Model, transfer: TransferSet, cfg: DistillConfig, seed: int
 ) -> tuple[Model, Model]:
-    """Two peers teach each other with alternating per-minibatch updates.
+    """Two peers teach each other on one transfer set with alternating
+    per-minibatch updates.
 
-    Each peer minimizes CE against its labels plus KL toward the
+    Each peer minimizes CE against the labels plus KL toward the
     partner's current predictions; both terms carry unit weight at
     temperature 1, so cfg.temperature and cfg.alpha are ignored here.
     Peer B's update in each step already sees peer A's fresh parameters.
 
-    The mechanism expects labeled transfer data; unlabeled sets are
-    allowed but drop the CE term and raise a warning. When the two
-    transfer sets differ in length the peers run in lockstep over the
-    shorter batch schedule. This is the one-cell case of
-    `distill_dml_cells`.
+    The mechanism expects labeled transfer data; an unlabeled set is
+    allowed but drops the CE term and raises a warning. This is the
+    one-cell case of `distill_dml_cells`.
     """
-    (a,), (b,) = distill_dml_cells([peer_a], [peer_b], transfer_a, transfer_b, cfg, [seed])
+    (a,), (b,) = distill_dml_cells([peer_a], [peer_b], transfer, cfg, [seed])
     return a, b
 
 
 def distill_dml_cells(
     peers_a: list[Model],
     peers_b: list[Model],
-    transfer_a: TransferSet,
-    transfer_b: TransferSet,
+    transfer: TransferSet,
     cfg: DistillConfig,
     seeds: list[int],
 ) -> tuple[list[Model], list[Model]]:
-    """Mutual-learning runs, one per (peer A, peer B, seed) cell.
+    """Mutual-learning runs on one transfer set, one per (peer A, peer B,
+    seed) cell.
 
-    All A peers train on transfer_a and all B peers on transfer_b, so
-    the cells step as two stacks in lockstep, each cell shuffling with
-    its own generators. Returns the trained A peers and B peers; every
-    cell is bit-identical to its one-cell `distill_dml` run.
+    The A peers and the B peers train as two stacks, each in one
+    `nn.train_steps` run, stepping in turn, each cell shuffling with its
+    own generators. Returns the trained A peers and B peers; every cell
+    is bit-identical to its one-cell `distill_dml` run.
     """
     if not len(peers_a) == len(peers_b) == len(seeds):
         raise ConfigError(
             f"{len(peers_a)} A peers, {len(peers_b)} B peers but {len(seeds)} seeds"
         )
-    _check_transfer(peers_a[0], transfer_a)
-    _check_transfer(peers_b[0], transfer_b)
-    if not transfer_a.labeled or not transfer_b.labeled:
+    _check_transfer(peers_a[0], transfer)
+    if not transfer.labeled:
         warnings.warn(
             "mutual learning without labels drops the supervised term and "
             "tends to degrade both peers",
             stacklevel=2,
         )
-    sets = [transfer_a, transfer_b]
     opts = [make_optimizer(cfg, _stack(peers)) for peers in (peers_a, peers_b)]
-    hard = [_hard_target(opt.model, t) for opt, t in zip(opts, sets)]
-    steps = -(-min(map(len, sets)) // cfg.batch_size)  # the shorter batch schedule
-    for epoch in range(1, cfg.epochs + 1):
-        # each peer's target is the other's current prediction
-        passes = [
-            train_steps(
-                opts[me], sets[me].features, cfg.batch_size,
-                _per_cell(opts[me].model, [rng_for(s, peer, epoch) for s in seeds]),
-                hard=hard[me], soft=opts[1 - me].model,
-            )
-            for me, peer in enumerate(("peer-a", "peer-b"))
-        ]
-        # A steps, then B against A's fresh parameters; islice stops
-        # before zip could step A once more past B's last minibatch
-        for _ in islice(zip(*passes), steps):
-            pass
-        for opt in opts:
-            check_finite(opt.model, "after a mutual-learning pass")
+    hard = _hard_target(peers_a[0], transfer)
+    # each peer's target is the other's current prediction
+    runs = [
+        train_steps(
+            opts[me], transfer.features, cfg.batch_size,
+            _streams(opts[me].model, seeds, peer, cfg.epochs), hard=hard, soft=opts[1 - me].model,
+        )
+        for me, peer in enumerate(("peer-a", "peer-b"))
+    ]
+    # A steps, then B against A's fresh parameters; zip_longest also ends
+    # B's run, and with it B's last finite check
+    for _ in zip_longest(*runs):
+        pass
     return _unstack(opts[0].model, peers_a), _unstack(opts[1].model, peers_b)
 
 

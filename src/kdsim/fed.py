@@ -14,7 +14,7 @@ participant's local-epoch row orders (`client_round`) and, once per
 federation, each shard's one-hot targets. Every arm's clients then train
 on those same draws, so an arm's trajectory is bit-identical to a
 federation run alone from its initial model. A client model is plain,
-so `nn.train_epoch` takes its drawn row order in place of a generator.
+so `nn.train_run` takes its drawn row orders in place of generators.
 Each arm builds one client
 optimizer from the `FedConfig` (`nn.make_optimizer`), which owns the
 client model it steps; every local update resets it to the global model
@@ -51,7 +51,7 @@ from .nn import (
     optimizer_problems,
     overall_accuracies,
     raise_problems,
-    train_epoch,
+    train_run,
 )
 from .seeding import rng_for
 
@@ -193,8 +193,7 @@ def local_update(
         opt = make_optimizer(cfg, global_model.copy())
     else:
         opt.reset(global_model.params)
-    for order in draws.orders:
-        train_epoch(opt, shard.features, cfg.batch_size, order, hard=draws.targets)
+    train_run(opt, shard.features, cfg.batch_size, draws.orders, hard=draws.targets)
     return opt.model
 
 

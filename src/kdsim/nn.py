@@ -37,16 +37,17 @@ early-stopped cells leave a stack.
 
 An optimizer is built from a training recipe (`make_optimizer`) and
 owns the model or stack it steps, so the trainer takes the optimizer
-alone. Every model trains through the one minibatch loop, `train_steps`,
-which makes one optimizer step per `next()`; `train_epoch` runs one
-shuffled pass of it.
-Supervised pre-training (early-stopped on validation accuracy;
-`train_supervised` for one model, `train_supervised_cells` for every
-participant in one ragged stack) and FedAvg local updates pass hard
-targets; distillation passes the targets it builds, weighing the CE and
-KL terms as it chooses. Mutual learning passes each peer the other, a
-live model whose current prediction is the target, and advances the
-two peers' passes in lockstep.
+alone. Every model trains through the one minibatch loop, `train_steps`:
+a whole run of shuffled passes, one optimizer step per `next()`;
+`train_run` runs it to the end and `train_epoch` runs one pass.
+Distillation and FedAvg local updates make one run each; supervised
+pre-training (early-stopped on validation accuracy; `train_supervised`
+for one model, `train_supervised_cells` for every participant in one
+ragged stack) scores between passes, so it makes one-pass runs. It and
+FedAvg pass hard targets; distillation passes the targets it builds,
+weighing the CE and KL terms as it chooses. Mutual learning passes each
+peer the other, a live model whose current prediction is the target, and
+steps the two peers' runs in turn.
 
 A run of one cell passes a plain model, not a one-cell stack: the step
 is the same arithmetic on fewer axes. On such small models a step's
@@ -59,13 +60,13 @@ BLAS call `np.matmul` makes with less dispatch. `train_steps` gathers
 its shuffled rows of every input with one `take` each, a chunk of
 minibatches at a time (a wide stack one minibatch at a time), checks
 them once per chunk, and every minibatch steps on a slice. What does
-not change between minibatches (loss weights, the optimizer's views and
-constants) is computed once per pass, the steps of a pass (which
-kernel and rows each minibatch steps, where the chunks start) once per
-run of passes over the same rows, and scalar operands are 0-d arrays.
+not change between minibatches (argument checks, loss weights, the steps
+of a pass: which kernel and rows each minibatch steps, where the chunks
+start) is worked out once per run, the optimizer's views and constants
+once per optimizer, and scalar operands are 0-d arrays.
 The optimizer owns a flat gradient buffer that the step fills, and it
 steps in place, once per minibatch. A pass that leaves a parameter NaN
-or infinite raises DomainError.
+or infinite raises DomainError before the next pass steps.
 
 A training recipe (`TrainConfig` here, `distill.DistillConfig` and
 `fed.FedConfig`) states its rules once, in `problems()`, which lists
@@ -81,7 +82,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -520,7 +521,7 @@ class _Optimizer:
         """The steps of a pass in minibatches of `batch_size` over `sizes`
         rows (one count for all cells, or the counts of ragged cells,
         longest first); see `_schedule`. The last pass's steps are kept,
-        so the epochs of a run on the same rows build them once."""
+        so one-pass runs on the same rows (pre-training's) build them once."""
         key = sizes, batch_size
         if self._pass[0] != key:
             self._pass = key, _schedule(self, sizes, batch_size)
@@ -934,7 +935,7 @@ def train_steps(
     opt: _Optimizer,
     features: np.ndarray | Ragged | list[np.ndarray],
     batch_size: int,
-    rng: np.random.Generator | list[np.random.Generator] | np.ndarray,
+    sources: Iterable[np.random.Generator | list[np.random.Generator] | np.ndarray],
     *,
     hard: np.ndarray | Ragged | list[np.ndarray] | None = None,
     soft: np.ndarray | Model | None = None,
@@ -943,8 +944,11 @@ def train_steps(
     temperature: float | list[float] = 1.0,
     weight: np.ndarray | None = None,
 ) -> Iterator[None]:
-    """One shuffled minibatch pass that makes one step of `opt` per
-    `next()`; `train_epoch` runs it to the end.
+    """A training run: one shuffled minibatch pass per row source in
+    `sources`, making one step of `opt` per `next()`. Each pass ends with
+    a check that every parameter is finite, which raises DomainError
+    before the next pass steps. `train_run` runs it to the end, and
+    `train_epoch` runs one pass.
 
     Trains `opt.model`, the model or stack `opt` steps, in place on
     ce_weight * CE(hard) + kd_weight * T^2 * weight * KL(soft || student
@@ -952,20 +956,21 @@ def train_steps(
     each weight and T one float or one per cell of a stack; a list of
     another length raises ShapeError, and a used KL term at any T <= 0
     DomainError. A term without targets, or whose weights are all 0, is
-    skipped; with no term left the pass raises ConfigError. The cells of
+    skipped; with no term left the run raises ConfigError. The cells of
     a stack should agree on which terms they use (see
     `distill.distill_vanilla_benches`), not on T: a cell at T = 1 among
-    others divides by 1.0, which keeps its bits. A stack takes one
-    generator per cell as `rng`. Its soft targets are
+    others divides by 1.0, which keeps its bits. Its soft targets are
     either shared, (n, C), or one block per cell, (S, n, C); each cell's
     minibatch rows are then gathered from its own block.
 
-    A plain model on array features may take, in place of its generator,
-    the pass's row order itself: the (n,) array `rng.permutation(n)`
-    would have drawn, which lets callers that train several models on
-    one order draw it once (see `fed.run_federated`). The order is read,
+    A pass's row source is a generator for a plain model, one generator
+    per cell for a stack, or, for a plain model on array features, the
+    pass's row order itself: the (n,) array `rng.permutation(n)` would
+    have drawn, which lets callers that train several models on one
+    order draw it once (see `fed.run_federated`). An order is read,
     never written; one of another length, or any order for a stack or
-    ragged cells, raises ShapeError.
+    ragged cells, raises ShapeError. Sources are read one pass at a
+    time, so a generator of them draws each pass's streams as it starts.
 
     `soft` may also be a live model with the architecture and cells of
     `opt.model` (plain for plain, S for S): each minibatch's target is
@@ -980,14 +985,15 @@ def train_steps(
     of cells with the same batch size (see `_schedule`).
 
     Every step is `_Kernel.step` of the cells it covers, then one
-    `opt.step`, as `opt.schedule` lists them. The epoch's shuffled rows
-    of every input are gathered a chunk of minibatches at a time, one
-    `take` per input, and each minibatch steps on a slice of its chunk;
-    the features are checked per chunk, before its first step. A
-    chunk's arrays stay near `_GATHER_BYTES`, so a plain model or a
-    narrow stack gathers many minibatches at once and a wide stack a
-    single minibatch. The arguments are checked at the first `next()`,
-    before the first step.
+    `opt.step`, as `opt.schedule` lists them. The arguments are checked,
+    and the loss factors, the steps of a pass and the per-cell soft
+    target block made, once per run, at the first `next()`. Each pass
+    gathers its shuffled rows of every input a chunk of minibatches at a
+    time, one `take` per input, and each minibatch steps on a slice of
+    its chunk; the features are checked per chunk, before its first
+    step. A chunk's arrays stay near `_GATHER_BYTES`, so a plain model
+    or a narrow stack gathers many minibatches at once and a wide stack
+    a single minibatch.
     """
     model = opt.model
     live = isinstance(soft, Model)
@@ -1014,17 +1020,11 @@ def train_steps(
         features = Ragged.of(features)
     if isinstance(hard, list):
         hard = Ragged.of(hard)
-    if isinstance(rng, np.ndarray) and (
-        model.params.ndim != 1 or isinstance(features, Ragged) or rng.shape != (len(features),)
-    ):
-        raise ShapeError(
-            f"a row order of shape {rng.shape} for params of {model.params.shape}; only a plain "
-            f"model on array features takes one, with one entry per row"
-        )
     # a live soft model's weights and broadcast biases
     partner = None
     if live and use_kd:
         partner = soft.weights, [b[..., None, :] for b in soft.biases]
+    sizes = None
     if isinstance(features, Ragged):
         if soft is not None:
             raise ShapeError("ragged cells train on hard targets alone")
@@ -1037,12 +1037,11 @@ def train_steps(
             )
         if hard is not None and hard.sizes != features.sizes:
             raise ShapeError(f"ragged hard targets of {hard.sizes} rows for {features.sizes}")
-        order = _ragged_order(model, features.sizes, rng)
-        steps = opt.schedule(tuple(features.sizes), batch_size)
+        sizes = features.sizes
+        steps = opt.schedule(tuple(sizes), batch_size)
         features = features.block
         hard = None if hard is None else hard.block
     else:
-        order = rng if isinstance(rng, np.ndarray) else _shuffle(len(features), rng)
         steps = opt.schedule(len(features), batch_size)
     # per-cell soft targets are read as one (S * n, C) block, in which
     # cell s finds row i at s * n + i
@@ -1052,36 +1051,54 @@ def train_steps(
         soft = soft.reshape(-1, soft.shape[-1])
     factors = _factor(ce_weight), _factor(kd_weight), _factor(temperature)
     y = q = w = None
-    for kernel, rows, part, key in steps:
-        if part is not None:
-            # the next chunk's rows of every input, (rows, .) or (S, rows, .):
-            # take is a copy several times faster than fancy indexing
-            part = order[..., part]
-            x = _check_input(model, features.take(part, axis=0))
-            if use_ce:
-                y = hard.take(part, axis=0)
-            if use_kd and not live:
-                q = soft.take(part if offsets is None else part + offsets, axis=0)
-            if use_kd and weight is not None:
-                w = weight.take(part)[..., None]
-        kernel.step(
-            x[key],
-            None if y is None else y[key],
-            None if q is None else q[key],
-            None if w is None else w[key],
-            partner,
-            *factors,
-        )
-        opt.step(rows)
-        yield
+    for rng in sources:
+        if isinstance(rng, np.ndarray):
+            if cells is not None or sizes is not None or rng.shape != (len(features),):
+                raise ShapeError(
+                    f"a row order of shape {rng.shape} for params of {model.params.shape}; only "
+                    f"a plain model on array features takes one, with one entry per row"
+                )
+            order = rng
+        elif sizes is not None:
+            order = _ragged_order(model, sizes, rng)
+        else:
+            order = _shuffle(len(features), rng)
+        for kernel, rows, part, key in steps:
+            if part is not None:
+                # the next chunk's rows of every input, (rows, .) or (S, rows, .):
+                # take is a copy several times faster than fancy indexing
+                part = order[..., part]
+                x = _check_input(model, features.take(part, axis=0))
+                if use_ce:
+                    y = hard.take(part, axis=0)
+                if use_kd and not live:
+                    q = soft.take(part if offsets is None else part + offsets, axis=0)
+                if use_kd and weight is not None:
+                    w = weight.take(part)[..., None]
+            kernel.step(
+                x[key],
+                None if y is None else y[key],
+                None if q is None else q[key],
+                None if w is None else w[key],
+                partner,
+                *factors,
+            )
+            opt.step(rows)
+            yield
+        # the next pass gathers anew; chunks held across passes raised peak RSS
+        x = y = q = w = None
+        check_finite(opt.model, "after a training pass")
+
+
+def train_run(opt: _Optimizer, features, batch_size: int, sources, **targets) -> None:
+    """Every step of a `train_steps` run (same arguments)."""
+    for _ in train_steps(opt, features, batch_size, sources, **targets):
+        pass
 
 
 def train_epoch(opt: _Optimizer, features, batch_size: int, rng, **targets) -> None:
-    """Every step of one `train_steps` pass (same arguments); raises
-    DomainError if the pass leaves a parameter non-finite."""
-    for _ in train_steps(opt, features, batch_size, rng, **targets):
-        pass
-    check_finite(opt.model, "after a training pass")
+    """A `train_run` of one pass, drawn from `rng`."""
+    train_run(opt, features, batch_size, (rng,), **targets)
 
 
 def train_supervised(

@@ -545,8 +545,7 @@ def _train_stack(cells: list[PairCell]) -> tuple[float, float, list[Model]]:
             pair_seed(head.master_seed, b, a, "dml", temperature, alpha) for a, b in runs
         ]
         peers_a, peers_b = distill_dml_cells(
-            [a for a, _ in runs.values()], [b for _, b in runs.values()],
-            head.transfer, head.transfer, cfg, seeds,
+            [a for a, _ in runs.values()], [b for _, b in runs.values()], head.transfer, cfg, seeds
         )
         trained = dict(zip(runs, zip(peers_a, peers_b)))
         # peer A started from model key[0], peer B from model key[1]

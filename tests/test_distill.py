@@ -207,8 +207,7 @@ def test_diverging_distillation_raises_instead_of_returning_nan(rng):
     with pytest.raises(DomainError, match="not finite"):
         distill_vanilla(student, [init_model(ARCH, 2)], _labeled_transfer(rng), cfg, 7)
     with pytest.raises(DomainError, match="not finite"):
-        distill_dml(student, init_model(ARCH, 2), _labeled_transfer(rng),
-                    _labeled_transfer(rng), cfg, 7)
+        distill_dml(student, init_model(ARCH, 2), _labeled_transfer(rng), cfg, 7)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -254,10 +253,10 @@ def test_vanilla_learns_from_a_strong_teacher(blobs, pretrained, scenario):
 
 def test_dml_returns_new_models_deterministically(rng):
     a0, b0 = init_model(ARCH, 1), init_model(ARCH, 2)
-    ts_a, ts_b = _labeled_transfer(rng), _labeled_transfer(rng)
+    ts = _labeled_transfer(rng)
     cfg = DistillConfig(**FAST)
-    a1, b1 = distill_dml(a0, b0, ts_a, ts_b, cfg, 4)
-    a2, b2 = distill_dml(a0, b0, ts_a, ts_b, cfg, 4)
+    a1, b1 = distill_dml(a0, b0, ts, cfg, 4)
+    a2, b2 = distill_dml(a0, b0, ts, cfg, 4)
     assert models_equal(a1, a2) and models_equal(b1, b2)
     assert not models_equal(a1, a0)
     assert models_equal(a0, init_model(ARCH, 1))
@@ -266,9 +265,9 @@ def test_dml_returns_new_models_deterministically(rng):
 def test_dml_ignores_temperature_and_alpha(rng):
     # both loss terms run at unit weight and temperature 1 by design
     a0, b0 = init_model(ARCH, 1), init_model(ARCH, 2)
-    ts_a, ts_b = _labeled_transfer(rng), _labeled_transfer(rng)
-    r1 = distill_dml(a0, b0, ts_a, ts_b, DistillConfig(temperature=3.0, alpha=0.9, **FAST), 4)
-    r2 = distill_dml(a0, b0, ts_a, ts_b, DistillConfig(temperature=1.0, alpha=0.1, **FAST), 4)
+    ts = _labeled_transfer(rng)
+    r1 = distill_dml(a0, b0, ts, DistillConfig(temperature=3.0, alpha=0.9, **FAST), 4)
+    r2 = distill_dml(a0, b0, ts, DistillConfig(temperature=1.0, alpha=0.1, **FAST), 4)
     assert models_equal(r1[0], r2[0]) and models_equal(r1[1], r2[1])
 
 
@@ -276,10 +275,10 @@ def test_dml_warns_without_labels(rng):
     a0, b0 = init_model(ARCH, 1), init_model(ARCH, 2)
     cfg = DistillConfig(**FAST)
     with pytest.warns(UserWarning, match="without labels"):
-        distill_dml(a0, b0, _unlabeled_transfer(rng), _unlabeled_transfer(rng), cfg, 0)
+        distill_dml(a0, b0, _unlabeled_transfer(rng), cfg, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        distill_dml(a0, b0, _labeled_transfer(rng), _labeled_transfer(rng), cfg, 0)
+        distill_dml(a0, b0, _labeled_transfer(rng), cfg, 0)
 
 
 def test_dml_peers_converge_toward_each_other(rng):
@@ -294,7 +293,7 @@ def test_dml_peers_converge_toward_each_other(rng):
         return float(np.abs(p1 - p2).mean())
 
     cfg = DistillConfig(epochs=20, learning_rate=1e-2, weight_decay=0.0)
-    a1, b1 = distill_dml(a0, b0, ts, ts, cfg, 4)
+    a1, b1 = distill_dml(a0, b0, ts, cfg, 4)
     assert gap(a1, b1) < gap(a0, b0)
 
 

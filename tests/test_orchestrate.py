@@ -302,7 +302,7 @@ def test_public_dml_trains_one_run_per_unordered_pair(pretrained, scenario, monk
     for lo in range(k):
         for hi in range(lo + 1, k):
             peer_a, peer_b = distill_dml(
-                pretrained[lo][0], pretrained[hi][0], public, public, QUICK,
+                pretrained[lo][0], pretrained[hi][0], public, QUICK,
                 pair_seed(master, hi, lo, "dml", 1.0, 0.5),
             )
             assert reports_equal(record[hi, lo].post_eval, evaluate(peer_a, scenario.test))
@@ -313,7 +313,7 @@ def test_public_dml_trains_one_run_per_unordered_pair(pretrained, scenario, monk
                 scenario, "student_data", r.student_id, SIZES, master
             )
             peer, _ = distill_dml(
-                pretrained[r.student_id][0], pretrained[r.teacher_id][0], own, own, QUICK,
+                pretrained[r.student_id][0], pretrained[r.teacher_id][0], own, QUICK,
                 pair_seed(master, r.teacher_id, r.student_id, "dml", 1.0, 0.5),
             )
             assert reports_equal(r.post_eval, evaluate(peer, scenario.test))

@@ -1,7 +1,7 @@
 """Property tests: invariants that must hold for every input, not just a few."""
 
 import math
-from itertools import groupby
+from itertools import groupby, zip_longest
 from unittest.mock import patch
 
 import numpy as np
@@ -38,7 +38,7 @@ from kdsim.distill import (
     masked_targets,
     merged_teacher_target,
 )
-from kdsim.errors import ConfigError, PartitionError
+from kdsim.errors import ConfigError, DomainError, PartitionError
 from kdsim.fed import (
     FedConfig,
     fedavg_aggregate,
@@ -453,8 +453,11 @@ def _alpha_weights(alpha, labeled):
     return dict(ce_weight=1.0 - alpha, kd_weight=alpha)
 
 
-def _plain_vanilla(student, teacher, transfer, cfg, seed):
-    """Reference: one unstacked model through nn.train_epoch."""
+def _plain_vanilla(student, teacher, transfer, cfg, seed, blend=True):
+    """Reference: one unstacked model through nn.train_epoch. At T = 1 a
+    labeled run trains the KL term alone toward the blended target
+    alpha * q + (1 - alpha) * y, whose gradient is that of the two terms;
+    without `blend` it trains the two terms."""
     bench = effective_teachers(student, [teacher], transfer.origin)
     soft = np.mean(
         [softmax(forward_logits(t, transfer.features), cfg.temperature) for t in bench], axis=0
@@ -463,6 +466,9 @@ def _plain_vanilla(student, teacher, transfer, cfg, seed):
     if transfer.labeled:
         hard = onehot(transfer.labels, student.arch.num_classes)
     weights = _alpha_weights(cfg.alpha, transfer.labeled)
+    if blend and hard is not None and cfg.temperature == 1.0:
+        soft = cfg.alpha * soft + (1.0 - cfg.alpha) * hard
+        hard, weights = None, {}
     work = student.copy()
     opt = make_optimizer(cfg, work)
     for epoch in range(1, cfg.epochs + 1):
@@ -489,6 +495,65 @@ def test_stacked_cells_are_byte_identical_to_one_cell_runs(run):
         assert model.params.shape == student.params.shape
         assert model.params.tobytes() == want
         assert _plain_vanilla(student, teacher, transfer, cell_cfg, seed).params.tobytes() == want
+
+
+@PROPERTY
+@given(_vanilla_cells())
+def test_cells_off_the_blend_keep_the_two_term_bytes(run):
+    # the blend is exactly y at alpha = 0 and q at alpha = 1; at T != 1 and
+    # without labels no cell blends
+    student, teacher, transfer, cfg, alphas, seeds = run
+    cells = distill_vanilla_benches(
+        [student] * len(seeds), [[teacher]] * len(seeds), transfer, cfg, alphas, seeds
+    )
+    for model, alpha, seed in zip(cells, alphas, seeds):
+        if transfer.labeled and cfg.temperature == 1.0 and 0.0 < alpha < 1.0:
+            continue
+        two_terms = _plain_vanilla(student, teacher, transfer, replace(cfg, alpha=alpha), seed,
+                                   blend=False)
+        assert model.params.tobytes() == two_terms.params.tobytes()
+
+
+@pytest.mark.parametrize("cells", [1, 16])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_blended_target_gives_the_two_term_gradient(cells, alpha):
+    # the first step of a labeled vanilla run at T = 1 against the literal
+    # (1 - alpha) * (p - y) / n + alpha * (p - q) / n, backpropagated, for
+    # cells of one student and their own teachers
+    arch = ArchSpec(input_dim=8, hidden_layers=(64,), num_classes=10)
+    data = np.random.default_rng(7)
+    n = 40
+    transfer = TransferSet(features=data.normal(0, 1, size=(n, 8)),
+                           labels=data.integers(0, 10, size=n), origin="student_data")
+    student = init_model(arch, 1)
+    teachers = [init_model(arch, 100 + i) for i in range(cells)]
+    for t in teachers:
+        t.params *= 3.0  # sharper targets than the student's
+    seeds = list(range(cells))
+    grads = []
+    step = nn._Optimizer.step
+
+    def first_gradient(opt, rows=None):
+        if not grads:
+            grads.append(opt.grad.copy())
+        step(opt, rows)
+
+    cfg = DistillConfig(temperature=1.0, epochs=1, batch_size=n)
+    with patch.object(nn._Optimizer, "step", first_gradient):
+        distill_vanilla_benches([student] * cells, [[t] for t in teachers], transfer, cfg,
+                                [alpha] * cells, seeds)
+    got = grads[0].reshape(cells, -1)
+    y = onehot(transfer.labels, 10)
+    for i, (teacher, seed) in enumerate(zip(teachers, seeds)):
+        rows = rng_for(seed, "epoch", 1).permutation(n)
+        x = transfer.features[rows]
+        logits, acts = _forward_cached(student, x)
+        p = softmax(logits)
+        q = softmax(forward_logits(teacher, x))
+        dlogits = (1.0 - alpha) * (p - y[rows]) / n + alpha * (p - q) / n
+        gw, gb = backprop_params(student, acts, dlogits)
+        want = np.concatenate([g.ravel() for g in gw + gb])
+        np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-15)
 
 
 @st.composite
@@ -526,29 +591,24 @@ def _student_groups(draw):
     return init_model(arch, draw(st.integers(0, 2**32))), teachers, transfer, cfg, seeds
 
 
-def _plain_dml(peer_a, peer_b, transfer_a, transfer_b, cfg, seed):
-    """Reference: two unstacked peers stepping in turn, each on its own
-    set, over the shorter batch schedule."""
-    sets = (transfer_a, transfer_b)
-    classes = peer_a.arch.num_classes
-    hard = [onehot(t.labels, classes) if t.labeled else None for t in sets]
+def _plain_dml(peer_a, peer_b, transfer, cfg, seed):
+    """Reference: two unstacked peers stepping in turn on one set."""
+    hard = onehot(transfer.labels, peer_a.arch.num_classes) if transfer.labeled else None
     work = [peer_a.copy(), peer_b.copy()]
     opts = [make_optimizer(cfg, w) for w in work]
     for epoch in range(1, cfg.epochs + 1):
-        orders = [
-            rng_for(seed, peer, epoch).permutation(len(t))
-            for peer, t in zip(("peer-a", "peer-b"), sets)
-        ]
-        for start in range(0, min(len(t) for t in sets), cfg.batch_size):
+        orders = [rng_for(seed, peer, epoch).permutation(len(transfer))
+                  for peer in ("peer-a", "peer-b")]
+        for start in range(0, len(transfer), cfg.batch_size):
             for me in (0, 1):
                 idx = orders[me][start : start + cfg.batch_size]
-                rows = sets[me].features[idx]
+                rows = transfer.features[idx]
                 logits, acts = _forward_cached(work[me], rows)
                 probs = softmax(logits, 1.0)
                 partner = softmax(forward_logits(work[1 - me], rows), 1.0)
                 dlogits = (probs - partner) / len(idx)
-                if hard[me] is not None:
-                    dlogits = dlogits + (probs - hard[me][idx]) / len(idx)
+                if hard is not None:
+                    dlogits = dlogits + (probs - hard[idx]) / len(idx)
                 backprop_params(work[me], acts, dlogits, out=opts[me].grad_views)
                 opts[me].step()
     return work
@@ -633,56 +693,15 @@ def test_cells_of_several_students_equal_their_one_cell_runs(run, data):
 @given(_student_groups())
 def test_stacked_dml_cells_equal_one_cell_runs(run):
     student, teachers, transfer, cfg, seeds = run
-    peers_a, peers_b = distill_dml_cells(
-        [student] * len(seeds), teachers, transfer, transfer, cfg, seeds
-    )
-    one_cell = [
-        distill_dml(student, t, transfer, transfer, cfg, s) for t, s in zip(teachers, seeds)
-    ]
+    peers_a, peers_b = distill_dml_cells([student] * len(seeds), teachers, transfer, cfg, seeds)
+    one_cell = [distill_dml(student, t, transfer, cfg, s) for t, s in zip(teachers, seeds)]
     assert _bytes(peers_a) == _bytes([a for a, _ in one_cell])
     assert _bytes(peers_b) == _bytes([b for _, b in one_cell])
-    plain_a, plain_b = _plain_dml(student, teachers[0], transfer, transfer, cfg, seeds[0])
+    plain_a, plain_b = _plain_dml(student, teachers[0], transfer, cfg, seeds[0])
     assert (peers_a[0].params.tobytes(), peers_b[0].params.tobytes()) == (
         plain_a.params.tobytes(),
         plain_b.params.tobytes(),
     )
-
-
-@st.composite
-def _uneven_dml_groups(draw):
-    """A mutual-learning group, its transfer set, and a second set with
-    one or two more minibatches, labeled or not."""
-    student, teachers, transfer, cfg, seeds = draw(_student_groups())
-    batch = cfg.batch_size
-    n = -(-len(transfer) // batch) * batch + draw(st.integers(1, 2 * batch))
-    origin = draw(st.sampled_from(["student_data", "public_labeled", "public_unlabeled_small"]))
-    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    longer = TransferSet(
-        features=data.normal(0, 1, size=(n, student.arch.input_dim)),
-        labels=(
-            data.integers(0, student.arch.num_classes, size=n)
-            if origin != "public_unlabeled_small" else None
-        ),
-        origin=origin,
-    )
-    return student, teachers, transfer, longer, cfg, seeds
-
-
-@PROPERTY
-@pytest.mark.filterwarnings("ignore:mutual learning without labels")
-@pytest.mark.parametrize("a_longer", [True, False])
-@given(_uneven_dml_groups())
-def test_dml_peers_step_over_the_shorter_schedule(a_longer, run):
-    student, teachers, shorter, longer, cfg, seeds = run
-    set_a, set_b = (longer, shorter) if a_longer else (shorter, longer)
-    peers_a, peers_b = distill_dml_cells(
-        [student] * len(seeds), teachers, set_a, set_b, cfg, seeds
-    )
-    for a, b, teacher, seed in zip(peers_a, peers_b, teachers, seeds):
-        one_a, one_b = distill_dml(student, teacher, set_a, set_b, cfg, seed)
-        plain_a, plain_b = _plain_dml(student, teacher, set_a, set_b, cfg, seed)
-        assert a.params.tobytes() == one_a.params.tobytes() == plain_a.params.tobytes()
-        assert b.params.tobytes() == one_b.params.tobytes() == plain_b.params.tobytes()
 
 
 @st.composite
@@ -1216,6 +1235,122 @@ def test_ragged_steps_equal_a_literal_reference(case):
             hard=hard[i],
         )
         assert work.params[i].tobytes() == want.tobytes(), i
+
+
+# -- a training run against its one-pass calls ------------------------------
+
+
+@st.composite
+def _runs(draw):
+    """A `train_steps` run of two or three passes of one kind: a plain
+    model, a three-cell stack with per-cell T and alpha and per-cell soft
+    targets, ragged cells, two live peers stepping in turn, or a plain
+    model on drawn row orders (as FedAvg's clients train)."""
+    kind = draw(st.sampled_from(["plain", "stack", "ragged", "live", "orders"]))
+    hidden = tuple(draw(st.lists(st.integers(1, 6), max_size=2)))
+    dim, classes = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    arch = ArchSpec(input_dim=dim, hidden_layers=hidden, num_classes=classes)
+    batch = draw(st.integers(1, 6))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = 3 if kind in ("stack", "ragged") else 1
+    sizes = [batch * draw(st.integers(0, 2)) + draw(st.integers(1, batch)) for _ in range(cells)]
+    sizes = sorted(sizes, reverse=True) if kind == "ragged" else sizes[:1] * cells
+    features = [data.normal(0, 1, size=(n, dim)) for n in sizes]
+    hard = [onehot(data.integers(0, classes, size=n), classes) for n in sizes]
+    optimizer, momentum = draw(st.sampled_from([("adam", 0.0), ("sgd", 0.9)]))
+    opt_cfg = (optimizer, 0.05, draw(st.sampled_from([0.0, 0.3])), momentum)
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=cells, max_size=cells))
+    starts = [
+        np.stack([init_model(arch, draw(st.integers(0, 2**32))).params for _ in range(cells)])
+        for _ in range(2 if kind == "live" else 1)
+    ]
+    n = sizes[0]
+    targets = {"hard": hard if kind == "ragged" else hard[0]}
+    if kind == "plain":
+        targets.update(soft=softmax(data.normal(0, 2, size=(n, classes))),
+                       temperature=draw(st.sampled_from([0.5, 1.0, 3.0])),
+                       **_alpha_weights(draw(st.sampled_from([0.0, 0.5, 1.0])), True))
+    elif kind == "stack":
+        alphas = draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]), min_size=3, max_size=3))
+        temperatures = st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=3, max_size=3)
+        targets.update(soft=softmax(data.normal(0, 2, size=(3, n, classes))),
+                       temperature=draw(temperatures), **_alpha_weights(alphas, True))
+    x = features if kind == "ragged" else features[0]
+    return kind, arch, x, batch, targets, opt_cfg, draw(st.integers(2, 3)), seeds, starts
+
+
+def _run_optimizers(case):
+    """One optimizer per start block of a `_runs` case, on a copy of it."""
+    kind, arch, _, _, _, opt_cfg, _, _, starts = case
+    plain = kind not in ("stack", "ragged")
+    return [
+        make_optimizer(_recipe(*opt_cfg), Model.from_params(arch, (s[0] if plain else s).copy(), 0))
+        for s in starts
+    ]
+
+
+def _run_sources(case, stream="epoch"):
+    """Each pass's row source of a `_runs` case: the cells' generators,
+    one generator for a plain model, or for "orders" its drawn order."""
+    kind, _, x, _, _, _, epochs, seeds, _ = case
+    sources = []
+    for epoch in range(1, epochs + 1):
+        rngs = [rng_for(s, stream, epoch) for s in seeds]
+        if kind == "orders":
+            sources.append(rngs[0].permutation(len(x)))
+        else:
+            sources.append(rngs if kind in ("stack", "ragged") else rngs[0])
+    return sources
+
+
+def _trained_state(case, one_run):
+    """Train a `_runs` case in one `train_steps` run, or in one call per
+    pass; the bytes of every trained parameter and optimizer state."""
+    kind, _, x, batch, targets, _, epochs, _, _ = case
+    opts = _run_optimizers(case)
+    if kind == "live":
+        a, b = opts
+        sources = [_run_sources(case, stream) for stream in ("peer-a", "peer-b")]
+        # each peer's run of every pass, or one run per pass
+        runs = [sources] if one_run else [[[sa], [sb]] for sa, sb in zip(*sources)]
+        for sources_a, sources_b in runs:
+            for _ in zip_longest(
+                nn.train_steps(a, x, batch, sources_a, soft=b.model, **targets),
+                nn.train_steps(b, x, batch, sources_b, soft=a.model, **targets),
+            ):
+                pass
+    elif one_run:
+        nn.train_run(opts[0], x, batch, _run_sources(case), **targets)
+    else:
+        for source in _run_sources(case):
+            train_epoch(opts[0], x, batch, source, **targets)
+    return [(o.model.params.tobytes(), o.m.tobytes(), o.v.tobytes(), o.t) for o in opts]
+
+
+@PROPERTY
+@given(_runs(), _gather_budgets)
+def test_a_run_of_passes_equals_its_one_pass_calls(case, gather):
+    with patch.object(nn, "_GATHER_BYTES", gather):
+        assert _trained_state(case, one_run=True) == _trained_state(case, one_run=False)
+
+
+@PROPERTY
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(_runs().filter(lambda case: case[0] != "live"), st.data())
+def test_a_run_that_leaves_parameters_non_finite_stops_before_the_next_pass(case, data):
+    kind, _, x, batch, targets, _, epochs, _, _ = case
+    opt, = _run_optimizers(case)
+    per_pass = len(opt.schedule(tuple(len(f) for f in x) if kind == "ragged" else len(x), batch))
+    # a parameter turns infinite after some step of pass e, its last included
+    e = data.draw(st.integers(1, epochs))
+    poke = (e - 1) * per_pass + data.draw(st.integers(1, per_pass))
+    taken = 0
+    with pytest.raises(DomainError, match="not finite after a training pass"):
+        for _ in nn.train_steps(opt, x, batch, _run_sources(case), **targets):
+            taken += 1
+            if taken == poke:
+                opt.model.params[..., 0] = np.inf
+    assert taken == e * per_pass
 
 
 @pytest.mark.parametrize("hidden", [(64,), (64, 32)])
